@@ -8,7 +8,7 @@ order, which makes gradients bit-for-bit reproducible.
 The op set is deliberately small: dense matmul (with an optional
 transpose-b mode for linear layers), broadcast add, sub, scalar_mul, relu,
 row-wise softmax / log_softmax, full reductions mean / sum, abs,
-concat_rows, per-row select_columns, and the gradient-reversal pseudo-op
+per-row select_columns, and the gradient-reversal pseudo-op
 ``grad_reverse`` whose forward is the identity and whose backward scales
 the upstream gradient by -lambda.
 """
@@ -44,41 +44,8 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(id={self.node_id}, shape={list(self.shape)})"
 
-    # operator sugar over the module-level primitives
     def __add__(self, other: "Tensor") -> "Tensor":
         return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, c: float) -> "Tensor":
-        return scalar_mul(self, c)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Tensor":
-        return scalar_mul(self, -1.0)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def relu(self) -> "Tensor":
-        return relu(self)
-
-    def softmax(self) -> "Tensor":
-        return softmax(self)
-
-    def log_softmax(self) -> "Tensor":
-        return log_softmax(self)
-
-    def mean(self) -> "Tensor":
-        return mean(self)
-
-    def sum(self) -> "Tensor":
-        return tensor_sum(self)
-
-    def abs(self) -> "Tensor":
-        return tensor_abs(self)
 
 
 class _Record:
@@ -124,9 +91,6 @@ class Tape:
         self.records.append(
             _Record(kind, [t.node_id for t in inputs], out.node_id, backward_fn))
         return out
-
-    def tensor(self, node_id: int) -> Tensor:
-        return self._tensors[node_id]
 
     @property
     def num_nodes(self) -> int:
@@ -274,28 +238,6 @@ def tensor_abs(a: Tensor) -> Tensor:
     return a.tape._emit("abs", [a], np.abs(a.data), backward_fn)
 
 
-def concat_rows(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack 2-D tensors along the row axis."""
-    if len(tensors) < 2:
-        raise ContractError("concat_rows: need at least two tensors")
-    tape = _same_tape(*tensors)
-    first = tensors[0]
-    for t in tensors[1:]:
-        if t.data.ndim != first.data.ndim or t.shape[1:] != first.shape[1:]:
-            raise DimensionError(
-                f"concat_rows: shapes {list(first.shape)} and {list(t.shape)} "
-                f"differ beyond the row axis")
-    sizes = [t.shape[0] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward_fn(g):
-        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(sizes)))
-
-    return tape._emit("concat_rows", list(tensors),
-                      np.concatenate([t.data for t in tensors], axis=0),
-                      backward_fn)
-
-
 def select_columns(a: Tensor, indices) -> Tensor:
     """Pick one entry per row by a constant index vector; output [rows, 1]."""
     _check_rows(a, "select_columns")
@@ -331,34 +273,6 @@ def grad_reverse(a: Tensor, lam: float) -> Tensor:
         return ((-lam) * g,)
 
     return a.tape._emit("grad_reverse", [a], a.data.copy(), backward_fn)
-
-
-_BINARY = {"matmul": matmul, "add": add, "sub": sub}
-_UNARY = {"relu": relu, "softmax": softmax, "log_softmax": log_softmax,
-          "mean": mean, "sum": tensor_sum, "abs": tensor_abs}
-
-OP_KINDS = ("matmul", "add", "sub", "scalar_mul", "relu", "softmax",
-            "log_softmax", "mean", "sum", "abs", "concat_rows",
-            "select_columns")
-
-
-def primitive_forward(kind: str, inputs: Sequence[Tensor], **kwargs) -> Tensor:
-    """Dispatch a primitive by kind name; records the op on the tape."""
-    if kind in _BINARY:
-        if len(inputs) != 2:
-            raise ContractError(f"{kind}: expected 2 inputs, got {len(inputs)}")
-        return _BINARY[kind](inputs[0], inputs[1], **kwargs)
-    if kind in _UNARY:
-        if len(inputs) != 1:
-            raise ContractError(f"{kind}: expected 1 input, got {len(inputs)}")
-        return _UNARY[kind](inputs[0], **kwargs)
-    if kind == "scalar_mul":
-        return scalar_mul(inputs[0], kwargs["scalar"])
-    if kind == "concat_rows":
-        return concat_rows(list(inputs))
-    if kind == "select_columns":
-        return select_columns(inputs[0], kwargs["indices"])
-    raise ContractError(f"unknown op kind {kind!r} (valid: {', '.join(OP_KINDS)})")
 
 
 def backward(tape: Tape, loss: Tensor) -> Dict[int, np.ndarray]:

@@ -16,7 +16,8 @@ import csv
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (Dict, List, Optional, Sequence, Tuple, get_args,
+                    get_type_hints)
 
 import numpy as np
 
@@ -82,7 +83,7 @@ class RunConfig:
 
     def train_config(self, trial_seed: int) -> TrainConfig:
         return TrainConfig(
-            variant=Variant.parse(self.variant),
+            variant=Variant(self.variant),
             epochs=self.epochs,
             batch_size=self.resolved_batch_size(),
             k=self.k,
@@ -97,17 +98,14 @@ class RunConfig:
         )
 
 
-_INT_KEYS = {"epochs", "batch_size", "k", "seed", "trials", "eval_every",
-             "feature_dim", "g_hidden", "head_hidden", "n_source", "n_target",
-             "blob_classes", "embed_per_domain"}
-_FLOAT_KEYS = {"eta0", "alpha", "beta", "gamma", "momentum", "noise_sigma",
-               "theta_degrees", "translate_x", "translate_y", "separation",
-               "shift_x", "shift_y", "mcd_warmup"}
-_STR_KEYS = {"variant", "dataset", "source_images", "source_labels",
-             "target_images", "target_labels", "out_dir"}
-_POSITIVE_KEYS = {"epochs", "batch_size", "k", "trials", "eval_every",
-                  "feature_dim", "g_hidden", "head_hidden", "n_source",
-                  "n_target", "blob_classes", "embed_per_domain"}
+def _key_type(hint) -> type:
+    """int, float or str; an Optional[int] key parses as int."""
+    args = get_args(hint)
+    return args[0] if args else hint
+
+
+_KEY_TYPES = {name: _key_type(hint)
+              for name, hint in get_type_hints(RunConfig).items()}
 
 
 def parse_config(path) -> RunConfig:
@@ -121,23 +119,15 @@ def parse_config(path) -> RunConfig:
             if "=" not in line:
                 raise ConfigError(f"line {lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key in _INT_KEYS:
-                try:
-                    parsed = int(value)
-                except ValueError:
-                    raise ConfigError(
-                        f"line {lineno}: invalid integer for {key}: {value!r}")
-            elif key in _FLOAT_KEYS:
-                try:
-                    parsed = float(value)
-                except ValueError:
-                    raise ConfigError(
-                        f"line {lineno}: invalid number for {key}: {value!r}")
-            elif key in _STR_KEYS:
-                parsed = value
-            else:
+            kind = _KEY_TYPES.get(key)
+            if kind is None:
                 raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-            setattr(cfg, key, parsed)
+            try:
+                setattr(cfg, key, kind(value))
+            except ValueError:
+                noun = "integer" if kind is int else "number"
+                raise ConfigError(
+                    f"line {lineno}: invalid {noun} for {key}: {value!r}")
     _validate(cfg)
     return cfg
 
@@ -147,29 +137,20 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("missing required config key 'variant'")
     if not cfg.dataset:
         raise ConfigError("missing required config key 'dataset'")
-    try:
-        Variant.parse(cfg.variant)
-    except ContractError as e:
-        raise ConfigError(str(e))
     if cfg.dataset not in DATASETS:
         raise ConfigError(
             f"unknown dataset {cfg.dataset!r}; valid values: {', '.join(DATASETS)}")
-    for key in _POSITIVE_KEYS:
+    for key, kind in _KEY_TYPES.items():
         value = getattr(cfg, key)
-        if value is not None and value < 1:
+        if kind is int and key != "seed" and value is not None and value < 1:
             raise ConfigError(f"{key} must be a positive integer, got {value}")
-    if cfg.eta0 <= 0:
-        raise ConfigError(f"eta0 must be > 0, got {cfg.eta0}")
-    if min(cfg.alpha, cfg.beta, cfg.gamma) < 0:
-        raise ConfigError("alpha, beta and gamma must be >= 0")
-    if not 0 <= cfg.momentum < 1:
-        raise ConfigError(f"momentum must lie in [0, 1), got {cfg.momentum}")
-    if not 0.0 < cfg.mcd_warmup < 1.0:
-        raise ConfigError(f"mcd_warmup must lie in (0, 1), got {cfg.mcd_warmup}")
     if cfg.noise_sigma < 0:
         raise ConfigError("noise_sigma must be >= 0")
-    if cfg.seed < 0:
-        raise ConfigError("seed must be nonnegative")
+    try:
+        cfg.train_config(cfg.seed)  # the variant, schedule and training checks
+    except ContractError as e:
+        # TrainConfig calls the mcd_warmup key mcd_warmup_frac
+        raise ConfigError(str(e).replace("mcd_warmup_frac", "mcd_warmup"))
     if cfg.dataset == "idx":
         if not cfg.source_images or not cfg.source_labels:
             raise ConfigError("idx dataset needs source_images and source_labels")
@@ -198,7 +179,8 @@ def build_datasets(cfg: RunConfig, trial_seed: int
                               (cfg.shift_x, cfg.shift_y),
                               _derived_seed(trial_seed, 0))
     source = load_idx(cfg.source_images, cfg.source_labels, "source")
-    target = load_idx(cfg.target_images, cfg.target_labels, "target")
+    target = load_idx(cfg.target_images, cfg.target_labels, "target",
+                      num_classes=source.num_classes)
     return source, target
 
 
@@ -435,7 +417,9 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-    except (ContractError, OSError) as e:
+    except (ValueError, OSError, RuntimeError) as e:
+        # every library error is a ValueError; a failed ablation run is a
+        # RuntimeError
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -6,7 +6,6 @@ them: training code physically cannot read them.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import struct
 from dataclasses import dataclass
@@ -208,18 +207,6 @@ def batches(ds_s: DomainDataset, ds_t: DomainDataset, batch_size: int,
 def num_batch_pairs(ds_s: DomainDataset, ds_t: DomainDataset,
                     batch_size: int) -> int:
     return min(ds_s.n, ds_t.n) // batch_size
-
-
-def to_csv(ds: DomainDataset, path) -> None:
-    """Header f0..f{d-1},label,domain; label column is blank when absent."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow([f"f{i}" for i in range(ds.input_dim)] + ["label", "domain"])
-        for i in range(ds.n):
-            row = [repr(v) for v in ds.features[i]]
-            row.append("" if ds.labels is None else str(int(ds.labels[i])))
-            row.append(ds.domain_tag)
-            writer.writerow(row)
 
 
 def dataset_checksum(ds: DomainDataset) -> str:

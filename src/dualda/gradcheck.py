@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .losses import cross_entropy, discrepancy, dual_loss, module_loss
-from .nn import BoundComponents, build_component_set
+from .nn import COMPONENT_KEYS, BoundComponents, build_component_set
 
 H = 1e-5
 TOL = 1e-4
@@ -73,9 +73,6 @@ def _op_case(kind: str, rng: np.random.Generator):
     elif kind == "sum":
         arrs = [rng.uniform(-2, 2, (m, n))]
         build = lambda t: ad.tensor_sum(t[0])
-    elif kind == "concat_rows":
-        arrs = [rng.uniform(-2, 2, (m, n)), rng.uniform(-2, 2, (k, n))]
-        build = lambda t: ad.concat_rows(list(t))
     elif kind == "select_columns":
         arrs = [rng.uniform(-2, 2, (m, n))]
         idx = rng.integers(0, n, size=m)
@@ -216,8 +213,7 @@ def check_loss(kind: str, trials: int, seed: int = 0) -> float:
 
         pairs = []
         for binding in (b1,) if b2 is None else (b1, b2):
-            for comp in ("extractor", "transform", "discriminator",
-                         "classifier_a", "classifier_b"):
+            for comp in COMPONENT_KEYS:
                 for name, arr, tensor in binding.named_pairs((comp,)):
                     pairs.append((comp, arr, tensor))
         for comp, arr, tensor in pairs:
@@ -263,9 +259,8 @@ def _near_relu_kink(b1, b2, xs, xt, margin: float = 5e-4) -> bool:
     return False
 
 
-OP_KINDS = ("matmul", "matmul_t", "add", "sub", "scalar_mul", "relu", "abs",
-            "softmax", "log_softmax", "mean", "sum", "concat_rows",
-            "select_columns")
+OP_CASES = ("matmul", "matmul_t", "add", "sub", "scalar_mul", "relu", "abs",
+            "softmax", "log_softmax", "mean", "sum", "select_columns")
 LOSS_KINDS = ("cross_entropy", "discrepancy", "invariant_module",
               "discriminative_module", "dual")
 
@@ -274,12 +269,12 @@ def run_suite(trials_ops: int = 100, trials_losses: int = 100,
               seed: int = 0, report=print) -> bool:
     """Full randomized gradient suite; returns True when everything passes."""
     ok = True
-    for kind in OP_KINDS:
+    for kind in OP_CASES:
         err = check_op(kind, trials_ops, seed=seed)
         ok &= err < TOL
         report(f"op {kind:<16} max rel err {err:.3e}  "
                f"{'ok' if err < TOL else 'FAIL'}")
-    for kind in OP_KINDS:
+    for kind in OP_CASES:
         err = check_op(kind, max(trials_ops // 4, 10), seed=seed + 1,
                        reverse_lambda=0.7)
         ok &= err < TOL

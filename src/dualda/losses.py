@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractError, DimensionError
-from .nn import BoundComponents, ComponentSet
+from .nn import BoundComponents
 
 
 def cross_entropy(logits: ad.Tensor, labels) -> ad.Tensor:
@@ -142,31 +142,3 @@ def dual_loss(b1: BoundComponents, b2: BoundComponents, xs: ad.Tensor,
     reversed_feature = ad.grad_reverse(feature_dis, lam)
     total = reversed_feature + prediction_dis
     return DualLossParts(total, feature_dis, prediction_dis, reversed_feature)
-
-
-# One-shot conveniences: build a fresh tape around a ComponentSet and return
-# just the scalar loss node (the trainer uses the binding-level forms above).
-
-def invariant_module_loss(batch_s, labels_s, batch_t, comps: ComponentSet,
-                          lam: float) -> ad.Tensor:
-    tape = ad.Tape()
-    binding = BoundComponents(tape, comps)
-    return module_loss(binding, tape.leaf(batch_s), labels_s,
-                       tape.leaf(batch_t), lam).total
-
-
-def discriminative_module_loss(batch_s, labels_s, batch_t,
-                               comps: ComponentSet) -> ad.Tensor:
-    tape = ad.Tape()
-    binding = BoundComponents(tape, comps)
-    return module_loss(binding, tape.leaf(batch_s), labels_s,
-                       tape.leaf(batch_t), None).total
-
-
-def dual_adversarial_loss(batch_s, batch_t, comps_invariant: ComponentSet,
-                          comps_discriminative: ComponentSet,
-                          lam: float) -> ad.Tensor:
-    tape = ad.Tape()
-    b1 = BoundComponents(tape, comps_invariant, prefix="invariant.")
-    b2 = BoundComponents(tape, comps_discriminative, prefix="discriminative.")
-    return dual_loss(b1, b2, tape.leaf(batch_s), tape.leaf(batch_t), lam).total

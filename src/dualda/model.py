@@ -15,8 +15,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractError
-from .nn import (BoundComponents, ComponentSet, build_component_set,
-                 load_params, save_params)
+from .nn import (COMPONENT_KEYS, BoundComponents, ComponentSet,
+                 build_component_set, load_params, save_params)
 
 
 class Variant(str, Enum):
@@ -29,15 +29,9 @@ class Variant(str, Enum):
     OURS_2M = "ours_2m"
 
     @classmethod
-    def parse(cls, name: str) -> "Variant":
-        for v in cls:
-            if v.value == name:
-                return v
+    def _missing_(cls, value):
         valid = ", ".join(v.value for v in cls)
-        raise ContractError(f"unknown variant {name!r}; valid values: {valid}")
-
-
-MODULE_KEYS = ("invariant", "discriminative")
+        raise ContractError(f"unknown variant {value!r}; valid values: {valid}")
 
 
 @dataclass
@@ -149,26 +143,6 @@ class TrainingPlan:
     step2_discriminative: bool      # train the second module's own loss
     step3: bool                     # cross-module min-max step
 
-    @property
-    def dual(self) -> bool:
-        return self.step3
-
-    @property
-    def step_labels(self) -> Tuple[str, ...]:
-        labels = [f"step1[{m}]" for m in self.mcd_modules]
-        if self.step2_invariant != "none":
-            labels.append("step2[invariant]")
-        if self.step2_discriminative:
-            labels.append("step2[discriminative]")
-        if self.step3:
-            labels.append("step3")
-        return tuple(labels)
-
-    @property
-    def uses_target_features(self) -> bool:
-        return bool(self.mcd_modules) or self.step2_invariant == "adversarial" \
-            or self.step2_discriminative or self.step3
-
     def trained_components(self) -> frozenset:
         """Exact set of '<module>.<component>' keys this plan may update."""
         comps = set()
@@ -181,9 +155,7 @@ class TrainingPlan:
             if self.step2_invariant == "adversarial":
                 comps.add("invariant.discriminator")
         if self.step2_discriminative:
-            comps.update({f"discriminative.{k}" for k in
-                          ("extractor", "transform", "discriminator",
-                           "classifier_a", "classifier_b")})
+            comps.update({f"discriminative.{k}" for k in COMPONENT_KEYS})
         if self.step3:
             comps.update({"invariant.extractor", "invariant.transform",
                           "invariant.classifier_a",

@@ -25,7 +25,6 @@ class NetworkSpec:
 
     layer_dims: List[int]
     output_activation: str = "none"
-    hidden_activation: str = "relu"  # fixed; kept explicit for clarity
 
     def __post_init__(self):
         if len(self.layer_dims) < 2:
@@ -36,8 +35,6 @@ class NetworkSpec:
             raise ContractError(
                 f"NetworkSpec: output_activation must be one of "
                 f"{OUTPUT_ACTIVATIONS}, got {self.output_activation!r}")
-        if self.hidden_activation != "relu":
-            raise ContractError("NetworkSpec: hidden activation is fixed to relu")
         self.layer_dims = [int(d) for d in self.layer_dims]
 
     @property
@@ -132,15 +129,6 @@ class BoundStack:
         for i, layer in enumerate(self.stack.layers):
             yield f"{i}.weight", layer.weight, self.weights[i]
             yield f"{i}.bias", layer.bias, self.biases[i]
-
-
-def forward_stack(stack: Stack, x: ad.Tensor) -> ad.Tensor:
-    """One-shot forward on x's tape (binds parameters internally)."""
-    if x.data.ndim != 2 or x.shape[1] != stack.in_dim:
-        raise DimensionError(
-            f"forward_stack: input {list(x.shape)} does not match stack "
-            f"in_dim {stack.in_dim}")
-    return BoundStack(x.tape, stack).forward(x)
 
 
 COMPONENT_KEYS = ("extractor", "transform", "discriminator",

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -47,24 +47,6 @@ def lr_at(s: Schedule, p: float) -> float:
 def lambda_at(s: Schedule, p: float) -> float:
     p = _check_progress(p)
     return 2.0 / (1.0 + math.exp(-s.gamma * p)) - 1.0
-
-
-def sgd_step(params: Sequence[np.ndarray], grads: Sequence[Optional[np.ndarray]],
-             lr: float, momentum: float,
-             velocity: Optional[List[np.ndarray]] = None
-             ) -> Tuple[Sequence[np.ndarray], List[np.ndarray]]:
-    """v <- momentum*v + grad; param <- param - lr*v. Updates in place."""
-    if len(params) != len(grads):
-        raise ContractError("sgd_step: params and grads are not aligned")
-    if velocity is None:
-        velocity = [np.zeros_like(p) for p in params]
-    for i, (param, grad) in enumerate(zip(params, grads)):
-        if grad is None:
-            raise ContractError("sgd_step: missing gradient for a registered parameter")
-        velocity[i] *= momentum
-        velocity[i] += grad
-        param -= lr * velocity[i]
-    return params, velocity
 
 
 class SGD:

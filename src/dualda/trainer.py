@@ -36,12 +36,10 @@ from .data import DomainDataset, batches, num_batch_pairs
 from .errors import ContractError
 from .losses import classifier_only_loss, discrepancy, dual_loss, module_loss
 from .model import DualModel, Variant, predict, variant_plan
-from .nn import BoundComponents, ComponentSet
+from .nn import COMPONENT_KEYS, BoundComponents, ComponentSet
 from .optim import SGD, Schedule, lambda_at, lr_at
 
 _PATH_COMPONENTS = ("extractor", "transform", "classifier_a", "classifier_b")
-_ALL_COMPONENTS = ("extractor", "transform", "discriminator",
-                   "classifier_a", "classifier_b")
 
 
 @dataclass
@@ -169,13 +167,13 @@ def step2_modules(model: DualModel, batch_s, labels_s, batch_t, lam: float,
         tape, b = _tape_for(model.invariant, "invariant.")
         parts = module_loss(b, tape.leaf(batch_s), labels_s,
                             tape.leaf(batch_t), lam)
-        _apply(sgd, tape, parts.total, b, _ALL_COMPONENTS, lr)
+        _apply(sgd, tape, parts.total, b, COMPONENT_KEYS, lr)
 
     if plan.step2_discriminative:
         tape, b = _tape_for(model.discriminative, "discriminative.")
         parts = module_loss(b, tape.leaf(batch_s), labels_s,
                             tape.leaf(batch_t), None)
-        _apply(sgd, tape, parts.total, b, _ALL_COMPONENTS, lr)
+        _apply(sgd, tape, parts.total, b, COMPONENT_KEYS, lr)
     return model
 
 
@@ -286,9 +284,9 @@ def train(config: TrainConfig, source: DomainDataset, target: DomainDataset,
     # one velocity store per training step: the steps optimize different
     # (partly opposing) objectives, and letting one step coast on another's
     # momentum destabilizes the adversarial games
-    sgd_step1 = SGD(config.schedule.momentum)
-    sgd_step2 = SGD(config.schedule.momentum)
-    sgd_step3 = SGD(config.schedule.momentum)
+    step1_sgd = SGD(config.schedule.momentum)
+    step2_sgd = SGD(config.schedule.momentum)
+    step3_sgd = SGD(config.schedule.momentum)
 
     n_pairs = num_batch_pairs(source, target, config.batch_size)
     if n_pairs < 1:
@@ -340,15 +338,15 @@ def train(config: TrainConfig, source: DomainDataset, target: DomainDataset,
                 for module_key in plan.mcd_modules:
                     lr, _ = advance(2 + config.k, total_warm)
                     step1_mcd(model.module(module_key), xs, ys, xt, config.k,
-                              lr, sgd_step1, name_prefix=f"{module_key}.")
+                              lr, step1_sgd, name_prefix=f"{module_key}.")
             else:
                 if n_step2:
                     lr, lam = advance(n_step2, total_main)
                     step2_modules(model, xs, ys, xt, lam, lr, config.variant,
-                                  sgd_step2)
+                                  step2_sgd)
                 if plan.step3:
                     lr, lam = advance(1, total_main)
-                    step3_dual(model, xs, xt, lam, lr, sgd_step3)
+                    step3_dual(model, xs, xt, lam, lr, step3_sgd)
         if epoch % config.eval_every == 0 or epoch == config.epochs:
             records.append(compute_metrics(model, source, target, epoch))
             if checkpoint_dir is not None:

@@ -78,9 +78,6 @@ def _op_cases():
             [rng.uniform(-2, 2, (m, n))], lambda t: ad.mean(t[0])),
         "sum": lambda rng, m, k, n: (
             [rng.uniform(-2, 2, (m, n))], lambda t: ad.tensor_sum(t[0])),
-        "concat_rows": lambda rng, m, k, n: (
-            [rng.uniform(-2, 2, (m, n)), rng.uniform(-2, 2, (k, n))],
-            lambda t: ad.concat_rows(list(t))),
         "select_columns": lambda rng, m, k, n: (
             [rng.uniform(-2, 2, (m, n))],
             lambda t: ad.select_columns(t[0], np.arange(m) % n)),

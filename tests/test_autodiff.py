@@ -103,28 +103,6 @@ def test_select_columns_forward_and_range_check():
         ad.select_columns(x, np.array([2, 0]))
 
 
-def test_concat_rows_roundtrip_gradient():
-    tape = ad.Tape()
-    a = tape.leaf([[1.0, 2.0]])
-    b = tape.leaf([[3.0, 4.0], [5.0, 6.0]])
-    out = ad.concat_rows([a, b])
-    assert out.shape == (3, 2)
-    ad.backward(tape, ad.tensor_sum(ad.scalar_mul(out, 2.0)))
-    assert np.array_equal(a.grad, [[2.0, 2.0]])
-    assert np.array_equal(b.grad, [[2.0, 2.0], [2.0, 2.0]])
-
-
-def test_primitive_forward_dispatch_and_unknown_kind():
-    tape = ad.Tape()
-    x = tape.leaf([[-1.0, 2.0]])
-    out = ad.primitive_forward("relu", [x])
-    assert np.array_equal(out.data, [[0.0, 2.0]])
-    out = ad.primitive_forward("scalar_mul", [x], scalar=2.0)
-    assert np.array_equal(out.data, [[-2.0, 4.0]])
-    with pytest.raises(ContractError, match="unknown op kind"):
-        ad.primitive_forward("conv2d", [x])
-
-
 def test_records_topologically_ordered():
     tape = ad.Tape()
     x = tape.leaf(np.ones((2, 2)))
@@ -282,9 +260,6 @@ OP_CASES = {
         [rng.uniform(-2, 2, (m, n))], lambda t: ad.mean(t[0])),
     "sum": lambda rng, m, k, n: (
         [rng.uniform(-2, 2, (m, n))], lambda t: ad.tensor_sum(t[0])),
-    "concat_rows": lambda rng, m, k, n: (
-        [rng.uniform(-2, 2, (m, n)), rng.uniform(-2, 2, (k, n))],
-        lambda t: ad.concat_rows(list(t))),
     "select_columns": lambda rng, m, k, n: (
         [rng.uniform(-2, 2, (m, n))],
         lambda t: ad.select_columns(t[0], np.arange(m) % n)),

@@ -1,11 +1,13 @@
 import csv
+import re
 
 import numpy as np
 import pytest
 
 from dualda.cli import (ablation_matrix, export_embeddings, main,
                         parse_config, run_experiment)
-from dualda.data import DomainDataset, gen_two_moons, domain_shift
+from dualda.data import (DomainDataset, domain_shift, gen_two_moons,
+                         write_idx_images, write_idx_labels)
 from dualda.errors import ConfigError, ContractError
 from dualda.model import DualModel
 from dualda.trainer import MetricsRecord
@@ -71,6 +73,44 @@ def test_parse_config_k_zero_rejected(tmp_path):
 def test_parse_config_malformed_value_names_line(tmp_path):
     with pytest.raises(ConfigError, match="line 3"):
         parse_config(write_config(tmp_path, MINIMAL + "epochs = seven\n"))
+
+
+POSITIVE_INT_KEYS = ("epochs", "batch_size", "k", "trials", "eval_every",
+                     "feature_dim", "g_hidden", "head_hidden", "n_source",
+                     "n_target", "blob_classes", "embed_per_domain")
+IDX_PATHS = {"source_images": "a", "source_labels": "b",
+             "target_images": "c", "target_labels": "d"}
+
+
+def _idx_missing(key):
+    kept = "".join(f"{k} = {v}\n" for k, v in IDX_PATHS.items() if k != key)
+    return "variant = mcd\ndataset = idx\n" + kept
+
+
+REJECTIONS = (
+    [(f"{key}_zero", MINIMAL + f"{key} = 0\n", key) for key in POSITIVE_INT_KEYS]
+    + [("eta0_zero", MINIMAL + "eta0 = 0\n", "eta0"),
+       ("alpha_negative", MINIMAL + "alpha = -1\n", "alpha"),
+       ("momentum_one", MINIMAL + "momentum = 1.0\n", "momentum"),
+       ("mcd_warmup_zero", MINIMAL + "mcd_warmup = 0\n", "mcd_warmup"),
+       ("mcd_warmup_one", MINIMAL + "mcd_warmup = 1\n", "mcd_warmup"),
+       ("noise_sigma_negative", MINIMAL + "noise_sigma = -1\n", "noise_sigma"),
+       ("seed_negative", MINIMAL + "seed = -1\n", "seed"),
+       ("unknown_dataset", "variant = dann\ndataset = mnist\n", "dataset"),
+       ("non_numeric_float", MINIMAL + "eta0 = fast\n", "eta0")]
+    + [(f"idx_missing_{key}", _idx_missing(key), key) for key in IDX_PATHS])
+
+
+@pytest.mark.parametrize("text,key", [case[1:] for case in REJECTIONS],
+                         ids=[case[0] for case in REJECTIONS])
+def test_parse_config_rejections_name_the_key(tmp_path, capsys, text, key):
+    path = write_config(tmp_path, text)
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(path)
+    # the key as written in the config file, not a longer internal name
+    assert re.search(rf"(?<!\w){key}(?!\w)", str(excinfo.value))
+    assert main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 def fast_config(tmp_path, variant="dann", trials=2, **extra):
@@ -250,3 +290,58 @@ def test_cli_seed_override(tmp_path):
 
 def test_cli_check_grad_fast():
     assert main(["check-grad", "--trials", "2"]) == 0
+
+
+# --- exit codes of library failures ---------------------------------------------
+
+def write_idx_domain(tmp_path, tag, labels, side=4, seed=0):
+    """A labeled IDX image/label pair of side x side images."""
+    rng = np.random.default_rng(seed)
+    labels = np.asarray(labels, dtype=np.uint8)
+    images = rng.integers(0, 256, size=(labels.size, side, side), dtype=np.uint8)
+    write_idx_images(tmp_path / f"{tag}-images.idx", images)
+    write_idx_labels(tmp_path / f"{tag}-labels.idx", labels)
+    return {f"{tag}_images": tmp_path / f"{tag}-images.idx",
+            f"{tag}_labels": tmp_path / f"{tag}-labels.idx"}
+
+
+def idx_config(tmp_path, paths, variant="source_only"):
+    lines = [f"variant = {variant}", "dataset = idx", "epochs = 1",
+             "batch_size = 8", "trials = 1", "eval_every = 1",
+             "feature_dim = 4", "g_hidden = 6", "head_hidden = 4",
+             "embed_per_domain = 10", f"out_dir = {tmp_path / 'out'}"]
+    lines += [f"{k} = {v}" for k, v in paths.items()]
+    return write_config(tmp_path, "\n".join(lines) + "\n")
+
+
+def test_cli_ablate_failed_run_exits_2_naming_variant(tmp_path, capsys):
+    # the target images are 5x5, the source images 4x4: training refuses
+    paths = write_idx_domain(tmp_path, "source", np.arange(24) % 3)
+    paths.update(write_idx_domain(tmp_path, "target", np.arange(24) % 3, side=5))
+    code = main(["ablate", "--config", str(idx_config(tmp_path, paths))])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert all(line.startswith("error:") for line in err.splitlines())
+    assert err.splitlines()[-1] == \
+        "error: run failed for variant source_only on idx"
+
+
+def test_cli_library_error_exits_2_without_traceback(tmp_path, capsys):
+    paths = write_idx_domain(tmp_path, "source", np.arange(24) % 3)
+    paths.update(write_idx_domain(tmp_path, "target", np.arange(24) % 3))
+    blob = bytearray(paths["source_images"].read_bytes())
+    blob[:4] = (0x00000804).to_bytes(4, "big")  # not the image magic
+    paths["source_images"].write_bytes(bytes(blob))
+    code = main(["embed", "--config", str(idx_config(tmp_path, paths))])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "magic" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_cli_idx_target_without_highest_source_class_runs(tmp_path):
+    paths = write_idx_domain(tmp_path, "source", np.arange(24) % 3)
+    paths.update(write_idx_domain(tmp_path, "target", np.arange(24) % 2, seed=1))
+    assert main(["run", "--config", str(idx_config(tmp_path, paths))]) == 0
+    assert (tmp_path / "out" / "summary.csv").exists()

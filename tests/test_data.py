@@ -5,7 +5,7 @@ import pytest
 
 from dualda.data import (DomainDataset, batches, dataset_checksum,
                          domain_shift, gen_blob_shift, gen_two_moons,
-                         load_idx, num_batch_pairs, to_csv, write_idx_images,
+                         load_idx, num_batch_pairs, write_idx_images,
                          write_idx_labels)
 from dualda.errors import (ConsistencyError, ContractError, FormatError)
 
@@ -197,13 +197,3 @@ def test_dataset_checksum_sensitivity():
     clone = DomainDataset(source.features.copy(), source.labels.copy(),
                           source.domain_tag, source.num_classes)
     assert dataset_checksum(clone) == dataset_checksum(source)
-
-
-def test_to_csv_schema(tmp_path):
-    ds = gen_two_moons(4, 0.0, seed=0)
-    path = tmp_path / "ds.csv"
-    to_csv(ds, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "f0,f1,label,domain"
-    assert len(lines) == 5
-    assert lines[1].endswith(",source")

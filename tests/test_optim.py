@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dualda.errors import ContractError
-from dualda.optim import SGD, Schedule, lambda_at, lr_at, sgd_step
+from dualda.optim import SGD, Schedule, lambda_at, lr_at
 
 from oracles import sgd_two_step_unrolled
 
@@ -59,23 +59,23 @@ def test_schedule_validation():
         Schedule(alpha=-1.0)
 
 
-def test_sgd_step_vanilla():
-    params = [np.array([1.0])]
-    grads = [np.array([2.0])]
-    sgd_step(params, grads, lr=0.1, momentum=0.0)
-    assert params[0][0] == pytest.approx(0.8, abs=1e-15)
+def test_sgd_vanilla():
+    param = np.array([1.0])
+    SGD(momentum=0.0).step([("p", param, np.array([2.0]))], lr=0.1)
+    assert param[0] == pytest.approx(0.8, abs=1e-15)
 
 
-def test_sgd_step_zero_grad_no_change():
-    params = [np.array([1.5, -2.0])]
-    out, vel = sgd_step(params, [np.zeros(2)], lr=0.5, momentum=0.9)
-    assert np.array_equal(params[0], [1.5, -2.0])
-    assert np.all(vel[0] == 0.0)
+def test_sgd_zero_grad_no_change():
+    param = np.array([1.5, -2.0])
+    opt = SGD(momentum=0.9)
+    for _ in range(2):
+        opt.step([("p", param, np.zeros(2))], lr=0.5)
+    assert np.array_equal(param, [1.5, -2.0])
 
 
-def test_sgd_step_missing_grad_is_contract_error():
-    with pytest.raises(ContractError):
-        sgd_step([np.ones(2)], [None], lr=0.1, momentum=0.0)
+def test_sgd_missing_grad_is_contract_error():
+    with pytest.raises(ContractError, match="missing gradient for p"):
+        SGD(momentum=0.0).step([("p", np.ones(2), None)], lr=0.1)
 
 
 def test_sgd_two_steps_match_hand_unrolled_oracle():
@@ -84,10 +84,11 @@ def test_sgd_two_steps_match_hand_unrolled_oracle():
     g1, g2 = rng.standard_normal(4), rng.standard_normal(4)
     expected = sgd_two_step_unrolled(param.copy(), g1, g2, lr=0.1, momentum=0.9)
 
-    live = [param.copy()]
-    _, vel = sgd_step(live, [g1.copy()], lr=0.1, momentum=0.9)
-    sgd_step(live, [g2.copy()], lr=0.1, momentum=0.9, velocity=vel)
-    assert np.allclose(live[0], expected, atol=1e-12)
+    live = param.copy()
+    opt = SGD(momentum=0.9)
+    opt.step([("p", live, g1.copy())], lr=0.1)
+    opt.step([("p", live, g2.copy())], lr=0.1)
+    assert np.allclose(live, expected, atol=1e-12)
 
 
 def test_sgd_momentum_zero_is_affine_in_grads():
@@ -95,31 +96,14 @@ def test_sgd_momentum_zero_is_affine_in_grads():
     base = rng.standard_normal(5)
     grad = rng.standard_normal(5)
 
+    def stepped(g):
+        param = base.copy()
+        SGD(momentum=0.0).step([("p", param, g)], lr=0.2)
+        return param
+
     # with momentum 0 the update is param -= lr*grad, so scaling grads by a
     # power of two scales the applied step exactly
-    p1 = [base.copy()]
-    sgd_step(p1, [grad.copy()], lr=0.2, momentum=0.0)
-    assert np.array_equal(p1[0], base - 0.2 * grad)
-
-    p2 = [base.copy()]
-    sgd_step(p2, [4.0 * grad], lr=0.2, momentum=0.0)
-    assert np.array_equal(p2[0], base - 4.0 * (0.2 * grad))
-
-    p3 = [base.copy()]
-    sgd_step(p3, [3.0 * grad], lr=0.2, momentum=0.0)
-    assert np.allclose(p3[0], base - 3.0 * (0.2 * grad), rtol=1e-14, atol=0.0)
-
-
-def test_sgd_class_matches_functional_form():
-    rng = np.random.default_rng(2)
-    arr_fn = rng.standard_normal(3)
-    arr_cls = arr_fn.copy()
-    grads = [rng.standard_normal(3) for _ in range(3)]
-
-    vel = None
-    opt = SGD(momentum=0.7)
-    for g in grads:
-        _, vel = sgd_step([arr_fn], [g.copy()], lr=0.05, momentum=0.7,
-                          velocity=vel)
-        opt.step([("p", arr_cls, g.copy())], lr=0.05)
-    assert np.allclose(arr_fn, arr_cls, atol=1e-15)
+    assert np.array_equal(stepped(grad.copy()), base - 0.2 * grad)
+    assert np.array_equal(stepped(4.0 * grad), base - 4.0 * (0.2 * grad))
+    assert np.allclose(stepped(3.0 * grad), base - 3.0 * (0.2 * grad),
+                       rtol=1e-14, atol=0.0)
