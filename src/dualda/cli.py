@@ -94,7 +94,7 @@ class RunConfig:
             feature_dim=self.feature_dim,
             g_hidden=(self.g_hidden,),
             head_hidden=(self.head_hidden,),
-            mcd_warmup_frac=self.mcd_warmup,
+            mcd_warmup=self.mcd_warmup,
         )
 
 
@@ -149,8 +149,7 @@ def _validate(cfg: RunConfig) -> None:
     try:
         cfg.train_config(cfg.seed)  # the variant, schedule and training checks
     except ContractError as e:
-        # TrainConfig calls the mcd_warmup key mcd_warmup_frac
-        raise ConfigError(str(e).replace("mcd_warmup_frac", "mcd_warmup"))
+        raise ConfigError(str(e))
     if cfg.dataset == "idx":
         if not cfg.source_images or not cfg.source_labels:
             raise ConfigError("idx dataset needs source_images and source_labels")
@@ -255,13 +254,10 @@ def export_embeddings(model: DualModel, source: DomainDataset,
             f"n_per_domain {n_per_domain} exceeds a dataset "
             f"({min(source.n, target.n)} samples)")
 
-    def transform_out(ds: DomainDataset) -> np.ndarray:
-        tape = ad.Tape()
-        b = BoundComponents(tape, model.invariant)
-        x = tape.leaf(ds.features[:n_per_domain])
-        return b.transform.forward(b.extractor.forward(x)).data
-
-    feats = np.vstack([transform_out(source), transform_out(target)])
+    tape = ad.Tape()
+    b = BoundComponents(tape, model.invariant)
+    feats = np.vstack([b.features(tape.leaf(ds.features[:n_per_domain])).data
+                       for ds in (source, target)])
     centered = feats - feats.mean(axis=0)
     cov = centered.T @ centered / max(feats.shape[0] - 1, 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
@@ -327,25 +323,29 @@ def ablation_matrix(configs: Sequence[RunConfig], out_dir) -> List[Dict]:
     return table
 
 
+def _load_cli_config(path, args) -> RunConfig:
+    """A config file with the --out/--seed overrides applied and validated."""
+    cfg = parse_config(path)
+    if args.out:
+        cfg.out_dir = args.out
+    if args.seed is not None:
+        cfg.seed = args.seed
+    _validate(cfg)
+    return cfg
+
+
 def _cmd_run(args) -> int:
-    cfg = _load_cli_config(args)
-    return run_experiment(cfg)
+    return run_experiment(_load_cli_config(args.config, args))
 
 
 def _cmd_ablate(args) -> int:
-    configs = []
-    for path in args.config:
-        cfg = parse_config(path)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        configs.append(cfg)
-    out = args.out or configs[0].out_dir
-    ablation_matrix(configs, out)
+    configs = [_load_cli_config(path, args) for path in args.config]
+    ablation_matrix(configs, configs[0].out_dir)
     return 0
 
 
 def _cmd_embed(args) -> int:
-    cfg = _load_cli_config(args)
+    cfg = _load_cli_config(args.config, args)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     source, target = build_datasets(cfg, cfg.seed)
@@ -364,19 +364,14 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_check_grad(args) -> int:
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be a positive integer, got {args.trials}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     ok = gradcheck.run_suite(trials_ops=args.trials, trials_losses=args.trials,
-                             seed=args.seed or 0)
+                             seed=args.seed)
     print("gradient suite:", "PASS" if ok else "FAIL")
     return 0 if ok else 2
-
-
-def _load_cli_config(args) -> RunConfig:
-    cfg = parse_config(args.config)
-    if args.out:
-        cfg.out_dir = args.out
-    if args.seed is not None:
-        cfg.seed = args.seed
-    return cfg
 
 
 def main(argv=None) -> int:
@@ -408,7 +403,7 @@ def main(argv=None) -> int:
 
     p_grad = sub.add_parser("check-grad", help="finite-difference gradient suite")
     p_grad.add_argument("--trials", type=int, default=25)
-    p_grad.add_argument("--seed", type=int, default=None)
+    p_grad.add_argument("--seed", type=int, default=0)
     p_grad.set_defaults(fn=_cmd_check_grad)
 
     args = parser.parse_args(argv)

@@ -13,7 +13,8 @@ from typing import Callable, Tuple
 import numpy as np
 
 from . import autodiff as ad
-from .losses import cross_entropy, discrepancy, dual_loss, module_loss
+from .losses import (classifier_discrepancy, cross_entropy, dual_loss,
+                     module_loss)
 from .nn import COMPONENT_KEYS, BoundComponents, build_component_set
 
 H = 1e-5
@@ -154,20 +155,16 @@ def _loss_parts(kind: str, comps1, comps2, xs, ys, xt, lam):
     discriminator (downstream) keeps weight +1.
     """
     tape = ad.Tape()
+    b = BoundComponents(tape, comps1, prefix="invariant.")
+    x_s, x_t = tape.leaf(xs), tape.leaf(xt)
     if kind == "cross_entropy":
-        b = BoundComponents(tape, comps1)
-        t_s = b.transform.forward(b.extractor.forward(tape.leaf(xs)))
-        ce = cross_entropy(b.classifier_a.forward(t_s), ys)
+        ce = cross_entropy(b.classifier_a.forward(b.features(x_s)), ys)
         return tape, b, None, [ce], lambda comp: [1.0], [ce]
     if kind == "discrepancy":
-        b = BoundComponents(tape, comps1)
-        t_t = b.transform.forward(b.extractor.forward(tape.leaf(xt)))
-        dis = discrepancy(ad.softmax(b.classifier_a.forward(t_t)),
-                          ad.softmax(b.classifier_b.forward(t_t)))
+        dis = classifier_discrepancy(b, b.features(x_t))
         return tape, b, None, [dis], lambda comp: [1.0], [dis]
     if kind == "invariant_module":
-        b = BoundComponents(tape, comps1)
-        parts = module_loss(b, tape.leaf(xs), ys, tape.leaf(xt), lam)
+        parts = module_loss(b, b.features(x_s), ys, b.features(x_t), lam)
 
         def weights(comp):
             return [1.0, 1.0 if comp == "discriminator" else -lam]
@@ -175,15 +172,14 @@ def _loss_parts(kind: str, comps1, comps2, xs, ys, xt, lam):
         return tape, b, None, [parts.classifier_ce, parts.domain_ce], \
             weights, [parts.total]
     if kind == "discriminative_module":
-        b = BoundComponents(tape, comps1)
-        parts = module_loss(b, tape.leaf(xs), ys, tape.leaf(xt), None)
+        parts = module_loss(b, b.features(x_s), ys, b.features(x_t), None)
         return tape, b, None, [parts.classifier_ce, parts.domain_ce], \
             lambda comp: [1.0, 1.0], [parts.total]
     if kind == "dual":
-        b1 = BoundComponents(tape, comps1, prefix="invariant.")
         b2 = BoundComponents(tape, comps2, prefix="discriminative.")
-        parts = dual_loss(b1, b2, tape.leaf(xs), tape.leaf(xt), lam)
-        return tape, b1, b2, [parts.feature_dis, parts.prediction_dis], \
+        parts = dual_loss(b, b2, b.features(x_s), b.features(x_t),
+                          b2.features(x_s), b2.features(x_t), lam)
+        return tape, b, b2, [parts.feature_dis, parts.prediction_dis], \
             lambda comp: [-lam, 1.0], [parts.total]
     raise ValueError(kind)
 

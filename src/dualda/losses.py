@@ -1,5 +1,10 @@
 """Scalar training objectives.
 
+Every loss scores transform-layer outputs: the caller runs each module's
+extractor and transform layer once per domain (``BoundComponents.features``)
+and hands the results to whichever losses read them, so one forward pass
+serves every term on a tape.
+
 The discrepancy between two probability rows p, q is mean_k |p_k - q_k|;
 over a batch it is averaged again, i.e. sum|p - q| / (rows * cols). The
 per-module losses add the two classifiers' cross-entropy on source to one
@@ -50,8 +55,14 @@ def discrepancy(p1: ad.Tensor, p2: ad.Tensor) -> ad.Tensor:
     return ad.scalar_mul(total, 1.0 / p1.size)
 
 
-def _check_batches(batch_s, batch_t) -> None:
-    if batch_s.shape[0] == 0 or batch_t.shape[0] == 0:
+def classifier_discrepancy(binding: BoundComponents, t: ad.Tensor) -> ad.Tensor:
+    """Discrepancy of one module's classifier pair on transform outputs t."""
+    return discrepancy(ad.softmax(binding.classifier_a.forward(t)),
+                       ad.softmax(binding.classifier_b.forward(t)))
+
+
+def _check_batches(t_s: ad.Tensor, t_t: ad.Tensor) -> None:
+    if t_s.shape[0] == 0 or t_t.shape[0] == 0:
         raise ContractError("loss: empty batch")
 
 
@@ -66,40 +77,35 @@ class ModuleLossParts:
     domain_ce_target: ad.Tensor
 
 
-def module_loss(binding: BoundComponents, xs: ad.Tensor, labels_s,
-                xt: ad.Tensor, lam: float | None) -> ModuleLossParts:
+def module_loss(binding: BoundComponents, t_s: ad.Tensor, labels_s,
+                t_t: ad.Tensor, lam: float | None) -> ModuleLossParts:
     """Classifier CE on source plus one domain-CE term per domain.
 
     lam is the gradient-reversal weight; None disables reversal entirely
     (the discriminative module's variant, where the domain gradient trains
     the extractor to separate domains).
     """
-    _check_batches(xs.data, xt.data)
-    t_s = binding.transform.forward(binding.extractor.forward(xs))
-    t_t = binding.transform.forward(binding.extractor.forward(xt))
-    ce_a = cross_entropy(binding.classifier_a.forward(t_s), labels_s)
-    ce_b = cross_entropy(binding.classifier_b.forward(t_s), labels_s)
-    classifier_ce = ce_a + ce_b
+    _check_batches(t_s, t_t)
+    classifier_ce = classifier_only_loss(binding, t_s, labels_s)
 
     d_in_s, d_in_t = t_s, t_t
     if lam is not None:
         d_in_s = ad.grad_reverse(t_s, lam)
         d_in_t = ad.grad_reverse(t_t, lam)
     dom_s = cross_entropy(binding.discriminator.forward(d_in_s),
-                          np.zeros(xs.shape[0], dtype=np.int64))
+                          np.zeros(t_s.shape[0], dtype=np.int64))
     dom_t = cross_entropy(binding.discriminator.forward(d_in_t),
-                          np.ones(xt.shape[0], dtype=np.int64))
+                          np.ones(t_t.shape[0], dtype=np.int64))
     domain_ce = dom_s + dom_t
     return ModuleLossParts(classifier_ce + domain_ce, classifier_ce,
                            domain_ce, dom_s, dom_t)
 
 
-def classifier_only_loss(binding: BoundComponents, xs: ad.Tensor,
+def classifier_only_loss(binding: BoundComponents, t_s: ad.Tensor,
                          labels_s) -> ad.Tensor:
     """Source-only objective: both classifiers' CE, no domain term."""
-    if xs.data.shape[0] == 0:
+    if t_s.shape[0] == 0:
         raise ContractError("loss: empty batch")
-    t_s = binding.transform.forward(binding.extractor.forward(xs))
     ce_a = cross_entropy(binding.classifier_a.forward(t_s), labels_s)
     ce_b = cross_entropy(binding.classifier_b.forward(t_s), labels_s)
     return ce_a + ce_b
@@ -115,21 +121,19 @@ class DualLossParts:
     reversed_feature_dis: ad.Tensor  # grad_reverse(feature_dis, lam)
 
 
-def dual_loss(b1: BoundComponents, b2: BoundComponents, xs: ad.Tensor,
-              xt: ad.Tensor, lam: float) -> DualLossParts:
+def dual_loss(b1: BoundComponents, b2: BoundComponents, t1_s: ad.Tensor,
+              t1_t: ad.Tensor, t2_s: ad.Tensor, t2_t: ad.Tensor,
+              lam: float) -> DualLossParts:
     """grad_reverse(feature discrepancy, lam) + prediction discrepancy.
 
-    The feature discrepancy is the extractors'/transforms' objective (they
-    climb it through the reversal); the prediction discrepancy is the
-    primary classifiers' objective (they descend it). The exposed term
-    nodes let the caller backpropagate each term to its own player.
+    t1_*/t2_* are the two modules' transform outputs on the source and
+    target batches. The feature discrepancy is the extractors'/transforms'
+    objective (they climb it through the reversal); the prediction
+    discrepancy is the primary classifiers' objective (they descend it).
+    The exposed term nodes let the caller backpropagate each term to its
+    own player.
     """
-    _check_batches(xs.data, xt.data)
-    t1_s = b1.transform.forward(b1.extractor.forward(xs))
-    t1_t = b1.transform.forward(b1.extractor.forward(xt))
-    t2_s = b2.transform.forward(b2.extractor.forward(xs))
-    t2_t = b2.transform.forward(b2.extractor.forward(xt))
-
+    _check_batches(t1_s, t1_t)
     feature_dis = (discrepancy(ad.softmax(t1_s), ad.softmax(t2_s)) +
                    discrepancy(ad.softmax(t1_t), ad.softmax(t2_t)))
 

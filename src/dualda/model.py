@@ -129,8 +129,7 @@ def predict(model: DualModel, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     tape = ad.Tape()
     b = BoundComponents(tape, model.invariant)
-    t_out = b.transform.forward(b.extractor.forward(tape.leaf(x)))
-    probs = ad.softmax(b.classifier_a.forward(t_out))
+    probs = ad.softmax(b.classifier_a.forward(b.features(tape.leaf(x))))
     return np.argmax(probs.data, axis=1)
 
 

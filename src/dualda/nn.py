@@ -16,25 +16,17 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ContractError, DimensionError, FormatError
 
-OUTPUT_ACTIVATIONS = ("none", "softmax")
-
-
 @dataclass
 class NetworkSpec:
-    """Architecture of one dense stack: layer widths plus output activation."""
+    """Architecture of one dense stack: its layer widths."""
 
     layer_dims: List[int]
-    output_activation: str = "none"
 
     def __post_init__(self):
         if len(self.layer_dims) < 2:
             raise ContractError("NetworkSpec: need at least [in_dim, out_dim]")
         if any(int(d) < 1 for d in self.layer_dims):
             raise ContractError(f"NetworkSpec: dims must be >= 1, got {self.layer_dims}")
-        if self.output_activation not in OUTPUT_ACTIVATIONS:
-            raise ContractError(
-                f"NetworkSpec: output_activation must be one of "
-                f"{OUTPUT_ACTIVATIONS}, got {self.output_activation!r}")
         self.layer_dims = [int(d) for d in self.layer_dims]
 
     @property
@@ -71,15 +63,12 @@ class LinearLayer:
 class Stack:
     """A chain of LinearLayers with relu between them."""
 
-    def __init__(self, layers: List[LinearLayer], output_activation: str = "none"):
-        if output_activation not in OUTPUT_ACTIVATIONS:
-            raise ContractError(f"Stack: bad output activation {output_activation!r}")
+    def __init__(self, layers: List[LinearLayer]):
         for prev, nxt in zip(layers, layers[1:]):
             if prev.out_dim != nxt.in_dim:
                 raise DimensionError(
                     f"Stack: layer output {prev.out_dim} feeds layer input {nxt.in_dim}")
         self.layers = layers
-        self.output_activation = output_activation
 
     @property
     def in_dim(self) -> int:
@@ -103,7 +92,7 @@ def init_stack(spec: NetworkSpec, seed) -> Stack:
         a = np.sqrt(6.0 / (in_dim + out_dim))
         weight = rng.uniform(-a, a, size=(out_dim, in_dim))
         layers.append(LinearLayer(weight, np.zeros(out_dim)))
-    return Stack(layers, spec.output_activation)
+    return Stack(layers)
 
 
 class BoundStack:
@@ -121,8 +110,6 @@ class BoundStack:
             h = ad.add(ad.matmul(h, w, transpose_b=True), b)
             if i < last:
                 h = ad.relu(h)
-        if self.stack.output_activation == "softmax":
-            h = ad.softmax(h)
         return h
 
     def named_pairs(self) -> Iterator[Tuple[str, np.ndarray, ad.Tensor]]:
@@ -209,6 +196,10 @@ class BoundComponents:
         self.discriminator = BoundStack(tape, comps.discriminator)
         self.classifier_a = BoundStack(tape, comps.classifier_a)
         self.classifier_b = BoundStack(tape, comps.classifier_b)
+
+    def features(self, x: ad.Tensor) -> ad.Tensor:
+        """The transform layer's output: what every head and loss reads."""
+        return self.transform.forward(self.extractor.forward(x))
 
     def bound(self, key: str) -> BoundStack:
         return getattr(self, key)

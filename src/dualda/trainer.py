@@ -14,7 +14,7 @@
     following its own term.
 
 When a variant enables step 1 together with steps 2/3, step 1 runs as a
-warmup phase (the first mcd_warmup_frac of the epochs, per batch), and the
+warmup phase (the first mcd_warmup share of the epochs, per batch), and the
 adversarial steps take over for the remaining epochs; interleaving them
 per batch makes the boundary learning re-anchor the classifiers against
 the domain-invariance drive every batch and stalls adaptation. Progress
@@ -34,7 +34,8 @@ import numpy as np
 from . import autodiff as ad
 from .data import DomainDataset, batches, num_batch_pairs
 from .errors import ContractError
-from .losses import classifier_only_loss, discrepancy, dual_loss, module_loss
+from .losses import (classifier_discrepancy, classifier_only_loss, dual_loss,
+                     module_loss)
 from .model import DualModel, Variant, predict, variant_plan
 from .nn import COMPONENT_KEYS, BoundComponents, ComponentSet
 from .optim import SGD, Schedule, lambda_at, lr_at
@@ -54,8 +55,8 @@ class TrainConfig:
     feature_dim: int = 32
     g_hidden: Tuple[int, ...] = (64,)
     head_hidden: Tuple[int, ...] = (16,)
-    mcd_warmup_frac: float = 0.25  # share of epochs spent on boundary learning
-                                   # before the adversarial steps take over
+    mcd_warmup: float = 0.25  # share of epochs spent on boundary learning
+                              # before the adversarial steps take over
 
     def __post_init__(self):
         self.variant = Variant(self.variant)
@@ -64,8 +65,8 @@ class TrainConfig:
                 raise ContractError(f"{name} must be a positive integer")
         if int(self.seed) < 0:
             raise ContractError("seed must be nonnegative")
-        if not 0.0 < self.mcd_warmup_frac < 1.0:
-            raise ContractError("mcd_warmup_frac must lie in (0, 1)")
+        if not 0.0 < self.mcd_warmup < 1.0:
+            raise ContractError("mcd_warmup must lie in (0, 1)")
 
 
 @dataclass
@@ -101,14 +102,6 @@ def _apply(sgd: SGD, tape: ad.Tape, loss: ad.Tensor, binding: BoundComponents,
               for name, arr, t in binding.named_pairs(components)), lr)
 
 
-def _target_discrepancy(comps: ComponentSet, batch_t: np.ndarray) -> float:
-    tape, b = _tape_for(comps)
-    t_t = b.transform.forward(b.extractor.forward(tape.leaf(batch_t)))
-    p_a = ad.softmax(b.classifier_a.forward(t_t))
-    p_b = ad.softmax(b.classifier_b.forward(t_t))
-    return float(discrepancy(p_a, p_b).data[0])
-
-
 def step1_mcd(comps: ComponentSet, batch_s, labels_s, batch_t, k: int,
               lr: float, sgd: Optional[SGD] = None,
               name_prefix: str = "") -> Tuple[float, float]:
@@ -125,29 +118,26 @@ def step1_mcd(comps: ComponentSet, batch_s, labels_s, batch_t, k: int,
 
     # (A) both classifiers fit source; whole path updates
     tape, b = _tape_for(comps, name_prefix)
-    loss = classifier_only_loss(b, tape.leaf(batch_s), labels_s)
+    loss = classifier_only_loss(b, b.features(tape.leaf(batch_s)), labels_s)
     _apply(sgd, tape, loss, b, _PATH_COMPONENTS, lr)
 
     # (B) classifier pair maximizes target disagreement, keeping source CE
     tape, b = _tape_for(comps, name_prefix)
-    xs, xt = tape.leaf(batch_s), tape.leaf(batch_t)
-    src_ce = classifier_only_loss(b, xs, labels_s)
-    t_t = b.transform.forward(b.extractor.forward(xt))
-    dis = discrepancy(ad.softmax(b.classifier_a.forward(t_t)),
-                      ad.softmax(b.classifier_b.forward(t_t)))
+    src_ce = classifier_only_loss(b, b.features(tape.leaf(batch_s)), labels_s)
+    dis = classifier_discrepancy(b, b.features(tape.leaf(batch_t)))
     _apply(sgd, tape, ad.sub(src_ce, dis), b,
            ("classifier_a", "classifier_b"), lr)
 
-    # (C) extractor+transform minimize the disagreement, k times
-    dis_before = _target_discrepancy(comps, batch_t)
-    for _ in range(k):
+    # (C) extractor+transform minimize the disagreement, k times; the
+    # discrepancy is read before each update and once after the last one
+    measured = []
+    for i in range(k + 1):
         tape, b = _tape_for(comps, name_prefix)
-        t_t = b.transform.forward(b.extractor.forward(tape.leaf(batch_t)))
-        dis = discrepancy(ad.softmax(b.classifier_a.forward(t_t)),
-                          ad.softmax(b.classifier_b.forward(t_t)))
-        _apply(sgd, tape, dis, b, ("extractor", "transform"), lr)
-    dis_after = _target_discrepancy(comps, batch_t)
-    return dis_before, dis_after
+        dis = classifier_discrepancy(b, b.features(tape.leaf(batch_t)))
+        measured.append(float(dis.data[0]))
+        if i < k:
+            _apply(sgd, tape, dis, b, ("extractor", "transform"), lr)
+    return measured[0], measured[-1]
 
 
 def step2_modules(model: DualModel, batch_s, labels_s, batch_t, lam: float,
@@ -161,18 +151,20 @@ def step2_modules(model: DualModel, batch_s, labels_s, batch_t, lam: float,
 
     if plan.step2_invariant == "ce_only":
         tape, b = _tape_for(model.invariant, "invariant.")
-        loss = classifier_only_loss(b, tape.leaf(batch_s), labels_s)
+        loss = classifier_only_loss(b, b.features(tape.leaf(batch_s)), labels_s)
         _apply(sgd, tape, loss, b, _PATH_COMPONENTS, lr)
     elif plan.step2_invariant == "adversarial":
         tape, b = _tape_for(model.invariant, "invariant.")
-        parts = module_loss(b, tape.leaf(batch_s), labels_s,
-                            tape.leaf(batch_t), lam)
+        t_s = b.features(tape.leaf(batch_s))
+        t_t = b.features(tape.leaf(batch_t))
+        parts = module_loss(b, t_s, labels_s, t_t, lam)
         _apply(sgd, tape, parts.total, b, COMPONENT_KEYS, lr)
 
     if plan.step2_discriminative:
         tape, b = _tape_for(model.discriminative, "discriminative.")
-        parts = module_loss(b, tape.leaf(batch_s), labels_s,
-                            tape.leaf(batch_t), None)
+        t_s = b.features(tape.leaf(batch_s))
+        t_t = b.features(tape.leaf(batch_t))
+        parts = module_loss(b, t_s, labels_s, t_t, None)
         _apply(sgd, tape, parts.total, b, COMPONENT_KEYS, lr)
     return model
 
@@ -195,7 +187,9 @@ def step3_dual(model: DualModel, batch_s, batch_t, lam: float, lr: float,
     tape = ad.Tape()
     b1 = BoundComponents(tape, model.invariant, prefix="invariant.")
     b2 = BoundComponents(tape, model.discriminative, prefix="discriminative.")
-    parts = dual_loss(b1, b2, tape.leaf(batch_s), tape.leaf(batch_t), lam)
+    xs, xt = tape.leaf(batch_s), tape.leaf(batch_t)
+    parts = dual_loss(b1, b2, b1.features(xs), b1.features(xt),
+                      b2.features(xs), b2.features(xt), lam)
 
     feature_grads = ad.backward(tape, parts.reversed_feature_dis)
     feature_pairs = [(name, arr, feature_grads[t.node_id])
@@ -222,21 +216,16 @@ def compute_metrics(model: DualModel, source: DomainDataset,
                     target: DomainDataset, epoch: int) -> MetricsRecord:
     """Measure every logged loss in one full-dataset forward pass at the
     current parameters (training never reads these values)."""
-    xs, ys, xt = source.features, source.labels, target.features
-
-    tape, b1 = _tape_for(model.invariant)
-    parts1 = module_loss(b1, tape.leaf(xs), ys, tape.leaf(xt), None)
-    t_t = b1.transform.forward(b1.extractor.forward(tape.leaf(xt)))
-    mcd_dis = discrepancy(ad.softmax(b1.classifier_a.forward(t_t)),
-                          ad.softmax(b1.classifier_b.forward(t_t)))
-
-    tape2, b2 = _tape_for(model.discriminative)
-    parts2 = module_loss(b2, tape2.leaf(xs), ys, tape2.leaf(xt), None)
-
-    tape3 = ad.Tape()
-    d1 = BoundComponents(tape3, model.invariant, prefix="invariant.")
-    d2 = BoundComponents(tape3, model.discriminative, prefix="discriminative.")
-    dual = dual_loss(d1, d2, tape3.leaf(xs), tape3.leaf(xt), 0.0)
+    tape = ad.Tape()
+    b1 = BoundComponents(tape, model.invariant)
+    b2 = BoundComponents(tape, model.discriminative)
+    xs, xt = tape.leaf(source.features), tape.leaf(target.features)
+    t1_s, t1_t = b1.features(xs), b1.features(xt)
+    t2_s, t2_t = b2.features(xs), b2.features(xt)
+    parts1 = module_loss(b1, t1_s, source.labels, t1_t, None)
+    parts2 = module_loss(b2, t2_s, source.labels, t2_t, None)
+    dual = dual_loss(b1, b2, t1_s, t1_t, t2_s, t2_t, 0.0)
+    mcd_dis = classifier_discrepancy(b1, t1_t)
 
     return MetricsRecord(
         epoch=epoch,
@@ -300,7 +289,7 @@ def train(config: TrainConfig, source: DomainDataset, target: DomainDataset,
     n_step2 = (plan.step2_invariant != "none") + plan.step2_discriminative
     per_main = n_step2 + (1 if plan.step3 else 0)
     if plan.mcd_modules and per_main:
-        warm_epochs = max(1, round(config.epochs * config.mcd_warmup_frac))
+        warm_epochs = max(1, round(config.epochs * config.mcd_warmup))
     elif plan.mcd_modules:
         warm_epochs = config.epochs
     else:

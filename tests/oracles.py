@@ -64,8 +64,6 @@ def stack_forward_numpy(stack, x):
         h = h @ layer.weight.T + layer.bias
         if i < len(layers) - 1:
             h = np.maximum(h, 0.0)
-    if stack.output_activation == "softmax":
-        h = softmax_rows(h)
     return h
 
 

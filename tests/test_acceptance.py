@@ -147,19 +147,23 @@ def _loss_graphs(kind, c1, c2, xs, ys, xt, lam):
         return tape, [(b, lambda comp: [1.0])], [dis], dis
     if kind == "invariant_module":
         b = BoundComponents(tape, c1)
-        parts = module_loss(b, tape.leaf(xs), ys, tape.leaf(xt), lam)
+        parts = module_loss(b, b.features(tape.leaf(xs)), ys,
+                            b.features(tape.leaf(xt)), lam)
         weights = lambda comp: [1.0, 1.0 if comp == "discriminator" else -lam]
         return tape, [(b, weights)], \
             [parts.classifier_ce, parts.domain_ce], parts.total
     if kind == "discriminative_module":
         b = BoundComponents(tape, c1)
-        parts = module_loss(b, tape.leaf(xs), ys, tape.leaf(xt), None)
+        parts = module_loss(b, b.features(tape.leaf(xs)), ys,
+                            b.features(tape.leaf(xt)), None)
         return tape, [(b, lambda comp: [1.0, 1.0])], \
             [parts.classifier_ce, parts.domain_ce], parts.total
     if kind == "dual":
         b1 = BoundComponents(tape, c1, prefix="i.")
         b2 = BoundComponents(tape, c2, prefix="d.")
-        parts = dual_loss(b1, b2, tape.leaf(xs), tape.leaf(xt), lam)
+        parts = dual_loss(b1, b2, b1.features(tape.leaf(xs)),
+                          b1.features(tape.leaf(xt)), b2.features(tape.leaf(xs)),
+                          b2.features(tape.leaf(xt)), lam)
         weights = lambda comp: [-lam, 1.0]
         return tape, [(b1, weights), (b2, weights)], \
             [parts.feature_dis, parts.prediction_dis], parts.total

@@ -288,8 +288,32 @@ def test_cli_seed_override(tmp_path):
     assert a != b
 
 
+@pytest.mark.parametrize("command", ["run", "ablate", "embed"])
+def test_cli_seed_override_is_validated(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    code = main([command, "--config", str(write_config(tmp_path, MINIMAL)),
+                 "--out", str(out), "--seed", "-1"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert re.search(r"(?<!\w)seed(?!\w)", err[0])
+    assert not out.exists()
+
+
 def test_cli_check_grad_fast():
     assert main(["check-grad", "--trials", "2"]) == 0
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["--trials", "0"], "--trials"),
+    (["--trials", "-3"], "--trials"),
+    (["--trials", "1", "--seed", "-1"], "--seed")])
+def test_cli_check_grad_rejects_vacuous_trials_and_negative_seed(capsys, argv,
+                                                                 flag):
+    assert main(["check-grad", *argv]) == 1
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert captured.err.startswith("config error:") and flag in captured.err
 
 
 # --- exit codes of library failures ---------------------------------------------

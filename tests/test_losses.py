@@ -106,8 +106,9 @@ def _batch(rng, n=5, dim=2, classes=2):
 def module_total(comps, xs, ys, xt, lam):
     """module_loss's total on a fresh tape."""
     tape = ad.Tape()
-    return module_loss(BoundComponents(tape, comps), tape.leaf(xs), ys,
-                       tape.leaf(xt), lam).total
+    b = BoundComponents(tape, comps)
+    return module_loss(b, b.features(tape.leaf(xs)), ys,
+                       b.features(tape.leaf(xt)), lam).total
 
 
 def dual_total(c1, c2, xs, xt, lam):
@@ -115,7 +116,9 @@ def dual_total(c1, c2, xs, xt, lam):
     tape = ad.Tape()
     b1 = BoundComponents(tape, c1, prefix="invariant.")
     b2 = BoundComponents(tape, c2, prefix="discriminative.")
-    return dual_loss(b1, b2, tape.leaf(xs), tape.leaf(xt), lam).total
+    xs, xt = tape.leaf(xs), tape.leaf(xt)
+    return dual_loss(b1, b2, b1.features(xs), b1.features(xt),
+                     b2.features(xs), b2.features(xt), lam).total
 
 
 def test_module_loss_matches_composition_oracle():
@@ -139,7 +142,8 @@ def test_domain_ce_terms_are_ln2_at_zero_discriminator():
     xs, ys, _ = _batch(rng)
     tape = ad.Tape()
     b = BoundComponents(tape, comps)
-    parts = module_loss(b, tape.leaf(xs), ys, tape.leaf(xs.copy()), 0.0)
+    parts = module_loss(b, b.features(tape.leaf(xs)), ys,
+                        b.features(tape.leaf(xs.copy())), 0.0)
     assert float(parts.domain_ce_source.data[0]) == pytest.approx(LN2, abs=1e-12)
     assert float(parts.domain_ce_target.data[0]) == pytest.approx(LN2, abs=1e-12)
     assert float(parts.domain_ce.data[0]) == pytest.approx(2 * LN2, abs=1e-12)
@@ -154,13 +158,15 @@ def test_lambda_zero_matches_classifier_only_gradient():
 
     tape = ad.Tape()
     b = BoundComponents(tape, comps)
-    parts = module_loss(b, tape.leaf(xs), ys, tape.leaf(xt), 0.0)
+    parts = module_loss(b, b.features(tape.leaf(xs)), ys,
+                        b.features(tape.leaf(xt)), 0.0)
     ad.backward(tape, parts.total)
     full = {name: t.grad.copy() for name, _, t in b.named_pairs(("extractor", "transform"))}
 
     tape2 = ad.Tape()
     b2 = BoundComponents(tape2, comps)
-    parts2 = module_loss(b2, tape2.leaf(xs), ys, tape2.leaf(xt), 0.0)
+    parts2 = module_loss(b2, b2.features(tape2.leaf(xs)), ys,
+                         b2.features(tape2.leaf(xt)), 0.0)
     ad.backward(tape2, parts2.classifier_ce)
     cls_only = {name: t.grad for name, _, t in b2.named_pairs(("extractor", "transform"))}
 
@@ -174,7 +180,8 @@ def test_no_reversal_gives_nonzero_domain_gradient_into_extractor():
     xs, ys, xt = _batch(rng)
     tape = ad.Tape()
     b = BoundComponents(tape, comps)
-    parts = module_loss(b, tape.leaf(xs), ys, tape.leaf(xt), None)
+    parts = module_loss(b, b.features(tape.leaf(xs)), ys,
+                        b.features(tape.leaf(xt)), None)
     ad.backward(tape, parts.domain_ce)
     grads = [t.grad for _, _, t in b.named_pairs(("extractor",))]
     assert any(np.abs(g).max() > 0 for g in grads)
@@ -185,11 +192,10 @@ def test_classifier_terms_equal_across_module_losses():
     comps = build_component_set(2, 4, 2, seed=13)
     xs, ys, xt = _batch(rng)
     tape = ad.Tape()
-    parts_rev = module_loss(BoundComponents(tape, comps), tape.leaf(xs), ys,
-                            tape.leaf(xt), 0.0)
-    tape2 = ad.Tape()
-    parts_plain = module_loss(BoundComponents(tape2, comps), tape2.leaf(xs), ys,
-                              tape2.leaf(xt), None)
+    b = BoundComponents(tape, comps)
+    t_s, t_t = b.features(tape.leaf(xs)), b.features(tape.leaf(xt))
+    parts_rev = module_loss(b, t_s, ys, t_t, 0.0)
+    parts_plain = module_loss(b, t_s, ys, t_t, None)
     assert float(parts_rev.classifier_ce.data[0]) == \
         float(parts_plain.classifier_ce.data[0])
 
@@ -212,7 +218,9 @@ def test_dual_loss_zero_for_identical_modules():
     tape = ad.Tape()
     b1 = BoundComponents(tape, c1, prefix="a.")
     b2 = BoundComponents(tape, c2, prefix="b.")
-    parts = dual_loss(b1, b2, tape.leaf(xs), tape.leaf(xt), 0.5)
+    xs, xt = tape.leaf(xs), tape.leaf(xt)
+    parts = dual_loss(b1, b2, b1.features(xs), b1.features(xt),
+                      b2.features(xs), b2.features(xt), 0.5)
     assert float(parts.total.data[0]) == 0.0
     ad.backward(tape, parts.total)
     for binding in (b1, b2):
@@ -246,10 +254,10 @@ def test_dual_loss_feature_term_sign_flips_with_reversal():
         tape = ad.Tape()
         b1 = BoundComponents(tape, c1)
         b2 = BoundComponents(tape, c2)
-        t1s = b1.transform.forward(b1.extractor.forward(tape.leaf(xs)))
-        t1t = b1.transform.forward(b1.extractor.forward(tape.leaf(xt)))
-        t2s = b2.transform.forward(b2.extractor.forward(tape.leaf(xs)))
-        t2t = b2.transform.forward(b2.extractor.forward(tape.leaf(xt)))
+        t1s = b1.features(tape.leaf(xs))
+        t1t = b1.features(tape.leaf(xt))
+        t2s = b2.features(tape.leaf(xs))
+        t2t = b2.features(tape.leaf(xt))
         dis = ad.add(discrepancy(ad.softmax(t1s), ad.softmax(t2s)),
                      discrepancy(ad.softmax(t1t), ad.softmax(t2t)))
         loss = ad.grad_reverse(dis, lam) if wrap else dis

@@ -13,7 +13,8 @@ from dualda.trainer import (MetricsRecord, TrainConfig, compute_metrics,
                             train)
 
 from oracles import (accuracy_counting, discrepancy_brute_force,
-                     dual_loss_composition, module_loss_composition)
+                     dual_loss_composition, module_forward_numpy,
+                     module_loss_composition, softmax_rows)
 
 
 def small_data(seed=0, n=120, noise=0.1, theta=35.0):
@@ -58,7 +59,7 @@ def test_step1_identical_classifiers_start_at_zero_discrepancy():
     xt = target.features[:16]
     tape = ad.Tape()
     b = BoundComponents(tape, comps)
-    t_t = b.transform.forward(b.extractor.forward(tape.leaf(xt)))
+    t_t = b.features(tape.leaf(xt))
     p_a = ad.softmax(b.classifier_a.forward(t_t)).data
     p_b = ad.softmax(b.classifier_b.forward(t_t)).data
     assert discrepancy_brute_force(p_a, p_b) == 0.0
@@ -93,6 +94,37 @@ def test_step1_untouched_discriminator():
     step1_mcd(comps, xs, ys, xt, k=2, lr=0.05)
     for layer, before in zip(comps.discriminator.layers, d_before):
         assert np.array_equal(layer.weight, before)
+
+
+def oracle_pair_discrepancy(comps, x):
+    """Classifier-pair discrepancy of one module by numpy replay."""
+    _, logits_a, logits_b, _ = module_forward_numpy(comps, x)
+    return discrepancy_brute_force(softmax_rows(logits_a),
+                                   softmax_rows(logits_b))
+
+
+def test_step1_after_matches_oracle_on_returned_parameters():
+    source, target = small_data(seed=3)
+    xs, ys = batch_from(source)
+    xt, _ = batch_from(target)
+    for k in (1, 3):
+        comps = build_component_set(2, 6, 2, seed=k, g_hidden=(8,),
+                                    head_hidden=(4,))
+        _, after = step1_mcd(comps, xs, ys, xt, k=k, lr=0.05)
+        assert after == pytest.approx(oracle_pair_discrepancy(comps, xt),
+                                      abs=1e-12)
+
+
+def test_step1_before_does_not_depend_on_k():
+    source, target = small_data(seed=4)
+    xs, ys = batch_from(source)
+    xt, _ = batch_from(target)
+    runs = {}
+    for k in (1, 3):
+        comps = build_component_set(2, 6, 2, seed=5)
+        runs[k] = step1_mcd(comps, xs, ys, xt, k=k, lr=0.05)
+    assert runs[1][0] == runs[3][0]
+    assert runs[1][1] != runs[3][1]
 
 
 def test_step1_phase_c_descends_discrepancy_statistically():
@@ -152,8 +184,9 @@ def test_step2_logged_losses_match_composition_oracle():
     xt, _ = batch_from(target)
     cls_ce, dom_ce = module_loss_composition(model.invariant, xs, ys, xt)
     tape = ad.Tape()
-    parts = module_loss(BoundComponents(tape, model.invariant),
-                        tape.leaf(xs), ys, tape.leaf(xt), 0.3)
+    b = BoundComponents(tape, model.invariant)
+    parts = module_loss(b, b.features(tape.leaf(xs)), ys,
+                        b.features(tape.leaf(xt)), 0.3)
     assert float(parts.classifier_ce.data[0]) == pytest.approx(cls_ce, abs=1e-10)
     assert float(parts.domain_ce.data[0]) == pytest.approx(dom_ce, abs=1e-10)
 
@@ -248,6 +281,34 @@ def test_metrics_match_recomputation_from_checkpoint(tmp_path):
         again = compute_metrics(reloaded, source, target, rec.epoch)
         for col in MetricsRecord.COLUMNS:
             assert abs(getattr(again, col) - getattr(rec, col)) <= 1e-10, col
+
+
+def test_metrics_columns_match_oracles():
+    """Every column against its numpy oracle: pins which module and which
+    domain each logged value reads from the shared metrics tape."""
+    source, target = small_data(n=40)
+    model, _ = train(small_config(Variant.OURS_2M, epochs=1), source, target)
+    rec = compute_metrics(model, source, target, epoch=7)
+    xs, ys, xt = source.features, source.labels, target.features
+
+    cls_ce, dom_ce_m1 = module_loss_composition(model.invariant, xs, ys, xt)
+    _, dom_ce_m2 = module_loss_composition(model.discriminative, xs, ys, xt)
+    dis_t, dis_c = dual_loss_composition(model.invariant, model.discriminative,
+                                         xs, xt)
+    want = dict(cls_ce=cls_ce, dom_ce_m1=dom_ce_m1, dom_ce_m2=dom_ce_m2,
+                dis_t=dis_t, dis_c=dis_c,
+                mcd_dis=oracle_pair_discrepancy(model.invariant, xt))
+    assert dom_ce_m1 != pytest.approx(dom_ce_m2, abs=1e-6)
+    for col, value in want.items():
+        assert getattr(rec, col) == pytest.approx(value, abs=1e-10), col
+
+    def oracle_acc(ds):
+        _, logits_a, _, _ = module_forward_numpy(model.invariant, ds.features)
+        return accuracy_counting(np.argmax(logits_a, axis=1), ds.labels)
+
+    assert rec.epoch == 7
+    assert rec.src_acc == oracle_acc(source)
+    assert rec.tgt_acc == oracle_acc(target)
 
 
 # --- train -------------------------------------------------------------------
