@@ -5,8 +5,20 @@ record list is already topologically ordered; ``backward`` replays it in
 exact reverse order and accumulates gradients by summation in that fixed
 order, which makes gradients bit-for-bit reproducible.
 
+Graph inputs enter a tape two ways: ``Tape.leaf`` converts and checks data
+(it rejects NaN/Inf), while ``Tape.param`` wraps a persistent float64
+parameter array as it is, with no copy and no scan; the optimizer keeps
+parameters finite instead (``optim.SGD.step`` checks after each update).
+
+``backward(tape, loss, wrt)`` with a list of tensors visits only the
+records whose outputs depend on them and returns (and stores in ``.grad``)
+only their gradients; without ``wrt`` every node gets a gradient, zeros
+where the loss does not reach. Either way the gradients of the visited
+nodes are bitwise the same.
+
 The op set is deliberately small: dense matmul (with an optional
-transpose-b mode for linear layers), broadcast add, sub, scalar_mul, relu,
+transpose-b mode and an optional bias, so that a dense layer
+``x @ W.T + b`` is one record), broadcast add, sub, scalar_mul, relu,
 row-wise softmax / log_softmax, full reductions mean / sum, abs,
 per-row select_columns, and the gradient-reversal pseudo-op
 ``grad_reverse`` whose forward is the identity and whose backward scales
@@ -80,6 +92,10 @@ class Tape:
             raise ContractError("leaf: input contains NaN or Inf")
         return self._new_tensor(arr)
 
+    def param(self, arr: np.ndarray) -> Tensor:
+        """Wrap a float64 parameter array in place: no conversion, no check."""
+        return self._new_tensor(arr)
+
     def _new_tensor(self, data: np.ndarray) -> Tensor:
         t = Tensor(data, len(self._tensors), self)
         self._tensors.append(t)
@@ -105,9 +121,11 @@ def _same_tape(*tensors: Tensor) -> Tape:
     return tape
 
 
-def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
-    """2-D matrix product a @ b, or a @ b.T when transpose_b is set."""
-    tape = _same_tape(a, b)
+def matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
+           bias: Optional[Tensor] = None) -> Tensor:
+    """2-D matrix product a @ b, or a @ b.T when transpose_b is set; a 1-D
+    bias is added to every row in the same record (a dense layer)."""
+    tape = _same_tape(a, b) if bias is None else _same_tape(a, b, bias)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise DimensionError(
             f"matmul: expected 2-D operands, got {list(a.shape)} and {list(b.shape)}")
@@ -117,16 +135,29 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
             f"matmul: inner dimensions differ for shapes {list(a.shape)} and "
             f"{list(b.shape)}" + (" (transpose_b)" if transpose_b else ""))
     ad, bd = a.data, b.data
-    out = ad @ bd.T if transpose_b else ad @ bd
-
     if transpose_b:
-        def backward_fn(g):
+        out = ad @ bd.T
+
+        def operand_grads(g):
             return g @ bd, g.T @ ad
     else:
-        def backward_fn(g):
+        out = ad @ bd
+
+        def operand_grads(g):
             return g @ bd.T, ad.T @ g
 
-    return tape._emit("matmul", [a, b], out, backward_fn)
+    if bias is None:
+        return tape._emit("matmul", [a, b], out, operand_grads)
+    if bias.data.ndim != 1 or bias.shape[0] != out.shape[1]:
+        raise DimensionError(
+            f"matmul: bias {list(bias.shape)} does not fit the product "
+            f"{list(out.shape)}")
+    out += bias.data
+
+    def backward_fn(g):
+        return (*operand_grads(g), g.sum(axis=0))
+
+    return tape._emit("matmul", [a, b, bias], out, backward_fn)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -275,32 +306,52 @@ def grad_reverse(a: Tensor, lam: float) -> Tensor:
     return a.tape._emit("grad_reverse", [a], a.data.copy(), backward_fn)
 
 
-def backward(tape: Tape, loss: Tensor) -> Dict[int, np.ndarray]:
+def backward(tape: Tape, loss: Tensor,
+             wrt: Optional[Sequence[Tensor]] = None) -> Dict[int, np.ndarray]:
     """Reverse sweep from a scalar loss node.
 
-    Returns a map node_id -> gradient array (zeros for nodes the loss does
-    not reach) and fills each tensor's .grad in place.
+    Without wrt, returns a map node_id -> gradient array for every node
+    (zeros for nodes the loss does not reach) and fills each tensor's
+    .grad. With wrt, only the records whose outputs depend on those tensors
+    run their backward, and only the wrt tensors get a gradient (zeros if
+    the loss does not reach them) in the returned map and in .grad.
     """
     if loss.tape is not tape:
         raise ContractError("backward: loss tensor is not on this tape")
     if loss.size != 1:
         raise ContractError(
             f"backward: loss must be scalar, got shape {list(loss.shape)}")
+    records = tape.records
+    if wrt is None:
+        live = [True] * tape.num_nodes
+    else:
+        # a node is live when it depends on a wrt tensor; only live nodes
+        # can pass gradient on to one
+        live = [False] * tape.num_nodes
+        for t in wrt:
+            if t.tape is not tape:
+                raise ContractError("backward: wrt tensor is not on this tape")
+            live[t.node_id] = True
+        for rec in records:
+            for iid in rec.input_ids:
+                if live[iid]:
+                    live[rec.output_id] = True
+                    break
     grads: List[Optional[np.ndarray]] = [None] * tape.num_nodes
     grads[loss.node_id] = np.ones_like(loss.data)
-    for rec in reversed(tape.records):
+    for rec in reversed(records):
         g_out = grads[rec.output_id]
-        if g_out is None:
+        if g_out is None or not live[rec.output_id]:
             continue
         for iid, g_in in zip(rec.input_ids, rec.backward_fn(g_out)):
-            if g_in is None:
-                continue
-            if grads[iid] is None:
-                grads[iid] = np.array(g_in, dtype=np.float64, copy=True)
-            else:
-                grads[iid] += g_in
+            if live[iid]:
+                # a new array on every accumulation: a stored gradient may
+                # be shared with another node (add returns g for both operands)
+                g = grads[iid]
+                grads[iid] = g_in if g is None else g + g_in
+    targets = tape._tensors if wrt is None else wrt
     result: Dict[int, np.ndarray] = {}
-    for t in tape._tensors:
+    for t in targets:
         g = grads[t.node_id]
         if g is None:
             g = np.zeros_like(t.data)

@@ -46,6 +46,10 @@ def _op_case(kind: str, rng: np.random.Generator):
     elif kind == "matmul_t":
         arrs = [rng.uniform(-2, 2, (m, k)), rng.uniform(-2, 2, (n, k))]
         build = lambda t: ad.matmul(t[0], t[1], transpose_b=True)
+    elif kind == "matmul_bias":
+        arrs = [rng.uniform(-2, 2, (m, k)), rng.uniform(-2, 2, (n, k)),
+                rng.uniform(-2, 2, (n,))]
+        build = lambda t: ad.matmul(t[0], t[1], transpose_b=True, bias=t[2])
     elif kind == "add":
         arrs = [rng.uniform(-2, 2, (m, n)), rng.uniform(-2, 2, (n,))]
         build = lambda t: ad.add(t[0], t[1])
@@ -255,8 +259,9 @@ def _near_relu_kink(b1, b2, xs, xt, margin: float = 5e-4) -> bool:
     return False
 
 
-OP_CASES = ("matmul", "matmul_t", "add", "sub", "scalar_mul", "relu", "abs",
-            "softmax", "log_softmax", "mean", "sum", "select_columns")
+OP_CASES = ("matmul", "matmul_t", "matmul_bias", "add", "sub", "scalar_mul",
+            "relu", "abs", "softmax", "log_softmax", "mean", "sum",
+            "select_columns")
 LOSS_KINDS = ("cross_entropy", "discrepancy", "invariant_module",
               "discriminative_module", "dual")
 

@@ -92,7 +92,10 @@ class DualModel:
             if src.shape != arr.shape:
                 raise ContractError(
                     f"shape mismatch for {name}: {src.shape} vs {arr.shape}")
-            arr[...] = src
+            if not np.isfinite(src).all():
+                raise ContractError(f"parameter {name} holds NaN or Inf")
+        for name, arr in params.items():
+            arr[...] = named[name]
 
     def load(self, path) -> None:
         self.load_state(load_params(path))
@@ -129,8 +132,13 @@ def predict(model: DualModel, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     tape = ad.Tape()
     b = BoundComponents(tape, model.invariant)
-    probs = ad.softmax(b.classifier_a.forward(b.features(tape.leaf(x))))
-    return np.argmax(probs.data, axis=1)
+    return predicted_classes(b, b.features(tape.leaf(x)))
+
+
+def predicted_classes(binding: BoundComponents, t: ad.Tensor) -> np.ndarray:
+    """argmax of the primary classifier's softmax on transform outputs t:
+    the inference rule, applied to features already on a tape."""
+    return np.argmax(ad.softmax(binding.classifier_a.forward(t)).data, axis=1)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,15 @@
 """Dense layers, Glorot init, the four component kinds, and parameter I/O.
 
 Parameters live as plain float64 numpy arrays that persist across training
-steps; each forward pass binds them onto a fresh tape as leaf tensors so
-the optimizer can look gradients up by parameter name afterwards.
+steps; each forward pass binds them onto a fresh tape (``Tape.param``, no
+copy and no finiteness scan) so the optimizer can look gradients up by
+parameter name afterwards.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Tuple
@@ -100,14 +103,14 @@ class BoundStack:
 
     def __init__(self, tape: ad.Tape, stack: Stack):
         self.stack = stack
-        self.weights = [tape.leaf(l.weight) for l in stack.layers]
-        self.biases = [tape.leaf(l.bias) for l in stack.layers]
+        self.weights = [tape.param(l.weight) for l in stack.layers]
+        self.biases = [tape.param(l.bias) for l in stack.layers]
 
     def forward(self, x: ad.Tensor) -> ad.Tensor:
         h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = ad.add(ad.matmul(h, w, transpose_b=True), b)
+            h = ad.matmul(h, w, transpose_b=True, bias=b)
             if i < last:
                 h = ad.relu(h)
         return h
@@ -222,16 +225,24 @@ class BoundComponents:
 # ---------------------------------------------------------------------------
 
 def save_params(path, named: Dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as f:
-        f.write(struct.pack("<I", len(named)))
-        for name, arr in named.items():
-            raw = name.encode("utf-8")
-            f.write(struct.pack("<I", len(raw)))
-            f.write(raw)
-            f.write(struct.pack("<I", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        for arr in named.values():
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    """Write the file next to its destination, then rename it into place,
+    so a failed write leaves any previous file at path untouched."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(struct.pack("<I", len(named)))
+            for name, arr in named.items():
+                raw = name.encode("utf-8")
+                f.write(struct.pack("<I", len(raw)))
+                f.write(raw)
+                f.write(struct.pack("<I", arr.ndim))
+                f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+            for arr in named.values():
+                f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)  # still there only when the write failed
 
 
 def load_params(path) -> Dict[str, np.ndarray]:
@@ -260,6 +271,8 @@ def load_params(path) -> Dict[str, np.ndarray]:
         shapes.append((name, dims))
     named: Dict[str, np.ndarray] = {}
     for name, dims in shapes:
+        if name in named:
+            raise FormatError(f"parameter file names {name!r} twice")
         n = int(np.prod(dims)) if dims else 1
         arr = np.frombuffer(take(8 * n), dtype="<f8").astype(np.float64)
         named[name] = arr.reshape(dims)

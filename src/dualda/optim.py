@@ -50,7 +50,12 @@ def lambda_at(s: Schedule, p: float) -> float:
 
 
 class SGD:
-    """Momentum SGD with one velocity buffer per named parameter."""
+    """Momentum SGD with one velocity buffer per named parameter.
+
+    Each update checks that its parameter stayed finite, so training that
+    diverges stops at the first update that produced NaN or Inf (forward
+    passes bind parameters without checking them).
+    """
 
     def __init__(self, momentum: float = 0.9):
         if not 0 <= momentum < 1:
@@ -70,3 +75,7 @@ class SGD:
             v *= self.momentum
             v += grad
             param -= lr * v
+            if not np.isfinite(param).all():
+                raise ContractError(
+                    f"sgd: parameter {name} is no longer finite after an "
+                    f"update with lr {lr:g}; training diverged")

@@ -36,7 +36,8 @@ from .data import DomainDataset, batches, num_batch_pairs
 from .errors import ContractError
 from .losses import (classifier_discrepancy, classifier_only_loss, dual_loss,
                      module_loss)
-from .model import DualModel, Variant, predict, variant_plan
+from .model import (DualModel, Variant, predict, predicted_classes,
+                    variant_plan)
 from .nn import COMPONENT_KEYS, BoundComponents, ComponentSet
 from .optim import SGD, Schedule, lambda_at, lr_at
 
@@ -97,25 +98,15 @@ def _tape_for(comps: ComponentSet, prefix: str = ""):
 
 def _apply(sgd: SGD, tape: ad.Tape, loss: ad.Tensor, binding: BoundComponents,
            components: Sequence[str], lr: float) -> None:
-    grads = ad.backward(tape, loss)
-    sgd.step(((name, arr, grads[t.node_id])
-              for name, arr, t in binding.named_pairs(components)), lr)
+    pairs = list(binding.named_pairs(components))
+    grads = ad.backward(tape, loss, wrt=[t for _, _, t in pairs])
+    sgd.step(((name, arr, grads[t.node_id]) for name, arr, t in pairs), lr)
 
 
-def step1_mcd(comps: ComponentSet, batch_s, labels_s, batch_t, k: int,
-              lr: float, sgd: Optional[SGD] = None,
-              name_prefix: str = "") -> Tuple[float, float]:
-    """Boundary learning on one module; returns the classifier pair's
-    target-batch discrepancy measured before and after phase C.
-
-    name_prefix keeps this module's velocity buffers distinct when two
-    modules train under one optimizer.
-    """
-    if k < 1:
-        raise ContractError(f"k must be >= 1, got {k}")
-    if sgd is None:
-        sgd = SGD(0.0)
-
+def _boundary_updates(comps: ComponentSet, batch_s, labels_s, batch_t, k: int,
+                      lr: float, sgd: SGD, name_prefix: str) -> float:
+    """Phases A, B and k x C of step 1; returns the discrepancy read before
+    the first phase-C update."""
     # (A) both classifiers fit source; whole path updates
     tape, b = _tape_for(comps, name_prefix)
     loss = classifier_only_loss(b, b.features(tape.leaf(batch_s)), labels_s)
@@ -128,16 +119,36 @@ def step1_mcd(comps: ComponentSet, batch_s, labels_s, batch_t, k: int,
     _apply(sgd, tape, ad.sub(src_ce, dis), b,
            ("classifier_a", "classifier_b"), lr)
 
-    # (C) extractor+transform minimize the disagreement, k times; the
-    # discrepancy is read before each update and once after the last one
-    measured = []
-    for i in range(k + 1):
+    # (C) extractor+transform minimize the disagreement, k times
+    before = 0.0
+    for i in range(k):
         tape, b = _tape_for(comps, name_prefix)
         dis = classifier_discrepancy(b, b.features(tape.leaf(batch_t)))
-        measured.append(float(dis.data[0]))
-        if i < k:
-            _apply(sgd, tape, dis, b, ("extractor", "transform"), lr)
-    return measured[0], measured[-1]
+        if i == 0:
+            before = float(dis.data[0])
+        _apply(sgd, tape, dis, b, ("extractor", "transform"), lr)
+    return before
+
+
+def step1_mcd(comps: ComponentSet, batch_s, labels_s, batch_t, k: int,
+              lr: float, sgd: Optional[SGD] = None,
+              name_prefix: str = "") -> Tuple[float, float]:
+    """Boundary learning on one module; returns the classifier pair's
+    target-batch discrepancy measured before and after phase C.
+
+    name_prefix keeps this module's velocity buffers distinct when two
+    modules train under one optimizer. train() runs the same updates
+    without the closing discrepancy read.
+    """
+    if k < 1:
+        raise ContractError(f"k must be >= 1, got {k}")
+    if sgd is None:
+        sgd = SGD(0.0)
+    before = _boundary_updates(comps, batch_s, labels_s, batch_t, k, lr, sgd,
+                               name_prefix)
+    tape, b = _tape_for(comps, name_prefix)
+    after = classifier_discrepancy(b, b.features(tape.leaf(batch_t)))
+    return before, float(after.data[0])
 
 
 def step2_modules(model: DualModel, batch_s, labels_s, batch_t, lam: float,
@@ -153,18 +164,18 @@ def step2_modules(model: DualModel, batch_s, labels_s, batch_t, lam: float,
         tape, b = _tape_for(model.invariant, "invariant.")
         loss = classifier_only_loss(b, b.features(tape.leaf(batch_s)), labels_s)
         _apply(sgd, tape, loss, b, _PATH_COMPONENTS, lr)
-    elif plan.step2_invariant == "adversarial":
-        tape, b = _tape_for(model.invariant, "invariant.")
-        t_s = b.features(tape.leaf(batch_s))
-        t_t = b.features(tape.leaf(batch_t))
-        parts = module_loss(b, t_s, labels_s, t_t, lam)
-        _apply(sgd, tape, parts.total, b, COMPONENT_KEYS, lr)
 
+    # (module, velocity-name prefix, reversal weight: None for no reversal)
+    adversarial = []
+    if plan.step2_invariant == "adversarial":
+        adversarial.append((model.invariant, "invariant.", lam))
     if plan.step2_discriminative:
-        tape, b = _tape_for(model.discriminative, "discriminative.")
+        adversarial.append((model.discriminative, "discriminative.", None))
+    for comps, prefix, module_lam in adversarial:
+        tape, b = _tape_for(comps, prefix)
         t_s = b.features(tape.leaf(batch_s))
         t_t = b.features(tape.leaf(batch_t))
-        parts = module_loss(b, t_s, labels_s, t_t, None)
+        parts = module_loss(b, t_s, labels_s, t_t, module_lam)
         _apply(sgd, tape, parts.total, b, COMPONENT_KEYS, lr)
     return model
 
@@ -191,31 +202,36 @@ def step3_dual(model: DualModel, batch_s, batch_t, lam: float, lr: float,
     parts = dual_loss(b1, b2, b1.features(xs), b1.features(xt),
                       b2.features(xs), b2.features(xt), lam)
 
-    feature_grads = ad.backward(tape, parts.reversed_feature_dis)
-    feature_pairs = [(name, arr, feature_grads[t.node_id])
-                     for b in (b1, b2)
-                     for name, arr, t in b.named_pairs(("extractor", "transform"))]
-    prediction_grads = ad.backward(tape, parts.prediction_dis)
-    classifier_pairs = [(name, arr, prediction_grads[t.node_id])
-                        for b in (b1, b2)
-                        for name, arr, t in b.named_pairs(("classifier_a",))]
-    sgd.step(feature_pairs + classifier_pairs, lr)
+    updates = []
+    for loss, components in ((parts.reversed_feature_dis, ("extractor", "transform")),
+                             (parts.prediction_dis, ("classifier_a",))):
+        pairs = [pair for b in (b1, b2) for pair in b.named_pairs(components)]
+        grads = ad.backward(tape, loss, wrt=[t for _, _, t in pairs])
+        updates += [(name, arr, grads[t.node_id]) for name, arr, t in pairs]
+    sgd.step(updates, lr)
     return model
 
 
-def evaluate(model: DualModel, ds: DomainDataset) -> float:
-    """Fraction of predict() matches against the dataset's labels."""
+def _labels(ds: DomainDataset) -> np.ndarray:
+    """The labels an accuracy is scored against."""
     if ds.labels is None:
         raise ContractError("evaluate needs a labeled dataset")
     if ds.n == 0:
         raise ContractError("evaluate: empty dataset")
-    return float(np.mean(predict(model, ds.features) == ds.labels))
+    return ds.labels
+
+
+def evaluate(model: DualModel, ds: DomainDataset) -> float:
+    """Fraction of predict() matches against the dataset's labels."""
+    labels = _labels(ds)
+    return float(np.mean(predict(model, ds.features) == labels))
 
 
 def compute_metrics(model: DualModel, source: DomainDataset,
                     target: DomainDataset, epoch: int) -> MetricsRecord:
     """Measure every logged loss in one full-dataset forward pass at the
-    current parameters (training never reads these values)."""
+    current parameters (training never reads these values); the accuracies
+    are predict()'s, read off the same pass."""
     tape = ad.Tape()
     b1 = BoundComponents(tape, model.invariant)
     b2 = BoundComponents(tape, model.discriminative)
@@ -235,8 +251,8 @@ def compute_metrics(model: DualModel, source: DomainDataset,
         dis_t=float(dual.feature_dis.data[0]),
         dis_c=float(dual.prediction_dis.data[0]),
         mcd_dis=float(mcd_dis.data[0]),
-        src_acc=evaluate(model, source),
-        tgt_acc=evaluate(model, target),
+        src_acc=float(np.mean(predicted_classes(b1, t1_s) == _labels(source))),
+        tgt_acc=float(np.mean(predicted_classes(b1, t1_t) == _labels(target))),
     )
 
 
@@ -322,20 +338,29 @@ def train(config: TrainConfig, source: DomainDataset, target: DomainDataset,
             done_phase = 0  # the adversarial phase starts a fresh clock
         stream = batches(source, target, config.batch_size,
                          _epoch_seed(config.seed, epoch))
-        for xs, ys, xt in stream:
-            if epoch <= warm_epochs:
-                for module_key in plan.mcd_modules:
-                    lr, _ = advance(2 + config.k, total_warm)
-                    step1_mcd(model.module(module_key), xs, ys, xt, config.k,
-                              lr, step1_sgd, name_prefix=f"{module_key}.")
-            else:
-                if n_step2:
-                    lr, lam = advance(n_step2, total_main)
-                    step2_modules(model, xs, ys, xt, lam, lr, config.variant,
-                                  step2_sgd)
-                if plan.step3:
-                    lr, lam = advance(1, total_main)
-                    step3_dual(model, xs, xt, lam, lr, step3_sgd)
+        step = "batching"
+        try:
+            for xs, ys, xt in stream:
+                if epoch <= warm_epochs:
+                    step = "step 1"
+                    for module_key in plan.mcd_modules:
+                        lr, _ = advance(2 + config.k, total_warm)
+                        _boundary_updates(model.module(module_key), xs, ys, xt,
+                                          config.k, lr, step1_sgd,
+                                          f"{module_key}.")
+                else:
+                    if n_step2:
+                        step = "step 2"
+                        lr, lam = advance(n_step2, total_main)
+                        step2_modules(model, xs, ys, xt, lam, lr,
+                                      config.variant, step2_sgd)
+                    if plan.step3:
+                        step = "step 3"
+                        lr, lam = advance(1, total_main)
+                        step3_dual(model, xs, xt, lam, lr, step3_sgd)
+        except ContractError as err:
+            raise ContractError(f"train {config.variant.value}, epoch {epoch}, "
+                                f"{step}: {err}") from err
         if epoch % config.eval_every == 0 or epoch == config.epochs:
             records.append(compute_metrics(model, source, target, epoch))
             if checkpoint_dir is not None:

@@ -235,6 +235,10 @@ OP_CASES = {
     "matmul_t": lambda rng, m, k, n: (
         [rng.uniform(-2, 2, (m, k)), rng.uniform(-2, 2, (n, k))],
         lambda t: ad.matmul(t[0], t[1], transpose_b=True)),
+    "matmul_bias": lambda rng, m, k, n: (
+        [rng.uniform(-2, 2, (m, k)), rng.uniform(-2, 2, (n, k)),
+         rng.uniform(-2, 2, (n,))],
+        lambda t: ad.matmul(t[0], t[1], transpose_b=True, bias=t[2])),
     "add_broadcast": lambda rng, m, k, n: (
         [rng.uniform(-2, 2, (m, n)), rng.uniform(-2, 2, (n,))],
         lambda t: ad.add(t[0], t[1])),
@@ -302,3 +306,90 @@ def test_grad_reverse_composed_with_primitives(kind):
                 numeric = -lam * fd_gradient(value, arr, i)
                 worst = max(worst, fd_rel_err(t.grad.reshape(-1)[i], numeric))
     assert worst < FD_TOL, f"grl+{kind}: worst rel err {worst:.3e}"
+
+
+# --- dense-layer matmul and pruned backward -----------------------------------
+
+def test_matmul_bias_is_one_record_equal_to_matmul_then_add():
+    rng = np.random.default_rng(5)
+    x, w, b = (rng.uniform(-2, 2, s) for s in ((4, 3), (5, 3), (5,)))
+    tape = ad.Tape()
+    xt, wt, bt = tape.leaf(x), tape.leaf(w), tape.leaf(b)
+    fused = ad.matmul(xt, wt, transpose_b=True, bias=bt)
+    assert [r.kind for r in tape.records] == ["matmul"]
+    ad.backward(tape, ad.mean(ad.relu(fused)))
+
+    tape2 = ad.Tape()
+    xu, wu, bu = tape2.leaf(x), tape2.leaf(w), tape2.leaf(b)
+    unfused = ad.add(ad.matmul(xu, wu, transpose_b=True), bu)
+    ad.backward(tape2, ad.mean(ad.relu(unfused)))
+    assert fused.data.tobytes() == unfused.data.tobytes()
+    for got, want in ((xt, xu), (wt, wu), (bt, bu)):
+        assert got.grad.tobytes() == want.grad.tobytes()
+
+
+def test_matmul_without_bias_returns_no_bias_gradient():
+    tape = ad.Tape()
+    out = ad.matmul(tape.leaf(np.ones((2, 3))), tape.leaf(np.ones((4, 3))),
+                    transpose_b=True)
+    assert len(tape.records[-1].backward_fn(np.ones_like(out.data))) == 2
+
+
+@pytest.mark.parametrize("shape", [(4,), (3,), (1, 5), (5, 1)])
+def test_matmul_bias_of_wrong_shape_is_dimension_error(shape):
+    tape = ad.Tape()
+    x, w = tape.leaf(np.ones((2, 3))), tape.leaf(np.ones((5, 3)))
+    with pytest.raises(DimensionError, match="bias"):
+        ad.matmul(x, w, transpose_b=True, bias=tape.leaf(np.ones(shape)))
+
+
+def test_param_wraps_the_array_without_a_copy():
+    arr = np.ones((2, 2))
+    assert ad.Tape().param(arr).data is arr
+
+
+def _two_branch_graph(data):
+    """x -> relu(x @ w.T + b) used twice, plus an orphan leaf; returns the
+    tape, the loss and the leaves."""
+    tape = ad.Tape()
+    x, w, b, orphan = (tape.leaf(a) for a in data)
+    h = ad.relu(ad.matmul(x, w, transpose_b=True, bias=b))
+    s = ad.softmax(h)
+    loss = ad.add(ad.mean(ad.tensor_abs(ad.sub(s, ad.grad_reverse(s, 0.3)))),
+                  ad.mean(ad.log_softmax(ad.add(h, h))))
+    return tape, loss, (x, w, b, orphan)
+
+
+@pytest.mark.parametrize("pick", [(1,), (1, 2), (0,), (0, 1, 2), (2, 3)])
+def test_backward_wrt_matches_full_sweep_bytewise(pick):
+    rng = np.random.default_rng(17)
+    data = [rng.uniform(-2, 2, s) for s in ((4, 3), (5, 3), (5,), (2, 2))]
+    tape, loss, leaves = _two_branch_graph(data)
+    full = ad.backward(tape, loss)
+    tape2, loss2, leaves2 = _two_branch_graph(data)
+    wanted = [leaves2[i] for i in pick]
+    got = ad.backward(tape2, loss2, wrt=wanted)
+    assert set(got) == {t.node_id for t in wanted}
+    for i in pick:
+        want = full[leaves[i].node_id]
+        assert got[leaves2[i].node_id].tobytes() == want.tobytes()
+        assert leaves2[i].grad.tobytes() == want.tobytes()
+    unpicked = [t for i, t in enumerate(leaves2) if i not in pick]
+    assert all(t.grad is None for t in unpicked)
+
+
+def test_backward_wrt_unreached_leaf_gets_zeros():
+    tape = ad.Tape()
+    x = tape.leaf([1.0, 2.0])
+    orphan = tape.leaf([[5.0, 5.0]])
+    grads = ad.backward(tape, ad.tensor_sum(x), wrt=[orphan])
+    assert list(grads) == [orphan.node_id]
+    assert np.array_equal(grads[orphan.node_id], np.zeros((1, 2)))
+    assert x.grad is None
+
+
+def test_backward_wrt_rejects_a_tensor_of_another_tape():
+    tape, x = leaf([1.0, 2.0])
+    _, other = leaf([1.0, 2.0])
+    with pytest.raises(ContractError):
+        ad.backward(tape, ad.tensor_sum(x), wrt=[other])

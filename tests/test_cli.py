@@ -263,6 +263,22 @@ def test_cli_run_and_exit_codes(tmp_path):
     assert (out / "summary.csv").exists()
 
 
+def test_cli_divergent_run_exits_2_naming_the_parameter(tmp_path, capsys):
+    cfg_path = write_config(
+        tmp_path,
+        "variant = ours_2m\ndataset = two_moons\nepochs = 2\n"
+        "batch_size = 16\nn_source = 40\nn_target = 40\ntrials = 1\n"
+        "eta0 = 1e300\n")
+    with np.errstate(all="ignore"):
+        code = main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: train ours_2m, epoch")
+    assert re.search(r"sgd: parameter (invariant|discriminative)\.\w+\.\d+\."
+                     r"(weight|bias) is no longer finite", err[0]), err[0]
+
+
 def test_cli_config_error_exit_code(tmp_path):
     cfg_path = write_config(tmp_path, "variant = DANN\ndataset = two_moons\n")
     assert main(["run", "--config", str(cfg_path)]) == 1

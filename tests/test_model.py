@@ -4,6 +4,7 @@ import pytest
 from dualda.errors import ContractError
 from dualda.model import (DualModel, Variant, forward_path, predict,
                           variant_plan)
+from dualda.nn import save_params
 
 from oracles import module_forward_numpy, softmax_rows
 
@@ -93,6 +94,21 @@ def test_save_load_roundtrip(tmp_path):
     assert np.array_equal(predict(other, x), predict(model, x))
     for name, arr in other.named_parameters().items():
         assert arr.tobytes() == model.named_parameters()[name].tobytes()
+
+
+def test_loading_a_checkpoint_with_nan_raises_and_keeps_the_parameters(tmp_path):
+    model = DualModel.build(2, 8, 3, seed=5)
+    named = model.named_parameters()
+    named = {name: arr.copy() for name, arr in named.items()}
+    named["invariant.classifier_a.0.bias"][1] = np.nan
+    path = tmp_path / "model.bin"
+    save_params(path, named)
+    other = DualModel.build(2, 8, 3, seed=6)
+    kept = {n: a.copy() for n, a in other.named_parameters().items()}
+    with pytest.raises(ContractError, match=r"invariant\.classifier_a\.0\.bias"):
+        other.load(path)
+    for name, arr in other.named_parameters().items():
+        assert arr.tobytes() == kept[name].tobytes()
 
 
 def test_variant_parse_exact_strings():

@@ -174,3 +174,25 @@ def test_load_params_trailing_bytes_error(tmp_path):
     path.write_bytes(path.read_bytes() + b"xx")
     with pytest.raises(FormatError, match="trailing"):
         load_params(path)
+
+
+def test_load_params_rejects_a_duplicate_name(tmp_path):
+    path = tmp_path / "params.bin"
+    save_params(path, {"w": np.ones(2), "v": np.zeros(2)})
+    blob = bytearray(path.read_bytes())
+    # both names are one byte long: rename "v" to "w" in the header
+    blob[blob.index(b"v", 4)] = ord("w")
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="'w' twice"):
+        load_params(path)
+
+
+def test_save_params_failing_midway_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "params.bin"
+    save_params(path, {"w": np.arange(3.0)})
+    before = path.read_bytes()
+    with pytest.raises(AttributeError):
+        # the header of the second entry fails after the first is written
+        save_params(path, {"w": np.ones(3), "broken": object()})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["params.bin"]

@@ -107,3 +107,12 @@ def test_sgd_momentum_zero_is_affine_in_grads():
     assert np.array_equal(stepped(4.0 * grad), base - 4.0 * (0.2 * grad))
     assert np.allclose(stepped(3.0 * grad), base - 3.0 * (0.2 * grad),
                        rtol=1e-14, atol=0.0)
+
+
+def test_sgd_names_the_parameter_that_stops_being_finite():
+    ok, bad = np.ones(2), np.array([1.0, 1e308])
+    with np.errstate(over="ignore"), \
+            pytest.raises(ContractError, match=r"sgd: parameter layer\.bias "):
+        SGD(0.0).step([("layer.weight", ok, np.ones(2)),
+                       ("layer.bias", bad, np.array([0.0, -1e308]))], 10.0)
+    assert np.array_equal(ok, [-9.0, -9.0])

@@ -1,16 +1,19 @@
+import re
+
 import numpy as np
 import pytest
 
 import dualda.autodiff as ad
-from dualda.data import domain_shift, gen_blob_shift, gen_two_moons
+from dualda.data import (batches, domain_shift, gen_blob_shift, gen_two_moons,
+                         num_batch_pairs)
 from dualda.errors import ContractError
 from dualda.losses import module_loss
 from dualda.model import DualModel, Variant, variant_plan
 from dualda.nn import BoundComponents, build_component_set
-from dualda.optim import Schedule
-from dualda.trainer import (MetricsRecord, TrainConfig, compute_metrics,
-                            evaluate, step1_mcd, step2_modules, step3_dual,
-                            train)
+from dualda.optim import SGD, Schedule, lr_at
+from dualda.trainer import (MetricsRecord, TrainConfig, _epoch_seed,
+                            compute_metrics, evaluate, step1_mcd,
+                            step2_modules, step3_dual, train)
 
 from oracles import (accuracy_counting, discrepancy_brute_force,
                      dual_loss_composition, module_forward_numpy,
@@ -381,3 +384,42 @@ def test_train_contract_errors():
     tiny = gen_two_moons(8, 0.1, seed=0)
     with pytest.raises(ContractError):
         train(cfg, source, domain_shift(tiny, 10.0))  # batch > smaller domain
+
+
+def test_train_warmup_matches_repeated_step1_mcd_calls():
+    """train() runs step 1 through its own helper; the parameters must be
+    the bytes that step1_mcd gives on the same batches and schedule."""
+    source, target = small_data(n=64)
+    cfg = small_config(Variant.MCD, epochs=2, batch_size=16, k=3)
+    model, _ = train(cfg, source, target)
+
+    ref = DualModel.build(source.input_dim, cfg.feature_dim,
+                          source.num_classes, cfg.seed,
+                          g_hidden=cfg.g_hidden, head_hidden=cfg.head_hidden)
+    sgd = SGD(cfg.schedule.momentum)
+    per_call = 2 + cfg.k
+    total = cfg.epochs * num_batch_pairs(source, target, cfg.batch_size) * per_call
+    done = 0
+    for epoch in range(1, cfg.epochs + 1):
+        for xs, ys, xt in batches(source, target, cfg.batch_size,
+                                  _epoch_seed(cfg.seed, epoch)):
+            step1_mcd(ref.invariant, xs, ys, xt, cfg.k,
+                      lr_at(cfg.schedule, done / total), sgd,
+                      name_prefix="invariant.")
+            done += per_call
+    assert done == total
+    for name, arr in ref.named_parameters().items():
+        assert arr.tobytes() == model.named_parameters()[name].tobytes(), name
+
+
+@pytest.mark.parametrize("variant", [Variant.MCD, Variant.OURS_2M])
+def test_divergent_training_names_the_parameter_and_step(variant):
+    source, target = small_data(n=64)
+    cfg = small_config(variant, schedule=Schedule(eta0=1e300))
+    with np.errstate(all="ignore"):
+        with pytest.raises(ContractError) as info:
+            train(cfg, source, target)
+    msg = str(info.value)
+    assert re.match(rf"train {variant.value}, epoch 1, step \d: sgd: parameter "
+                    r"(invariant|discriminative)\.\w+\.\d+\.(weight|bias) is "
+                    r"no longer finite", msg), msg
