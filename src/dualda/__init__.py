@@ -16,8 +16,8 @@ from .nn import (BoundComponents, BoundStack, ComponentSet, LinearLayer,
                  NetworkSpec, Stack, build_component_set, init_stack,
                  load_params, save_params)
 from .optim import SGD, Schedule, lambda_at, lr_at
-from .trainer import (MetricsRecord, TrainConfig, compute_metrics, evaluate,
-                      step1_mcd, step2_modules, step3_dual, train)
+from .trainer import (MetricsRecord, TrainConfig, compute_metrics, step1_mcd,
+                      step2_modules, step3_dual, train)
 from .cli import (RunConfig, ablation_matrix, build_datasets,
                   export_embeddings, parse_config, run_experiment)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -144,8 +145,21 @@ def _validate(cfg: RunConfig) -> None:
         value = getattr(cfg, key)
         if kind is int and key != "seed" and value is not None and value < 1:
             raise ConfigError(f"{key} must be a positive integer, got {value}")
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(f"{key} must be a finite number, got {value}")
     if cfg.noise_sigma < 0:
         raise ConfigError("noise_sigma must be >= 0")
+    if cfg.dataset == "two_moons":
+        for key in ("n_source", "n_target"):
+            if getattr(cfg, key) < 2:
+                raise ConfigError(f"{key} must be >= 2 for two_moons, got "
+                                  f"{getattr(cfg, key)}")
+    if cfg.dataset == "blobs":
+        if cfg.blob_classes < 2:
+            raise ConfigError(f"blob_classes must be >= 2, got {cfg.blob_classes}")
+        if cfg.n_source < cfg.blob_classes:
+            raise ConfigError(f"n_source must be >= blob_classes "
+                              f"({cfg.blob_classes}): one sample per class")
     try:
         cfg.train_config(cfg.seed)  # the variant, schedule and training checks
     except ContractError as e:

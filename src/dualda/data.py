@@ -7,6 +7,7 @@ them: training code physically cannot read them.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
@@ -113,12 +114,14 @@ def gen_blob_shift(n: int, num_classes: int, separation: float, shift_vector,
 
 
 def _read_exact(f, n: int, what: str) -> bytes:
-    chunk = f.read(n)
-    if len(chunk) != n:
+    """n bytes of f; the size is checked against the file before reading,
+    so a header that declares more than the file holds allocates nothing."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:
         raise FormatError(
             f"truncated IDX file while reading {what}: wanted {n} bytes, "
-            f"got {len(chunk)}")
-    return chunk
+            f"got {left}")
+    return f.read(n)
 
 
 def load_idx(images_path, labels_path=None, domain_tag: str = "source",
@@ -137,6 +140,10 @@ def load_idx(images_path, labels_path=None, domain_tag: str = "source",
                 f"bad IDX image magic: expected 0x{IDX_IMAGE_MAGIC:08x}, "
                 f"found 0x{magic:08x}")
         count, rows, cols = struct.unpack(">III", _read_exact(f, 12, "image dims"))
+        if 0 in (count, rows, cols):
+            raise FormatError(
+                f"IDX image file declares {count} images of {rows}x{cols} "
+                f"pixels; every dimension must be positive")
         payload = _read_exact(f, count * rows * cols, "image payload")
     pixels = np.frombuffer(payload, dtype=np.uint8)
     features = pixels.astype(np.float64).reshape(count, rows * cols) / 255.0

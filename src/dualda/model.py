@@ -68,9 +68,6 @@ class DualModel:
     def input_dim(self) -> int:
         return self.invariant.extractor.in_dim
 
-    def module(self, key: str) -> ComponentSet:
-        return {"invariant": self.invariant, "discriminative": self.discriminative}[key]
-
     def named_parameters(self) -> Dict[str, np.ndarray]:
         out = dict(self.invariant.named_arrays("invariant."))
         out.update(self.discriminative.named_arrays("discriminative."))

@@ -9,6 +9,7 @@ parameter name afterwards.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -265,7 +266,10 @@ def load_params(path) -> Dict[str, np.ndarray]:
     shapes: List[Tuple[str, Tuple[int, ...]]] = []
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len).decode("utf-8")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise FormatError(f"parameter name is not UTF-8: {e}") from None
         (ndim,) = struct.unpack("<I", take(4))
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim))
         shapes.append((name, dims))
@@ -273,7 +277,7 @@ def load_params(path) -> Dict[str, np.ndarray]:
     for name, dims in shapes:
         if name in named:
             raise FormatError(f"parameter file names {name!r} twice")
-        n = int(np.prod(dims)) if dims else 1
+        n = math.prod(dims)  # a Python int: a huge product cannot wrap
         arr = np.frombuffer(take(8 * n), dtype="<f8").astype(np.float64)
         named[name] = arr.reshape(dims)
     if offset != len(blob):

@@ -21,6 +21,11 @@ the domain-invariance drive every batch and stalls adaptation. Progress
 advances by one quantum per SGD update; the lr/lambda schedules are
 sampled at each step invocation on the running phase's own normalized
 clock.
+
+Every SGD update of every step runs through ``_update``: one tape, one
+pruned backward per (loss, bindings, components) term, one optimizer step.
+``train`` runs one loop over each phase's step invocations; that loop
+samples the schedules, reports progress and labels a failing step.
 """
 
 from __future__ import annotations
@@ -36,8 +41,7 @@ from .data import DomainDataset, batches, num_batch_pairs
 from .errors import ContractError
 from .losses import (classifier_discrepancy, classifier_only_loss, dual_loss,
                      module_loss)
-from .model import (DualModel, Variant, predict, predicted_classes,
-                    variant_plan)
+from .model import DualModel, Variant, predicted_classes, variant_plan
 from .nn import COMPONENT_KEYS, BoundComponents, ComponentSet
 from .optim import SGD, Schedule, lambda_at, lr_at
 
@@ -91,16 +95,28 @@ class MetricsRecord:
         return [getattr(self, c) for c in self.COLUMNS]
 
 
-def _tape_for(comps: ComponentSet, prefix: str = ""):
+def _update(sgd: SGD, lr: float, tape: ad.Tape,
+            *terms: Tuple[ad.Tensor, Sequence[BoundComponents], Sequence[str]]
+            ) -> None:
+    """One SGD update: each (loss, bindings, components) term back-propagates
+    its loss to exactly the named components of its bindings, and one
+    optimizer step applies every term's gradients."""
+    updates = []
+    for loss, bindings, components in terms:
+        pairs = [pair for b in bindings for pair in b.named_pairs(components)]
+        grads = ad.backward(tape, loss, wrt=[t for _, _, t in pairs])
+        updates += [(name, arr, grads[t.node_id]) for name, arr, t in pairs]
+    sgd.step(updates, lr)
+
+
+def _source_update(comps: ComponentSet, prefix: str, batch_s, labels_s,
+                   lr: float, sgd: SGD) -> None:
+    """Both classifiers fit the source batch and the whole module path
+    updates: step-1 phase A, and step 2 of a source-only invariant module."""
     tape = ad.Tape()
-    return tape, BoundComponents(tape, comps, prefix=prefix)
-
-
-def _apply(sgd: SGD, tape: ad.Tape, loss: ad.Tensor, binding: BoundComponents,
-           components: Sequence[str], lr: float) -> None:
-    pairs = list(binding.named_pairs(components))
-    grads = ad.backward(tape, loss, wrt=[t for _, _, t in pairs])
-    sgd.step(((name, arr, grads[t.node_id]) for name, arr, t in pairs), lr)
+    b = BoundComponents(tape, comps, prefix)
+    loss = classifier_only_loss(b, b.features(tape.leaf(batch_s)), labels_s)
+    _update(sgd, lr, tape, (loss, [b], _PATH_COMPONENTS))
 
 
 def _boundary_updates(comps: ComponentSet, batch_s, labels_s, batch_t, k: int,
@@ -108,25 +124,25 @@ def _boundary_updates(comps: ComponentSet, batch_s, labels_s, batch_t, k: int,
     """Phases A, B and k x C of step 1; returns the discrepancy read before
     the first phase-C update."""
     # (A) both classifiers fit source; whole path updates
-    tape, b = _tape_for(comps, name_prefix)
-    loss = classifier_only_loss(b, b.features(tape.leaf(batch_s)), labels_s)
-    _apply(sgd, tape, loss, b, _PATH_COMPONENTS, lr)
+    _source_update(comps, name_prefix, batch_s, labels_s, lr, sgd)
 
     # (B) classifier pair maximizes target disagreement, keeping source CE
-    tape, b = _tape_for(comps, name_prefix)
+    tape = ad.Tape()
+    b = BoundComponents(tape, comps, name_prefix)
     src_ce = classifier_only_loss(b, b.features(tape.leaf(batch_s)), labels_s)
     dis = classifier_discrepancy(b, b.features(tape.leaf(batch_t)))
-    _apply(sgd, tape, ad.sub(src_ce, dis), b,
-           ("classifier_a", "classifier_b"), lr)
+    _update(sgd, lr, tape,
+            (ad.sub(src_ce, dis), [b], ("classifier_a", "classifier_b")))
 
     # (C) extractor+transform minimize the disagreement, k times
     before = 0.0
     for i in range(k):
-        tape, b = _tape_for(comps, name_prefix)
+        tape = ad.Tape()
+        b = BoundComponents(tape, comps, name_prefix)
         dis = classifier_discrepancy(b, b.features(tape.leaf(batch_t)))
         if i == 0:
             before = float(dis.data[0])
-        _apply(sgd, tape, dis, b, ("extractor", "transform"), lr)
+        _update(sgd, lr, tape, (dis, [b], ("extractor", "transform")))
     return before
 
 
@@ -146,7 +162,8 @@ def step1_mcd(comps: ComponentSet, batch_s, labels_s, batch_t, k: int,
         sgd = SGD(0.0)
     before = _boundary_updates(comps, batch_s, labels_s, batch_t, k, lr, sgd,
                                name_prefix)
-    tape, b = _tape_for(comps, name_prefix)
+    tape = ad.Tape()
+    b = BoundComponents(tape, comps, name_prefix)
     after = classifier_discrepancy(b, b.features(tape.leaf(batch_t)))
     return before, float(after.data[0])
 
@@ -161,9 +178,8 @@ def step2_modules(model: DualModel, batch_s, labels_s, batch_t, lam: float,
         sgd = SGD(0.0)
 
     if plan.step2_invariant == "ce_only":
-        tape, b = _tape_for(model.invariant, "invariant.")
-        loss = classifier_only_loss(b, b.features(tape.leaf(batch_s)), labels_s)
-        _apply(sgd, tape, loss, b, _PATH_COMPONENTS, lr)
+        _source_update(model.invariant, "invariant.", batch_s, labels_s, lr,
+                       sgd)
 
     # (module, velocity-name prefix, reversal weight: None for no reversal)
     adversarial = []
@@ -172,11 +188,12 @@ def step2_modules(model: DualModel, batch_s, labels_s, batch_t, lam: float,
     if plan.step2_discriminative:
         adversarial.append((model.discriminative, "discriminative.", None))
     for comps, prefix, module_lam in adversarial:
-        tape, b = _tape_for(comps, prefix)
+        tape = ad.Tape()
+        b = BoundComponents(tape, comps, prefix)
         t_s = b.features(tape.leaf(batch_s))
         t_t = b.features(tape.leaf(batch_t))
         parts = module_loss(b, t_s, labels_s, t_t, module_lam)
-        _apply(sgd, tape, parts.total, b, COMPONENT_KEYS, lr)
+        _update(sgd, lr, tape, (parts.total, [b], COMPONENT_KEYS))
     return model
 
 
@@ -201,30 +218,10 @@ def step3_dual(model: DualModel, batch_s, batch_t, lam: float, lr: float,
     xs, xt = tape.leaf(batch_s), tape.leaf(batch_t)
     parts = dual_loss(b1, b2, b1.features(xs), b1.features(xt),
                       b2.features(xs), b2.features(xt), lam)
-
-    updates = []
-    for loss, components in ((parts.reversed_feature_dis, ("extractor", "transform")),
-                             (parts.prediction_dis, ("classifier_a",))):
-        pairs = [pair for b in (b1, b2) for pair in b.named_pairs(components)]
-        grads = ad.backward(tape, loss, wrt=[t for _, _, t in pairs])
-        updates += [(name, arr, grads[t.node_id]) for name, arr, t in pairs]
-    sgd.step(updates, lr)
+    _update(sgd, lr, tape,
+            (parts.reversed_feature_dis, [b1, b2], ("extractor", "transform")),
+            (parts.prediction_dis, [b1, b2], ("classifier_a",)))
     return model
-
-
-def _labels(ds: DomainDataset) -> np.ndarray:
-    """The labels an accuracy is scored against."""
-    if ds.labels is None:
-        raise ContractError("evaluate needs a labeled dataset")
-    if ds.n == 0:
-        raise ContractError("evaluate: empty dataset")
-    return ds.labels
-
-
-def evaluate(model: DualModel, ds: DomainDataset) -> float:
-    """Fraction of predict() matches against the dataset's labels."""
-    labels = _labels(ds)
-    return float(np.mean(predict(model, ds.features) == labels))
 
 
 def compute_metrics(model: DualModel, source: DomainDataset,
@@ -232,6 +229,8 @@ def compute_metrics(model: DualModel, source: DomainDataset,
     """Measure every logged loss in one full-dataset forward pass at the
     current parameters (training never reads these values); the accuracies
     are predict()'s, read off the same pass."""
+    if source.labels is None or target.labels is None:
+        raise ContractError("compute_metrics needs labeled datasets")
     tape = ad.Tape()
     b1 = BoundComponents(tape, model.invariant)
     b2 = BoundComponents(tape, model.discriminative)
@@ -251,8 +250,8 @@ def compute_metrics(model: DualModel, source: DomainDataset,
         dis_t=float(dual.feature_dis.data[0]),
         dis_c=float(dual.prediction_dis.data[0]),
         mcd_dis=float(mcd_dis.data[0]),
-        src_acc=float(np.mean(predicted_classes(b1, t1_s) == _labels(source))),
-        tgt_acc=float(np.mean(predicted_classes(b1, t1_t) == _labels(target))),
+        src_acc=float(np.mean(predicted_classes(b1, t1_s) == source.labels)),
+        tgt_acc=float(np.mean(predicted_classes(b1, t1_t) == target.labels)),
     )
 
 
@@ -301,68 +300,60 @@ def train(config: TrainConfig, source: DomainDataset, target: DomainDataset,
     # boundary learning is a warmup phase: it precedes the adversarial
     # steps rather than interleaving with them, and each phase gets its own
     # normalized schedule clock (the annealing belongs to the
-    # invariant-feature part of training)
+    # invariant-feature part of training). A phase is its epochs and the
+    # step invocations each batch runs: (label, updates, run(xs, ys, xt,
+    # lr, lam)); run looks the step functions up when it is called.
     n_step2 = (plan.step2_invariant != "none") + plan.step2_discriminative
-    per_main = n_step2 + (1 if plan.step3 else 0)
-    if plan.mcd_modules and per_main:
+    warm_steps = [("step 1", 2 + config.k,
+                   lambda xs, ys, xt, lr, lam, key=key: _boundary_updates(
+                       getattr(model, key), xs, ys, xt, config.k, lr,
+                       step1_sgd, f"{key}."))
+                  for key in plan.mcd_modules]
+    main_steps = []
+    if n_step2:
+        main_steps.append(("step 2", n_step2, lambda xs, ys, xt, lr, lam:
+                           step2_modules(model, xs, ys, xt, lam, lr,
+                                         config.variant, step2_sgd)))
+    if plan.step3:
+        main_steps.append(("step 3", 1, lambda xs, ys, xt, lr, lam:
+                           step3_dual(model, xs, xt, lam, lr, step3_sgd)))
+    if warm_steps and main_steps:
         warm_epochs = max(1, round(config.epochs * config.mcd_warmup))
-    elif plan.mcd_modules:
-        warm_epochs = config.epochs
     else:
-        warm_epochs = 0
-    per_warm = (2 + config.k) * len(plan.mcd_modules)
-    total_warm = warm_epochs * n_pairs * per_warm
-    total_main = (config.epochs - warm_epochs) * n_pairs * per_main
-    total_updates = total_warm + total_main
-    done = 0
-    done_phase = 0
-
-    def advance(n_updates: int, phase_total: int) -> Tuple[float, float]:
-        """Schedule values at the coming update's phase progress; the
-        global update counter drives the reported overall progress."""
-        nonlocal done, done_phase
-        p = done_phase / phase_total
-        if progress is not None:
-            progress(done, total_updates, done / total_updates)
-        done += n_updates
-        done_phase += n_updates
-        return lr_at(config.schedule, p), lambda_at(config.schedule, p)
+        warm_epochs = config.epochs if warm_steps else 0
+    phases = [(warm_steps, range(1, warm_epochs + 1)),
+              (main_steps, range(warm_epochs + 1, config.epochs + 1))]
+    phase_totals = [len(epochs) * n_pairs * sum(n for _, n, _ in steps)
+                    for steps, epochs in phases]
+    total_updates, done = sum(phase_totals), 0
 
     if checkpoint_dir is not None:
         checkpoint_dir = Path(checkpoint_dir)
         checkpoint_dir.mkdir(parents=True, exist_ok=True)
 
     records: List[MetricsRecord] = []
-    for epoch in range(1, config.epochs + 1):
-        if epoch == warm_epochs + 1:
-            done_phase = 0  # the adversarial phase starts a fresh clock
-        stream = batches(source, target, config.batch_size,
-                         _epoch_seed(config.seed, epoch))
-        step = "batching"
-        try:
-            for xs, ys, xt in stream:
-                if epoch <= warm_epochs:
-                    step = "step 1"
-                    for module_key in plan.mcd_modules:
-                        lr, _ = advance(2 + config.k, total_warm)
-                        _boundary_updates(model.module(module_key), xs, ys, xt,
-                                          config.k, lr, step1_sgd,
-                                          f"{module_key}.")
-                else:
-                    if n_step2:
-                        step = "step 2"
-                        lr, lam = advance(n_step2, total_main)
-                        step2_modules(model, xs, ys, xt, lam, lr,
-                                      config.variant, step2_sgd)
-                    if plan.step3:
-                        step = "step 3"
-                        lr, lam = advance(1, total_main)
-                        step3_dual(model, xs, xt, lam, lr, step3_sgd)
-        except ContractError as err:
-            raise ContractError(f"train {config.variant.value}, epoch {epoch}, "
-                                f"{step}: {err}") from err
-        if epoch % config.eval_every == 0 or epoch == config.epochs:
-            records.append(compute_metrics(model, source, target, epoch))
-            if checkpoint_dir is not None:
-                model.save(checkpoint_dir / f"epoch_{epoch:04d}.bin")
+    for (steps, epochs), phase_total in zip(phases, phase_totals):
+        done_phase = 0
+        for epoch in epochs:
+            label = "batching"
+            try:
+                for xs, ys, xt in batches(source, target, config.batch_size,
+                                          _epoch_seed(config.seed, epoch)):
+                    for label, n_updates, run in steps:
+                        # the schedules at this invocation's phase progress;
+                        # the reported progress counts every update so far
+                        p = done_phase / phase_total
+                        if progress is not None:
+                            progress(done, total_updates, done / total_updates)
+                        run(xs, ys, xt, lr_at(config.schedule, p),
+                            lambda_at(config.schedule, p))
+                        done += n_updates
+                        done_phase += n_updates
+            except ContractError as err:
+                raise ContractError(f"train {config.variant.value}, epoch "
+                                    f"{epoch}, {label}: {err}") from err
+            if epoch % config.eval_every == 0 or epoch == config.epochs:
+                records.append(compute_metrics(model, source, target, epoch))
+                if checkpoint_dir is not None:
+                    model.save(checkpoint_dir / f"epoch_{epoch:04d}.bin")
     return model, records

@@ -1,5 +1,6 @@
 import csv
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ def write_config(tmp_path, text, name="exp.cfg"):
 
 
 MINIMAL = "variant = dann\ndataset = two_moons\n"
+BLOBS = "variant = dann\ndataset = blobs\n"
 
 
 def test_parse_config_minimal_defaults(tmp_path):
@@ -97,7 +99,17 @@ REJECTIONS = (
        ("noise_sigma_negative", MINIMAL + "noise_sigma = -1\n", "noise_sigma"),
        ("seed_negative", MINIMAL + "seed = -1\n", "seed"),
        ("unknown_dataset", "variant = dann\ndataset = mnist\n", "dataset"),
-       ("non_numeric_float", MINIMAL + "eta0 = fast\n", "eta0")]
+       ("non_numeric_float", MINIMAL + "eta0 = fast\n", "eta0"),
+       ("eta0_nan", MINIMAL + "eta0 = nan\n", "eta0"),
+       ("alpha_nan", MINIMAL + "alpha = nan\n", "alpha"),
+       ("noise_sigma_nan", MINIMAL + "noise_sigma = nan\n", "noise_sigma"),
+       ("theta_degrees_inf", MINIMAL + "theta_degrees = inf\n",
+        "theta_degrees"),
+       ("two_moons_n_source_one", MINIMAL + "n_source = 1\n", "n_source"),
+       ("two_moons_n_target_one", MINIMAL + "n_target = 1\n", "n_target"),
+       ("blob_classes_one", BLOBS + "blob_classes = 1\n", "blob_classes"),
+       ("blobs_fewer_points_than_classes",
+        BLOBS + "n_source = 4\nblob_classes = 5\n", "n_source")]
     + [(f"idx_missing_{key}", _idx_missing(key), key) for key in IDX_PATHS])
 
 
@@ -377,6 +389,19 @@ def test_cli_library_error_exits_2_without_traceback(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and "magic" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_cli_embed_on_an_idx_header_declaring_too_much_exits_2(tmp_path, capsys):
+    paths = write_idx_domain(tmp_path, "source", np.arange(24) % 3)
+    paths.update(write_idx_domain(tmp_path, "target", np.arange(24) % 3))
+    # 2^31 x 2^31 x 2 pixels declared, none present
+    paths["source_images"].write_bytes(
+        struct.pack(">IIII", 0x00000803, 2**31, 2**31, 2))
+    code = main(["embed", "--config", str(idx_config(tmp_path, paths))])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "truncated" in err
     assert len(err.splitlines()) == 1
 
 

@@ -1,12 +1,16 @@
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dualda.data import (DomainDataset, batches, dataset_checksum,
-                         domain_shift, gen_blob_shift, gen_two_moons,
-                         load_idx, num_batch_pairs, write_idx_images,
-                         write_idx_labels)
+from dualda.data import (IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, DomainDataset,
+                         batches, dataset_checksum, domain_shift,
+                         gen_blob_shift, gen_two_moons, load_idx,
+                         num_batch_pairs, write_idx_images, write_idx_labels)
 from dualda.errors import (ConsistencyError, ContractError, FormatError)
 
 
@@ -145,6 +149,54 @@ def test_load_idx_unlabeled_needs_num_classes(tmp_path):
     write_idx_images(img, PIXELS)
     with pytest.raises(ContractError):
         load_idx(img)
+
+
+@pytest.mark.parametrize("dims", [(2**31, 2**31, 2), (2**32 - 1, 2**16, 2**16),
+                                  (1000, 1000, 1000)])
+def test_load_idx_header_declaring_more_than_the_file_is_format_error(tmp_path,
+                                                                      dims):
+    img = tmp_path / "img.idx"
+    img.write_bytes(struct.pack(">IIII", IDX_IMAGE_MAGIC, *dims))
+    with pytest.raises(FormatError, match=r"image payload: wanted \d+ bytes, got 0"):
+        load_idx(img, num_classes=2)
+
+
+def test_load_idx_zero_images_is_format_error(tmp_path):
+    img, lab = tmp_path / "img.idx", tmp_path / "lab.idx"
+    img.write_bytes(struct.pack(">IIII", IDX_IMAGE_MAGIC, 0, 2, 2))
+    lab.write_bytes(struct.pack(">II", IDX_LABEL_MAGIC, 0))
+    with pytest.raises(FormatError, match="0 images"):
+        load_idx(img, lab)
+
+
+_U32 = st.one_of(st.integers(0, 4), st.integers(0, 2**32 - 1))
+
+
+def _idx_bytes(magic: int, n_dims: int):
+    """Mostly well-formed IDX headers (the magic, u32 dims) over arbitrary
+    payloads, beside plain random bytes."""
+    header = st.builds(lambda m, dims: struct.pack(f">I{len(dims)}I", m, *dims),
+                       st.sampled_from([magic, magic ^ 0x0a]),
+                       st.lists(_U32, max_size=n_dims))
+    framed = st.builds(bytes.__add__, header, st.binary(max_size=40))
+    return st.one_of(framed, st.binary(max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(images=_idx_bytes(IDX_IMAGE_MAGIC, 3),
+       labels=st.one_of(st.none(), _idx_bytes(IDX_LABEL_MAGIC, 1)))
+def test_load_idx_any_bytes_give_a_dataset_or_a_format_error(images, labels):
+    with tempfile.TemporaryDirectory() as tmp:
+        img, lab = Path(tmp) / "img.idx", Path(tmp) / "lab.idx"
+        img.write_bytes(images)
+        if labels is not None:
+            lab.write_bytes(labels)
+        try:
+            ds = load_idx(img, lab if labels is not None else None,
+                          num_classes=None if labels is not None else 256)
+        except (FormatError, ConsistencyError):
+            return
+        assert ds.n >= 1 and ds.input_dim >= 1
 
 
 # --- batching ------------------------------------------------------------------

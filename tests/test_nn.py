@@ -1,5 +1,11 @@
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dualda.autodiff as ad
 from dualda.errors import ContractError, DimensionError, FormatError
@@ -196,3 +202,41 @@ def test_save_params_failing_midway_keeps_the_previous_file(tmp_path):
         save_params(path, {"w": np.ones(3), "broken": object()})
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["params.bin"]
+
+
+def _params_header(count, name, dims):
+    return (struct.pack("<II", count, len(name)) + name
+            + struct.pack(f"<I{len(dims)}I", len(dims), *dims))
+
+
+@pytest.mark.parametrize("blob,match", [
+    (_params_header(1, b"\xff\xfe", [1]) + bytes(8), "not UTF-8"),
+    (_params_header(1, b"w", [2**32 - 1] * 4) + bytes(8), "truncated"),
+    (_params_header(1, b"w", [2**31, 2**31, 4]) + bytes(8), "truncated"),
+])
+def test_load_params_malformed_header_is_format_error(tmp_path, blob, match):
+    path = tmp_path / "params.bin"
+    path.write_bytes(blob)
+    with pytest.raises(FormatError, match=match):
+        load_params(path)
+
+
+_U32 = st.one_of(st.integers(0, 4), st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=st.one_of(
+    st.binary(max_size=64),
+    st.builds(lambda count, name, dims, payload:
+              _params_header(count, name, dims) + payload,
+              _U32, st.binary(max_size=6), st.lists(_U32, max_size=3),
+              st.binary(max_size=48))))
+def test_load_params_any_bytes_give_params_or_a_format_error(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "params.bin"
+        path.write_bytes(blob)
+        try:
+            named = load_params(path)
+        except FormatError:
+            return
+        assert all(arr.dtype == np.float64 for arr in named.values())

@@ -12,8 +12,8 @@ from dualda.model import DualModel, Variant, variant_plan
 from dualda.nn import BoundComponents, build_component_set
 from dualda.optim import SGD, Schedule, lr_at
 from dualda.trainer import (MetricsRecord, TrainConfig, _epoch_seed,
-                            compute_metrics, evaluate, step1_mcd,
-                            step2_modules, step3_dual, train)
+                            compute_metrics, step1_mcd, step2_modules,
+                            step3_dual, train)
 
 from oracles import (accuracy_counting, discrepancy_brute_force,
                      dual_loss_composition, module_forward_numpy,
@@ -239,35 +239,26 @@ def test_step3_descends_prediction_discrepancy_statistically():
     assert wins >= 90, f"step 3 reduced dis(c) in only {wins}/100 trials"
 
 
-# --- evaluate / metrics ----------------------------------------------------------
+# --- metrics -------------------------------------------------------------------
 
-def test_evaluate_matches_counting_oracle():
-    from dualda.model import predict
-
+def test_compute_metrics_requires_labels():
     model = DualModel.build(2, 6, 2, seed=8)
-    source, _ = small_data()
-    got = evaluate(model, source)
-    want = accuracy_counting(predict(model, source.features), source.labels)
-    assert got == pytest.approx(want, abs=0.0)
-
-
-def test_evaluate_requires_labels():
-    model = DualModel.build(2, 6, 2, seed=8)
-    _, target = small_data()
+    source, target = small_data()
     target.labels = None
-    with pytest.raises(ContractError):
-        evaluate(model, target)
+    with pytest.raises(ContractError, match="labeled"):
+        compute_metrics(model, source, target, epoch=1)
 
 
-def test_evaluate_chance_level_for_uniform_model():
+def test_compute_metrics_chance_level_for_uniform_model():
     model = DualModel.build(2, 6, 2, seed=9)
     for layer in model.invariant.classifier_a.layers:
         layer.weight[...] = 0.0
         layer.bias[...] = 0.0
-    source, _ = small_data(n=200)
-    acc = evaluate(model, source)  # all predictions are class 0 (tie rule)
-    frac0 = float(np.mean(source.labels == 0))
-    assert acc == pytest.approx(frac0, abs=1e-12)
+    source, target = small_data(n=200)
+    rec = compute_metrics(model, source, target, epoch=1)
+    # all predictions are class 0 (tie rule)
+    assert rec.src_acc == pytest.approx(np.mean(source.labels == 0), abs=1e-12)
+    assert rec.tgt_acc == pytest.approx(np.mean(target.labels == 0), abs=1e-12)
 
 
 def test_metrics_match_recomputation_from_checkpoint(tmp_path):
