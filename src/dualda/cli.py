@@ -24,13 +24,13 @@ import numpy as np
 
 from . import autodiff as ad
 from . import gradcheck
-from .data import (DomainDataset, dataset_checksum, domain_shift,
-                   gen_blob_shift, gen_two_moons, load_idx)
+from .data import (DomainDataset, dataset_checksum, derived_seed,
+                   domain_shift, gen_blob_shift, gen_two_moons, load_idx)
 from .errors import ConfigError, ContractError
 from .model import DualModel, Variant
 from .nn import BoundComponents
 from .optim import Schedule
-from .trainer import MetricsRecord, TrainConfig, train
+from .trainer import MetricsRecord, TrainConfig, initial_model, train
 
 DATASETS = ("two_moons", "blobs", "idx")
 VARIANT_ORDER = tuple(v.value for v in Variant)
@@ -40,23 +40,23 @@ VARIANT_ORDER = tuple(v.value for v in Variant)
 class RunConfig:
     variant: str = ""
     dataset: str = ""
-    # training
-    epochs: int = 60
+    # training; the defaults are the library's
+    epochs: int = TrainConfig.epochs
     batch_size: Optional[int] = None   # resolved: 64 synthetic, 128 idx
-    k: int = 4
-    mcd_warmup: float = 0.25
-    eta0: float = 0.002
-    alpha: float = 10.0
-    beta: float = 0.75
-    gamma: float = 10.0
-    momentum: float = 0.9
-    seed: int = 0
+    k: int = TrainConfig.k
+    mcd_warmup: float = TrainConfig.mcd_warmup
+    eta0: float = Schedule.eta0
+    alpha: float = Schedule.alpha
+    beta: float = Schedule.beta
+    gamma: float = Schedule.gamma
+    momentum: float = Schedule.momentum
+    seed: int = TrainConfig.seed
     trials: int = 5
-    eval_every: int = 10
+    eval_every: int = TrainConfig.eval_every
     # model
-    feature_dim: int = 32
-    g_hidden: int = 64
-    head_hidden: int = 16
+    feature_dim: int = TrainConfig.feature_dim
+    g_hidden: int = TrainConfig.g_hidden[0]
+    head_hidden: int = TrainConfig.head_hidden[0]
     # synthetic datasets
     n_source: int = 500
     n_target: int = 500
@@ -80,7 +80,7 @@ class RunConfig:
     def resolved_batch_size(self) -> int:
         if self.batch_size is not None:
             return self.batch_size
-        return 128 if self.dataset == "idx" else 64
+        return TrainConfig.batch_size if self.dataset == "idx" else 64
 
     def train_config(self, trial_seed: int) -> TrainConfig:
         return TrainConfig(
@@ -164,6 +164,11 @@ def _validate(cfg: RunConfig) -> None:
         cfg.train_config(cfg.seed)  # the variant, schedule and training checks
     except ContractError as e:
         raise ConfigError(str(e))
+    smaller = {"two_moons": min(cfg.n_source, cfg.n_target),
+               "blobs": cfg.n_source}.get(cfg.dataset)  # idx: sized on loading
+    if smaller is not None and cfg.resolved_batch_size() > smaller:
+        raise ConfigError(f"batch_size {cfg.resolved_batch_size()} exceeds the "
+                          f"smaller domain ({smaller} samples)")
     if cfg.dataset == "idx":
         if not cfg.source_images or not cfg.source_labels:
             raise ConfigError("idx dataset needs source_images and source_labels")
@@ -172,25 +177,21 @@ def _validate(cfg: RunConfig) -> None:
                               "(target labels are used for evaluation only)")
 
 
-def _derived_seed(trial_seed: int, stream: int) -> int:
-    return int(np.random.SeedSequence([int(trial_seed), stream]).generate_state(1)[0])
-
-
 def build_datasets(cfg: RunConfig, trial_seed: int
                    ) -> Tuple[DomainDataset, DomainDataset]:
     """Source/target pair for one trial, deterministic in trial_seed."""
     if cfg.dataset == "two_moons":
         source = gen_two_moons(cfg.n_source, cfg.noise_sigma,
-                               _derived_seed(trial_seed, 0))
+                               derived_seed(trial_seed, 0))
         raw_target = gen_two_moons(cfg.n_target, cfg.noise_sigma,
-                                   _derived_seed(trial_seed, 1))
+                                   derived_seed(trial_seed, 1))
         target = domain_shift(raw_target, cfg.theta_degrees,
                               (cfg.translate_x, cfg.translate_y))
         return source, target
     if cfg.dataset == "blobs":
         return gen_blob_shift(cfg.n_source, cfg.blob_classes, cfg.separation,
                               (cfg.shift_x, cfg.shift_y),
-                              _derived_seed(trial_seed, 0))
+                              derived_seed(trial_seed, 0))
     source = load_idx(cfg.source_images, cfg.source_labels, "source")
     target = load_idx(cfg.target_images, cfg.target_labels, "target",
                       num_classes=source.num_classes)
@@ -363,14 +364,12 @@ def _cmd_embed(args) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     source, target = build_datasets(cfg, cfg.seed)
+    config = cfg.train_config(cfg.seed)
     if args.checkpoint:
-        model = DualModel.build(source.input_dim, cfg.feature_dim,
-                                source.num_classes, cfg.seed,
-                                g_hidden=(cfg.g_hidden,),
-                                head_hidden=(cfg.head_hidden,))
+        model = initial_model(config, source)
         model.load(args.checkpoint)
     else:
-        model, _ = train(cfg.train_config(cfg.seed), source, target)
+        model, _ = train(config, source, target)
     n = min(cfg.embed_per_domain, source.n, target.n)
     export_embeddings(model, source, target, n, out / "embeddings.csv")
     print(f"wrote {out / 'embeddings.csv'}")

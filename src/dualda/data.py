@@ -124,6 +124,15 @@ def _read_exact(f, n: int, what: str) -> bytes:
     return f.read(n)
 
 
+def _read_payload(f, n: int, what: str) -> bytes:
+    """The next n bytes of f, which must end it: trailing bytes are an error."""
+    payload = _read_exact(f, n, what)
+    extra = os.fstat(f.fileno()).st_size - f.tell()
+    if extra:
+        raise FormatError(f"IDX file has {extra} trailing bytes after its {what}")
+    return payload
+
+
 def load_idx(images_path, labels_path=None, domain_tag: str = "source",
              num_classes: Optional[int] = None) -> DomainDataset:
     """Parse the IDX byte layout (all integers big-endian):
@@ -144,7 +153,7 @@ def load_idx(images_path, labels_path=None, domain_tag: str = "source",
             raise FormatError(
                 f"IDX image file declares {count} images of {rows}x{cols} "
                 f"pixels; every dimension must be positive")
-        payload = _read_exact(f, count * rows * cols, "image payload")
+        payload = _read_payload(f, count * rows * cols, "image payload")
     pixels = np.frombuffer(payload, dtype=np.uint8)
     features = pixels.astype(np.float64).reshape(count, rows * cols) / 255.0
 
@@ -157,7 +166,7 @@ def load_idx(images_path, labels_path=None, domain_tag: str = "source",
                     f"bad IDX label magic: expected 0x{IDX_LABEL_MAGIC:08x}, "
                     f"found 0x{magic:08x}")
             (label_count,) = struct.unpack(">I", _read_exact(f, 4, "label count"))
-            raw = _read_exact(f, label_count, "label payload")
+            raw = _read_payload(f, label_count, "label payload")
         if label_count != count:
             raise ConsistencyError(
                 f"image/label count mismatch: {count} images vs "
@@ -204,8 +213,7 @@ def batches(ds_s: DomainDataset, ds_t: DomainDataset, batch_size: int,
         raise ContractError("source dataset must be labeled")
     perm_s = np.random.default_rng([int(epoch_seed), 0]).permutation(ds_s.n)
     perm_t = np.random.default_rng([int(epoch_seed), 1]).permutation(ds_t.n)
-    n_pairs = min(ds_s.n, ds_t.n) // batch_size
-    for i in range(n_pairs):
+    for i in range(num_batch_pairs(ds_s, ds_t, batch_size)):
         sl = slice(i * batch_size, (i + 1) * batch_size)
         idx_s, idx_t = perm_s[sl], perm_t[sl]
         yield ds_s.features[idx_s], ds_s.labels[idx_s], ds_t.features[idx_t]
@@ -214,6 +222,11 @@ def batches(ds_s: DomainDataset, ds_t: DomainDataset, batch_size: int,
 def num_batch_pairs(ds_s: DomainDataset, ds_t: DomainDataset,
                     batch_size: int) -> int:
     return min(ds_s.n, ds_t.n) // batch_size
+
+
+def derived_seed(seed: int, stream: int) -> int:
+    """A 32-bit seed for numbered stream `stream` (an epoch, a domain) of seed."""
+    return int(np.random.SeedSequence([int(seed), int(stream)]).generate_state(1)[0])
 
 
 def dataset_checksum(ds: DomainDataset) -> str:

@@ -38,8 +38,6 @@ class Variant(str, Enum):
 class DualModel:
     invariant: ComponentSet
     discriminative: ComponentSet
-    feature_dim: int
-    num_classes: int
 
     def __post_init__(self):
         shapes1 = {n: a.shape for n, a in self.invariant.named_arrays()}
@@ -60,8 +58,6 @@ class DualModel:
         return cls(
             invariant=build_component_set(input_dim, feature_dim, num_classes, s1, **kw),
             discriminative=build_component_set(input_dim, feature_dim, num_classes, s2, **kw),
-            feature_dim=feature_dim,
-            num_classes=num_classes,
         )
 
     @property

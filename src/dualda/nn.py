@@ -136,8 +136,6 @@ class ComponentSet:
     discriminator: Stack
     classifier_a: Stack
     classifier_b: Stack
-    feature_dim: int
-    num_classes: int
 
     def __post_init__(self):
         t = self.transform
@@ -145,15 +143,11 @@ class ComponentSet:
             raise ContractError(
                 f"transform layer must be a single square linear map, got "
                 f"dims {t.in_dim}->{t.out_dim} over {len(t.layers)} layer(s)")
-        if t.in_dim != self.feature_dim:
-            raise ContractError("transform size must equal feature_dim")
         if self.discriminator.out_dim != 2:
             raise ContractError("discriminator must end in 2 logits")
         ca, cb = self.classifier_a, self.classifier_b
         if [l.weight.shape for l in ca.layers] != [l.weight.shape for l in cb.layers]:
             raise ContractError("classifier_a and classifier_b must share architecture")
-        if ca.out_dim != self.num_classes:
-            raise ContractError("classifiers must end in num_classes logits")
 
     def components(self) -> Dict[str, Stack]:
         return {k: getattr(self, k) for k in COMPONENT_KEYS}
@@ -184,8 +178,6 @@ def build_component_set(input_dim: int, feature_dim: int, num_classes: int,
         discriminator=init_stack(d_spec, children[2]),
         classifier_a=init_stack(c_spec, children[3]),
         classifier_b=init_stack(c_spec, children[4]),
-        feature_dim=feature_dim,
-        num_classes=num_classes,
     )
 
 
@@ -193,25 +185,18 @@ class BoundComponents:
     """All five components of one ComponentSet bound to a single tape."""
 
     def __init__(self, tape: ad.Tape, comps: ComponentSet, prefix: str = ""):
-        self.comps = comps
         self.prefix = prefix
-        self.extractor = BoundStack(tape, comps.extractor)
-        self.transform = BoundStack(tape, comps.transform)
-        self.discriminator = BoundStack(tape, comps.discriminator)
-        self.classifier_a = BoundStack(tape, comps.classifier_a)
-        self.classifier_b = BoundStack(tape, comps.classifier_b)
+        for key in COMPONENT_KEYS:
+            setattr(self, key, BoundStack(tape, getattr(comps, key)))
 
     def features(self, x: ad.Tensor) -> ad.Tensor:
         """The transform layer's output: what every head and loss reads."""
         return self.transform.forward(self.extractor.forward(x))
 
-    def bound(self, key: str) -> BoundStack:
-        return getattr(self, key)
-
     def named_pairs(self, components=COMPONENT_KEYS):
         """(full name, param array, leaf tensor) for the chosen components."""
         for key in components:
-            for name, arr, tensor in self.bound(key).named_pairs():
+            for name, arr, tensor in getattr(self, key).named_pairs():
                 yield f"{self.prefix}{key}.{name}", arr, tensor
 
 

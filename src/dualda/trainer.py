@@ -13,9 +13,9 @@
     transform and primary classifier on the dual loss, each player
     following its own term.
 
-When a variant enables step 1 together with steps 2/3, step 1 runs as a
-warmup phase (the first mcd_warmup share of the epochs, per batch), and the
-adversarial steps take over for the remaining epochs; interleaving them
+When a variant enables step 1 together with steps 2/3, step 1 runs per batch
+for min(max(1, round(epochs * mcd_warmup)), epochs - 1) warmup epochs, and the
+adversarial steps take over for the rest, so they always run; interleaving them
 per batch makes the boundary learning re-anchor the classifiers against
 the domain-invariance drive every batch and stalls adaptation. Progress
 advances by one quantum per SGD update; the lr/lambda schedules are
@@ -30,14 +30,14 @@ samples the schedules, reports progress and labels a failing step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import DomainDataset, batches, num_batch_pairs
+from .data import DomainDataset, batches, derived_seed, num_batch_pairs
 from .errors import ContractError
 from .losses import (classifier_discrepancy, classifier_only_loss, dual_loss,
                      module_loss)
@@ -88,11 +88,11 @@ class MetricsRecord:
     src_acc: float
     tgt_acc: float
 
-    COLUMNS = ("epoch", "cls_ce", "dom_ce_m1", "dom_ce_m2", "dis_t", "dis_c",
-               "mcd_dis", "src_acc", "tgt_acc")
-
     def row(self) -> List:
         return [getattr(self, c) for c in self.COLUMNS]
+
+
+MetricsRecord.COLUMNS = tuple(f.name for f in fields(MetricsRecord))
 
 
 def _update(sgd: SGD, lr: float, tape: ad.Tape,
@@ -255,8 +255,13 @@ def compute_metrics(model: DualModel, source: DomainDataset,
     )
 
 
-def _epoch_seed(seed: int, epoch: int) -> int:
-    return int(np.random.SeedSequence([int(seed), int(epoch)]).generate_state(1)[0])
+def initial_model(config: TrainConfig, source: DomainDataset) -> DualModel:
+    """The model a run with this config starts from: its architecture and
+    initial parameters, before any update (checkpoints load into it)."""
+    return DualModel.build(source.input_dim, config.feature_dim,
+                           source.num_classes, config.seed,
+                           g_hidden=config.g_hidden,
+                           head_hidden=config.head_hidden)
 
 
 def train(config: TrainConfig, source: DomainDataset, target: DomainDataset,
@@ -268,8 +273,6 @@ def train(config: TrainConfig, source: DomainDataset, target: DomainDataset,
     Fully deterministic given the config: the model seed, every epoch's
     shuffles, and the p/lr/lambda trajectory derive from config.seed.
     """
-    if source.n == 0 or target.n == 0:
-        raise ContractError("train: empty dataset")
     if source.input_dim != target.input_dim:
         raise ContractError(
             f"train: input dims differ ({source.input_dim} vs {target.input_dim})")
@@ -277,14 +280,9 @@ def train(config: TrainConfig, source: DomainDataset, target: DomainDataset,
         raise ContractError(
             f"train: class counts differ ({source.num_classes} vs "
             f"{target.num_classes})")
-    if source.labels is None:
-        raise ContractError("train: source dataset must be labeled")
 
     plan = variant_plan(config.variant)
-    model = DualModel.build(source.input_dim, config.feature_dim,
-                            source.num_classes, config.seed,
-                            g_hidden=config.g_hidden,
-                            head_hidden=config.head_hidden)
+    model = initial_model(config, source)
     # one velocity store per training step: the steps optimize different
     # (partly opposing) objectives, and letting one step coast on another's
     # momentum destabilizes the adversarial games
@@ -293,9 +291,6 @@ def train(config: TrainConfig, source: DomainDataset, target: DomainDataset,
     step3_sgd = SGD(config.schedule.momentum)
 
     n_pairs = num_batch_pairs(source, target, config.batch_size)
-    if n_pairs < 1:
-        raise ContractError(
-            f"batch_size {config.batch_size} exceeds the smaller domain")
 
     # boundary learning is a warmup phase: it precedes the adversarial
     # steps rather than interleaving with them, and each phase gets its own
@@ -318,7 +313,8 @@ def train(config: TrainConfig, source: DomainDataset, target: DomainDataset,
         main_steps.append(("step 3", 1, lambda xs, ys, xt, lr, lam:
                            step3_dual(model, xs, xt, lam, lr, step3_sgd)))
     if warm_steps and main_steps:
-        warm_epochs = max(1, round(config.epochs * config.mcd_warmup))
+        warm_epochs = min(max(1, round(config.epochs * config.mcd_warmup)),
+                          config.epochs - 1)
     else:
         warm_epochs = config.epochs if warm_steps else 0
     phases = [(warm_steps, range(1, warm_epochs + 1)),
@@ -327,10 +323,6 @@ def train(config: TrainConfig, source: DomainDataset, target: DomainDataset,
                     for steps, epochs in phases]
     total_updates, done = sum(phase_totals), 0
 
-    if checkpoint_dir is not None:
-        checkpoint_dir = Path(checkpoint_dir)
-        checkpoint_dir.mkdir(parents=True, exist_ok=True)
-
     records: List[MetricsRecord] = []
     for (steps, epochs), phase_total in zip(phases, phase_totals):
         done_phase = 0
@@ -338,7 +330,7 @@ def train(config: TrainConfig, source: DomainDataset, target: DomainDataset,
             label = "batching"
             try:
                 for xs, ys, xt in batches(source, target, config.batch_size,
-                                          _epoch_seed(config.seed, epoch)):
+                                          derived_seed(config.seed, epoch)):
                     for label, n_updates, run in steps:
                         # the schedules at this invocation's phase progress;
                         # the reported progress counts every update so far
@@ -354,6 +346,7 @@ def train(config: TrainConfig, source: DomainDataset, target: DomainDataset,
                                     f"{epoch}, {label}: {err}") from err
             if epoch % config.eval_every == 0 or epoch == config.epochs:
                 records.append(compute_metrics(model, source, target, epoch))
-                if checkpoint_dir is not None:
-                    model.save(checkpoint_dir / f"epoch_{epoch:04d}.bin")
+                if checkpoint_dir is not None:  # made at the first save
+                    Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
+                    model.save(Path(checkpoint_dir) / f"epoch_{epoch:04d}.bin")
     return model, records

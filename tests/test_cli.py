@@ -1,12 +1,17 @@
 import csv
 import re
 import struct
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from dualda.cli import (ablation_matrix, export_embeddings, main,
-                        parse_config, run_experiment)
+from dualda.cli import (DATASETS, VARIANT_ORDER, RunConfig, _validate,
+                        ablation_matrix, export_embeddings, main, parse_config,
+                        run_experiment)
 from dualda.data import (DomainDataset, domain_shift, gen_two_moons,
                          write_idx_images, write_idx_labels)
 from dualda.errors import ConfigError, ContractError
@@ -109,7 +114,14 @@ REJECTIONS = (
        ("two_moons_n_target_one", MINIMAL + "n_target = 1\n", "n_target"),
        ("blob_classes_one", BLOBS + "blob_classes = 1\n", "blob_classes"),
        ("blobs_fewer_points_than_classes",
-        BLOBS + "n_source = 4\nblob_classes = 5\n", "n_source")]
+        BLOBS + "n_source = 4\nblob_classes = 5\n", "n_source"),
+       ("two_moons_batch_exceeds_both_domains",
+        MINIMAL + "n_source = 40\nn_target = 40\nbatch_size = 64\n",
+        "batch_size"),
+       ("two_moons_default_batch_exceeds_target",
+        MINIMAL + "n_target = 40\n", "batch_size"),
+       ("blobs_batch_exceeds_n_source",
+        BLOBS + "n_source = 40\nbatch_size = 41\n", "batch_size")]
     + [(f"idx_missing_{key}", _idx_missing(key), key) for key in IDX_PATHS])
 
 
@@ -123,6 +135,74 @@ def test_parse_config_rejections_name_the_key(tmp_path, capsys, text, key):
     assert re.search(rf"(?<!\w){key}(?!\w)", str(excinfo.value))
     assert main(["run", "--config", str(path)]) == 1
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_parse_config_blobs_batch_limit_ignores_n_target(tmp_path):
+    # a blobs target is the source draw shifted: n_target plays no part
+    text = BLOBS + "n_source = 40\nn_target = 2\nbatch_size = 40\n"
+    assert parse_config(write_config(tmp_path, text)).batch_size == 40
+
+
+# a config-file string value: no comment mark, no line break, and nothing
+# that the parser's strip() would remove
+_TEXT = st.text(st.characters(codec="utf-8", exclude_characters="#\r\n"),
+                max_size=12).filter(lambda s: s == s.strip())
+_NONNEG = st.floats(min_value=0.0, allow_infinity=False)
+_VALUES = {
+    int: st.integers(1, 2**40),
+    float: st.floats(allow_nan=False, allow_infinity=False),
+    str: _TEXT,
+    "variant": st.sampled_from(VARIANT_ORDER),
+    "dataset": st.sampled_from(DATASETS),
+    "seed": st.integers(0, 2**40),
+    "mcd_warmup": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    "eta0": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    "alpha": _NONNEG, "beta": _NONNEG, "gamma": _NONNEG, "noise_sigma": _NONNEG,
+    "momentum": st.floats(0.0, 1.0, exclude_max=True),
+    "n_source": st.integers(2, 2**40), "n_target": st.integers(2, 2**40),
+    "blob_classes": st.integers(2, 1000),
+    "batch_size": st.one_of(st.none(), st.integers(1, 2**12)),
+}
+
+
+@st.composite
+def valid_run_configs(draw):
+    # each field by its name, else by the type of its default
+    cfg = RunConfig(**{f.name: draw(_VALUES.get(f.name,
+                                                _VALUES.get(type(f.default))))
+                       for f in fields(RunConfig)})
+    try:
+        _validate(cfg)
+    except ConfigError:
+        assume(False)
+    return cfg
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=valid_run_configs())
+def test_config_file_round_trip(tmp_path, cfg):
+    lines = [f"{f.name} = {value if isinstance(value, str) else repr(value)}"
+             for f in fields(RunConfig)
+             if (value := getattr(cfg, f.name)) is not None]
+    path = tmp_path / "round_trip.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    assert parse_config(path) == cfg
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_config_block_parses_and_shows_the_defaults(tmp_path):
+    block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+    cfg = parse_config(write_config(tmp_path, block))
+    keys = [line.split("=", 1)[0].strip() for line in block.splitlines()
+            if "=" in line.split("#", 1)[0]]
+    assert sorted(keys) == sorted(f.name for f in fields(RunConfig))
+    set_by_example = {"variant", "dataset", "batch_size", *IDX_PATHS}
+    for f in fields(RunConfig):
+        if f.name not in set_by_example:
+            assert getattr(cfg, f.name) == f.default, f.name
 
 
 def fast_config(tmp_path, variant="dann", trials=2, **extra):

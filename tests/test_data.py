@@ -144,6 +144,25 @@ def test_load_idx_label_magic_and_count_mismatch(tmp_path):
         load_idx(img, lab)
 
 
+def test_load_idx_rejects_bytes_after_the_image_payload(tmp_path):
+    img = tmp_path / "img.idx"
+    write_idx_images(img, PIXELS)
+    img.write_bytes(img.read_bytes() + bytes(21))
+    with pytest.raises(FormatError,
+                       match="21 trailing bytes after its image payload"):
+        load_idx(img, num_classes=4)
+
+
+def test_load_idx_rejects_bytes_after_the_label_payload(tmp_path):
+    img, lab = tmp_path / "img.idx", tmp_path / "lab.idx"
+    write_idx_images(img, PIXELS)
+    write_idx_labels(lab, np.array([3, 1], dtype=np.uint8))
+    lab.write_bytes(lab.read_bytes() + b"\x01")
+    with pytest.raises(FormatError,
+                       match="1 trailing bytes after its label payload"):
+        load_idx(img, lab)
+
+
 def test_load_idx_unlabeled_needs_num_classes(tmp_path):
     img = tmp_path / "img.idx"
     write_idx_images(img, PIXELS)

@@ -140,8 +140,6 @@ def test_non_square_transform_rejected():
             discriminator=comps.discriminator,
             classifier_a=comps.classifier_a,
             classifier_b=comps.classifier_b,
-            feature_dim=4,
-            num_classes=2,
         )
 
 

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 import dualda.autodiff as ad
-from dualda.data import (batches, domain_shift, gen_blob_shift, gen_two_moons,
-                         num_batch_pairs)
+import dualda.trainer as trainer
+from dualda.data import (batches, derived_seed, domain_shift, gen_blob_shift,
+                         gen_two_moons, num_batch_pairs)
 from dualda.errors import ContractError
 from dualda.losses import module_loss
 from dualda.model import DualModel, Variant, variant_plan
 from dualda.nn import BoundComponents, build_component_set
 from dualda.optim import SGD, Schedule, lr_at
-from dualda.trainer import (MetricsRecord, TrainConfig, _epoch_seed,
-                            compute_metrics, step1_mcd, step2_modules,
-                            step3_dual, train)
+from dualda.trainer import (MetricsRecord, TrainConfig, compute_metrics,
+                            step1_mcd, step2_modules, step3_dual, train)
 
 from oracles import (accuracy_counting, discrepancy_brute_force,
                      dual_loss_composition, module_forward_numpy,
@@ -199,7 +199,7 @@ def test_step2_logged_losses_match_composition_oracle():
 def test_step3_identical_modules_no_change():
     c1 = build_component_set(2, 6, 2, seed=6)
     c2 = build_component_set(2, 6, 2, seed=6)
-    model = DualModel(c1, c2, 6, 2)
+    model = DualModel(c1, c2)
     before = snapshot(model)
     source, target = small_data()
     step3_dual(model, source.features[:16], target.features[:16],
@@ -366,15 +366,42 @@ def test_train_p_reaches_one_within_quantum():
     assert 1.0 - seen[-1][2] <= max_quantum + 1e-12
 
 
-def test_train_contract_errors():
+def test_train_contract_errors(tmp_path):
     source, target = small_data()
     cfg = small_config(Variant.DANN)
     bad_target = gen_blob_shift(64, 3, 4.0, (0.0, 0.0), seed=0)[1]
     with pytest.raises(ContractError):
         train(cfg, source, bad_target)  # K mismatch
     tiny = gen_two_moons(8, 0.1, seed=0)
-    with pytest.raises(ContractError):
-        train(cfg, source, domain_shift(tiny, 10.0))  # batch > smaller domain
+    with pytest.raises(ContractError,
+                       match="train dann, epoch 1, batching: batch_size 32"):
+        train(cfg, source, domain_shift(tiny, 10.0),  # batch > smaller domain
+              checkpoint_dir=tmp_path / "ckpt")
+    assert not (tmp_path / "ckpt").exists()  # a failed start writes nothing
+    source.labels = None
+    with pytest.raises(ContractError, match="train dann, epoch 1, batching: "
+                                            "source dataset must be labeled"):
+        train(cfg, source, target)
+
+
+@pytest.mark.parametrize("epochs,mcd_warmup,warm_epochs",
+                         [(4, 0.9, 3), (1, 0.25, 0)])
+def test_adversarial_steps_run_after_the_warmup(monkeypatch, epochs,
+                                                mcd_warmup, warm_epochs):
+    """The warmup takes min(max(1, round(epochs * mcd_warmup)), epochs - 1)
+    epochs, so steps 2-3 run even when the rounded share is every epoch."""
+    source, target = small_data()
+    cfg = small_config(Variant.OURS_2M, epochs=epochs, mcd_warmup=mcd_warmup)
+    calls = {"_boundary_updates": 0, "step3_dual": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(trainer, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(trainer, name, counted)
+    train(cfg, source, target)
+    n_pairs = num_batch_pairs(source, target, cfg.batch_size)
+    assert calls == {"_boundary_updates": 2 * warm_epochs * n_pairs,
+                     "step3_dual": (epochs - warm_epochs) * n_pairs}
 
 
 def test_train_warmup_matches_repeated_step1_mcd_calls():
@@ -393,7 +420,7 @@ def test_train_warmup_matches_repeated_step1_mcd_calls():
     done = 0
     for epoch in range(1, cfg.epochs + 1):
         for xs, ys, xt in batches(source, target, cfg.batch_size,
-                                  _epoch_seed(cfg.seed, epoch)):
+                                  derived_seed(cfg.seed, epoch)):
             step1_mcd(ref.invariant, xs, ys, xt, cfg.k,
                       lr_at(cfg.schedule, done / total), sgd,
                       name_prefix="invariant.")
