@@ -14,15 +14,23 @@ parameters finite instead (``optim.SGD.step`` checks after each update).
 records whose outputs depend on them and returns (and stores in ``.grad``)
 only their gradients; without ``wrt`` every node gets a gradient, zeros
 where the loss does not reach. Either way the gradients of the visited
-nodes are bitwise the same.
+nodes are bitwise the same. A pruned sweep also tells each record which of
+its inputs are live, so a matmul skips the product for an operand nobody
+reads (the data in front of a network).
 
 The op set is deliberately small: dense matmul (with an optional
-transpose-b mode and an optional bias, so that a dense layer
-``x @ W.T + b`` is one record), broadcast add, sub, scalar_mul, relu,
-row-wise softmax / log_softmax, full reductions mean / sum, abs,
-per-row select_columns, and the gradient-reversal pseudo-op
+transpose-b mode, an optional bias and an optional relu, so that a dense
+layer ``relu(x @ W.T + b)`` is one record), broadcast add, sub,
+scalar_mul, relu, row-wise softmax / log_softmax, full reductions mean /
+sum, abs, per-row select_columns, the two loss terms ``cross_entropy``
+(log_softmax, select, mean and negate) and ``mean_abs_diff`` (sub, abs,
+sum and scale) as one record each, and the gradient-reversal pseudo-op
 ``grad_reverse`` whose forward is the identity and whose backward scales
 the upstream gradient by -lambda.
+
+Inference runs without a tape, on the numpy kernels that ``Tape.leaf``
+and the records above run in their forward: ``checked_input``, ``dense``
+and ``row_softmax``. A tape-free forward therefore gives the same bits.
 """
 
 from __future__ import annotations
@@ -61,16 +69,26 @@ class Tensor:
 
 
 class _Record:
-    """One executed op: kind, wiring, and the closure that runs its backward."""
+    """One executed op: kind, wiring, and the closure that runs its backward.
 
-    __slots__ = ("kind", "input_ids", "output_id", "backward_fn")
+    A pruning record's closure also takes the live flags of its inputs and
+    may return None for an input that is not live. relu_in is the input of
+    the relu the record applies, if any (gradient checks keep away from
+    its kink).
+    """
+
+    __slots__ = ("kind", "input_ids", "output_id", "backward_fn", "prunes",
+                 "relu_in")
 
     def __init__(self, kind: str, input_ids: List[int], output_id: int,
-                 backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]):
+                 backward_fn: Callable[..., Sequence[Optional[np.ndarray]]],
+                 prunes: bool = False, relu_in: Optional[np.ndarray] = None):
         self.kind = kind
         self.input_ids = input_ids
         self.output_id = output_id
         self.backward_fn = backward_fn
+        self.prunes = prunes
+        self.relu_in = relu_in
 
 
 class Tape:
@@ -87,10 +105,7 @@ class Tape:
 
     def leaf(self, data) -> Tensor:
         """Wrap an array (or nested lists) as a graph input node."""
-        arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise ContractError("leaf: input contains NaN or Inf")
-        return self._new_tensor(arr)
+        return self._new_tensor(checked_input(data))
 
     def param(self, arr: np.ndarray) -> Tensor:
         """Wrap a float64 parameter array in place: no conversion, no check."""
@@ -102,15 +117,40 @@ class Tape:
         return t
 
     def _emit(self, kind: str, inputs: Sequence[Tensor], out_data: np.ndarray,
-              backward_fn) -> Tensor:
+              backward_fn, prunes: bool = False,
+              relu_in: Optional[np.ndarray] = None) -> Tensor:
         out = self._new_tensor(out_data)
         self.records.append(
-            _Record(kind, [t.node_id for t in inputs], out.node_id, backward_fn))
+            _Record(kind, [t.node_id for t in inputs], out.node_id, backward_fn,
+                    prunes, relu_in))
         return out
 
     @property
     def num_nodes(self) -> int:
         return len(self._tensors)
+
+
+def checked_input(data) -> np.ndarray:
+    """data as a float64 array; NaN or Inf is a ContractError."""
+    arr = np.asarray(data, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise ContractError("input contains NaN or Inf")
+    return arr
+
+
+def dense(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray] = None,
+          relu: bool = False) -> np.ndarray:
+    """One dense layer in numpy: x @ w.T, plus bias, then relu when set."""
+    out = x @ w.T
+    if bias is not None:
+        out += bias
+    return np.where(out > 0, out, 0.0) if relu else out
+
+
+def row_softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax of each row, numerically stabilized by the row max."""
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def _same_tape(*tensors: Tensor) -> Tape:
@@ -122,42 +162,50 @@ def _same_tape(*tensors: Tensor) -> Tape:
 
 
 def matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
-           bias: Optional[Tensor] = None) -> Tensor:
+           bias: Optional[Tensor] = None, relu: bool = False) -> Tensor:
     """2-D matrix product a @ b, or a @ b.T when transpose_b is set; a 1-D
-    bias is added to every row in the same record (a dense layer)."""
+    bias added to every row and a relu after it run in the same record (a
+    dense layer). A backward sweep skips the gradient of an operand that is
+    not live."""
     tape = _same_tape(a, b) if bias is None else _same_tape(a, b, bias)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimensionError(
-            f"matmul: expected 2-D operands, got {list(a.shape)} and {list(b.shape)}")
-    inner_b = b.shape[1] if transpose_b else b.shape[0]
-    if a.shape[1] != inner_b:
-        raise DimensionError(
-            f"matmul: inner dimensions differ for shapes {list(a.shape)} and "
-            f"{list(b.shape)}" + (" (transpose_b)" if transpose_b else ""))
     ad, bd = a.data, b.data
+    if ad.ndim != 2 or bd.ndim != 2:
+        raise DimensionError(
+            f"matmul: expected 2-D operands, got {list(ad.shape)} and "
+            f"{list(bd.shape)}")
+    width, inner_b = bd.shape if transpose_b else bd.shape[::-1]
+    if ad.shape[1] != inner_b:
+        raise DimensionError(
+            f"matmul: inner dimensions differ for shapes {list(ad.shape)} and "
+            f"{list(bd.shape)}" + (" (transpose_b)" if transpose_b else ""))
+    bias_data = None if bias is None else bias.data
+    if bias_data is not None and bias_data.shape != (width,):
+        raise DimensionError(
+            f"matmul: bias {list(bias_data.shape)} does not fit the product "
+            f"{[ad.shape[0], width]}")
     if transpose_b:
-        out = ad @ bd.T
-
-        def operand_grads(g):
-            return g @ bd, g.T @ ad
+        out = dense(ad, bd, bias_data)
     else:
         out = ad @ bd
+        if bias_data is not None:
+            out += bias_data
+    pre = None
+    if relu:
+        pre, mask = out, out > 0  # subgradient at 0 is 0 by convention
+        out = np.where(mask, pre, 0.0)
 
-        def operand_grads(g):
-            return g @ bd.T, ad.T @ g
+    def backward_fn(g, live=(True, True, True)):
+        if relu:
+            g = g * mask
+        grads = ((g @ bd if transpose_b else g @ bd.T) if live[0] else None,
+                 (g.T @ ad if transpose_b else ad.T @ g) if live[1] else None)
+        if bias is None:
+            return grads
+        return (*grads, g.sum(axis=0) if live[2] else None)
 
-    if bias is None:
-        return tape._emit("matmul", [a, b], out, operand_grads)
-    if bias.data.ndim != 1 or bias.shape[0] != out.shape[1]:
-        raise DimensionError(
-            f"matmul: bias {list(bias.shape)} does not fit the product "
-            f"{list(out.shape)}")
-    out += bias.data
-
-    def backward_fn(g):
-        return (*operand_grads(g), g.sum(axis=0))
-
-    return tape._emit("matmul", [a, b, bias], out, backward_fn)
+    inputs = [a, b] if bias is None else [a, b, bias]
+    return tape._emit("matmul", inputs, out, backward_fn, prunes=True,
+                      relu_in=pre)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -202,7 +250,8 @@ def relu(a: Tensor) -> Tensor:
     def backward_fn(g):
         return (g * mask,)
 
-    return a.tape._emit("relu", [a], np.where(mask, a.data, 0.0), backward_fn)
+    return a.tape._emit("relu", [a], np.where(mask, a.data, 0.0), backward_fn,
+                        relu_in=a.data)
 
 
 def _check_rows(a: Tensor, op: str) -> None:
@@ -215,9 +264,7 @@ def _check_rows(a: Tensor, op: str) -> None:
 def softmax(a: Tensor) -> Tensor:
     """Row-wise softmax, numerically stabilized by the row max."""
     _check_rows(a, "softmax")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=1, keepdims=True)
+    s = row_softmax(a.data)
 
     def backward_fn(g):
         dot = (g * s).sum(axis=1, keepdims=True)
@@ -269,19 +316,25 @@ def tensor_abs(a: Tensor) -> Tensor:
     return a.tape._emit("abs", [a], np.abs(a.data), backward_fn)
 
 
-def select_columns(a: Tensor, indices) -> Tensor:
-    """Pick one entry per row by a constant index vector; output [rows, 1]."""
-    _check_rows(a, "select_columns")
+def _checked_indices(a: Tensor, indices, op: str) -> np.ndarray:
+    """One integer column index per row of a, each in range."""
+    _check_rows(a, op)
     idx = np.asarray(indices)
     if idx.ndim != 1 or idx.shape[0] != a.shape[0]:
         raise DimensionError(
-            f"select_columns: index vector length {list(idx.shape)} does not "
+            f"{op}: index vector length {list(idx.shape)} does not "
             f"match {a.shape[0]} rows")
     if not np.issubdtype(idx.dtype, np.integer):
-        raise ContractError("select_columns: indices must be integers")
+        raise ContractError(f"{op}: indices must be integers")
     if idx.min() < 0 or idx.max() >= a.shape[1]:
         raise ContractError(
-            f"select_columns: index out of range [0, {a.shape[1]})")
+            f"{op}: index out of range [0, {a.shape[1]})")
+    return idx
+
+
+def select_columns(a: Tensor, indices) -> Tensor:
+    """Pick one entry per row by a constant index vector; output [rows, 1]."""
+    idx = _checked_indices(a, indices, "select_columns")
     rows = np.arange(a.shape[0])
     shape = a.shape
 
@@ -292,6 +345,45 @@ def select_columns(a: Tensor, indices) -> Tensor:
 
     return a.tape._emit("select_columns", [a],
                         a.data[rows, idx][:, None], backward_fn)
+
+
+def cross_entropy(logits: Tensor, labels) -> Tensor:
+    """-mean_i log_softmax(logits)[i, labels[i]] as a shape-[1] tensor: the
+    numpy calls of log_softmax, select_columns, mean and scalar_mul(-1),
+    forward and backward, in one record."""
+    idx = _checked_indices(logits, labels, "cross_entropy")
+    a = logits.data
+    shifted = a - a.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    rows = np.arange(a.shape[0])
+    picked = logp[rows, idx][:, None]
+
+    def backward_fn(g):
+        g_logp = np.zeros(a.shape)
+        g_logp[rows, idx] = (-1.0 * g)[0] / picked.size
+        return (g_logp - np.exp(logp) * g_logp.sum(axis=1, keepdims=True),)
+
+    return logits.tape._emit("cross_entropy", [logits],
+                             -1.0 * np.array([picked.mean()]), backward_fn)
+
+
+def mean_abs_diff(a: Tensor, b: Tensor) -> Tensor:
+    """sum|a - b| / a.size as a shape-[1] tensor: the numpy calls of sub,
+    abs, sum and scalar_mul, forward and backward, in one record."""
+    tape = _same_tape(a, b)
+    if a.shape != b.shape:
+        raise DimensionError(
+            f"mean_abs_diff: shapes {list(a.shape)} and {list(b.shape)} differ")
+    d = a.data - b.data
+    sign = np.sign(d)  # sign(0) == 0: abs subgradient at 0 is 0
+    c = 1.0 / d.size
+
+    def backward_fn(g):
+        g_d = (c * g)[0] * sign
+        return g_d, -g_d
+
+    return tape._emit("mean_abs_diff", [a, b],
+                      c * np.array([np.abs(d).sum()]), backward_fn)
 
 
 def grad_reverse(a: Tensor, lam: float) -> Tensor:
@@ -314,7 +406,9 @@ def backward(tape: Tape, loss: Tensor,
     (zeros for nodes the loss does not reach) and fills each tensor's
     .grad. With wrt, only the records whose outputs depend on those tensors
     run their backward, and only the wrt tensors get a gradient (zeros if
-    the loss does not reach them) in the returned map and in .grad.
+    the loss does not reach them) in the returned map and in .grad; a
+    pruning record is told which of its inputs are live and skips the
+    others.
     """
     if loss.tape is not tape:
         raise ContractError("backward: loss tensor is not on this tape")
@@ -343,7 +437,10 @@ def backward(tape: Tape, loss: Tensor,
         g_out = grads[rec.output_id]
         if g_out is None or not live[rec.output_id]:
             continue
-        for iid, g_in in zip(rec.input_ids, rec.backward_fn(g_out)):
+        ids = rec.input_ids
+        g_ins = (rec.backward_fn(g_out, [live[i] for i in ids]) if rec.prunes
+                 else rec.backward_fn(g_out))
+        for iid, g_in in zip(ids, g_ins):
             if live[iid]:
                 # a new array on every accumulation: a stored gradient may
                 # be shared with another node (add returns g for both operands)

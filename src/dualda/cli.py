@@ -1,10 +1,11 @@
 """Experiment orchestration: config files, multi-trial runs, the ablation
 matrix, embedding export, and the `dualda` command line.
 
-Config files are `key = value` lines, `#` starts a comment. A minimal file
-needs only `variant` and `dataset`; everything else has defaults. CSV
-outputs use '.' decimals, LF line endings, and repr() floats so reruns are
-byte-identical.
+Config files are `key = value` lines; a `#` at the start of a line or
+after whitespace starts a comment, so a value cannot contain ` #`. A
+minimal file needs only `variant` and `dataset`; everything else has
+defaults. CSV outputs use '.' decimals, LF line endings, and repr()
+floats so reruns are byte-identical.
 
 Exit codes: 0 success, 1 config error, 2 runtime failure.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import re
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -22,13 +24,11 @@ from typing import (Dict, List, Optional, Sequence, Tuple, get_args,
 
 import numpy as np
 
-from . import autodiff as ad
 from . import gradcheck
 from .data import (DomainDataset, dataset_checksum, derived_seed,
                    domain_shift, gen_blob_shift, gen_two_moons, load_idx)
 from .errors import ConfigError, ContractError
 from .model import DualModel, Variant
-from .nn import BoundComponents
 from .optim import Schedule
 from .trainer import MetricsRecord, TrainConfig, initial_model, train
 
@@ -109,12 +109,17 @@ _KEY_TYPES = {name: _key_type(hint)
               for name, hint in get_type_hints(RunConfig).items()}
 
 
+# a comment starts at a '#' that opens the line or follows whitespace; any
+# other '#' belongs to the value (a path such as /data/set#1/img.idx)
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def parse_config(path) -> RunConfig:
     """Parse and validate a key=value config file into a RunConfig."""
     cfg = RunConfig()
     with open(path) as f:
         for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = _COMMENT.split(raw, 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
@@ -269,9 +274,7 @@ def export_embeddings(model: DualModel, source: DomainDataset,
             f"n_per_domain {n_per_domain} exceeds a dataset "
             f"({min(source.n, target.n)} samples)")
 
-    tape = ad.Tape()
-    b = BoundComponents(tape, model.invariant)
-    feats = np.vstack([b.features(tape.leaf(ds.features[:n_per_domain])).data
+    feats = np.vstack([model.invariant.features(ds.features[:n_per_domain])
                        for ds in (source, target)])
     centered = feats - feats.mean(axis=0)
     cov = centered.T @ centered / max(feats.shape[0] - 1, 1)

@@ -50,6 +50,10 @@ def _op_case(kind: str, rng: np.random.Generator):
         arrs = [rng.uniform(-2, 2, (m, k)), rng.uniform(-2, 2, (n, k)),
                 rng.uniform(-2, 2, (n,))]
         build = lambda t: ad.matmul(t[0], t[1], transpose_b=True, bias=t[2])
+    elif kind == "matmul_relu":
+        arrs = _dense_away_from_kink(rng, m, k, n)
+        build = lambda t: ad.matmul(t[0], t[1], transpose_b=True, bias=t[2],
+                                    relu=True)
     elif kind == "add":
         arrs = [rng.uniform(-2, 2, (m, n)), rng.uniform(-2, 2, (n,))]
         build = lambda t: ad.add(t[0], t[1])
@@ -82,6 +86,14 @@ def _op_case(kind: str, rng: np.random.Generator):
         arrs = [rng.uniform(-2, 2, (m, n))]
         idx = rng.integers(0, n, size=m)
         build = lambda t: ad.select_columns(t[0], idx)
+    elif kind == "cross_entropy":
+        arrs = [rng.uniform(-2, 2, (m, n))]
+        idx = rng.integers(0, n, size=m)
+        build = lambda t: ad.cross_entropy(t[0], idx)
+    elif kind == "mean_abs_diff":
+        a = rng.uniform(-2, 2, (m, n))
+        arrs = [a, a + _away_from_zero(rng, (m, n))]
+        build = lambda t: ad.mean_abs_diff(t[0], t[1])
     else:
         raise ValueError(kind)
     return arrs, build
@@ -92,6 +104,15 @@ def _away_from_zero(rng, shape, margin=1e-3):
     while np.any(np.abs(arr) < margin):
         arr = rng.uniform(-2, 2, shape)
     return arr
+
+
+def _dense_away_from_kink(rng, m, k, n, margin=1e-3):
+    """x [m, k], w [n, k], b [n] whose pre-activation x @ w.T + b keeps
+    clear of the relu kink."""
+    while True:
+        x, w, b = (rng.uniform(-2, 2, s) for s in ((m, k), (n, k), (n,)))
+        if np.abs(x @ w.T + b).min() >= margin:
+            return [x, w, b]
 
 
 def _scalarize(t: ad.Tensor) -> ad.Tensor:
@@ -232,15 +253,16 @@ def check_loss(kind: str, trials: int, seed: int = 0) -> float:
 
 
 def _near_relu_kink(tape: ad.Tape, margin: float = 5e-4) -> bool:
-    """True when the input of any relu on the tape sits too close to 0 for
-    FD; the tape holds exactly the relus on the loss's forward path."""
-    return any(np.abs(tape._tensors[rec.input_ids[0]].data).min() < margin
-               for rec in tape.records if rec.kind == "relu")
+    """True when the input of any relu on the tape, a relu record's or one
+    inside a dense-layer matmul, sits too close to 0 for FD; the tape holds
+    exactly the relus on the loss's forward path."""
+    return any(np.abs(rec.relu_in).min() < margin
+               for rec in tape.records if rec.relu_in is not None)
 
 
-OP_CASES = ("matmul", "matmul_t", "matmul_bias", "add", "sub", "scalar_mul",
-            "relu", "abs", "softmax", "log_softmax", "mean", "sum",
-            "select_columns")
+OP_CASES = ("matmul", "matmul_t", "matmul_bias", "matmul_relu", "add", "sub",
+            "scalar_mul", "relu", "abs", "softmax", "log_softmax", "mean",
+            "sum", "select_columns", "cross_entropy", "mean_abs_diff")
 LOSS_KINDS = ("cross_entropy", "discrepancy", "invariant_module",
               "discriminative_module", "dual")
 

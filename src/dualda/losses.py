@@ -39,8 +39,7 @@ def cross_entropy(logits: ad.Tensor, labels) -> ad.Tensor:
     if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[1]):
         raise ContractError(
             f"cross_entropy: labels must lie in [0, {logits.shape[1]})")
-    picked = ad.select_columns(ad.log_softmax(logits), labels.astype(np.int64))
-    return ad.scalar_mul(ad.mean(picked), -1.0)
+    return ad.cross_entropy(logits, labels.astype(np.int64))
 
 
 def discrepancy(p1: ad.Tensor, p2: ad.Tensor) -> ad.Tensor:
@@ -51,8 +50,7 @@ def discrepancy(p1: ad.Tensor, p2: ad.Tensor) -> ad.Tensor:
     if p1.data.ndim != 2:
         raise DimensionError(
             f"discrepancy: expected 2-D probability rows, got {list(p1.shape)}")
-    total = ad.tensor_sum(ad.tensor_abs(ad.sub(p1, p2)))
-    return ad.scalar_mul(total, 1.0 / p1.size)
+    return ad.mean_abs_diff(p1, p2)
 
 
 def classifier_discrepancy(binding: BoundComponents, t: ad.Tensor) -> ad.Tensor:

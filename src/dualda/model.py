@@ -15,8 +15,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractError
-from .nn import (COMPONENT_KEYS, BoundComponents, ComponentSet,
-                 build_component_set, load_params, save_params)
+from .nn import (COMPONENT_KEYS, ComponentSet, build_component_set,
+                 load_params, save_params)
 
 
 class Variant(str, Enum):
@@ -103,35 +103,29 @@ class PathOutputs(NamedTuple):
 
 
 def forward_path(comps: ComponentSet, x) -> PathOutputs:
-    """Inference-time forward through one module; all heads read the
-    transform layer's output."""
-    x = np.asarray(x, dtype=np.float64)
-    tape = ad.Tape()
-    b = BoundComponents(tape, comps)
-    feats = b.extractor.forward(tape.leaf(x))
-    t_out = b.transform.forward(feats)
-    probs_a = ad.softmax(b.classifier_a.forward(t_out))
-    probs_b = ad.softmax(b.classifier_b.forward(t_out))
-    d_logits = b.discriminator.forward(t_out)
-    return PathOutputs(feats.data, t_out.data, probs_a.data, probs_b.data,
-                       d_logits.data)
+    """Inference-time forward through one module, without a tape; all heads
+    read the transform layer's output."""
+    feats = comps.extractor.apply(ad.checked_input(x))
+    t_out = comps.transform.apply(feats)
+    return PathOutputs(feats, t_out,
+                       ad.row_softmax(comps.classifier_a.apply(t_out)),
+                       ad.row_softmax(comps.classifier_b.apply(t_out)),
+                       comps.discriminator.apply(t_out))
 
 
 def predict(model: DualModel, x) -> np.ndarray:
-    """Class indices from the invariant module's primary classifier only.
+    """Class indices from the invariant module's primary classifier only,
+    computed without a tape.
 
     Ties are broken toward the lowest class index (np.argmax convention).
     """
-    x = np.asarray(x, dtype=np.float64)
-    tape = ad.Tape()
-    b = BoundComponents(tape, model.invariant)
-    return predicted_classes(b, b.features(tape.leaf(x)))
+    comps = model.invariant
+    return predicted_classes(comps.classifier_a.apply(comps.features(x)))
 
 
-def predicted_classes(binding: BoundComponents, t: ad.Tensor) -> np.ndarray:
-    """argmax of the primary classifier's softmax on transform outputs t:
-    the inference rule, applied to features already on a tape."""
-    return np.argmax(ad.softmax(binding.classifier_a.forward(t)).data, axis=1)
+def predicted_classes(logits: np.ndarray) -> np.ndarray:
+    """argmax of the primary classifier's softmax: the inference rule."""
+    return np.argmax(ad.row_softmax(logits), axis=1)
 
 
 @dataclass(frozen=True)

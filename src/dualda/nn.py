@@ -1,9 +1,10 @@
 """Dense layers, Glorot init, the four component kinds, and parameter I/O.
 
 Parameters live as plain float64 numpy arrays that persist across training
-steps; each forward pass binds them onto a fresh tape (``Tape.param``, no
-copy and no finiteness scan) so the optimizer can look gradients up by
-parameter name afterwards.
+steps; each training forward pass binds them onto a fresh tape
+(``Tape.param``, no copy and no finiteness scan) so the optimizer can look
+gradients up by parameter name afterwards. Inference reads the arrays
+directly (``Stack.apply``, ``ComponentSet.features``), with no tape.
 """
 
 from __future__ import annotations
@@ -87,6 +88,18 @@ class Stack:
             yield f"{i}.weight", layer.weight
             yield f"{i}.bias", layer.bias
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The forward pass without a tape: the numpy calls of
+        BoundStack.forward, so the same bits."""
+        if x.ndim != 2 or x.shape[1] != self.in_dim:
+            raise DimensionError(
+                f"Stack: input {list(x.shape)} does not fit a stack of input "
+                f"width {self.in_dim}")
+        last = len(self.layers) - 1
+        for i, layer in enumerate(self.layers):
+            x = ad.dense(x, layer.weight, layer.bias, relu=i < last)
+        return x
+
 
 def init_stack(spec: NetworkSpec, seed) -> Stack:
     """Glorot-uniform weights, zero biases, fully determined by seed."""
@@ -111,9 +124,7 @@ class BoundStack:
         h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = ad.matmul(h, w, transpose_b=True, bias=b)
-            if i < last:
-                h = ad.relu(h)
+            h = ad.matmul(h, w, transpose_b=True, bias=b, relu=i < last)
         return h
 
     def named_pairs(self) -> Iterator[Tuple[str, np.ndarray, ad.Tensor]]:
@@ -151,6 +162,11 @@ class ComponentSet:
 
     def components(self) -> Dict[str, Stack]:
         return {k: getattr(self, k) for k in COMPONENT_KEYS}
+
+    def features(self, x) -> np.ndarray:
+        """Transform-layer outputs for input rows x, without a tape; the
+        input is checked like a tape leaf."""
+        return self.transform.apply(self.extractor.apply(ad.checked_input(x)))
 
     def named_arrays(self, prefix: str = "") -> Iterator[Tuple[str, np.ndarray]]:
         for key, stack in self.components().items():

@@ -250,8 +250,10 @@ def compute_metrics(model: DualModel, source: DomainDataset,
         dis_t=float(dual.feature_dis.data[0]),
         dis_c=float(dual.prediction_dis.data[0]),
         mcd_dis=float(mcd_dis.data[0]),
-        src_acc=float(np.mean(predicted_classes(b1, t1_s) == source.labels)),
-        tgt_acc=float(np.mean(predicted_classes(b1, t1_t) == target.labels)),
+        src_acc=float(np.mean(predicted_classes(
+            b1.classifier_a.forward(t1_s).data) == source.labels)),
+        tgt_acc=float(np.mean(predicted_classes(
+            b1.classifier_a.forward(t1_t).data) == target.labels)),
     )
 
 
@@ -280,6 +282,9 @@ def train(config: TrainConfig, source: DomainDataset, target: DomainDataset,
         raise ContractError(
             f"train: class counts differ ({source.num_classes} vs "
             f"{target.num_classes})")
+    if target.labels is None:  # batches rejects an unlabeled source
+        raise ContractError("train: the target dataset is unlabeled; "
+                            "evaluation reads its labels")
 
     plan = variant_plan(config.variant)
     model = initial_model(config, source)

@@ -228,6 +228,18 @@ def _away_from_zero(rng, shape, margin=1e-3):
     return arr
 
 
+def _dense_clear_of_kink(rng, m, k, n, margin=1e-3):
+    while True:
+        x, w, b = (rng.uniform(-2, 2, s) for s in ((m, k), (n, k), (n,)))
+        if np.abs(x @ w.T + b).min() >= margin:
+            return [x, w, b]
+
+
+def _pair_apart(rng, m, n):
+    a = rng.uniform(-2, 2, (m, n))
+    return [a, a + _away_from_zero(rng, (m, n))]
+
+
 OP_CASES = {
     "matmul": lambda rng, m, k, n: (
         [rng.uniform(-2, 2, (m, k)), rng.uniform(-2, 2, (k, n))],
@@ -239,6 +251,10 @@ OP_CASES = {
         [rng.uniform(-2, 2, (m, k)), rng.uniform(-2, 2, (n, k)),
          rng.uniform(-2, 2, (n,))],
         lambda t: ad.matmul(t[0], t[1], transpose_b=True, bias=t[2])),
+    "matmul_relu": lambda rng, m, k, n: (
+        _dense_clear_of_kink(rng, m, k, n),
+        lambda t: ad.matmul(t[0], t[1], transpose_b=True, bias=t[2],
+                            relu=True)),
     "add_broadcast": lambda rng, m, k, n: (
         [rng.uniform(-2, 2, (m, n)), rng.uniform(-2, 2, (n,))],
         lambda t: ad.add(t[0], t[1])),
@@ -267,6 +283,12 @@ OP_CASES = {
     "select_columns": lambda rng, m, k, n: (
         [rng.uniform(-2, 2, (m, n))],
         lambda t: ad.select_columns(t[0], np.arange(m) % n)),
+    "cross_entropy": lambda rng, m, k, n: (
+        [rng.uniform(-2, 2, (m, n))],
+        lambda t: ad.cross_entropy(t[0], (np.arange(m) * 7 + 1) % n)),
+    "mean_abs_diff": lambda rng, m, k, n: (
+        _pair_apart(rng, m, n),
+        lambda t: ad.mean_abs_diff(t[0], t[1])),
 }
 
 
@@ -393,3 +415,125 @@ def test_backward_wrt_rejects_a_tensor_of_another_tape():
     _, other = leaf([1.0, 2.0])
     with pytest.raises(ContractError):
         ad.backward(tape, ad.tensor_sum(x), wrt=[other])
+
+
+# --- fused records equal their unfused compositions, bit for bit ------------
+
+def _fusion_data():
+    """Leaves of a dense layer and a head, with pre-activations and
+    probability differences that are exactly 0 in places."""
+    rng = np.random.default_rng(23)
+    x = rng.uniform(-2, 2, (5, 3))
+    w = rng.uniform(-2, 2, (4, 3))
+    b = rng.uniform(-2, 2, (4,))
+    w[1], b[1] = 0.0, 0.0          # unit 1: pre-activation exactly 0
+    x[2] = 0.0
+    b[3] = 0.0                     # row 2, unit 3: exactly 0 as well
+    w2 = rng.uniform(-2, 2, (3, 4))
+    b2 = rng.uniform(-2, 2, (3,))
+    w2b = w2.copy()
+    w2b[:, 0] += 0.5               # a second head that agrees on some rows
+    return [x, w, b, w2, b2, w2b]
+
+
+def _head_graph(data, fused):
+    """CE of a head on relu(x @ w.T + b) plus the mean abs difference of two
+    heads' softmax, fused or as the old chains of records."""
+    tape = ad.Tape()
+    x, w, b, w2, b2, w2b = leaves = [tape.leaf(a) for a in data]
+    labels = np.array([0, 2, 1, 1, 0])
+    if fused:
+        h = ad.matmul(x, w, transpose_b=True, bias=b, relu=True)
+    else:
+        h = ad.relu(ad.matmul(x, w, transpose_b=True, bias=b))
+    logits = ad.matmul(h, w2, transpose_b=True, bias=b2)
+    p = ad.softmax(logits)
+    q = ad.softmax(ad.matmul(h, w2b, transpose_b=True, bias=b2))
+    if fused:
+        ce = ad.cross_entropy(logits, labels)
+        dis = ad.mean_abs_diff(p, q)
+    else:
+        picked = ad.select_columns(ad.log_softmax(logits), labels)
+        ce = ad.scalar_mul(ad.mean(picked), -1.0)
+        dis = ad.scalar_mul(ad.tensor_sum(ad.tensor_abs(ad.sub(p, q))),
+                            1.0 / p.size)
+    return tape, ad.add(ce, dis), leaves, (h, ce, dis)
+
+
+def test_fusion_data_has_exact_zeros():
+    x, w, b, w2, b2, w2b = _fusion_data()
+    pre = x @ w.T + b
+    assert np.count_nonzero(pre == 0.0) >= 5
+    h = np.where(pre > 0, pre, 0.0)
+    tape = ad.Tape()
+    p = ad.softmax(tape.leaf(h @ w2.T + b2)).data
+    q = ad.softmax(tape.leaf(h @ w2b.T + b2)).data
+    assert np.any(p == q)
+
+
+def test_fused_records_are_one_record_each():
+    tape, _, _, _ = _head_graph(_fusion_data(), fused=True)
+    assert [r.kind for r in tape.records] == [
+        "matmul", "matmul", "softmax", "matmul", "softmax", "cross_entropy",
+        "mean_abs_diff", "add"]
+
+
+@pytest.mark.parametrize("pick", [None, (0, 1, 2, 3, 4, 5), (1, 2), (0,),
+                                  (3, 4, 5), (4,), (1, 5)])
+def test_fused_records_match_the_unfused_chains_bytewise(pick):
+    """Forward values and every gradient, for the full sweep and for wrt
+    subsets; a subset without x (index 0) skips the data gradient."""
+    data = _fusion_data()
+    results = []
+    for fused in (True, False):
+        tape, loss, leaves, outs = _head_graph(data, fused)
+        wrt = None if pick is None else [leaves[i] for i in pick]
+        grads = ad.backward(tape, loss, wrt=wrt)
+        results.append(([o.data.tobytes() for o in (*outs, loss)],
+                        [grads[t.node_id].tobytes() for t in wrt or leaves]))
+    assert results[0] == results[1]
+
+
+def test_matmul_skips_the_gradient_of_an_operand_that_is_not_live():
+    tape = ad.Tape()
+    x, w, b = (tape.leaf(a) for a in _fusion_data()[:3])
+    out = ad.matmul(x, w, transpose_b=True, bias=b, relu=True)
+    rec = tape.records[-1]
+    g = np.ones_like(out.data)
+    full = rec.backward_fn(g, [True, True, True])
+    skipped = rec.backward_fn(g, [False, True, False])
+    assert skipped[0] is None and skipped[2] is None
+    assert skipped[1].tobytes() == full[1].tobytes()
+    # the pruned sweep asks for w only, and tells the record so
+    told = []
+    rec.backward_fn = lambda g, live, fn=rec.backward_fn: (
+        told.append(list(live)) or fn(g, live))
+    ad.backward(tape, ad.mean(out), wrt=[w])
+    assert told == [[False, True, False]]
+    assert x.grad is None and b.grad is None
+
+
+def test_cross_entropy_checks_its_labels():
+    tape, logits = leaf(np.zeros((2, 3)))
+    with pytest.raises(ContractError, match="cross_entropy: index out of range"):
+        ad.cross_entropy(logits, np.array([0, 3]))
+    with pytest.raises(DimensionError, match="cross_entropy: index vector"):
+        ad.cross_entropy(logits, np.array([0]))
+    with pytest.raises(ContractError, match="integers"):
+        ad.cross_entropy(logits, np.array([0.0, 1.0]))
+
+
+def test_mean_abs_diff_rejects_different_shapes():
+    tape = ad.Tape()
+    with pytest.raises(DimensionError, match="mean_abs_diff"):
+        ad.mean_abs_diff(tape.leaf(np.ones((2, 3))), tape.leaf(np.ones((3, 2))))
+
+
+def test_tape_free_kernels_equal_the_records_bytewise():
+    x, w, b = _fusion_data()[:3]
+    tape = ad.Tape()
+    xt, wt, bt = (tape.leaf(a) for a in (x, w, b))
+    for relu in (False, True):
+        rec = ad.matmul(xt, wt, transpose_b=True, bias=bt, relu=relu)
+        assert ad.dense(x, w, b, relu=relu).tobytes() == rec.data.tobytes()
+    assert ad.row_softmax(x).tobytes() == ad.softmax(xt).data.tobytes()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import dualda.autodiff as ad
 from dualda.cli import (DATASETS, VARIANT_ORDER, RunConfig, _validate,
                         ablation_matrix, export_embeddings, main, parse_config,
                         run_experiment)
@@ -16,6 +17,7 @@ from dualda.data import (DomainDataset, domain_shift, gen_two_moons,
                          write_idx_images, write_idx_labels)
 from dualda.errors import ConfigError, ContractError
 from dualda.model import DualModel
+from dualda.nn import BoundComponents, ComponentSet
 from dualda.trainer import MetricsRecord
 
 
@@ -53,6 +55,29 @@ def test_parse_config_comments_and_values(tmp_path):
             "eta0 = 0.01\n")
     cfg = parse_config(write_config(tmp_path, text))
     assert cfg.variant == "ours_2m" and cfg.epochs == 7 and cfg.eta0 == 0.01
+
+
+@pytest.mark.parametrize("line,key,value", [
+    ("source_images = /data/set#1/img.idx", "source_images", "/data/set#1/img.idx"),
+    ("out_dir = runs#2  # a comment", "out_dir", "runs#2"),
+    ("out_dir = runs #2", "out_dir", "runs"),
+    ("out_dir = runs\t# tab, then a comment", "out_dir", "runs"),
+    ("#out_dir = commented out", "out_dir", "runs"),
+])
+def test_parse_config_hash_starts_a_comment_only_after_whitespace(
+        tmp_path, line, key, value):
+    cfg = parse_config(write_config(tmp_path, MINIMAL + line + "\n"))
+    assert getattr(cfg, key) == value
+
+
+def test_parse_config_hash_glued_to_a_number_is_a_config_error(tmp_path,
+                                                                 capsys):
+    path = write_config(tmp_path, MINIMAL + "seed = 3#x\n")
+    with pytest.raises(ConfigError, match="invalid integer for seed: '3#x'"):
+        parse_config(path)
+    assert main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_parse_config_unknown_key(tmp_path):
@@ -143,10 +168,13 @@ def test_parse_config_blobs_batch_limit_ignores_n_target(tmp_path):
     assert parse_config(write_config(tmp_path, text)).batch_size == 40
 
 
-# a config-file string value: no comment mark, no line break, and nothing
-# that the parser's strip() would remove
-_TEXT = st.text(st.characters(codec="utf-8", exclude_characters="#\r\n"),
-                max_size=12).filter(lambda s: s == s.strip())
+# a config-file string value: no line break, nothing that the parser's
+# strip() would remove, and no '#' that would start a comment (first, or
+# after whitespace); any other '#' is part of the value
+_TEXT = st.text(st.characters(codec="utf-8", exclude_characters="\r\n"),
+                max_size=12).filter(
+    lambda s: s == s.strip() and not s.startswith("#")
+    and not re.search(r"\s#", s))
 _NONNEG = st.floats(min_value=0.0, allow_infinity=False)
 _VALUES = {
     int: st.integers(1, 2**40),
@@ -325,6 +353,25 @@ def test_export_embeddings_identical_domains_coincide(tmp_path):
     src = np.array([[float(r["x"]), float(r["y"])] for r in rows[:40]])
     tgt = np.array([[float(r["x"]), float(r["y"])] for r in rows[40:]])
     assert np.array_equal(src, tgt)
+
+
+def test_export_embeddings_equal_a_taped_reference_bytewise(tmp_path,
+                                                             monkeypatch):
+    model = DualModel.build(2, 8, 2, seed=7)
+    model.invariant.extractor.layers[0].bias[3] = 0.0
+    source = gen_two_moons(60, 0.1, seed=8)
+    source.features[:2] = 0.0  # exact-zero hidden pre-activations
+    target = domain_shift(gen_two_moons(60, 0.1, seed=9), 30.0)
+    export_embeddings(model, source, target, 50, tmp_path / "emb.csv")
+
+    def taped_features(comps, x):
+        tape = ad.Tape()
+        return BoundComponents(tape, comps).features(tape.leaf(x)).data
+
+    monkeypatch.setattr(ComponentSet, "features", taped_features)
+    export_embeddings(model, source, target, 50, tmp_path / "ref.csv")
+    assert (tmp_path / "emb.csv").read_bytes() == \
+        (tmp_path / "ref.csv").read_bytes()
 
 
 def test_export_embeddings_rank_deficient_errors(tmp_path):

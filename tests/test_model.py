@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from dualda.errors import ContractError
+import dualda.autodiff as ad
+from dualda.errors import ContractError, DimensionError
 from dualda.model import (DualModel, Variant, forward_path, predict,
-                          variant_plan)
-from dualda.nn import save_params
+                          predicted_classes, variant_plan)
+from dualda.nn import BoundComponents, save_params
 
 from oracles import module_forward_numpy, softmax_rows
 
@@ -71,6 +72,90 @@ def test_predict_tie_breaks_to_lowest_class():
             layer.bias[...] = 0.0
     labels = predict(model, np.random.default_rng(0).uniform(-1, 1, (6, 2)))
     assert np.all(labels == 0)
+
+
+# --- inference without a tape --------------------------------------------------
+
+def taped_path(comps, x):
+    """The taped forward that inference ran before: every stack bound onto
+    one tape, the heads reading the transform output."""
+    tape = ad.Tape()
+    b = BoundComponents(tape, comps)
+    feats = b.extractor.forward(tape.leaf(x))
+    t_out = b.transform.forward(feats)
+    return (feats.data, t_out.data,
+            ad.softmax(b.classifier_a.forward(t_out)).data,
+            ad.softmax(b.classifier_b.forward(t_out)).data,
+            b.discriminator.forward(t_out).data)
+
+
+def inference_inputs():
+    """A model and rows that hit exact-zero hidden pre-activations."""
+    model = DualModel.build(2, 8, 3, seed=11)
+    model.invariant.extractor.layers[0].bias[2] = 0.0
+    x = np.random.default_rng(12).uniform(-3, 3, (40, 2))
+    x[:3] = 0.0
+    return model, x
+
+
+def test_forward_path_equals_the_taped_forward_bytewise():
+    model, x = inference_inputs()
+    got = forward_path(model.invariant, x)
+    want = taped_path(model.invariant, x)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_predict_equals_the_taped_rule_bytewise():
+    model, x = inference_inputs()
+    probs = taped_path(model.invariant, x)[2]
+    labels = predict(model, x)
+    assert labels.tobytes() == np.argmax(probs, axis=1).tobytes()
+    assert len(set(labels.tolist())) > 1  # not a constant prediction
+
+
+def test_predicted_classes_reads_the_softmax_not_the_logits():
+    # a logit lead below the softmax's rounding is a tie, which goes to the
+    # lowest class, as it did when predict ran the taped softmax
+    logits = np.array([[0.0, 1e-17], [0.0, 1.0]])
+    assert predicted_classes(logits).tolist() == [0, 1]
+
+
+def test_predict_accepts_nested_lists():
+    model, x = inference_inputs()
+    assert np.array_equal(predict(model, x.tolist()), predict(model, x))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_inference_rejects_nonfinite_input(bad):
+    model, x = inference_inputs()
+    x[5, 1] = bad
+    with pytest.raises(ContractError, match="NaN or Inf"):
+        predict(model, x)
+    with pytest.raises(ContractError, match="NaN or Inf"):
+        forward_path(model.invariant, x)
+    with pytest.raises(ContractError, match="NaN or Inf"):
+        model.invariant.features(x)
+
+
+@pytest.mark.parametrize("shape", [(2,), (4, 3), (4, 1), (2, 2, 1)])
+def test_inference_rejects_a_misshapen_input(shape):
+    model, _ = inference_inputs()
+    x = np.ones(shape)
+    for fn in (lambda: predict(model, x),
+               lambda: forward_path(model.invariant, x),
+               lambda: model.invariant.features(x)):
+        with pytest.raises(DimensionError):
+            fn()
+
+
+def test_inference_on_zero_rows_gives_empty_outputs():
+    model, _ = inference_inputs()
+    x = np.zeros((0, 2))
+    labels = predict(model, x)
+    assert labels.shape == (0,) and labels.dtype.kind == "i"
+    out = forward_path(model.invariant, x)
+    assert [a.shape for a in out] == [(0, 8), (0, 8), (0, 3), (0, 3), (0, 2)]
+    assert model.invariant.features(x).shape == (0, 8)
 
 
 def test_parameter_disjointness_and_structural_symmetry():

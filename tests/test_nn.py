@@ -13,6 +13,8 @@ from dualda.nn import (BoundStack, ComponentSet, LinearLayer, NetworkSpec,
                        Stack, build_component_set, init_stack, load_params,
                        save_params)
 
+from dualda.gradcheck import _near_relu_kink
+
 from oracles import FD_TOL, fd_gradient, fd_rel_err, stack_forward_numpy
 
 
@@ -111,6 +113,35 @@ def test_stack_gradients_pass_finite_differences():
                 numeric = fd_gradient(value, arr, i)
                 worst = max(worst, fd_rel_err(tensor.grad.reshape(-1)[i], numeric))
     assert worst < FD_TOL, f"worst rel err {worst:.3e}"
+
+
+@pytest.mark.parametrize("hidden_bias,near", [(2e-4, True), (-4e-4, True),
+                                               (1e-3, False)])
+def test_near_relu_kink_sees_the_relu_inside_a_dense_layer(hidden_bias, near):
+    # on a zero input the hidden pre-activations are the biases: unit 0
+    # sits hidden_bias from the kink, unit 1 far from it
+    stack = Stack([LinearLayer(np.ones((2, 1)), np.array([hidden_bias, 0.5])),
+                   LinearLayer(np.ones((1, 2)), np.zeros(1))])
+    tape = ad.Tape()
+    BoundStack(tape, stack).forward(tape.leaf([[0.0]]))
+    assert [r.kind for r in tape.records] == ["matmul", "matmul"]
+    assert _near_relu_kink(tape) is near
+
+
+def test_stack_apply_equals_the_bound_forward_bytewise():
+    rng = np.random.default_rng(6)
+    stack = init_stack(NetworkSpec([3, 5, 4, 2]), 2)
+    stack.layers[0].bias[1] = 0.0
+    x = rng.uniform(-2, 2, (6, 3))
+    x[0] = 0.0   # exact-zero pre-activations on the first row
+    assert stack.apply(x).tobytes() == forward(stack, x).data.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 5), (1, 3, 1)])
+def test_stack_apply_rejects_a_misfit_input(shape):
+    stack = init_stack(NetworkSpec([3, 2]), 0)
+    with pytest.raises(DimensionError):
+        stack.apply(np.ones(shape))
 
 
 # --- component sets ---------------------------------------------------------

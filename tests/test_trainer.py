@@ -384,6 +384,16 @@ def test_train_contract_errors(tmp_path):
         train(cfg, source, target)
 
 
+def test_train_rejects_an_unlabeled_target_before_the_first_update():
+    source, target = small_data()
+    target.labels = None
+    calls = []
+    with pytest.raises(ContractError, match="target dataset is unlabeled"):
+        train(small_config(Variant.OURS_2M, eval_every=3), source, target,
+              progress=lambda *args: calls.append(args))
+    assert calls == []
+
+
 @pytest.mark.parametrize("epochs,mcd_warmup,warm_epochs",
                          [(4, 0.9, 3), (1, 0.25, 0)])
 def test_adversarial_steps_run_after_the_warmup(monkeypatch, epochs,
