@@ -28,9 +28,23 @@ sum and scale) as one record each, and the gradient-reversal pseudo-op
 ``grad_reverse`` whose forward is the identity and whose backward scales
 the upstream gradient by -lambda.
 
-Inference runs without a tape, on the numpy kernels that ``Tape.leaf``
-and the records above run in their forward: ``checked_input``, ``dense``
-and ``row_softmax``. A tape-free forward therefore gives the same bits.
+Stacked slices. Structurally identical networks run as one graph: matmul
+takes M weight slices ``[M, out, in]`` (biases ``[M, out]``), and a
+tensor's rows then hold M slices of equal size, slice m at rows
+``[m*B:(m+1)*B]`` (``Tensor.slices``). A dense record applies slice m of
+its weights to slice m of its input rows, or to all of them when the input
+has one slice (a batch every network reads). Row-wise ops keep the slices;
+the loss terms return one value per slice, ``mean_abs_diff`` can instead
+compare the two slices of one tensor, and ``grad_reverse`` can weight each
+slice's gradient on its own. ``backward`` accepts such a per-slice loss
+and seeds every slice with 1. Every stacked record runs the numpy calls of
+its slices at once, and each slice's values, forward and backward, are
+bitwise those of the unstacked record on that slice alone.
+
+Inference runs without a tape, on numpy kernels that make the numpy calls
+``Tape.leaf`` and the records above make in their forward:
+``checked_input``, ``dense`` and ``row_softmax``. A tape-free forward
+therefore gives the same bits.
 """
 
 from __future__ import annotations
@@ -43,15 +57,18 @@ from .errors import ContractError, DimensionError, DomainError
 
 
 class Tensor:
-    """A node in a tape: float64 data plus an optional gradient."""
+    """A node in a tape: float64 data plus an optional gradient; its rows
+    hold `slices` stacked slices of equal size."""
 
-    __slots__ = ("data", "grad", "node_id", "tape")
+    __slots__ = ("data", "grad", "node_id", "tape", "slices")
 
-    def __init__(self, data: np.ndarray, node_id: int, tape: "Tape"):
+    def __init__(self, data: np.ndarray, node_id: int, tape: "Tape",
+                 slices: int = 1):
         self.data = data
         self.grad: Optional[np.ndarray] = None
         self.node_id = node_id
         self.tape = tape
+        self.slices = slices
 
     @property
     def shape(self):
@@ -111,15 +128,15 @@ class Tape:
         """Wrap a float64 parameter array in place: no conversion, no check."""
         return self._new_tensor(arr)
 
-    def _new_tensor(self, data: np.ndarray) -> Tensor:
-        t = Tensor(data, len(self._tensors), self)
+    def _new_tensor(self, data: np.ndarray, slices: int = 1) -> Tensor:
+        t = Tensor(data, len(self._tensors), self, slices)
         self._tensors.append(t)
         return t
 
     def _emit(self, kind: str, inputs: Sequence[Tensor], out_data: np.ndarray,
               backward_fn, prunes: bool = False,
-              relu_in: Optional[np.ndarray] = None) -> Tensor:
-        out = self._new_tensor(out_data)
+              relu_in: Optional[np.ndarray] = None, slices: int = 1) -> Tensor:
+        out = self._new_tensor(out_data, slices)
         self.records.append(
             _Record(kind, [t.node_id for t in inputs], out.node_id, backward_fn,
                     prunes, relu_in))
@@ -161,34 +178,51 @@ def _same_tape(*tensors: Tensor) -> Tape:
     return tape
 
 
+def _mT(a: np.ndarray) -> np.ndarray:
+    """The transpose of the last two axes, as a view."""
+    return a.T if a.ndim == 2 else a.swapaxes(1, 2)
+
+
 def matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
            bias: Optional[Tensor] = None, relu: bool = False) -> Tensor:
-    """2-D matrix product a @ b, or a @ b.T when transpose_b is set; a 1-D
-    bias added to every row and a relu after it run in the same record (a
-    dense layer). A backward sweep skips the gradient of an operand that is
-    not live."""
+    """2-D matrix product a @ b, or a @ b.T when transpose_b is set; a bias
+    added to every row and a relu after it run in the same record (a dense
+    layer). A 3-D b stacks M weight slices (a bias is then [M, width]):
+    slice m multiplies slice m of a's rows, or all of a when a has one
+    slice, and the product has M slices. A backward sweep skips the
+    gradient of an operand that is not live."""
     tape = _same_tape(a, b) if bias is None else _same_tape(a, b, bias)
-    ad, bd = a.data, b.data
-    if ad.ndim != 2 or bd.ndim != 2:
+    x, w = a.data, b.data
+    if x.ndim != 2 or w.ndim not in (2, 3):
         raise DimensionError(
-            f"matmul: expected 2-D operands, got {list(ad.shape)} and "
-            f"{list(bd.shape)}")
-    width, inner_b = bd.shape if transpose_b else bd.shape[::-1]
-    if ad.shape[1] != inner_b:
+            f"matmul: expected a 2-D operand and a 2-D or stacked 3-D one, "
+            f"got {list(x.shape)} and {list(w.shape)}")
+    m = 1 if w.ndim == 2 else w.shape[0]
+    width, inner_b = w.shape[-2:] if transpose_b else w.shape[:-3:-1]
+    if x.shape[1] != inner_b:
         raise DimensionError(
-            f"matmul: inner dimensions differ for shapes {list(ad.shape)} and "
-            f"{list(bd.shape)}" + (" (transpose_b)" if transpose_b else ""))
+            f"matmul: inner dimensions differ for shapes {list(x.shape)} and "
+            f"{list(w.shape)}" + (" (transpose_b)" if transpose_b else ""))
+    if a.slices not in (1, m):
+        raise DimensionError(
+            f"matmul: {a.slices} row slices do not fit {m} weight slices")
     bias_data = None if bias is None else bias.data
-    if bias_data is not None and bias_data.shape != (width,):
+    if bias_data is not None and bias_data.shape != w.shape[:-2] + (width,):
         raise DimensionError(
             f"matmul: bias {list(bias_data.shape)} does not fit the product "
-            f"{[ad.shape[0], width]}")
-    if transpose_b:
-        out = dense(ad, bd, bias_data)
+            f"{[x.shape[0], width]} of {m} slice(s)")
+    # one slice runs as 2-D products, M slices as one stacked product
+    if m == 1:
+        xs, ws = x, (w if w.ndim == 2 else w[0])
     else:
-        out = ad @ bd
-        if bias_data is not None:
-            out += bias_data
+        xs = x if a.slices == 1 else x.reshape(m, -1, x.shape[1])
+        ws = w
+    wt = _mT(ws)
+    out = xs @ (wt if transpose_b else ws)
+    if bias_data is not None:
+        out += bias_data if m == 1 else bias_data[:, None]
+    if m > 1:
+        out = out.reshape(-1, width)
     pre = None
     if relu:
         pre, mask = out, out > 0  # subgradient at 0 is 0 by convention
@@ -197,15 +231,28 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
     def backward_fn(g, live=(True, True, True)):
         if relu:
             g = g * mask
-        grads = ((g @ bd if transpose_b else g @ bd.T) if live[0] else None,
-                 (g.T @ ad if transpose_b else ad.T @ g) if live[1] else None)
+        gs = g if m == 1 else g.reshape(m, -1, width)
+        gx = gw = None
+        if live[0]:
+            gx = gs @ (ws if transpose_b else wt)
+            if m > 1:  # a shared input collects every slice's gradient
+                gx = gx.reshape(x.shape) if a.slices == m else gx.sum(axis=0)
+        if live[1]:
+            gw = _mT(gs) @ xs if transpose_b else _mT(xs) @ gs
+            if gw.shape != w.shape:  # one slice of a [1, ...] stack
+                gw = gw.reshape(w.shape)
         if bias is None:
-            return grads
-        return (*grads, g.sum(axis=0) if live[2] else None)
+            return gx, gw
+        gb = None
+        if live[2]:
+            gb = gs.sum(axis=-2)
+            if gb.shape != bias_data.shape:
+                gb = gb.reshape(bias_data.shape)
+        return gx, gw, gb
 
     inputs = [a, b] if bias is None else [a, b, bias]
     return tape._emit("matmul", inputs, out, backward_fn, prunes=True,
-                      relu_in=pre)
+                      relu_in=pre, slices=m)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -251,7 +298,7 @@ def relu(a: Tensor) -> Tensor:
         return (g * mask,)
 
     return a.tape._emit("relu", [a], np.where(mask, a.data, 0.0), backward_fn,
-                        relu_in=a.data)
+                        relu_in=a.data, slices=a.slices)
 
 
 def _check_rows(a: Tensor, op: str) -> None:
@@ -270,7 +317,7 @@ def softmax(a: Tensor) -> Tensor:
         dot = (g * s).sum(axis=1, keepdims=True)
         return (s * (g - dot),)
 
-    return a.tape._emit("softmax", [a], s, backward_fn)
+    return a.tape._emit("softmax", [a], s, backward_fn, slices=a.slices)
 
 
 def log_softmax(a: Tensor) -> Tensor:
@@ -283,7 +330,7 @@ def log_softmax(a: Tensor) -> Tensor:
     def backward_fn(g):
         return (g - soft * g.sum(axis=1, keepdims=True),)
 
-    return a.tape._emit("log_softmax", [a], out, backward_fn)
+    return a.tape._emit("log_softmax", [a], out, backward_fn, slices=a.slices)
 
 
 def mean(a: Tensor) -> Tensor:
@@ -316,14 +363,14 @@ def tensor_abs(a: Tensor) -> Tensor:
     return a.tape._emit("abs", [a], np.abs(a.data), backward_fn)
 
 
-def _checked_indices(a: Tensor, indices, op: str) -> np.ndarray:
-    """One integer column index per row of a, each in range."""
+def _checked_indices(a: Tensor, indices, op: str, rows: int) -> np.ndarray:
+    """One integer column index for each of `rows` rows of a, each in range."""
     _check_rows(a, op)
     idx = np.asarray(indices)
-    if idx.ndim != 1 or idx.shape[0] != a.shape[0]:
+    if idx.ndim != 1 or idx.shape[0] != rows:
         raise DimensionError(
             f"{op}: index vector length {list(idx.shape)} does not "
-            f"match {a.shape[0]} rows")
+            f"match {rows} rows")
     if not np.issubdtype(idx.dtype, np.integer):
         raise ContractError(f"{op}: indices must be integers")
     if idx.min() < 0 or idx.max() >= a.shape[1]:
@@ -334,7 +381,7 @@ def _checked_indices(a: Tensor, indices, op: str) -> np.ndarray:
 
 def select_columns(a: Tensor, indices) -> Tensor:
     """Pick one entry per row by a constant index vector; output [rows, 1]."""
-    idx = _checked_indices(a, indices, "select_columns")
+    idx = _checked_indices(a, indices, "select_columns", a.shape[0])
     rows = np.arange(a.shape[0])
     shape = a.shape
 
@@ -348,59 +395,95 @@ def select_columns(a: Tensor, indices) -> Tensor:
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """-mean_i log_softmax(logits)[i, labels[i]] as a shape-[1] tensor: the
-    numpy calls of log_softmax, select_columns, mean and scalar_mul(-1),
-    forward and backward, in one record."""
-    idx = _checked_indices(logits, labels, "cross_entropy")
+    """-mean_i log_softmax(logits)[i, labels[i]] of each row slice, one
+    value per slice (labels: one per row of a slice): the numpy calls of
+    log_softmax, select_columns, mean and scalar_mul(-1), forward and
+    backward, in one record."""
+    m = logits.slices
+    idx = _checked_indices(logits, labels, "cross_entropy",
+                           logits.shape[0] // m)
     a = logits.data
     shifted = a - a.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    rows = np.arange(a.shape[0])
-    picked = logp[rows, idx][:, None]
+    n = len(idx)
+    rows = np.arange(m * n).reshape(m, n)  # slice m's rows, one per label
+    picked = logp[rows, idx]
 
     def backward_fn(g):
         g_logp = np.zeros(a.shape)
-        g_logp[rows, idx] = (-1.0 * g)[0] / picked.size
+        g_logp[rows, idx] = ((-1.0 * g) / n)[:, None]
         return (g_logp - np.exp(logp) * g_logp.sum(axis=1, keepdims=True),)
 
     return logits.tape._emit("cross_entropy", [logits],
-                             -1.0 * np.array([picked.mean()]), backward_fn)
+                             -1.0 * picked.mean(axis=1), backward_fn)
 
 
-def mean_abs_diff(a: Tensor, b: Tensor) -> Tensor:
-    """sum|a - b| / a.size as a shape-[1] tensor: the numpy calls of sub,
-    abs, sum and scalar_mul, forward and backward, in one record."""
-    tape = _same_tape(a, b)
-    if a.shape != b.shape:
-        raise DimensionError(
-            f"mean_abs_diff: shapes {list(a.shape)} and {list(b.shape)} differ")
-    d = a.data - b.data
+def mean_abs_diff(a: Tensor, b: Optional[Tensor] = None) -> Tensor:
+    """sum|a - b| / size of each row slice, one value per slice: the numpy
+    calls of sub, abs, sum and scalar_mul, forward and backward, in one
+    record. Without b, a holds two slices and the one value compares them
+    (slice 0 in the place of a, slice 1 in that of b)."""
+    if b is None:
+        if a.slices != 2:
+            raise DimensionError(
+                f"mean_abs_diff: one operand must hold 2 slices, got "
+                f"{a.slices}")
+        tape, inputs, m = a.tape, [a], 1
+        half = a.shape[0] // 2
+        x, y = a.data[:half], a.data[half:]
+    else:
+        tape, inputs, m = _same_tape(a, b), [a, b], a.slices
+        if a.shape != b.shape or a.slices != b.slices:
+            raise DimensionError(
+                f"mean_abs_diff: shapes {list(a.shape)} and {list(b.shape)} "
+                f"({a.slices} and {b.slices} slices) differ")
+        x, y = a.data, b.data
+    d = x - y
     sign = np.sign(d)  # sign(0) == 0: abs subgradient at 0 is 0
-    c = 1.0 / d.size
+    c = 1.0 / (d.size // m)
 
     def backward_fn(g):
-        g_d = (c * g)[0] * sign
-        return g_d, -g_d
+        g_d = ((c * g)[:, None] * sign.reshape(m, -1)).reshape(sign.shape)
+        return (np.concatenate((g_d, -g_d)),) if b is None else (g_d, -g_d)
 
-    return tape._emit("mean_abs_diff", [a, b],
-                      c * np.array([np.abs(d).sum()]), backward_fn)
+    return tape._emit("mean_abs_diff", inputs,
+                      c * np.abs(d).reshape(m, -1).sum(axis=1), backward_fn)
 
 
-def grad_reverse(a: Tensor, lam: float) -> Tensor:
-    """Identity forward; backward multiplies the upstream gradient by -lam."""
-    lam = float(lam)
-    if lam < 0:
-        raise ContractError(f"grad_reverse: lambda must be >= 0, got {lam}")
+def grad_reverse(a: Tensor, lam) -> Tensor:
+    """Identity forward; backward multiplies the upstream gradient by -lam.
+    lam may instead hold one entry per row slice: a lambda reverses that
+    slice's gradient, None passes it on unchanged (weight +1.0)."""
+    lams = list(lam) if isinstance(lam, (list, tuple)) else [lam]
+    for v in lams:
+        if v is not None and float(v) < 0:
+            raise ContractError(f"grad_reverse: lambda must be >= 0, got {v}")
+    weights = [1.0 if v is None else -float(v) for v in lams]
+    if len(weights) == 1:
+        weight = weights[0]
 
-    def backward_fn(g):
-        return ((-lam) * g,)
+        def backward_fn(g):
+            return (weight * g,)
+    else:
+        if not weights or a.data.ndim == 0 or a.shape[0] % len(weights):
+            raise DimensionError(
+                f"grad_reverse: shape {list(a.shape)} does not split into "
+                f"{len(weights)} row slices")
+        rows = np.repeat(weights, a.shape[0] // len(weights))
+        rows = rows.reshape((-1,) + (1,) * (a.data.ndim - 1))
 
-    return a.tape._emit("grad_reverse", [a], a.data.copy(), backward_fn)
+        def backward_fn(g):
+            return (g * rows,)
+
+    return a.tape._emit("grad_reverse", [a], a.data.copy(), backward_fn,
+                        slices=a.slices)
 
 
 def backward(tape: Tape, loss: Tensor,
              wrt: Optional[Sequence[Tensor]] = None) -> Dict[int, np.ndarray]:
-    """Reverse sweep from a scalar loss node.
+    """Reverse sweep from a loss node: one value, or one per stacked slice,
+    each seeded with 1 (for slices with disjoint parameters, each slice's
+    parameters get the gradient of that slice's loss).
 
     Without wrt, returns a map node_id -> gradient array for every node
     (zeros for nodes the loss does not reach) and fills each tensor's
@@ -412,9 +495,10 @@ def backward(tape: Tape, loss: Tensor,
     """
     if loss.tape is not tape:
         raise ContractError("backward: loss tensor is not on this tape")
-    if loss.size != 1:
+    if loss.size != 1 and loss.data.ndim != 1:
         raise ContractError(
-            f"backward: loss must be scalar, got shape {list(loss.shape)}")
+            f"backward: loss must be scalar or one value per slice, got "
+            f"shape {list(loss.shape)}")
     records = tape.records
     if wrt is None:
         live = [True] * tape.num_nodes

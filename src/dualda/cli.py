@@ -117,6 +117,7 @@ _COMMENT = re.compile(r"(?:^|\s)#")
 def parse_config(path) -> RunConfig:
     """Parse and validate a key=value config file into a RunConfig."""
     cfg = RunConfig()
+    seen: Dict[str, int] = {}
     with open(path) as f:
         for lineno, raw in enumerate(f, start=1):
             line = _COMMENT.split(raw, 1)[0].strip()
@@ -128,6 +129,10 @@ def parse_config(path) -> RunConfig:
             kind = _KEY_TYPES.get(key)
             if kind is None:
                 raise ConfigError(f"line {lineno}: unknown config key {key!r}")
+            if key in seen:
+                raise ConfigError(f"line {lineno}: config key {key} is "
+                                  f"already set on line {seen[key]}")
+            seen[key] = lineno
             try:
                 setattr(cfg, key, kind(value))
             except ValueError:

@@ -15,6 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .losses import (classifier_discrepancy, cross_entropy, dual_loss,
                      module_loss)
+from .model import DualModel
 from .nn import COMPONENT_KEYS, BoundComponents, build_component_set
 
 H = 1e-5
@@ -38,8 +39,11 @@ def central_diff(value_fn: Callable[[], float], arr: np.ndarray, i: int,
 
 
 def _op_case(kind: str, rng: np.random.Generator):
-    """Random input arrays plus a loss builder for one primitive op."""
+    """Random input arrays, a loss builder for one primitive op, and the
+    factor of each input entry between its analytic and numeric gradient
+    (None: 1), which a per-slice reversal sets."""
     m, k, n = rng.integers(2, 5, size=3)
+    weights = None
     if kind == "matmul":
         arrs = [rng.uniform(-2, 2, (m, k)), rng.uniform(-2, 2, (k, n))]
         build = lambda t: ad.matmul(t[0], t[1])
@@ -54,6 +58,19 @@ def _op_case(kind: str, rng: np.random.Generator):
         arrs = _dense_away_from_kink(rng, m, k, n)
         build = lambda t: ad.matmul(t[0], t[1], transpose_b=True, bias=t[2],
                                     relu=True)
+    elif kind == "matmul_stacked":
+        # two stacked dense layers (M = 2): the first reads one shared batch
+        # with both weight slices, the second each slice's rows with its own
+        arrs = _stacked_dense_away_from_kink(rng, m, k, n)
+        build = lambda t: ad.matmul(
+            ad.matmul(t[0], t[1], transpose_b=True, bias=t[2], relu=True),
+            t[3], transpose_b=True, bias=t[4])
+    elif kind == "reverse_slices":
+        # slice 0 reversed by lambda, slice 1 passed on with weight +1.0
+        lam = float(rng.uniform(0.1, 1.5))
+        arrs = [rng.uniform(-2, 2, (2 * m, n))]
+        weights = [np.repeat([-lam, 1.0], m * n).reshape(2 * m, n)]
+        build = lambda t: ad.softmax(ad.grad_reverse(t[0], [lam, None]))
     elif kind == "add":
         arrs = [rng.uniform(-2, 2, (m, n)), rng.uniform(-2, 2, (n,))]
         build = lambda t: ad.add(t[0], t[1])
@@ -96,7 +113,7 @@ def _op_case(kind: str, rng: np.random.Generator):
         build = lambda t: ad.mean_abs_diff(t[0], t[1])
     else:
         raise ValueError(kind)
-    return arrs, build
+    return arrs, build, weights
 
 
 def _away_from_zero(rng, shape, margin=1e-3):
@@ -113,6 +130,16 @@ def _dense_away_from_kink(rng, m, k, n, margin=1e-3):
         x, w, b = (rng.uniform(-2, 2, s) for s in ((m, k), (n, k), (n,)))
         if np.abs(x @ w.T + b).min() >= margin:
             return [x, w, b]
+
+
+def _stacked_dense_away_from_kink(rng, m, k, n, margin=1e-3):
+    """x [m, k], w [2, n, k], b [2, n] whose pre-activations keep clear of
+    the relu kink, plus a second stacked layer w2 [2, k, n], b2 [2, k]."""
+    while True:
+        x, w, b = (rng.uniform(-2, 2, s) for s in ((m, k), (2, n, k), (2, n)))
+        if np.abs(np.matmul(x, w.transpose(0, 2, 1)) + b[:, None]).min() >= margin:
+            return [x, w, b, rng.uniform(-2, 2, (2, k, n)),
+                    rng.uniform(-2, 2, (2, k))]
 
 
 def _scalarize(t: ad.Tensor) -> ad.Tensor:
@@ -135,7 +162,7 @@ def check_op(kind: str, trials: int, seed: int = 0,
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
-        arrs, build = _op_case(kind, rng)
+        arrs, build, weights = _op_case(kind, rng)
 
         def value() -> float:
             tape = ad.Tape()
@@ -152,10 +179,11 @@ def check_op(kind: str, trials: int, seed: int = 0,
         ad.backward(tape, _scalarize(build(wrapped)))
 
         scale = 1.0 if reverse_lambda is None else -reverse_lambda
-        for arr, tensor in zip(arrs, tensors):
+        for j, (arr, tensor) in enumerate(zip(arrs, tensors)):
             flat_grad = tensor.grad.reshape(-1)
+            factor = np.ones(arr.size) if weights is None else weights[j].reshape(-1)
             for i in range(arr.size):
-                numeric = scale * central_diff(value, arr, i)
+                numeric = scale * factor[i] * central_diff(value, arr, i)
                 worst = max(worst, rel_err(flat_grad[i], numeric))
     return worst
 
@@ -167,45 +195,46 @@ def _tiny_setup(rng: np.random.Generator):
     xs = rng.uniform(-2, 2, (3, 2))
     xt = rng.uniform(-2, 2, (3, 2))
     ys = rng.integers(0, 2, size=3)
-    return comps1, comps2, xs, ys, xt
+    return DualModel(comps1, comps2), xs, ys, xt
 
 
-def _loss_parts(kind: str, comps1, comps2, xs, ys, xt, lam):
+def _loss_parts(kind: str, model: DualModel, xs, ys, xt, lam):
     """Forward values of the loss's additive parts, on a fresh tape.
 
-    Returns (tape, binding1, binding2, parts, weight_fn, total) where
+    Returns (tape, binding, parts, weight_fn, total) where
     weight_fn(component_key) gives the per-part combination weights for
     parameters of that component: the gradient-reversal layer flips the
     domain/feature part's sign only for parameters upstream of it, so the
-    discriminator (downstream) keeps weight +1.
+    discriminator (downstream) keeps weight +1. The dual loss binds both
+    modules as one stacked graph; the others bind the invariant module.
     """
     tape = ad.Tape()
-    b = BoundComponents(tape, comps1, prefix="invariant.")
+    if kind == "dual":
+        b = BoundComponents(tape, *model.modules())
+        parts = dual_loss(b, b.features(tape.leaf(xs)),
+                          b.features(tape.leaf(xt)), lam)
+        return tape, b, [parts.feature_dis, parts.prediction_dis], \
+            lambda comp: [-lam, 1.0], [parts.total]
+    b = BoundComponents(tape, model.invariant, prefix="invariant.")
     x_s, x_t = tape.leaf(xs), tape.leaf(xt)
     if kind == "cross_entropy":
         ce = cross_entropy(b.classifier_a.forward(b.features(x_s)), ys)
-        return tape, b, None, [ce], lambda comp: [1.0], [ce]
+        return tape, b, [ce], lambda comp: [1.0], [ce]
     if kind == "discrepancy":
         dis = classifier_discrepancy(b, b.features(x_t))
-        return tape, b, None, [dis], lambda comp: [1.0], [dis]
+        return tape, b, [dis], lambda comp: [1.0], [dis]
     if kind == "invariant_module":
         parts = module_loss(b, b.features(x_s), ys, b.features(x_t), lam)
 
         def weights(comp):
             return [1.0, 1.0 if comp == "discriminator" else -lam]
 
-        return tape, b, None, [parts.classifier_ce, parts.domain_ce], \
+        return tape, b, [parts.classifier_ce, parts.domain_ce], \
             weights, [parts.total]
     if kind == "discriminative_module":
         parts = module_loss(b, b.features(x_s), ys, b.features(x_t), None)
-        return tape, b, None, [parts.classifier_ce, parts.domain_ce], \
+        return tape, b, [parts.classifier_ce, parts.domain_ce], \
             lambda comp: [1.0, 1.0], [parts.total]
-    if kind == "dual":
-        b2 = BoundComponents(tape, comps2, prefix="discriminative.")
-        parts = dual_loss(b, b2, b.features(x_s), b.features(x_t),
-                          b2.features(x_s), b2.features(x_t), lam)
-        return tape, b, b2, [parts.feature_dis, parts.prediction_dis], \
-            lambda comp: [-lam, 1.0], [parts.total]
     raise ValueError(kind)
 
 
@@ -223,30 +252,35 @@ def check_loss(kind: str, trials: int, seed: int = 0) -> float:
     worst = 0.0
     trial = 0
     while trial < trials:
-        comps1, comps2, xs, ys, xt = _tiny_setup(rng)
+        model, xs, ys, xt = _tiny_setup(rng)
         lam = float(rng.uniform(0.1, 1.5))
-        tape, b1, b2, parts, weight_fn, total = _loss_parts(
-            kind, comps1, comps2, xs, ys, xt, lam)
+        tape, binding, parts, weight_fn, total = _loss_parts(
+            kind, model, xs, ys, xt, lam)
         if _near_relu_kink(tape):
             continue
         trial += 1
         ad.backward(tape, total[0])
 
+        # module by module: each slice of a stacked parameter on its own
         pairs = []
-        for binding in (b1,) if b2 is None else (b1, b2):
+        slices = len(binding.prefixes)
+        for m in range(slices):
             for comp in COMPONENT_KEYS:
                 for name, arr, tensor in binding.named_pairs((comp,)):
-                    pairs.append((comp, arr, tensor))
-        for comp, arr, tensor in pairs:
-            flat_grad = tensor.grad.reshape(-1)
+                    grad = tensor.grad
+                    if slices > 1:
+                        arr, grad = arr[m], grad[m]
+                    pairs.append((comp, arr, grad))
+        for comp, arr, grad in pairs:
+            flat_grad = grad.reshape(-1)
             weights = weight_fn(comp)
             picks = rng.choice(arr.size, size=min(3, arr.size), replace=False)
             for i in picks:
                 numeric = 0.0
                 for part_idx, w in enumerate(weights):
                     def part_value(part_idx=part_idx):
-                        fresh = _loss_parts(kind, comps1, comps2, xs, ys, xt, lam)
-                        return float(fresh[3][part_idx].data[0])
+                        fresh = _loss_parts(kind, model, xs, ys, xt, lam)
+                        return float(fresh[2][part_idx].data[0])
                     numeric += w * central_diff(part_value, arr, i)
                 worst = max(worst, rel_err(flat_grad[i], numeric))
     return worst
@@ -260,9 +294,10 @@ def _near_relu_kink(tape: ad.Tape, margin: float = 5e-4) -> bool:
                for rec in tape.records if rec.relu_in is not None)
 
 
-OP_CASES = ("matmul", "matmul_t", "matmul_bias", "matmul_relu", "add", "sub",
-            "scalar_mul", "relu", "abs", "softmax", "log_softmax", "mean",
-            "sum", "select_columns", "cross_entropy", "mean_abs_diff")
+OP_CASES = ("matmul", "matmul_t", "matmul_bias", "matmul_relu",
+            "matmul_stacked", "add", "sub", "scalar_mul", "relu", "abs",
+            "softmax", "log_softmax", "mean", "sum", "select_columns",
+            "cross_entropy", "mean_abs_diff", "reverse_slices")
 LOSS_KINDS = ("cross_entropy", "discrepancy", "invariant_module",
               "discriminative_module", "dual")
 

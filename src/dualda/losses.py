@@ -13,6 +13,10 @@ the invariant module routes the discriminator input through grad_reverse,
 the discriminative module does not. The cross-module loss plays
 feature-distribution discrepancy (maximized via grad_reverse) against
 prediction discrepancy (minimized).
+
+A binding of a stacked set runs its modules as one graph: the per-module
+losses then hold one value per module, and the cross-module loss reads the
+two modules' slices of one binding.
 """
 
 from __future__ import annotations
@@ -32,19 +36,21 @@ def cross_entropy(logits: ad.Tensor, labels) -> ad.Tensor:
     if logits.data.ndim != 2:
         raise DimensionError(
             f"cross_entropy: logits must be 2-D, got {list(logits.shape)}")
-    if labels.ndim != 1 or labels.shape[0] != logits.shape[0]:
+    rows = logits.shape[0] // logits.slices
+    if labels.ndim != 1 or labels.shape[0] != rows:
         raise ContractError(
-            f"cross_entropy: need one label per row, got {labels.shape} "
-            f"for {logits.shape[0]} rows")
+            f"cross_entropy: need one label per row of a module, got "
+            f"{labels.shape} for {rows} rows")
     if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[1]):
         raise ContractError(
             f"cross_entropy: labels must lie in [0, {logits.shape[1]})")
     return ad.cross_entropy(logits, labels.astype(np.int64))
 
 
-def discrepancy(p1: ad.Tensor, p2: ad.Tensor) -> ad.Tensor:
-    """Mean absolute difference between two batches of probability rows."""
-    if p1.shape != p2.shape:
+def discrepancy(p1: ad.Tensor, p2: ad.Tensor | None = None) -> ad.Tensor:
+    """Mean absolute difference between two batches of probability rows, one
+    value per module; without p2, between the two modules' rows of p1."""
+    if p2 is not None and p1.shape != p2.shape:
         raise DimensionError(
             f"discrepancy: shapes {list(p1.shape)} and {list(p2.shape)} differ")
     if p1.data.ndim != 2:
@@ -76,24 +82,26 @@ class ModuleLossParts:
 
 
 def module_loss(binding: BoundComponents, t_s: ad.Tensor, labels_s,
-                t_t: ad.Tensor, lam: float | None) -> ModuleLossParts:
-    """Classifier CE on source plus one domain-CE term per domain.
+                t_t: ad.Tensor, lam) -> ModuleLossParts:
+    """Classifier CE on source plus one domain-CE term per domain, one value
+    per module.
 
-    lam is the gradient-reversal weight; None disables reversal entirely
-    (the discriminative module's variant, where the domain gradient trains
-    the extractor to separate domains).
+    lam is the gradient-reversal weight, or a list of one per module in
+    slice order; None disables reversal (the discriminative module's loss,
+    where the domain gradient trains the extractor to separate domains).
     """
     _check_batches(t_s, t_t)
     classifier_ce = classifier_only_loss(binding, t_s, labels_s)
 
     d_in_s, d_in_t = t_s, t_t
-    if lam is not None:
+    lams = lam if isinstance(lam, (list, tuple)) else [lam]
+    if any(v is not None for v in lams):
         d_in_s = ad.grad_reverse(t_s, lam)
         d_in_t = ad.grad_reverse(t_t, lam)
     dom_s = cross_entropy(binding.discriminator.forward(d_in_s),
-                          np.zeros(t_s.shape[0], dtype=np.int64))
+                          np.zeros(t_s.shape[0] // t_s.slices, dtype=np.int64))
     dom_t = cross_entropy(binding.discriminator.forward(d_in_t),
-                          np.ones(t_t.shape[0], dtype=np.int64))
+                          np.ones(t_t.shape[0] // t_t.slices, dtype=np.int64))
     domain_ce = dom_s + dom_t
     return ModuleLossParts(classifier_ce + domain_ce, classifier_ce,
                            domain_ce, dom_s, dom_t)
@@ -117,30 +125,32 @@ class DualLossParts:
     feature_dis: ad.Tensor      # discrepancy of softmax-normalized transform outputs
     prediction_dis: ad.Tensor   # discrepancy of the two primary classifiers
     reversed_feature_dis: ad.Tensor  # grad_reverse(feature_dis, lam)
+    probs_s: ad.Tensor          # both primary classifiers' softmax on source
+    probs_t: ad.Tensor          # ... and on target
 
 
-def dual_loss(b1: BoundComponents, b2: BoundComponents, t1_s: ad.Tensor,
-              t1_t: ad.Tensor, t2_s: ad.Tensor, t2_t: ad.Tensor,
+def dual_loss(binding: BoundComponents, t_s: ad.Tensor, t_t: ad.Tensor,
               lam: float) -> DualLossParts:
     """grad_reverse(feature discrepancy, lam) + prediction discrepancy.
 
-    t1_*/t2_* are the two modules' transform outputs on the source and
-    target batches. The feature discrepancy is the extractors'/transforms'
-    objective (they climb it through the reversal); the prediction
-    discrepancy is the primary classifiers' objective (they descend it).
-    The exposed term nodes let the caller backpropagate each term to its
-    own player.
+    binding holds both modules, and t_s/t_t are their stacked transform
+    outputs on the source and target batches. The feature discrepancy is
+    the extractors'/transforms' objective (they climb it through the
+    reversal); the prediction discrepancy is the primary classifiers'
+    objective (they descend it). The exposed term nodes let the caller
+    backpropagate each term to its own player.
     """
-    _check_batches(t1_s, t1_t)
-    feature_dis = (discrepancy(ad.softmax(t1_s), ad.softmax(t2_s)) +
-                   discrepancy(ad.softmax(t1_t), ad.softmax(t2_t)))
+    _check_batches(t_s, t_t)
+    if t_s.slices != 2 or t_t.slices != 2:
+        raise ContractError("dual_loss: needs both modules' stacked outputs")
+    feature_dis = (discrepancy(ad.softmax(t_s)) +
+                   discrepancy(ad.softmax(t_t)))
 
-    c1_s = ad.softmax(b1.classifier_a.forward(t1_s))
-    c1_t = ad.softmax(b1.classifier_a.forward(t1_t))
-    c2_s = ad.softmax(b2.classifier_a.forward(t2_s))
-    c2_t = ad.softmax(b2.classifier_a.forward(t2_t))
-    prediction_dis = discrepancy(c1_s, c2_s) + discrepancy(c1_t, c2_t)
+    c_s = ad.softmax(binding.classifier_a.forward(t_s))
+    c_t = ad.softmax(binding.classifier_a.forward(t_t))
+    prediction_dis = discrepancy(c_s) + discrepancy(c_t)
 
     reversed_feature = ad.grad_reverse(feature_dis, lam)
     total = reversed_feature + prediction_dis
-    return DualLossParts(total, feature_dis, prediction_dis, reversed_feature)
+    return DualLossParts(total, feature_dis, prediction_dis, reversed_feature,
+                         c_s, c_t)

@@ -3,6 +3,10 @@
 Inference only ever touches the invariant module's extractor, transform
 layer and primary classifier; the discriminative module exists purely to
 push the invariant one toward domain-invariant features during training.
+
+A DualModel stores each parameter of its two modules as one [2, ...] array
+(invariant first); each module's layers are views of its slice, so names,
+checkpoints and inference read the same arrays that training updates.
 """
 
 from __future__ import annotations
@@ -16,7 +20,9 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ContractError
 from .nn import (COMPONENT_KEYS, ComponentSet, build_component_set,
-                 load_params, save_params)
+                 load_params, save_params, stack_component_sets)
+
+MODULES = ("invariant", "discriminative")
 
 
 class Variant(str, Enum):
@@ -48,6 +54,18 @@ class DualModel:
         ids2 = {id(a) for _, a in self.discriminative.named_arrays()}
         if ids1 & ids2:
             raise ContractError("modules must not share parameter arrays")
+        self.stacked = stack_component_sets([self.invariant,
+                                             self.discriminative])
+
+    def modules(self, names: Tuple[str, ...] = MODULES
+                ) -> Tuple[ComponentSet, Tuple[str, ...]]:
+        """The named modules as one set to bind, with the name prefix of
+        each slice: one module's own set, or the stacked set of both."""
+        if names == MODULES:
+            return self.stacked, tuple(f"{m}." for m in MODULES)
+        if len(names) != 1 or names[0] not in MODULES:
+            raise ContractError(f"no module set {names!r}")
+        return getattr(self, names[0]), (f"{names[0]}.",)
 
     @classmethod
     def build(cls, input_dim: int, feature_dim: int, num_classes: int, seed,

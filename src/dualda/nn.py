@@ -5,11 +5,18 @@ steps; each training forward pass binds them onto a fresh tape
 (``Tape.param``, no copy and no finiteness scan) so the optimizer can look
 gradients up by parameter name afterwards. Inference reads the arrays
 directly (``Stack.apply``, ``ComponentSet.features``), with no tape.
+
+Structurally identical modules can share storage: ``stack_component_sets``
+puts each parameter of M modules into one ``[M, ...]`` array and makes each
+module's layers views of their slice, so a stacked ComponentSet binds all
+M modules as one graph (``BoundComponents``) while each module still reads
+and writes its own arrays.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
 import struct
@@ -44,12 +51,13 @@ class NetworkSpec:
 
 
 class LinearLayer:
-    """weight [out_dim, in_dim] and bias [out_dim], both trainable."""
+    """weight [out_dim, in_dim] and bias [out_dim], both trainable; or M
+    stacked layers, weight [M, out_dim, in_dim] and bias [M, out_dim]."""
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray):
         weight = np.asarray(weight, dtype=np.float64)
         bias = np.asarray(bias, dtype=np.float64)
-        if weight.ndim != 2 or bias.ndim != 1 or weight.shape[0] != bias.shape[0]:
+        if weight.ndim not in (2, 3) or weight.shape[:-1] != bias.shape:
             raise DimensionError(
                 f"LinearLayer: weight {list(weight.shape)} and bias "
                 f"{list(bias.shape)} do not conform")
@@ -58,11 +66,11 @@ class LinearLayer:
 
     @property
     def in_dim(self) -> int:
-        return self.weight.shape[1]
+        return self.weight.shape[-1]
 
     @property
     def out_dim(self) -> int:
-        return self.weight.shape[0]
+        return self.weight.shape[-2]
 
 
 class Stack:
@@ -113,7 +121,8 @@ def init_stack(spec: NetworkSpec, seed) -> Stack:
 
 
 class BoundStack:
-    """A Stack whose parameters are bound onto one tape as leaf tensors."""
+    """A Stack whose parameters are bound onto one tape as leaf tensors; a
+    stacked Stack runs its M slices as one graph (see autodiff.matmul)."""
 
     def __init__(self, tape: ad.Tape, stack: Stack):
         self.stack = stack
@@ -174,6 +183,23 @@ class ComponentSet:
                 yield f"{prefix}{key}.{name}", arr
 
 
+def stack_component_sets(sets: Sequence[ComponentSet]) -> ComponentSet:
+    """One ComponentSet whose arrays stack the sets' arrays [M, ...] in set
+    order. Each set's layers then hold views of their slice, so training
+    the stacked set trains every set in place."""
+    stacked = {}
+    for key in COMPONENT_KEYS:
+        layers = []
+        for per_set in zip(*(getattr(c, key).layers for c in sets)):
+            layer = LinearLayer(np.stack([l.weight for l in per_set]),
+                                np.stack([l.bias for l in per_set]))
+            for m, l in enumerate(per_set):
+                l.weight, l.bias = layer.weight[m], layer.bias[m]
+            layers.append(layer)
+        stacked[key] = Stack(layers)
+    return ComponentSet(**stacked)
+
+
 def build_component_set(input_dim: int, feature_dim: int, num_classes: int,
                         seed, g_hidden: Sequence[int] = (64,),
                         head_hidden: Sequence[int] = (16,)) -> ComponentSet:
@@ -198,22 +224,35 @@ def build_component_set(input_dim: int, feature_dim: int, num_classes: int,
 
 
 class BoundComponents:
-    """All five components of one ComponentSet bound to a single tape."""
+    """All five components of one ComponentSet bound to a single tape. A
+    stacked set binds its M modules as one graph, the rows of module m
+    at [m*B:(m+1)*B] of every activation; prefix then gives each module's
+    name prefix, in slice order."""
 
-    def __init__(self, tape: ad.Tape, comps: ComponentSet, prefix: str = ""):
-        self.prefix = prefix
+    def __init__(self, tape: ad.Tape, comps: ComponentSet,
+                 prefix: str | Sequence[str] = ""):
+        self.prefixes = (prefix,) if isinstance(prefix, str) else tuple(prefix)
         for key in COMPONENT_KEYS:
             setattr(self, key, BoundStack(tape, getattr(comps, key)))
 
     def features(self, x: ad.Tensor) -> ad.Tensor:
-        """The transform layer's output: what every head and loss reads."""
+        """The transform layer's output: what every head and loss reads. A
+        one-slice x (a data batch) feeds every module."""
         return self.transform.forward(self.extractor.forward(x))
 
     def named_pairs(self, components=COMPONENT_KEYS):
-        """(full name, param array, leaf tensor) for the chosen components."""
+        """(full name of each slice, param array, leaf tensor) for the
+        chosen components."""
         for key in components:
             for name, arr, tensor in getattr(self, key).named_pairs():
-                yield f"{self.prefix}{key}.{name}", arr, tensor
+                yield _slice_names(self.prefixes, key, name), arr, tensor
+
+
+@functools.lru_cache(maxsize=1024)
+def _slice_names(prefixes: Tuple[str, ...], key: str,
+                 name: str) -> Tuple[str, ...]:
+    """A parameter's full name in each slice; every update asks again."""
+    return tuple(f"{p}{key}.{name}" for p in prefixes)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import ContractError
+
+# a parameter's name, or the name of each slice of a stacked parameter
+NameKey = Union[str, Tuple[str, ...]]
 
 
 @dataclass(frozen=True)
@@ -52,30 +55,42 @@ def lambda_at(s: Schedule, p: float) -> float:
 class SGD:
     """Momentum SGD with one velocity buffer per named parameter.
 
-    Each update checks that its parameter stayed finite, so training that
+    A parameter is named by one str, or by a tuple with one name per slice
+    of a stacked [M, ...] array; lr is one float, or one per slice. Each
+    update checks that its parameter stayed finite, so training that
     diverges stops at the first update that produced NaN or Inf (forward
-    passes bind parameters without checking them).
+    passes bind parameters without checking them), naming the slice.
     """
 
     def __init__(self, momentum: float = 0.9):
         if not 0 <= momentum < 1:
             raise ContractError(f"momentum must lie in [0, 1), got {momentum}")
         self.momentum = momentum
-        self._velocity: Dict[str, np.ndarray] = {}
+        self._velocity: Dict[NameKey, np.ndarray] = {}
 
-    def step(self, named: Iterable[Tuple[str, np.ndarray, Optional[np.ndarray]]],
-             lr: float) -> None:
+    def step(self, named: Iterable[Tuple[NameKey, np.ndarray,
+                                         Optional[np.ndarray]]],
+             lr: Union[float, Sequence[float]]) -> None:
+        rates = None if np.isscalar(lr) else np.asarray(lr, dtype=np.float64)
         for name, param, grad in named:
+            names = (name,) if isinstance(name, str) else name
             if grad is None:
-                raise ContractError(f"sgd: missing gradient for {name}")
+                raise ContractError(
+                    f"sgd: missing gradient for {', '.join(names)}")
             v = self._velocity.get(name)
             if v is None:
                 v = np.zeros_like(param)
                 self._velocity[name] = v
             v *= self.momentum
             v += grad
-            param -= lr * v
+            if rates is None:
+                param -= lr * v
+            else:
+                param -= rates.reshape((-1,) + (1,) * (param.ndim - 1)) * v
             if not np.isfinite(param).all():
+                m = 0 if len(names) == 1 else next(
+                    i for i in range(len(names)) if not np.isfinite(param[i]).all())
                 raise ContractError(
-                    f"sgd: parameter {name} is no longer finite after an "
-                    f"update with lr {lr:g}; training diverged")
+                    f"sgd: parameter {names[m]} is no longer finite after an "
+                    f"update with lr {lr if rates is None else rates[m]:g}; "
+                    f"training diverged")

@@ -8,7 +8,7 @@
   step 2 (per-module adversarial training): one update of the invariant
     module on its loss (gradient reversal in front of the discriminator)
     and, for dual variants, one update of the discriminative module on the
-    same loss without reversal.
+    same loss without reversal (reversal weight +1.0).
   step 3 (cross-module min-max): one update of both modules' extractor,
     transform and primary classifier on the dual loss, each player
     following its own term.
@@ -23,9 +23,14 @@ sampled at each step invocation on the running phase's own normalized
 clock.
 
 Every SGD update of every step runs through ``_update``: one tape, one
-pruned backward per (loss, bindings, components) term, one optimizer step.
-``train`` runs one loop over each phase's step invocations; that loop
-samples the schedules, reports progress and labels a failing step.
+pruned backward per (loss, binding, components) term, one optimizer step.
+Each step binds every module it trains on one tape as one stacked graph
+(``DualModel.modules``), so two modules cost one tape, one backward and
+one SGD step per update; an update still counts once per module. In step
+1 each module keeps the lr of its own progress, sampled as if the modules
+ran one after the other. ``train`` runs one loop over each phase's step
+invocations; that loop samples the schedules, reports progress and labels
+a failing step.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .data import DomainDataset, batches, derived_seed, num_batch_pairs
 from .errors import ContractError
 from .losses import (classifier_discrepancy, classifier_only_loss, dual_loss,
                      module_loss)
-from .model import DualModel, Variant, predicted_classes, variant_plan
+from .model import DualModel, Variant, variant_plan
 from .nn import COMPONENT_KEYS, BoundComponents, ComponentSet
 from .optim import SGD, Schedule, lambda_at, lr_at
 
@@ -95,54 +100,53 @@ class MetricsRecord:
 MetricsRecord.COLUMNS = tuple(f.name for f in fields(MetricsRecord))
 
 
-def _update(sgd: SGD, lr: float, tape: ad.Tape,
-            *terms: Tuple[ad.Tensor, Sequence[BoundComponents], Sequence[str]]
-            ) -> None:
-    """One SGD update: each (loss, bindings, components) term back-propagates
-    its loss to exactly the named components of its bindings, and one
-    optimizer step applies every term's gradients."""
+def _update(sgd: SGD, lr, tape: ad.Tape,
+            *terms: Tuple[ad.Tensor, BoundComponents, Sequence[str]]) -> None:
+    """One SGD update: each (loss, binding, components) term back-propagates
+    its loss (one value per module) to exactly the named components of its
+    binding, and one optimizer step applies every term's gradients."""
     updates = []
-    for loss, bindings, components in terms:
-        pairs = [pair for b in bindings for pair in b.named_pairs(components)]
+    for loss, binding, components in terms:
+        pairs = list(binding.named_pairs(components))
         grads = ad.backward(tape, loss, wrt=[t for _, _, t in pairs])
-        updates += [(name, arr, grads[t.node_id]) for name, arr, t in pairs]
+        updates += [(names, arr, grads[t.node_id]) for names, arr, t in pairs]
     sgd.step(updates, lr)
 
 
-def _source_update(comps: ComponentSet, prefix: str, batch_s, labels_s,
-                   lr: float, sgd: SGD) -> None:
+def _source_update(comps: ComponentSet, prefix, batch_s, labels_s, lr,
+                   sgd: SGD) -> None:
     """Both classifiers fit the source batch and the whole module path
     updates: step-1 phase A, and step 2 of a source-only invariant module."""
     tape = ad.Tape()
     b = BoundComponents(tape, comps, prefix)
     loss = classifier_only_loss(b, b.features(tape.leaf(batch_s)), labels_s)
-    _update(sgd, lr, tape, (loss, [b], _PATH_COMPONENTS))
+    _update(sgd, lr, tape, (loss, b, _PATH_COMPONENTS))
 
 
-def _boundary_updates(comps: ComponentSet, batch_s, labels_s, batch_t, k: int,
-                      lr: float, sgd: SGD, name_prefix: str) -> float:
-    """Phases A, B and k x C of step 1; returns the discrepancy read before
-    the first phase-C update."""
+def _boundary_updates(comps: ComponentSet, prefix, batch_s, labels_s,
+                      batch_t, k: int, lr, sgd: SGD) -> np.ndarray:
+    """Phases A, B and k x C of step 1 on every module of comps at once
+    (prefix and lr: one per module, or one for a single module); returns
+    each module's discrepancy read before the first phase-C update."""
     # (A) both classifiers fit source; whole path updates
-    _source_update(comps, name_prefix, batch_s, labels_s, lr, sgd)
+    _source_update(comps, prefix, batch_s, labels_s, lr, sgd)
 
     # (B) classifier pair maximizes target disagreement, keeping source CE
     tape = ad.Tape()
-    b = BoundComponents(tape, comps, name_prefix)
+    b = BoundComponents(tape, comps, prefix)
     src_ce = classifier_only_loss(b, b.features(tape.leaf(batch_s)), labels_s)
     dis = classifier_discrepancy(b, b.features(tape.leaf(batch_t)))
     _update(sgd, lr, tape,
-            (ad.sub(src_ce, dis), [b], ("classifier_a", "classifier_b")))
+            (ad.sub(src_ce, dis), b, ("classifier_a", "classifier_b")))
 
     # (C) extractor+transform minimize the disagreement, k times
-    before = 0.0
     for i in range(k):
         tape = ad.Tape()
-        b = BoundComponents(tape, comps, name_prefix)
+        b = BoundComponents(tape, comps, prefix)
         dis = classifier_discrepancy(b, b.features(tape.leaf(batch_t)))
         if i == 0:
-            before = float(dis.data[0])
-        _update(sgd, lr, tape, (dis, [b], ("extractor", "transform")))
+            before = dis.data
+        _update(sgd, lr, tape, (dis, b, ("extractor", "transform")))
     return before
 
 
@@ -160,19 +164,20 @@ def step1_mcd(comps: ComponentSet, batch_s, labels_s, batch_t, k: int,
         raise ContractError(f"k must be >= 1, got {k}")
     if sgd is None:
         sgd = SGD(0.0)
-    before = _boundary_updates(comps, batch_s, labels_s, batch_t, k, lr, sgd,
-                               name_prefix)
+    before = _boundary_updates(comps, name_prefix, batch_s, labels_s, batch_t,
+                               k, lr, sgd)
     tape = ad.Tape()
     b = BoundComponents(tape, comps, name_prefix)
     after = classifier_discrepancy(b, b.features(tape.leaf(batch_t)))
-    return before, float(after.data[0])
+    return float(before[0]), float(after.data[0])
 
 
 def step2_modules(model: DualModel, batch_s, labels_s, batch_t, lam: float,
                   lr: float, variant: Variant,
                   sgd: Optional[SGD] = None) -> DualModel:
-    """Per-module training; each module's update uses its own pre-step
-    parameters (the modules are parameter-disjoint)."""
+    """Per-module training; the adversarial modules update as one stacked
+    graph, each from its own pre-step parameters (the modules are
+    parameter-disjoint)."""
     plan = variant_plan(variant)
     if sgd is None:
         sgd = SGD(0.0)
@@ -181,19 +186,19 @@ def step2_modules(model: DualModel, batch_s, labels_s, batch_t, lam: float,
         _source_update(model.invariant, "invariant.", batch_s, labels_s, lr,
                        sgd)
 
-    # (module, velocity-name prefix, reversal weight: None for no reversal)
-    adversarial = []
+    # module -> reversal weight: None for no reversal
+    adversarial = {}
     if plan.step2_invariant == "adversarial":
-        adversarial.append((model.invariant, "invariant.", lam))
+        adversarial["invariant"] = lam
     if plan.step2_discriminative:
-        adversarial.append((model.discriminative, "discriminative.", None))
-    for comps, prefix, module_lam in adversarial:
+        adversarial["discriminative"] = None
+    if adversarial:
         tape = ad.Tape()
-        b = BoundComponents(tape, comps, prefix)
+        b = BoundComponents(tape, *model.modules(tuple(adversarial)))
         t_s = b.features(tape.leaf(batch_s))
         t_t = b.features(tape.leaf(batch_t))
-        parts = module_loss(b, t_s, labels_s, t_t, module_lam)
-        _update(sgd, lr, tape, (parts.total, [b], COMPONENT_KEYS))
+        parts = module_loss(b, t_s, labels_s, t_t, list(adversarial.values()))
+        _update(sgd, lr, tape, (parts.total, b, COMPONENT_KEYS))
     return model
 
 
@@ -213,47 +218,46 @@ def step3_dual(model: DualModel, batch_s, batch_t, lam: float, lr: float,
     if sgd is None:
         sgd = SGD(0.0)
     tape = ad.Tape()
-    b1 = BoundComponents(tape, model.invariant, prefix="invariant.")
-    b2 = BoundComponents(tape, model.discriminative, prefix="discriminative.")
-    xs, xt = tape.leaf(batch_s), tape.leaf(batch_t)
-    parts = dual_loss(b1, b2, b1.features(xs), b1.features(xt),
-                      b2.features(xs), b2.features(xt), lam)
+    b = BoundComponents(tape, *model.modules())
+    parts = dual_loss(b, b.features(tape.leaf(batch_s)),
+                      b.features(tape.leaf(batch_t)), lam)
     _update(sgd, lr, tape,
-            (parts.reversed_feature_dis, [b1, b2], ("extractor", "transform")),
-            (parts.prediction_dis, [b1, b2], ("classifier_a",)))
+            (parts.reversed_feature_dis, b, ("extractor", "transform")),
+            (parts.prediction_dis, b, ("classifier_a",)))
     return model
+
+
+def _accuracy(probs: ad.Tensor, labels: np.ndarray) -> float:
+    """Accuracy of the invariant module's rows (slice 0) of a stacked
+    primary-classifier softmax: predict()'s rule on the same bits."""
+    return float(np.mean(np.argmax(probs.data[:len(labels)], axis=1) == labels))
 
 
 def compute_metrics(model: DualModel, source: DomainDataset,
                     target: DomainDataset, epoch: int) -> MetricsRecord:
-    """Measure every logged loss in one full-dataset forward pass at the
-    current parameters (training never reads these values); the accuracies
-    are predict()'s, read off the same pass."""
+    """Measure every logged loss in one full-dataset forward pass of both
+    modules at the current parameters (training never reads these
+    values); the accuracies are predict()'s, read off the same pass."""
     if source.labels is None or target.labels is None:
         raise ContractError("compute_metrics needs labeled datasets")
     tape = ad.Tape()
-    b1 = BoundComponents(tape, model.invariant)
-    b2 = BoundComponents(tape, model.discriminative)
-    xs, xt = tape.leaf(source.features), tape.leaf(target.features)
-    t1_s, t1_t = b1.features(xs), b1.features(xt)
-    t2_s, t2_t = b2.features(xs), b2.features(xt)
-    parts1 = module_loss(b1, t1_s, source.labels, t1_t, None)
-    parts2 = module_loss(b2, t2_s, source.labels, t2_t, None)
-    dual = dual_loss(b1, b2, t1_s, t1_t, t2_s, t2_t, 0.0)
-    mcd_dis = classifier_discrepancy(b1, t1_t)
+    b = BoundComponents(tape, *model.modules())
+    t_s = b.features(tape.leaf(source.features))
+    t_t = b.features(tape.leaf(target.features))
+    parts = module_loss(b, t_s, source.labels, t_t, None)
+    dual = dual_loss(b, t_s, t_t, 0.0)
+    mcd_dis = classifier_discrepancy(b, t_t)
 
     return MetricsRecord(
         epoch=epoch,
-        cls_ce=float(parts1.classifier_ce.data[0]),
-        dom_ce_m1=float(parts1.domain_ce.data[0]),
-        dom_ce_m2=float(parts2.domain_ce.data[0]),
+        cls_ce=float(parts.classifier_ce.data[0]),
+        dom_ce_m1=float(parts.domain_ce.data[0]),
+        dom_ce_m2=float(parts.domain_ce.data[1]),
         dis_t=float(dual.feature_dis.data[0]),
         dis_c=float(dual.prediction_dis.data[0]),
         mcd_dis=float(mcd_dis.data[0]),
-        src_acc=float(np.mean(predicted_classes(
-            b1.classifier_a.forward(t1_s).data) == source.labels)),
-        tgt_acc=float(np.mean(predicted_classes(
-            b1.classifier_a.forward(t1_t).data) == target.labels)),
+        src_acc=_accuracy(dual.probs_s, source.labels),
+        tgt_acc=_accuracy(dual.probs_t, target.labels),
     )
 
 
@@ -301,21 +305,25 @@ def train(config: TrainConfig, source: DomainDataset, target: DomainDataset,
     # steps rather than interleaving with them, and each phase gets its own
     # normalized schedule clock (the annealing belongs to the
     # invariant-feature part of training). A phase is its epochs and the
-    # step invocations each batch runs: (label, updates, run(xs, ys, xt,
-    # lr, lam)); run looks the step functions up when it is called.
+    # step invocations each batch runs: (label, updates, lr slices, run(xs,
+    # ys, xt, lr, lam)); run looks the step functions up when it is called.
+    # Step 1 trains each of its modules on the lr of that module's own
+    # progress, one lr slice per module.
     n_step2 = (plan.step2_invariant != "none") + plan.step2_discriminative
-    warm_steps = [("step 1", 2 + config.k,
-                   lambda xs, ys, xt, lr, lam, key=key: _boundary_updates(
-                       getattr(model, key), xs, ys, xt, config.k, lr,
-                       step1_sgd, f"{key}."))
-                  for key in plan.mcd_modules]
+    warm_steps = []
+    if plan.mcd_modules:
+        comps, prefixes = model.modules(plan.mcd_modules)
+        warm_steps.append(
+            ("step 1", len(prefixes) * (2 + config.k), len(prefixes),
+             lambda xs, ys, xt, lr, lam: _boundary_updates(
+                 comps, prefixes, xs, ys, xt, config.k, lr, step1_sgd)))
     main_steps = []
     if n_step2:
-        main_steps.append(("step 2", n_step2, lambda xs, ys, xt, lr, lam:
+        main_steps.append(("step 2", n_step2, 1, lambda xs, ys, xt, lr, lam:
                            step2_modules(model, xs, ys, xt, lam, lr,
                                          config.variant, step2_sgd)))
     if plan.step3:
-        main_steps.append(("step 3", 1, lambda xs, ys, xt, lr, lam:
+        main_steps.append(("step 3", 1, 1, lambda xs, ys, xt, lr, lam:
                            step3_dual(model, xs, xt, lam, lr, step3_sgd)))
     if warm_steps and main_steps:
         warm_epochs = min(max(1, round(config.epochs * config.mcd_warmup)),
@@ -324,7 +332,7 @@ def train(config: TrainConfig, source: DomainDataset, target: DomainDataset,
         warm_epochs = config.epochs if warm_steps else 0
     phases = [(warm_steps, range(1, warm_epochs + 1)),
               (main_steps, range(warm_epochs + 1, config.epochs + 1))]
-    phase_totals = [len(epochs) * n_pairs * sum(n for _, n, _ in steps)
+    phase_totals = [len(epochs) * n_pairs * sum(step[1] for step in steps)
                     for steps, epochs in phases]
     total_updates, done = sum(phase_totals), 0
 
@@ -336,14 +344,17 @@ def train(config: TrainConfig, source: DomainDataset, target: DomainDataset,
             try:
                 for xs, ys, xt in batches(source, target, config.batch_size,
                                           derived_seed(config.seed, epoch)):
-                    for label, n_updates, run in steps:
-                        # the schedules at this invocation's phase progress;
-                        # the reported progress counts every update so far
-                        p = done_phase / phase_total
+                    for label, n_updates, slices, run in steps:
+                        # the schedules at this invocation's phase progress,
+                        # lr slice m after the updates of the slices before
+                        # it; the reported progress counts every update so far
+                        lr = [lr_at(config.schedule,
+                                    (done_phase + m * n_updates // slices)
+                                    / phase_total) for m in range(slices)]
                         if progress is not None:
                             progress(done, total_updates, done / total_updates)
-                        run(xs, ys, xt, lr_at(config.schedule, p),
-                            lambda_at(config.schedule, p))
+                        run(xs, ys, xt, lr[0] if slices == 1 else lr,
+                            lambda_at(config.schedule, done_phase / phase_total))
                         done += n_updates
                         done_phase += n_updates
             except ContractError as err:

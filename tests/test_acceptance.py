@@ -132,8 +132,9 @@ def _extractor_kink_clear(comps, x, margin=5e-4):
     return True
 
 
-def _loss_graphs(kind, c1, c2, xs, ys, xt, lam):
+def _loss_graphs(kind, model, xs, ys, xt, lam):
     tape = ad.Tape()
+    c1 = model.invariant
     if kind == "cross_entropy":
         b = BoundComponents(tape, c1)
         t_s = b.transform.forward(b.extractor.forward(tape.leaf(xs)))
@@ -159,13 +160,12 @@ def _loss_graphs(kind, c1, c2, xs, ys, xt, lam):
         return tape, [(b, lambda comp: [1.0, 1.0])], \
             [parts.classifier_ce, parts.domain_ce], parts.total
     if kind == "dual":
-        b1 = BoundComponents(tape, c1, prefix="i.")
-        b2 = BoundComponents(tape, c2, prefix="d.")
-        parts = dual_loss(b1, b2, b1.features(tape.leaf(xs)),
-                          b1.features(tape.leaf(xt)), b2.features(tape.leaf(xs)),
-                          b2.features(tape.leaf(xt)), lam)
+        # both modules on one tape, each parameter one [2, ...] leaf
+        b = BoundComponents(tape, *model.modules())
+        parts = dual_loss(b, b.features(tape.leaf(xs)),
+                          b.features(tape.leaf(xt)), lam)
         weights = lambda comp: [-lam, 1.0]
-        return tape, [(b1, weights), (b2, weights)], \
+        return tape, [(b, weights)], \
             [parts.feature_dis, parts.prediction_dis], parts.total
     raise ValueError(kind)
 
@@ -186,26 +186,34 @@ def _check_loss_kind(kind, trials, seed, coords_per_param=3):
                 and _extractor_kink_clear(c2, xt)):
             continue
         done += 1
-        tape, groups, parts, total = _loss_graphs(kind, c1, c2, xs, ys, xt, lam)
+        model = DualModel(c1, c2)
+        tape, groups, parts, total = _loss_graphs(kind, model, xs, ys, xt, lam)
         ad.backward(tape, total)
+        # module by module: a stacked parameter's slices are probed as the
+        # two modules' own arrays were
+        probes = []
         for binding, weight_fn in groups:
-            for comp in ("extractor", "transform", "discriminator",
-                         "classifier_a", "classifier_b"):
-                for _, arr, tensor in binding.named_pairs((comp,)):
-                    weights = weight_fn(comp)
-                    flat = tensor.grad.reshape(-1)
-                    picks = rng.choice(arr.size,
-                                       size=min(coords_per_param, arr.size),
-                                       replace=False)
-                    for i in picks:
-                        numeric = 0.0
-                        for pi, w in enumerate(weights):
-                            def part_value(pi=pi):
-                                fresh = _loss_graphs(kind, c1, c2, xs, ys,
-                                                     xt, lam)
-                                return float(fresh[2][pi].data[0])
-                            numeric += w * fd_gradient(part_value, arr, i)
-                        worst = max(worst, fd_rel_err(flat[i], numeric))
+            slices = len(binding.prefixes)
+            for m in range(slices):
+                for comp in ("extractor", "transform", "discriminator",
+                             "classifier_a", "classifier_b"):
+                    for _, arr, tensor in binding.named_pairs((comp,)):
+                        grad = tensor.grad
+                        if slices > 1:
+                            arr, grad = arr[m], grad[m]
+                        probes.append((weight_fn(comp), arr, grad))
+        for weights, arr, grad in probes:
+            flat = grad.reshape(-1)
+            picks = rng.choice(arr.size, size=min(coords_per_param, arr.size),
+                               replace=False)
+            for i in picks:
+                numeric = 0.0
+                for pi, w in enumerate(weights):
+                    def part_value(pi=pi):
+                        fresh = _loss_graphs(kind, model, xs, ys, xt, lam)
+                        return float(fresh[2][pi].data[0])
+                    numeric += w * fd_gradient(part_value, arr, i)
+                worst = max(worst, fd_rel_err(flat[i], numeric))
     return worst
 
 

@@ -537,3 +537,96 @@ def test_tape_free_kernels_equal_the_records_bytewise():
         rec = ad.matmul(xt, wt, transpose_b=True, bias=bt, relu=relu)
         assert ad.dense(x, w, b, relu=relu).tobytes() == rec.data.tobytes()
     assert ad.row_softmax(x).tobytes() == ad.softmax(xt).data.tobytes()
+
+
+# --- stacked slices equal their per-slice records, bit for bit ---------------
+
+STACK_ROWS = (16, 64, 128, 500, 1000, 2560)   # batches and full datasets
+STACK_WIDTHS = (2, 32, 784)                    # input widths
+STACK_WRT = (None, ("w1",), ("wa", "ba"), ("w1", "b1", "wb"), ("x", "bb"))
+
+
+def _stacked_params(rng, m, width, hidden=32, classes=10):
+    return {"w1": rng.uniform(-0.3, 0.3, (m, hidden, width)),
+            "b1": rng.uniform(-0.3, 0.3, (m, hidden)),
+            "wa": rng.uniform(-0.5, 0.5, (m, classes, hidden)),
+            "ba": rng.uniform(-0.5, 0.5, (m, classes)),
+            "wb": rng.uniform(-0.5, 0.5, (m, classes, hidden)),
+            "bb": rng.uniform(-0.5, 0.5, (m, classes))}
+
+
+def _stacked_graph(x, labels, params, lams):
+    """A shared batch through M stacked dense layers, per-slice reversal,
+    two heads, and the per-slice and cross-slice loss terms."""
+    tape = ad.Tape()
+    leaves = {"x": tape.leaf(x), **{k: tape.param(v) for k, v in params.items()}}
+    h = ad.matmul(leaves["x"], leaves["w1"], transpose_b=True,
+                  bias=leaves["b1"], relu=True)
+    za = ad.matmul(ad.grad_reverse(h, lams), leaves["wa"], transpose_b=True,
+                   bias=leaves["ba"])
+    zb = ad.matmul(h, leaves["wb"], transpose_b=True, bias=leaves["bb"])
+    pa = ad.softmax(za)
+    per_slice = ad.add(ad.cross_entropy(za, labels),
+                       ad.mean_abs_diff(pa, ad.softmax(zb)))
+    cross = ad.mean_abs_diff(pa) if len(lams) == 2 else None
+    return tape, leaves, per_slice, cross
+
+
+def _per_slice_graph(x, labels, params, lams):
+    """The same graph built slice by slice from 2-D records on one tape,
+    with no reversal record where a slice's weight is None."""
+    tape = ad.Tape()
+    leaves = {"x": tape.leaf(x)}
+    losses, probs = [], []
+    for m, lam in enumerate(lams):
+        p = {k: tape.param(v[m]) for k, v in params.items()}
+        leaves.update({f"{k}{m}": t for k, t in p.items()})
+        h = ad.matmul(leaves["x"], p["w1"], transpose_b=True, bias=p["b1"],
+                      relu=True)
+        za = ad.matmul(h if lam is None else ad.grad_reverse(h, lam), p["wa"],
+                       transpose_b=True, bias=p["ba"])
+        zb = ad.matmul(h, p["wb"], transpose_b=True, bias=p["bb"])
+        probs.append(ad.softmax(za))
+        losses.append(ad.add(ad.cross_entropy(za, labels),
+                             ad.mean_abs_diff(probs[-1], ad.softmax(zb))))
+    total = losses[0] if len(losses) == 1 else ad.add(*losses)
+    cross = ad.mean_abs_diff(*probs) if len(lams) == 2 else None
+    return tape, leaves, losses, total, cross
+
+
+@pytest.mark.parametrize("m,lams", [(1, [0.7]), (2, [0.7, None])])
+@pytest.mark.parametrize("rows", STACK_ROWS)
+@pytest.mark.parametrize("width", STACK_WIDTHS)
+def test_stacked_records_equal_the_per_slice_records_bytewise(m, lams, rows,
+                                                              width):
+    rng = np.random.default_rng(rows * 7 + width)
+    x = rng.uniform(-1, 1, (rows, width))
+    x[:2] = 0.0                    # exact-zero pre-activations on two rows
+    labels = rng.integers(0, 10, rows)
+    params = _stacked_params(rng, m, width)
+    for wrt in STACK_WRT:
+        tape, leaves, per_slice, cross = _stacked_graph(x, labels, params, lams)
+        ref_tape, ref_leaves, ref_losses, ref_total, ref_cross = \
+            _per_slice_graph(x, labels, params, lams)
+        for s in range(m):
+            assert per_slice.data[s].tobytes() == ref_losses[s].data[0].tobytes()
+        terms = [(tape, per_slice, ref_tape, ref_total)]
+        if cross is not None:
+            assert cross.data.tobytes() == ref_cross.data.tobytes()
+            terms.append((tape, cross, ref_tape, ref_cross))
+        for tp, loss, ref_tp, ref_loss in terms:
+            names = leaves if wrt is None else wrt
+            grads = ad.backward(tp, loss, wrt=None if wrt is None else
+                                [leaves[k] for k in wrt])
+            ref_wrt = [ref_leaves["x"] if k == "x" else ref_leaves[f"{k}{s}"]
+                       for k in names for s in range(1 if k == "x" else m)]
+            ref = ad.backward(ref_tp, ref_loss,
+                              wrt=None if wrt is None else ref_wrt)
+            for k in names:
+                got = grads[leaves[k].node_id]
+                if k == "x":
+                    assert got.tobytes() == ref[ref_leaves["x"].node_id].tobytes()
+                    continue
+                for s in range(m):
+                    want = ref[ref_leaves[f"{k}{s}"].node_id]
+                    assert got[s].tobytes() == want.tobytes(), (wrt, k, s)

@@ -107,6 +107,12 @@ def test_parse_config_malformed_value_names_line(tmp_path):
         parse_config(write_config(tmp_path, MINIMAL + "epochs = seven\n"))
 
 
+def test_parse_config_key_given_twice_names_both_lines(tmp_path):
+    with pytest.raises(ConfigError, match="line 3: config key variant is "
+                                          "already set on line 1"):
+        parse_config(write_config(tmp_path, MINIMAL + "variant = ours_2m\n"))
+
+
 POSITIVE_INT_KEYS = ("epochs", "batch_size", "k", "trials", "eval_every",
                      "feature_dim", "g_hidden", "head_hidden", "n_source",
                      "n_target", "blob_classes", "embed_per_domain")
@@ -146,7 +152,10 @@ REJECTIONS = (
        ("two_moons_default_batch_exceeds_target",
         MINIMAL + "n_target = 40\n", "batch_size"),
        ("blobs_batch_exceeds_n_source",
-        BLOBS + "n_source = 40\nbatch_size = 41\n", "batch_size")]
+        BLOBS + "n_source = 40\nbatch_size = 41\n", "batch_size"),
+       ("variant_given_twice", MINIMAL + "variant = ours_2m\n", "variant"),
+       ("epochs_given_twice", "epochs = 3\n" + MINIMAL + "epochs = 3\n",
+        "epochs")]
     + [(f"idx_missing_{key}", _idx_missing(key), key) for key in IDX_PATHS])
 
 
@@ -234,12 +243,12 @@ def test_readme_config_block_parses_and_shows_the_defaults(tmp_path):
 
 
 def fast_config(tmp_path, variant="dann", trials=2, **extra):
-    lines = [f"variant = {variant}", "dataset = two_moons",
-             "epochs = 2", "batch_size = 32", "n_source = 80",
-             "n_target = 80", f"trials = {trials}", "eval_every = 1",
-             "feature_dim = 8", "g_hidden = 12", "head_hidden = 6",
-             "eta0 = 0.01", f"out_dir = {tmp_path / 'out'}"]
-    lines += [f"{k} = {v}" for k, v in extra.items()]
+    keys = {"variant": variant, "dataset": "two_moons", "epochs": 2,
+            "batch_size": 32, "n_source": 80, "n_target": 80,
+            "trials": trials, "eval_every": 1, "feature_dim": 8,
+            "g_hidden": 12, "head_hidden": 6, "eta0": 0.01,
+            "out_dir": tmp_path / "out", **extra}
+    lines = [f"{k} = {v}" for k, v in keys.items()]
     return parse_config(write_config(tmp_path, "\n".join(lines) + "\n"))
 
 

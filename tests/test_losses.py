@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import dualda.autodiff as ad
 from dualda.errors import ContractError, DimensionError
 from dualda.losses import cross_entropy, discrepancy, dual_loss, module_loss
+from dualda.model import DualModel
 from dualda.nn import BoundComponents, build_component_set
 
 from oracles import (cross_entropy_direct, discrepancy_brute_force,
@@ -114,11 +115,9 @@ def module_total(comps, xs, ys, xt, lam):
 def dual_total(c1, c2, xs, xt, lam):
     """dual_loss's total on a fresh tape."""
     tape = ad.Tape()
-    b1 = BoundComponents(tape, c1, prefix="invariant.")
-    b2 = BoundComponents(tape, c2, prefix="discriminative.")
-    xs, xt = tape.leaf(xs), tape.leaf(xt)
-    return dual_loss(b1, b2, b1.features(xs), b1.features(xt),
-                     b2.features(xs), b2.features(xt), lam).total
+    b = BoundComponents(tape, *DualModel(c1, c2).modules())
+    return dual_loss(b, b.features(tape.leaf(xs)), b.features(tape.leaf(xt)),
+                     lam).total
 
 
 def test_module_loss_matches_composition_oracle():
@@ -216,16 +215,13 @@ def test_dual_loss_zero_for_identical_modules():
     c2 = build_component_set(2, 4, 2, seed=3)
     xs, _, xt = _batch(rng)
     tape = ad.Tape()
-    b1 = BoundComponents(tape, c1, prefix="a.")
-    b2 = BoundComponents(tape, c2, prefix="b.")
-    xs, xt = tape.leaf(xs), tape.leaf(xt)
-    parts = dual_loss(b1, b2, b1.features(xs), b1.features(xt),
-                      b2.features(xs), b2.features(xt), 0.5)
+    b = BoundComponents(tape, *DualModel(c1, c2).modules())
+    parts = dual_loss(b, b.features(tape.leaf(xs)), b.features(tape.leaf(xt)),
+                      0.5)
     assert float(parts.total.data[0]) == 0.0
     ad.backward(tape, parts.total)
-    for binding in (b1, b2):
-        for name, _, t in binding.named_pairs():
-            assert np.all(t.grad == 0.0), name
+    for name, _, t in b.named_pairs():
+        assert np.all(t.grad == 0.0), name
 
 
 def test_dual_loss_matches_composition_oracle():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,11 @@ import dualda.autodiff as ad
 from dualda.errors import ContractError, DimensionError
 from dualda.model import (DualModel, Variant, forward_path, predict,
                           predicted_classes, variant_plan)
-from dualda.nn import BoundComponents, save_params
+from dualda.nn import BoundComponents, build_component_set, save_params
+from dualda.trainer import step3_dual
 
 from oracles import module_forward_numpy, softmax_rows
+from test_golden import _golden_run
 
 
 def test_forward_path_shapes():
@@ -237,3 +241,52 @@ def test_variant_plan_examples():
     assert source_only.trained_components() == {
         "invariant.extractor", "invariant.transform",
         "invariant.classifier_a", "invariant.classifier_b"}
+
+
+# --- stacked storage ------------------------------------------------------------
+
+def test_each_module_array_is_a_view_of_its_slice_of_the_stacked_array():
+    model = DualModel.build(2, 8, 3, seed=0)
+    stacked = dict(model.stacked.named_arrays())
+    for m, comps in enumerate((model.invariant, model.discriminative)):
+        for name, arr in comps.named_arrays():
+            assert arr.base is stacked[name]
+            assert stacked[name][m].__array_interface__ == arr.__array_interface__
+            assert arr.flags.c_contiguous
+    assert all(a.shape[0] == 2 for a in stacked.values())
+
+
+def test_named_parameters_keep_their_names_and_order():
+    model = DualModel.build(2, 8, 3, seed=0, g_hidden=(6, 5), head_hidden=(4,))
+    layers = {"extractor": 3, "transform": 1, "discriminator": 2,
+              "classifier_a": 2, "classifier_b": 2}
+    want = [f"{module}.{key}.{i}.{kind}"
+            for module in ("invariant", "discriminative")
+            for key in layers for i in range(layers[key])
+            for kind in ("weight", "bias")]
+    assert list(model.named_parameters()) == want
+
+
+def test_a_model_built_from_two_sets_trains_them_in_place():
+    c1 = build_component_set(2, 6, 2, seed=1)
+    c2 = build_component_set(2, 6, 2, seed=2)
+    before = {n: a.copy() for n, a in c1.named_arrays()}
+    model = DualModel(c1, c2)
+    rng = np.random.default_rng(5)
+    step3_dual(model, rng.uniform(-2, 2, (16, 2)), rng.uniform(-2, 2, (16, 2)),
+               lam=0.5, lr=0.1)
+    params = model.named_parameters()
+    for name, arr in c1.named_arrays():
+        assert arr is params[f"invariant.{name}"]
+    assert not np.array_equal(c1.extractor.layers[0].weight,
+                              before["extractor.0.weight"])
+
+
+def test_the_golden_checkpoint_keeps_its_bytes(tmp_path):
+    """sha256 of the golden ours_2m run's checkpoint file, as written before
+    the modules shared stacked storage."""
+    model, _ = _golden_run()
+    model.save(tmp_path / "golden.bin")
+    blob = (tmp_path / "golden.bin").read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "78910c0d505a19eb3c2d82b682ef47eaf4da24231985bfd7c34cb8f375cd7a61")

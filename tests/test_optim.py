@@ -116,3 +116,28 @@ def test_sgd_names_the_parameter_that_stops_being_finite():
         SGD(0.0).step([("layer.weight", ok, np.ones(2)),
                        ("layer.bias", bad, np.array([0.0, -1e308]))], 10.0)
     assert np.array_equal(ok, [-9.0, -9.0])
+
+
+def test_sgd_on_a_stacked_array_equals_one_step_per_slice_bytewise():
+    rng = np.random.default_rng(2)
+    param = rng.standard_normal((2, 3, 4))
+    grads = [rng.standard_normal((2, 3, 4)) for _ in range(3)]
+    per_slice = [param[m].copy() for m in range(2)]
+    stacked, single = SGD(momentum=0.9), SGD(momentum=0.9)
+    names = ("invariant.w", "discriminative.w")
+    for g in grads:
+        stacked.step([(names, param, g)], [0.1, 0.03])
+        for m, lr in enumerate((0.1, 0.03)):
+            single.step([(names[m], per_slice[m], g[m].copy())], lr)
+    for m in range(2):
+        assert param[m].tobytes() == per_slice[m].tobytes()
+
+
+def test_sgd_names_the_slice_that_stops_being_finite():
+    param = np.ones((2, 2))
+    grad = np.array([[0.0, 0.0], [0.0, -1e308]])
+    with np.errstate(over="ignore"), pytest.raises(
+            ContractError, match=r"parameter discriminative\.w is no longer "
+                                 r"finite after an update with lr 10;"):
+        SGD(0.0).step([(("invariant.w", "discriminative.w"), param, grad)],
+                      [1.0, 10.0])
