@@ -5,10 +5,29 @@ record list is already topologically ordered; ``backward`` replays it in
 exact reverse order and accumulates gradients by summation in that fixed
 order, which makes gradients bit-for-bit reproducible.
 
+The tape owns every value. A ``Tensor`` is a handle (tape, node id,
+slices) whose ``.data`` and ``.grad`` live in the tape's ``values`` and
+``grads`` lists, and the records hold kernels and numpy arrays, never a
+tensor. So no reference cycle forms: a tape is freed by reference
+counting as soon as its last handle goes.
+
 Graph inputs enter a tape two ways: ``Tape.leaf`` converts and checks data
 (it rejects NaN/Inf), while ``Tape.param`` wraps a persistent float64
 parameter array as it is, with no copy and no scan; the optimizer keeps
 parameters finite instead (``optim.SGD.step`` checks after each update).
+
+Each op checks its operands once, when it records itself, and then runs
+its forward kernel: a function of the input arrays (and of the op's label
+vector or reversal weights) that makes the op's numpy calls and returns
+the output with the closure of its backward. ``Tape(*inputs)`` declares
+step inputs: batches, a label vector, a lambda. A leaf made from one of
+these objects, and a label vector or reversal weight that is one of them,
+is tied to it. ``Tape.rerun(*inputs)`` refills everything tied from new
+inputs of the captured shapes, checking each like its op did (NaN/Inf,
+label range, lambda >= 0), and runs every kernel again in record order.
+That makes the numpy calls of a fresh tape on the new inputs, so the same
+bits, without building a tensor, a record or a binding. Parameters are
+read in place, so a rerun sees the latest update.
 
 ``backward(tape, loss, wrt)`` with a list of tensors visits only the
 records whose outputs depend on them and returns (and stores in ``.grad``)
@@ -16,7 +35,9 @@ only their gradients; without ``wrt`` every node gets a gradient, zeros
 where the loss does not reach. Either way the gradients of the visited
 nodes are bitwise the same. A pruned sweep also tells each record which of
 its inputs are live, so a matmul skips the product for an operand nobody
-reads (the data in front of a network).
+reads (the data in front of a network). The tape caches each sweep's plan,
+its live flags and the records it visits, per (loss, wrt), so a rerun tape
+computes liveness once.
 
 The op set is deliberately small: dense matmul (with an optional
 transpose-b mode, an optional bias and an optional relu, so that a dense
@@ -49,7 +70,8 @@ therefore gives the same bits.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+import functools
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,18 +79,23 @@ from .errors import ContractError, DimensionError, DomainError
 
 
 class Tensor:
-    """A node in a tape: float64 data plus an optional gradient; its rows
-    hold `slices` stacked slices of equal size."""
+    """A handle on one node of a tape; the tape holds its float64 data and
+    gradient. Its rows hold `slices` stacked slices of equal size."""
 
-    __slots__ = ("data", "grad", "node_id", "tape", "slices")
+    __slots__ = ("tape", "node_id", "slices")
 
-    def __init__(self, data: np.ndarray, node_id: int, tape: "Tape",
-                 slices: int = 1):
-        self.data = data
-        self.grad: Optional[np.ndarray] = None
-        self.node_id = node_id
+    def __init__(self, tape: "Tape", node_id: int, slices: int = 1):
         self.tape = tape
+        self.node_id = node_id
         self.slices = slices
+
+    @property
+    def data(self) -> np.ndarray:
+        return self.tape.values[self.node_id]
+
+    @property
+    def grad(self) -> Optional[np.ndarray]:
+        return self.tape.grads[self.node_id]
 
     @property
     def shape(self):
@@ -85,8 +112,14 @@ class Tensor:
         return add(self, other)
 
 
+# kernel(*input arrays, *args) -> (output, backward_fn, relu_in)
+Kernel = Callable[..., Tuple[np.ndarray, Callable, Optional[np.ndarray]]]
+
+
 class _Record:
-    """One executed op: kind, wiring, and the closure that runs its backward.
+    """One executed op: kind, wiring, its forward kernel and the arguments
+    it takes after the input arrays, and the backward closure and relu
+    input of the kernel's latest run.
 
     A pruning record's closure also takes the live flags of its inputs and
     may return None for an input that is not live. relu_in is the input of
@@ -94,57 +127,106 @@ class _Record:
     its kink).
     """
 
-    __slots__ = ("kind", "input_ids", "output_id", "backward_fn", "prunes",
-                 "relu_in")
+    __slots__ = ("kind", "input_ids", "output_id", "kernel", "args",
+                 "backward_fn", "prunes", "relu_in")
 
     def __init__(self, kind: str, input_ids: List[int], output_id: int,
+                 kernel: Kernel, args: list,
                  backward_fn: Callable[..., Sequence[Optional[np.ndarray]]],
-                 prunes: bool = False, relu_in: Optional[np.ndarray] = None):
+                 prunes: bool, relu_in: Optional[np.ndarray]):
         self.kind = kind
         self.input_ids = input_ids
         self.output_id = output_id
+        self.kernel = kernel
+        self.args = args
         self.backward_fn = backward_fn
         self.prunes = prunes
         self.relu_in = relu_in
 
 
 class Tape:
-    """Ordered op records built during one forward pass.
+    """Ordered op records built during one forward pass, and the value and
+    gradient of every node. inputs are the step inputs a rerun refills.
 
     A tape and its tensors are confined to a single thread for the
     duration of a forward+backward pass; independent tapes may run on
     independent threads.
     """
 
-    def __init__(self):
+    def __init__(self, *inputs):
         self.records: List[_Record] = []
-        self._tensors: List[Tensor] = []
+        self.values: List[np.ndarray] = []
+        self.grads: List[Optional[np.ndarray]] = []
+        self._inputs = inputs
+        self._shapes = [np.shape(v) for v in inputs]
+        # (list, slot, check, k) in capture order: a rerun stores
+        # check(inputs[k]) at list[slot], a leaf's value or a record's
+        # argument
+        self._refills: List[Tuple[list, int, Callable, int]] = []
+        self._plans: Dict[tuple, list] = {}
 
     def leaf(self, data) -> Tensor:
         """Wrap an array (or nested lists) as a graph input node."""
-        return self._new_tensor(checked_input(data))
+        t = self._new_tensor(checked_input(data))
+        self._tie(self.values, t.node_id, checked_input, data)
+        return t
 
     def param(self, arr: np.ndarray) -> Tensor:
         """Wrap a float64 parameter array in place: no conversion, no check."""
         return self._new_tensor(arr)
 
     def _new_tensor(self, data: np.ndarray, slices: int = 1) -> Tensor:
-        t = Tensor(data, len(self._tensors), self, slices)
-        self._tensors.append(t)
+        self.values.append(data)
+        self.grads.append(None)
+        return Tensor(self, len(self.values) - 1, slices)
+
+    def _tie(self, store: list, slot: int, check: Callable, value) -> None:
+        """Refill store[slot] from the step input that value is, if it is
+        one, passed through check."""
+        for k, v in enumerate(self._inputs):
+            if value is v:
+                self._refills.append((store, slot, check, k))
+                return
+
+    def _emit(self, kind: str, inputs: Sequence[Tensor], kernel: Kernel,
+              args: Sequence = (), check: Optional[Callable] = None,
+              prunes: bool = False, slices: int = 1) -> Tensor:
+        """Run kernel on the inputs' values and the arguments (each passed
+        through check first) and record it."""
+        ids = [t.node_id for t in inputs]
+        checked = [check(a) for a in args]
+        out, backward_fn, relu_in = kernel(*[self.values[i] for i in ids],
+                                           *checked)
+        t = self._new_tensor(out, slices)
+        self.records.append(_Record(kind, ids, t.node_id, kernel, checked,
+                                    backward_fn, prunes, relu_in))
+        for j, a in enumerate(args):
+            self._tie(checked, j, check, a)
         return t
 
-    def _emit(self, kind: str, inputs: Sequence[Tensor], out_data: np.ndarray,
-              backward_fn, prunes: bool = False,
-              relu_in: Optional[np.ndarray] = None, slices: int = 1) -> Tensor:
-        out = self._new_tensor(out_data, slices)
-        self.records.append(
-            _Record(kind, [t.node_id for t in inputs], out.node_id, backward_fn,
-                    prunes, relu_in))
-        return out
+    def fits(self, *inputs) -> bool:
+        """True when inputs match the declared step inputs in number and
+        shapes, so that the tape can rerun on them."""
+        return [np.shape(v) for v in inputs] == self._shapes
 
-    @property
-    def num_nodes(self) -> int:
-        return len(self._tensors)
+    def rerun(self, *inputs) -> None:
+        """Refill the leaves and arguments tied to the step inputs from
+        inputs, checking each, and run every record's kernel again in
+        order. Every declared input must have been read at capture."""
+        if not self.fits(*inputs):
+            raise DimensionError(
+                f"rerun: inputs of shapes {[np.shape(v) for v in inputs]} "
+                f"do not fit the captured {self._shapes}")
+        if len({k for *_, k in self._refills}) != len(inputs):
+            raise ContractError("rerun: a step input was not read at capture")
+        for store, slot, check, k in self._refills:
+            store[slot] = check(inputs[k])
+        values = self.values
+        self.grads = [None] * len(values)
+        for rec in self.records:
+            out, rec.backward_fn, rec.relu_in = rec.kernel(
+                *[values[i] for i in rec.input_ids], *rec.args)
+            values[rec.output_id] = out
 
 
 def checked_input(data) -> np.ndarray:
@@ -203,56 +285,59 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
         raise DimensionError(
             f"matmul: inner dimensions differ for shapes {list(x.shape)} and "
             f"{list(w.shape)}" + (" (transpose_b)" if transpose_b else ""))
-    if a.slices not in (1, m):
+    a_slices = a.slices
+    if a_slices not in (1, m):
         raise DimensionError(
-            f"matmul: {a.slices} row slices do not fit {m} weight slices")
-    bias_data = None if bias is None else bias.data
-    if bias_data is not None and bias_data.shape != w.shape[:-2] + (width,):
+            f"matmul: {a_slices} row slices do not fit {m} weight slices")
+    if bias is not None and bias.shape != w.shape[:-2] + (width,):
         raise DimensionError(
-            f"matmul: bias {list(bias_data.shape)} does not fit the product "
+            f"matmul: bias {list(bias.shape)} does not fit the product "
             f"{[x.shape[0], width]} of {m} slice(s)")
-    # one slice runs as 2-D products, M slices as one stacked product
-    if m == 1:
-        xs, ws = x, (w if w.ndim == 2 else w[0])
-    else:
-        xs = x if a.slices == 1 else x.reshape(m, -1, x.shape[1])
-        ws = w
-    wt = _mT(ws)
-    out = xs @ (wt if transpose_b else ws)
-    if bias_data is not None:
-        out += bias_data if m == 1 else bias_data[:, None]
-    if m > 1:
-        out = out.reshape(-1, width)
-    pre = None
-    if relu:
-        pre, mask = out, out > 0  # subgradient at 0 is 0 by convention
-        out = np.where(mask, pre, 0.0)
 
-    def backward_fn(g, live=(True, True, True)):
+    def kernel(x, w, bias_data=None):
+        # one slice runs as 2-D products, M slices as one stacked product
+        if m == 1:
+            xs, ws = x, (w if w.ndim == 2 else w[0])
+        else:
+            xs = x if a_slices == 1 else x.reshape(m, -1, x.shape[1])
+            ws = w
+        wt = _mT(ws)
+        out = xs @ (wt if transpose_b else ws)
+        if bias_data is not None:
+            out += bias_data if m == 1 else bias_data[:, None]
+        if m > 1:
+            out = out.reshape(-1, width)
+        pre = None
         if relu:
-            g = g * mask
-        gs = g if m == 1 else g.reshape(m, -1, width)
-        gx = gw = None
-        if live[0]:
-            gx = gs @ (ws if transpose_b else wt)
-            if m > 1:  # a shared input collects every slice's gradient
-                gx = gx.reshape(x.shape) if a.slices == m else gx.sum(axis=0)
-        if live[1]:
-            gw = _mT(gs) @ xs if transpose_b else _mT(xs) @ gs
-            if gw.shape != w.shape:  # one slice of a [1, ...] stack
-                gw = gw.reshape(w.shape)
-        if bias is None:
-            return gx, gw
-        gb = None
-        if live[2]:
-            gb = gs.sum(axis=-2)
-            if gb.shape != bias_data.shape:
-                gb = gb.reshape(bias_data.shape)
-        return gx, gw, gb
+            pre, mask = out, out > 0  # subgradient at 0 is 0 by convention
+            out = np.where(mask, pre, 0.0)
+
+        def backward_fn(g, live=(True, True, True)):
+            if relu:
+                g = g * mask
+            gs = g if m == 1 else g.reshape(m, -1, width)
+            gx = gw = None
+            if live[0]:
+                gx = gs @ (ws if transpose_b else wt)
+                if m > 1:  # a shared input collects every slice's gradient
+                    gx = gx.reshape(x.shape) if a_slices == m else gx.sum(axis=0)
+            if live[1]:
+                gw = _mT(gs) @ xs if transpose_b else _mT(xs) @ gs
+                if gw.shape != w.shape:  # one slice of a [1, ...] stack
+                    gw = gw.reshape(w.shape)
+            if bias_data is None:
+                return gx, gw
+            gb = None
+            if live[2]:
+                gb = gs.sum(axis=-2)
+                if gb.shape != bias_data.shape:
+                    gb = gb.reshape(bias_data.shape)
+            return gx, gw, gb
+
+        return out, backward_fn, pre
 
     inputs = [a, b] if bias is None else [a, b, bias]
-    return tape._emit("matmul", inputs, out, backward_fn, prunes=True,
-                      relu_in=pre, slices=m)
+    return tape._emit("matmul", inputs, kernel, prunes=True, slices=m)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -267,7 +352,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     else:
         raise DimensionError(
             f"add: shapes {list(a.shape)} and {list(b.shape)} do not conform")
-    return tape._emit("add", [a, b], a.data + b.data, backward_fn)
+    return tape._emit("add", [a, b], lambda x, y: (x + y, backward_fn, None))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -279,7 +364,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     def backward_fn(g):
         return g, -g
 
-    return tape._emit("sub", [a, b], a.data - b.data, backward_fn)
+    return tape._emit("sub", [a, b], lambda x, y: (x - y, backward_fn, None))
 
 
 def scalar_mul(a: Tensor, c: float) -> Tensor:
@@ -288,17 +373,15 @@ def scalar_mul(a: Tensor, c: float) -> Tensor:
     def backward_fn(g):
         return (c * g,)
 
-    return a.tape._emit("scalar_mul", [a], c * a.data, backward_fn)
+    return a.tape._emit("scalar_mul", [a], lambda x: (c * x, backward_fn, None))
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0  # subgradient at 0 is 0 by convention
+    def kernel(x):
+        mask = x > 0  # subgradient at 0 is 0 by convention
+        return np.where(mask, x, 0.0), lambda g: (g * mask,), x
 
-    def backward_fn(g):
-        return (g * mask,)
-
-    return a.tape._emit("relu", [a], np.where(mask, a.data, 0.0), backward_fn,
-                        relu_in=a.data, slices=a.slices)
+    return a.tape._emit("relu", [a], kernel, slices=a.slices)
 
 
 def _check_rows(a: Tensor, op: str) -> None:
@@ -308,64 +391,64 @@ def _check_rows(a: Tensor, op: str) -> None:
         raise DomainError(f"{op}: rows are empty (shape {list(a.shape)})")
 
 
-def softmax(a: Tensor) -> Tensor:
-    """Row-wise softmax, numerically stabilized by the row max."""
-    _check_rows(a, "softmax")
-    s = row_softmax(a.data)
+def _softmax_kernel(z):
+    s = row_softmax(z)
 
     def backward_fn(g):
         dot = (g * s).sum(axis=1, keepdims=True)
         return (s * (g - dot),)
 
-    return a.tape._emit("softmax", [a], s, backward_fn, slices=a.slices)
+    return s, backward_fn, None
+
+
+def softmax(a: Tensor) -> Tensor:
+    """Row-wise softmax, numerically stabilized by the row max."""
+    _check_rows(a, "softmax")
+    return a.tape._emit("softmax", [a], _softmax_kernel, slices=a.slices)
 
 
 def log_softmax(a: Tensor) -> Tensor:
     _check_rows(a, "log_softmax")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    out = shifted - lse
-    soft = np.exp(out)
 
-    def backward_fn(g):
-        return (g - soft * g.sum(axis=1, keepdims=True),)
+    def kernel(x):
+        shifted = x - x.max(axis=1, keepdims=True)
+        lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        out = shifted - lse
+        soft = np.exp(out)
+        return out, lambda g: (g - soft * g.sum(axis=1, keepdims=True),), None
 
-    return a.tape._emit("log_softmax", [a], out, backward_fn, slices=a.slices)
+    return a.tape._emit("log_softmax", [a], kernel, slices=a.slices)
 
 
 def mean(a: Tensor) -> Tensor:
     """Mean over every entry, as a shape-[1] tensor."""
-    n = a.size
-    shape = a.shape
+    def kernel(x):
+        n, shape = x.size, x.shape
+        return (np.array([x.mean()]),
+                lambda g: (np.full(shape, g[0] / n),), None)
 
-    def backward_fn(g):
-        return (np.full(shape, g[0] / n),)
-
-    return a.tape._emit("mean", [a], np.array([a.data.mean()]), backward_fn)
+    return a.tape._emit("mean", [a], kernel)
 
 
 def tensor_sum(a: Tensor) -> Tensor:
     """Sum over every entry, as a shape-[1] tensor."""
-    shape = a.shape
+    def kernel(x):
+        shape = x.shape
+        return np.array([x.sum()]), lambda g: (np.full(shape, g[0]),), None
 
-    def backward_fn(g):
-        return (np.full(shape, g[0]),)
-
-    return a.tape._emit("sum", [a], np.array([a.data.sum()]), backward_fn)
+    return a.tape._emit("sum", [a], kernel)
 
 
 def tensor_abs(a: Tensor) -> Tensor:
-    sign = np.sign(a.data)  # sign(0) == 0: abs subgradient at 0 is 0
+    def kernel(x):
+        sign = np.sign(x)  # sign(0) == 0: abs subgradient at 0 is 0
+        return np.abs(x), lambda g: (g * sign,), None
 
-    def backward_fn(g):
-        return (g * sign,)
-
-    return a.tape._emit("abs", [a], np.abs(a.data), backward_fn)
+    return a.tape._emit("abs", [a], kernel)
 
 
-def _checked_indices(a: Tensor, indices, op: str, rows: int) -> np.ndarray:
-    """One integer column index for each of `rows` rows of a, each in range."""
-    _check_rows(a, op)
+def _checked_indices(op: str, rows: int, cols: int, indices) -> np.ndarray:
+    """One integer column index in [0, cols) for each of `rows` rows."""
     idx = np.asarray(indices)
     if idx.ndim != 1 or idx.shape[0] != rows:
         raise DimensionError(
@@ -373,25 +456,28 @@ def _checked_indices(a: Tensor, indices, op: str, rows: int) -> np.ndarray:
             f"match {rows} rows")
     if not np.issubdtype(idx.dtype, np.integer):
         raise ContractError(f"{op}: indices must be integers")
-    if idx.min() < 0 or idx.max() >= a.shape[1]:
-        raise ContractError(
-            f"{op}: index out of range [0, {a.shape[1]})")
+    if idx.min() < 0 or idx.max() >= cols:
+        raise ContractError(f"{op}: index out of range [0, {cols})")
     return idx
 
 
 def select_columns(a: Tensor, indices) -> Tensor:
     """Pick one entry per row by a constant index vector; output [rows, 1]."""
-    idx = _checked_indices(a, indices, "select_columns", a.shape[0])
+    _check_rows(a, "select_columns")
+    idx = _checked_indices("select_columns", a.shape[0], a.shape[1], indices)
     rows = np.arange(a.shape[0])
-    shape = a.shape
 
-    def backward_fn(g):
-        out = np.zeros(shape)
-        out[rows, idx] = g[:, 0]
-        return (out,)
+    def kernel(x):
+        shape = x.shape
 
-    return a.tape._emit("select_columns", [a],
-                        a.data[rows, idx][:, None], backward_fn)
+        def backward_fn(g):
+            out = np.zeros(shape)
+            out[rows, idx] = g[:, 0]
+            return (out,)
+
+        return x[rows, idx][:, None], backward_fn, None
+
+    return a.tape._emit("select_columns", [a], kernel)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -400,22 +486,26 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     log_softmax, select_columns, mean and scalar_mul(-1), forward and
     backward, in one record."""
     m = logits.slices
-    idx = _checked_indices(logits, labels, "cross_entropy",
-                           logits.shape[0] // m)
-    a = logits.data
-    shifted = a - a.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    n = len(idx)
-    rows = np.arange(m * n).reshape(m, n)  # slice m's rows, one per label
-    picked = logp[rows, idx]
+    _check_rows(logits, "cross_entropy")
 
-    def backward_fn(g):
-        g_logp = np.zeros(a.shape)
-        g_logp[rows, idx] = ((-1.0 * g) / n)[:, None]
-        return (g_logp - np.exp(logp) * g_logp.sum(axis=1, keepdims=True),)
+    def kernel(a, idx):
+        shifted = a - a.max(axis=1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        n = len(idx)
+        rows = np.arange(m * n).reshape(m, n)  # slice m's rows, one per label
+        picked = logp[rows, idx]
 
-    return logits.tape._emit("cross_entropy", [logits],
-                             -1.0 * picked.mean(axis=1), backward_fn)
+        def backward_fn(g):
+            g_logp = np.zeros(a.shape)
+            g_logp[rows, idx] = ((-1.0 * g) / n)[:, None]
+            return (g_logp - np.exp(logp) * g_logp.sum(axis=1, keepdims=True),)
+
+        return -1.0 * picked.mean(axis=1), backward_fn, None
+
+    check = functools.partial(_checked_indices, "cross_entropy",
+                              logits.shape[0] // m, logits.shape[1])
+    return logits.tape._emit("cross_entropy", [logits], kernel, args=(labels,),
+                             check=check)
 
 
 def mean_abs_diff(a: Tensor, b: Optional[Tensor] = None) -> Tensor:
@@ -423,31 +513,41 @@ def mean_abs_diff(a: Tensor, b: Optional[Tensor] = None) -> Tensor:
     calls of sub, abs, sum and scalar_mul, forward and backward, in one
     record. Without b, a holds two slices and the one value compares them
     (slice 0 in the place of a, slice 1 in that of b)."""
-    if b is None:
+    pair = b is None
+    if pair:
         if a.slices != 2:
             raise DimensionError(
                 f"mean_abs_diff: one operand must hold 2 slices, got "
                 f"{a.slices}")
         tape, inputs, m = a.tape, [a], 1
-        half = a.shape[0] // 2
-        x, y = a.data[:half], a.data[half:]
     else:
         tape, inputs, m = _same_tape(a, b), [a, b], a.slices
         if a.shape != b.shape or a.slices != b.slices:
             raise DimensionError(
                 f"mean_abs_diff: shapes {list(a.shape)} and {list(b.shape)} "
                 f"({a.slices} and {b.slices} slices) differ")
-        x, y = a.data, b.data
-    d = x - y
-    sign = np.sign(d)  # sign(0) == 0: abs subgradient at 0 is 0
-    c = 1.0 / (d.size // m)
 
-    def backward_fn(g):
-        g_d = ((c * g)[:, None] * sign.reshape(m, -1)).reshape(sign.shape)
-        return (np.concatenate((g_d, -g_d)),) if b is None else (g_d, -g_d)
+    def kernel(x, y=None):
+        if pair:
+            half = x.shape[0] // 2
+            x, y = x[:half], x[half:]
+        d = x - y
+        sign = np.sign(d)  # sign(0) == 0: abs subgradient at 0 is 0
+        c = 1.0 / (d.size // m)
 
-    return tape._emit("mean_abs_diff", inputs,
-                      c * np.abs(d).reshape(m, -1).sum(axis=1), backward_fn)
+        def backward_fn(g):
+            g_d = ((c * g)[:, None] * sign.reshape(m, -1)).reshape(sign.shape)
+            return (np.concatenate((g_d, -g_d)),) if pair else (g_d, -g_d)
+
+        return c * np.abs(d).reshape(m, -1).sum(axis=1), backward_fn, None
+
+    return tape._emit("mean_abs_diff", inputs, kernel)
+
+
+def _checked_lambda(v):
+    if v is not None and float(v) < 0:
+        raise ContractError(f"grad_reverse: lambda must be >= 0, got {v}")
+    return v
 
 
 def grad_reverse(a: Tensor, lam) -> Tensor:
@@ -456,27 +556,62 @@ def grad_reverse(a: Tensor, lam) -> Tensor:
     slice's gradient, None passes it on unchanged (weight +1.0)."""
     lams = list(lam) if isinstance(lam, (list, tuple)) else [lam]
     for v in lams:
-        if v is not None and float(v) < 0:
-            raise ContractError(f"grad_reverse: lambda must be >= 0, got {v}")
-    weights = [1.0 if v is None else -float(v) for v in lams]
-    if len(weights) == 1:
-        weight = weights[0]
+        _checked_lambda(v)
+    if len(lams) != 1 and (not lams or a.data.ndim == 0 or
+                           a.shape[0] % len(lams)):
+        raise DimensionError(
+            f"grad_reverse: shape {list(a.shape)} does not split into "
+            f"{len(lams)} row slices")
 
-        def backward_fn(g):
-            return (weight * g,)
+    def kernel(x, *lams):
+        weights = [1.0 if v is None else -float(v) for v in lams]
+        if len(weights) == 1:
+            weight = weights[0]
+
+            def backward_fn(g):
+                return (weight * g,)
+        else:
+            rows = np.repeat(weights, x.shape[0] // len(weights))
+            rows = rows.reshape((-1,) + (1,) * (x.ndim - 1))
+
+            def backward_fn(g):
+                return (g * rows,)
+
+        return x.copy(), backward_fn, None
+
+    return a.tape._emit("grad_reverse", [a], kernel, args=lams,
+                        check=_checked_lambda, slices=a.slices)
+
+
+def _plan(tape: Tape, loss_id: int,
+          wrt_ids: Optional[Tuple[int, ...]]) -> list:
+    """The records a sweep from loss_id visits, last first, each with the
+    live flags of its inputs. A node is live when it depends on a wrt
+    node (every node without wrt); only live nodes can pass gradient on to
+    one, and a record runs when its output is live and the loss reaches
+    it."""
+    n = len(tape.values)
+    if wrt_ids is None:
+        live = [True] * n
     else:
-        if not weights or a.data.ndim == 0 or a.shape[0] % len(weights):
-            raise DimensionError(
-                f"grad_reverse: shape {list(a.shape)} does not split into "
-                f"{len(weights)} row slices")
-        rows = np.repeat(weights, a.shape[0] // len(weights))
-        rows = rows.reshape((-1,) + (1,) * (a.data.ndim - 1))
-
-        def backward_fn(g):
-            return (g * rows,)
-
-    return a.tape._emit("grad_reverse", [a], a.data.copy(), backward_fn,
-                        slices=a.slices)
+        live = [False] * n
+        for i in wrt_ids:
+            live[i] = True
+        for rec in tape.records:
+            for iid in rec.input_ids:
+                if live[iid]:
+                    live[rec.output_id] = True
+                    break
+    reached = [False] * n
+    reached[loss_id] = True
+    plan = []
+    for rec in reversed(tape.records):
+        if reached[rec.output_id] and live[rec.output_id]:
+            flags = [live[i] for i in rec.input_ids]
+            plan.append((rec, flags))
+            for iid, flag in zip(rec.input_ids, flags):
+                reached[iid] = reached[iid] or flag
+    return plan
 
 
 def backward(tape: Tape, loss: Tensor,
@@ -495,47 +630,39 @@ def backward(tape: Tape, loss: Tensor,
     """
     if loss.tape is not tape:
         raise ContractError("backward: loss tensor is not on this tape")
-    if loss.size != 1 and loss.data.ndim != 1:
+    values = tape.values
+    loss_data = values[loss.node_id]
+    if loss_data.size != 1 and loss_data.ndim != 1:
         raise ContractError(
             f"backward: loss must be scalar or one value per slice, got "
-            f"shape {list(loss.shape)}")
-    records = tape.records
-    if wrt is None:
-        live = [True] * tape.num_nodes
-    else:
-        # a node is live when it depends on a wrt tensor; only live nodes
-        # can pass gradient on to one
-        live = [False] * tape.num_nodes
+            f"shape {list(loss_data.shape)}")
+    wrt_ids = None
+    if wrt is not None:
         for t in wrt:
             if t.tape is not tape:
                 raise ContractError("backward: wrt tensor is not on this tape")
-            live[t.node_id] = True
-        for rec in records:
-            for iid in rec.input_ids:
-                if live[iid]:
-                    live[rec.output_id] = True
-                    break
-    grads: List[Optional[np.ndarray]] = [None] * tape.num_nodes
-    grads[loss.node_id] = np.ones_like(loss.data)
-    for rec in reversed(records):
+        wrt_ids = tuple(t.node_id for t in wrt)
+    key = (loss.node_id, wrt_ids)
+    plan = tape._plans.get(key)
+    if plan is None:
+        plan = tape._plans[key] = _plan(tape, loss.node_id, wrt_ids)
+    grads: List[Optional[np.ndarray]] = [None] * len(values)
+    grads[loss.node_id] = np.ones_like(loss_data)
+    for rec, flags in plan:
         g_out = grads[rec.output_id]
-        if g_out is None or not live[rec.output_id]:
-            continue
-        ids = rec.input_ids
-        g_ins = (rec.backward_fn(g_out, [live[i] for i in ids]) if rec.prunes
+        g_ins = (rec.backward_fn(g_out, flags) if rec.prunes
                  else rec.backward_fn(g_out))
-        for iid, g_in in zip(ids, g_ins):
-            if live[iid]:
+        for iid, flag, g_in in zip(rec.input_ids, flags, g_ins):
+            if flag:
                 # a new array on every accumulation: a stored gradient may
                 # be shared with another node (add returns g for both operands)
                 g = grads[iid]
                 grads[iid] = g_in if g is None else g + g_in
-    targets = tape._tensors if wrt is None else wrt
     result: Dict[int, np.ndarray] = {}
-    for t in targets:
-        g = grads[t.node_id]
+    for nid in (range(len(values)) if wrt_ids is None else wrt_ids):
+        g = grads[nid]
         if g is None:
-            g = np.zeros_like(t.data)
-        t.grad = g
-        result[t.node_id] = g
+            g = np.zeros_like(values[nid])
+        tape.grads[nid] = g
+        result[nid] = g
     return result

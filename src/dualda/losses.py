@@ -31,8 +31,10 @@ from .nn import BoundComponents
 
 
 def cross_entropy(logits: ad.Tensor, labels) -> ad.Tensor:
-    """Mean over the batch of -log_softmax(logits)[label]."""
-    labels = np.asarray(labels)
+    """Mean over the batch of -log_softmax(logits)[label]. int64 labels
+    pass through uncopied, so a tape can tie them to its step input;
+    ad.cross_entropy checks their range, also when a rerun refills them."""
+    labels = np.asarray(labels, dtype=np.int64)
     if logits.data.ndim != 2:
         raise DimensionError(
             f"cross_entropy: logits must be 2-D, got {list(logits.shape)}")
@@ -41,10 +43,7 @@ def cross_entropy(logits: ad.Tensor, labels) -> ad.Tensor:
         raise ContractError(
             f"cross_entropy: need one label per row of a module, got "
             f"{labels.shape} for {rows} rows")
-    if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[1]):
-        raise ContractError(
-            f"cross_entropy: labels must lie in [0, {logits.shape[1]})")
-    return ad.cross_entropy(logits, labels.astype(np.int64))
+    return ad.cross_entropy(logits, labels)
 
 
 def discrepancy(p1: ad.Tensor, p2: ad.Tensor | None = None) -> ad.Tensor:

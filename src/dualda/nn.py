@@ -1,9 +1,10 @@
 """Dense layers, Glorot init, the four component kinds, and parameter I/O.
 
 Parameters live as plain float64 numpy arrays that persist across training
-steps; each training forward pass binds them onto a fresh tape
-(``Tape.param``, no copy and no finiteness scan) so the optimizer can look
-gradients up by parameter name afterwards. Inference reads the arrays
+steps and are updated in place; a training call site binds them onto its
+tape once, when it captures it (``Tape.param``, no copy and no finiteness
+scan), so that every rerun reads the latest values and the optimizer can
+look gradients up by parameter name. Inference reads the arrays
 directly (``Stack.apply``, ``ComponentSet.features``), with no tape.
 
 Structurally identical modules can share storage: ``stack_component_sets``
@@ -16,7 +17,6 @@ and writes its own arrays.
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 import os
 import struct
@@ -245,14 +245,8 @@ class BoundComponents:
         chosen components."""
         for key in components:
             for name, arr, tensor in getattr(self, key).named_pairs():
-                yield _slice_names(self.prefixes, key, name), arr, tensor
-
-
-@functools.lru_cache(maxsize=1024)
-def _slice_names(prefixes: Tuple[str, ...], key: str,
-                 name: str) -> Tuple[str, ...]:
-    """A parameter's full name in each slice; every update asks again."""
-    return tuple(f"{p}{key}.{name}" for p in prefixes)
+                yield (tuple(f"{p}{key}.{name}" for p in self.prefixes), arr,
+                       tensor)
 
 
 # ---------------------------------------------------------------------------

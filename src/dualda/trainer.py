@@ -23,21 +23,29 @@ sampled at each step invocation on the running phase's own normalized
 clock.
 
 Every SGD update of every step runs through ``_update``: one tape, one
-pruned backward per (loss, binding, components) term, one optimizer step.
-Each step binds every module it trains on one tape as one stacked graph
+pruned backward per (loss, parameters) term, one optimizer step. Each
+step binds every module it trains on one tape as one stacked graph
 (``DualModel.modules``), so two modules cost one tape, one backward and
 one SGD step per update; an update still counts once per module. In step
 1 each module keeps the lr of its own progress, sampled as if the modules
 ran one after the other. ``train`` runs one loop over each phase's step
 invocations; that loop samples the schedules, reports progress and labels
 a failing step.
+
+Each call site (step 1's phases A, B and C, step 2's source-only and
+adversarial updates, step 3) records its tape and its terms, the (slice
+names, parameter array, leaf tensor) triples each loss trains, once: on
+the first batch of a ``train`` call (``_program``). Every later update of
+that site re-runs the tape on its batch (``ad.Tape.rerun``), which makes
+the numpy calls of a fresh tape, so the same bits; a batch of another
+shape is captured again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,6 +59,11 @@ from .nn import COMPONENT_KEYS, BoundComponents, ComponentSet
 from .optim import SGD, Schedule, lambda_at, lr_at
 
 _PATH_COMPONENTS = ("extractor", "transform", "classifier_a", "classifier_b")
+
+# a loss and the (slice names, parameter array, leaf tensor) of every
+# parameter it trains; a call site's tape and the terms of its update
+Term = Tuple[ad.Tensor, List[Tuple[Tuple[str, ...], np.ndarray, ad.Tensor]]]
+Program = Tuple[ad.Tape, List[Term]]
 
 
 @dataclass
@@ -100,53 +113,105 @@ class MetricsRecord:
 MetricsRecord.COLUMNS = tuple(f.name for f in fields(MetricsRecord))
 
 
-def _update(sgd: SGD, lr, tape: ad.Tape,
-            *terms: Tuple[ad.Tensor, BoundComponents, Sequence[str]]) -> None:
-    """One SGD update: each (loss, binding, components) term back-propagates
-    its loss (one value per module) to exactly the named components of its
-    binding, and one optimizer step applies every term's gradients."""
+def _update(sgd: SGD, lr, tape: ad.Tape, terms: Sequence[Term]) -> None:
+    """One SGD update: each (loss, pairs) term back-propagates its loss (one
+    value per module) to exactly the leaf tensors of its (names, array,
+    tensor) pairs, and one optimizer step applies every term's gradients."""
     updates = []
-    for loss, binding, components in terms:
-        pairs = list(binding.named_pairs(components))
+    for loss, pairs in terms:
         grads = ad.backward(tape, loss, wrt=[t for _, _, t in pairs])
         updates += [(names, arr, grads[t.node_id]) for names, arr, t in pairs]
     sgd.step(updates, lr)
 
 
-def _source_update(comps: ComponentSet, prefix, batch_s, labels_s, lr,
-                   sgd: SGD) -> None:
-    """Both classifiers fit the source batch and the whole module path
-    updates: step-1 phase A, and step 2 of a source-only invariant module."""
-    tape = ad.Tape()
+def _program(programs: Dict[str, Program], site: str, capture, context,
+             inputs: tuple) -> Program:
+    """Call site `site`'s tape run on the step inputs, with its terms: the
+    tape it captured on an earlier batch, re-run, when the inputs have that
+    batch's shapes; else a new tape on which capture(tape, *context,
+    *inputs) records the site's graph and returns its terms, kept for the
+    next batch. programs belongs to one model and one train() call."""
+    program = programs.get(site)
+    if program is not None and program[0].fits(*inputs):
+        program[0].rerun(*inputs)
+        return program
+    tape = ad.Tape(*inputs)
+    program = programs[site] = (tape, capture(tape, *context, *inputs))
+    return program
+
+
+def _capture_source(tape: ad.Tape, comps: ComponentSet, prefix, xs,
+                    ys) -> List[Term]:
+    """Both classifiers fit the source batch; the whole module path trains."""
     b = BoundComponents(tape, comps, prefix)
-    loss = classifier_only_loss(b, b.features(tape.leaf(batch_s)), labels_s)
-    _update(sgd, lr, tape, (loss, b, _PATH_COMPONENTS))
+    loss = classifier_only_loss(b, b.features(tape.leaf(xs)), ys)
+    return [(loss, list(b.named_pairs(_PATH_COMPONENTS)))]
+
+
+def _capture_boundary(tape: ad.Tape, comps: ComponentSet, prefix, xs, ys,
+                      xt) -> List[Term]:
+    """The classifier pair keeps source CE and maximizes its target-batch
+    disagreement."""
+    b = BoundComponents(tape, comps, prefix)
+    src_ce = classifier_only_loss(b, b.features(tape.leaf(xs)), ys)
+    dis = classifier_discrepancy(b, b.features(tape.leaf(xt)))
+    return [(ad.sub(src_ce, dis),
+             list(b.named_pairs(("classifier_a", "classifier_b"))))]
+
+
+def _capture_discrepancy(tape: ad.Tape, comps: ComponentSet, prefix,
+                         xt) -> List[Term]:
+    """Extractor and transform minimize the pair's target disagreement."""
+    b = BoundComponents(tape, comps, prefix)
+    dis = classifier_discrepancy(b, b.features(tape.leaf(xt)))
+    return [(dis, list(b.named_pairs(("extractor", "transform"))))]
+
+
+def _capture_modules(tape: ad.Tape, comps: ComponentSet, prefixes,
+                     reverse: Sequence[bool], xs, ys, xt,
+                     lam=None) -> List[Term]:
+    """Each module's step-2 loss, through the reversal with weight lam
+    where reverse says so and with +1.0 elsewhere; all five components
+    train."""
+    b = BoundComponents(tape, comps, prefixes)
+    t_s = b.features(tape.leaf(xs))
+    t_t = b.features(tape.leaf(xt))
+    parts = module_loss(b, t_s, ys, t_t,
+                        [lam if r else None for r in reverse])
+    return [(parts.total, list(b.named_pairs(COMPONENT_KEYS)))]
+
+
+def _capture_dual(tape: ad.Tape, model: DualModel, xs, xt,
+                  lam) -> List[Term]:
+    """The cross-module loss, each player on its own term."""
+    b = BoundComponents(tape, *model.modules())
+    parts = dual_loss(b, b.features(tape.leaf(xs)),
+                      b.features(tape.leaf(xt)), lam)
+    return [(parts.reversed_feature_dis,
+             list(b.named_pairs(("extractor", "transform")))),
+            (parts.prediction_dis, list(b.named_pairs(("classifier_a",))))]
 
 
 def _boundary_updates(comps: ComponentSet, prefix, batch_s, labels_s,
-                      batch_t, k: int, lr, sgd: SGD) -> np.ndarray:
+                      batch_t, k: int, lr, sgd: SGD,
+                      programs: Dict[str, Program]) -> np.ndarray:
     """Phases A, B and k x C of step 1 on every module of comps at once
     (prefix and lr: one per module, or one for a single module); returns
     each module's discrepancy read before the first phase-C update."""
+    context = (comps, prefix)
     # (A) both classifiers fit source; whole path updates
-    _source_update(comps, prefix, batch_s, labels_s, lr, sgd)
-
+    _update(sgd, lr, *_program(programs, "step 1 A", _capture_source,
+                               context, (batch_s, labels_s)))
     # (B) classifier pair maximizes target disagreement, keeping source CE
-    tape = ad.Tape()
-    b = BoundComponents(tape, comps, prefix)
-    src_ce = classifier_only_loss(b, b.features(tape.leaf(batch_s)), labels_s)
-    dis = classifier_discrepancy(b, b.features(tape.leaf(batch_t)))
-    _update(sgd, lr, tape,
-            (ad.sub(src_ce, dis), b, ("classifier_a", "classifier_b")))
-
+    _update(sgd, lr, *_program(programs, "step 1 B", _capture_boundary,
+                               context, (batch_s, labels_s, batch_t)))
     # (C) extractor+transform minimize the disagreement, k times
     for i in range(k):
-        tape = ad.Tape()
-        b = BoundComponents(tape, comps, prefix)
-        dis = classifier_discrepancy(b, b.features(tape.leaf(batch_t)))
+        tape, terms = _program(programs, "step 1 C", _capture_discrepancy,
+                               context, (batch_t,))
         if i == 0:
-            before = dis.data
-        _update(sgd, lr, tape, (dis, b, ("extractor", "transform")))
+            before = terms[0][0].data
+        _update(sgd, lr, tape, terms)
     return before
 
 
@@ -164,49 +229,56 @@ def step1_mcd(comps: ComponentSet, batch_s, labels_s, batch_t, k: int,
         raise ContractError(f"k must be >= 1, got {k}")
     if sgd is None:
         sgd = SGD(0.0)
+    programs: Dict[str, Program] = {}
     before = _boundary_updates(comps, name_prefix, batch_s, labels_s, batch_t,
-                               k, lr, sgd)
-    tape = ad.Tape()
-    b = BoundComponents(tape, comps, name_prefix)
-    after = classifier_discrepancy(b, b.features(tape.leaf(batch_t)))
-    return float(before[0]), float(after.data[0])
+                               k, lr, sgd, programs)
+    _, terms = _program(programs, "step 1 C", _capture_discrepancy,
+                        (comps, name_prefix), (batch_t,))
+    return float(before[0]), float(terms[0][0].data[0])
 
 
 def step2_modules(model: DualModel, batch_s, labels_s, batch_t, lam: float,
-                  lr: float, variant: Variant,
-                  sgd: Optional[SGD] = None) -> DualModel:
+                  lr: float, variant: Variant, sgd: Optional[SGD] = None,
+                  programs: Optional[Dict[str, Program]] = None) -> DualModel:
     """Per-module training; the adversarial modules update as one stacked
     graph, each from its own pre-step parameters (the modules are
-    parameter-disjoint)."""
+    parameter-disjoint). programs holds the tapes of train()'s earlier
+    batches."""
     plan = variant_plan(variant)
     if sgd is None:
         sgd = SGD(0.0)
+    if programs is None:
+        programs = {}
 
     if plan.step2_invariant == "ce_only":
-        _source_update(model.invariant, "invariant.", batch_s, labels_s, lr,
-                       sgd)
+        _update(sgd, lr, *_program(
+            programs, "step 2 source", _capture_source,
+            (model.invariant, "invariant."), (batch_s, labels_s)))
 
-    # module -> reversal weight: None for no reversal
+    # the adversarial modules, each with its reversal flag
     adversarial = {}
     if plan.step2_invariant == "adversarial":
-        adversarial["invariant"] = lam
+        adversarial["invariant"] = True
     if plan.step2_discriminative:
-        adversarial["discriminative"] = None
+        adversarial["discriminative"] = False
     if adversarial:
-        tape = ad.Tape()
-        b = BoundComponents(tape, *model.modules(tuple(adversarial)))
-        t_s = b.features(tape.leaf(batch_s))
-        t_t = b.features(tape.leaf(batch_t))
-        parts = module_loss(b, t_s, labels_s, t_t, list(adversarial.values()))
-        _update(sgd, lr, tape, (parts.total, b, COMPONENT_KEYS))
+        inputs = (batch_s, labels_s, batch_t)
+        if adversarial.get("invariant"):
+            inputs += (lam,)
+        _update(sgd, lr, *_program(
+            programs, "step 2", _capture_modules,
+            (*model.modules(tuple(adversarial)), tuple(adversarial.values())),
+            inputs))
     return model
 
 
 def step3_dual(model: DualModel, batch_s, batch_t, lam: float, lr: float,
-               sgd: Optional[SGD] = None) -> DualModel:
+               sgd: Optional[SGD] = None,
+               programs: Optional[Dict[str, Program]] = None) -> DualModel:
     """One update of both modules' extractor/transform/primary classifier
     on the cross-module loss; discriminators and secondary classifiers
-    are not part of this graph.
+    are not part of this graph. programs holds the tapes of train()'s
+    earlier batches.
 
     Each player follows its own term: the extractors and transforms
     maximize the feature discrepancy (via the reversal), the primary
@@ -217,13 +289,10 @@ def step3_dual(model: DualModel, batch_s, batch_t, lam: float, lr: float,
     """
     if sgd is None:
         sgd = SGD(0.0)
-    tape = ad.Tape()
-    b = BoundComponents(tape, *model.modules())
-    parts = dual_loss(b, b.features(tape.leaf(batch_s)),
-                      b.features(tape.leaf(batch_t)), lam)
-    _update(sgd, lr, tape,
-            (parts.reversed_feature_dis, b, ("extractor", "transform")),
-            (parts.prediction_dis, b, ("classifier_a",)))
+    if programs is None:
+        programs = {}
+    _update(sgd, lr, *_program(programs, "step 3", _capture_dual, (model,),
+                               (batch_s, batch_t, lam)))
     return model
 
 
@@ -300,6 +369,9 @@ def train(config: TrainConfig, source: DomainDataset, target: DomainDataset,
     step3_sgd = SGD(config.schedule.momentum)
 
     n_pairs = num_batch_pairs(source, target, config.batch_size)
+    # each call site's tape, captured on the first batch and re-run on the
+    # others (every batch has the same shape)
+    programs: Dict[str, Program] = {}
 
     # boundary learning is a warmup phase: it precedes the adversarial
     # steps rather than interleaving with them, and each phase gets its own
@@ -316,15 +388,18 @@ def train(config: TrainConfig, source: DomainDataset, target: DomainDataset,
         warm_steps.append(
             ("step 1", len(prefixes) * (2 + config.k), len(prefixes),
              lambda xs, ys, xt, lr, lam: _boundary_updates(
-                 comps, prefixes, xs, ys, xt, config.k, lr, step1_sgd)))
+                 comps, prefixes, xs, ys, xt, config.k, lr, step1_sgd,
+                 programs)))
     main_steps = []
     if n_step2:
         main_steps.append(("step 2", n_step2, 1, lambda xs, ys, xt, lr, lam:
                            step2_modules(model, xs, ys, xt, lam, lr,
-                                         config.variant, step2_sgd)))
+                                         config.variant, step2_sgd,
+                                         programs)))
     if plan.step3:
         main_steps.append(("step 3", 1, 1, lambda xs, ys, xt, lr, lam:
-                           step3_dual(model, xs, xt, lam, lr, step3_sgd)))
+                           step3_dual(model, xs, xt, lam, lr, step3_sgd,
+                                      programs)))
     if warm_steps and main_steps:
         warm_epochs = min(max(1, round(config.epochs * config.mcd_warmup)),
                           config.epochs - 1)
