@@ -1,0 +1,9 @@
+"""`python3 -m dualda <subcommand>`: the `dualda` command line without an
+install."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -62,10 +62,14 @@ and seeds every slice with 1. Every stacked record runs the numpy calls of
 its slices at once, and each slice's values, forward and backward, are
 bitwise those of the unstacked record on that slice alone.
 
-Inference runs without a tape, on numpy kernels that make the numpy calls
-``Tape.leaf`` and the records above make in their forward:
-``checked_input``, ``dense`` and ``row_softmax``. A tape-free forward
-therefore gives the same bits.
+Evaluation and inference run without a tape, on the numpy functions that
+the records' forward kernels call themselves, so each computation has one
+owner and a tape-free forward gives the same bits: ``checked_input``
+(``Tape.leaf``), ``dense`` (the matmul record, stacked slices included),
+``relu_values`` (every relu: ``max(x, 0)``, no branch per element),
+``row_softmax`` (softmax), and ``cross_entropy_values`` and
+``mean_abs_diff_values`` (the two loss records). They keep no backward
+state, so a tape-free pass frees each temporary once it is read.
 """
 
 from __future__ import annotations
@@ -237,13 +241,45 @@ def checked_input(data) -> np.ndarray:
     return arr
 
 
+def _mT(a: np.ndarray) -> np.ndarray:
+    """The transpose of the last two axes, as a view."""
+    return a.T if a.ndim == 2 else a.swapaxes(1, 2)
+
+
+def _slice_operands(x: np.ndarray, w: np.ndarray, slices: int):
+    """x and w as product operands: both 2-D for one weight slice; else the
+    [M, ., .] weights against x's M row slices, or against x itself when it
+    has one slice (a batch every slice reads)."""
+    if w.ndim == 2:
+        return x, w
+    m = w.shape[0]
+    if m == 1:
+        return x, w[0]
+    return (x if slices == 1 else x.reshape(m, -1, x.shape[1])), w
+
+
 def dense(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray] = None,
-          relu: bool = False) -> np.ndarray:
-    """One dense layer in numpy: x @ w.T, plus bias, then relu when set."""
-    out = x @ w.T
+          relu: bool = False, slices: int = 1,
+          transpose_b: bool = True) -> np.ndarray:
+    """One dense layer in numpy: x @ w.T (x @ w without transpose_b), plus
+    bias, then relu when set. A 3-D w stacks M layers (bias [M, width]) by
+    the slice rules of matmul: x holds `slices` row slices, 1 or M, and the
+    output holds M."""
+    xs, ws = _slice_operands(x, w, slices)
+    out = xs @ (_mT(ws) if transpose_b else ws)
     if bias is not None:
-        out += bias
-    return np.where(out > 0, out, 0.0) if relu else out
+        out += bias if ws.ndim == 2 else bias[:, None]
+    if out.ndim == 3:
+        out = out.reshape(-1, out.shape[2])
+    return relu_values(out, out) if relu else out
+
+
+def relu_values(pre: np.ndarray, out: Optional[np.ndarray] = None
+                ) -> np.ndarray:
+    """max(pre, 0) elementwise, into out when given: the bits of
+    np.where(pre > 0, pre, 0.0), +0.0 at -0.0 included, without a branch
+    per element; a NaN stays NaN."""
+    return np.maximum(pre, 0.0, out=out)
 
 
 def row_softmax(z: np.ndarray) -> np.ndarray:
@@ -258,11 +294,6 @@ def _same_tape(*tensors: Tensor) -> Tape:
         if t.tape is not tape:
             raise ContractError("operands belong to different tapes")
     return tape
-
-
-def _mT(a: np.ndarray) -> np.ndarray:
-    """The transpose of the last two axes, as a view."""
-    return a.T if a.ndim == 2 else a.swapaxes(1, 2)
 
 
 def matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
@@ -295,26 +326,17 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
             f"{[x.shape[0], width]} of {m} slice(s)")
 
     def kernel(x, w, bias_data=None):
-        # one slice runs as 2-D products, M slices as one stacked product
-        if m == 1:
-            xs, ws = x, (w if w.ndim == 2 else w[0])
-        else:
-            xs = x if a_slices == 1 else x.reshape(m, -1, x.shape[1])
-            ws = w
-        wt = _mT(ws)
-        out = xs @ (wt if transpose_b else ws)
-        if bias_data is not None:
-            out += bias_data if m == 1 else bias_data[:, None]
-        if m > 1:
-            out = out.reshape(-1, width)
+        out = dense(x, w, bias_data, False, a_slices, transpose_b)
         pre = None
         if relu:
             pre, mask = out, out > 0  # subgradient at 0 is 0 by convention
-            out = np.where(mask, pre, 0.0)
+            out = relu_values(pre)
 
         def backward_fn(g, live=(True, True, True)):
             if relu:
                 g = g * mask
+            xs, ws = _slice_operands(x, w, a_slices)
+            wt = _mT(ws)
             gs = g if m == 1 else g.reshape(m, -1, width)
             gx = gw = None
             if live[0]:
@@ -379,7 +401,7 @@ def scalar_mul(a: Tensor, c: float) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     def kernel(x):
         mask = x > 0  # subgradient at 0 is 0 by convention
-        return np.where(mask, x, 0.0), lambda g: (g * mask,), x
+        return relu_values(x), lambda g: (g * mask,), x
 
     return a.tape._emit("relu", [a], kernel, slices=a.slices)
 
@@ -447,8 +469,9 @@ def tensor_abs(a: Tensor) -> Tensor:
     return a.tape._emit("abs", [a], kernel)
 
 
-def _checked_indices(op: str, rows: int, cols: int, indices) -> np.ndarray:
-    """One integer column index in [0, cols) for each of `rows` rows."""
+def checked_indices(op: str, rows: int, cols: int, indices) -> np.ndarray:
+    """One integer column index in [0, cols) for each of `rows` rows; op
+    names the operation in the error."""
     idx = np.asarray(indices)
     if idx.ndim != 1 or idx.shape[0] != rows:
         raise DimensionError(
@@ -464,7 +487,7 @@ def _checked_indices(op: str, rows: int, cols: int, indices) -> np.ndarray:
 def select_columns(a: Tensor, indices) -> Tensor:
     """Pick one entry per row by a constant index vector; output [rows, 1]."""
     _check_rows(a, "select_columns")
-    idx = _checked_indices("select_columns", a.shape[0], a.shape[1], indices)
+    idx = checked_indices("select_columns", a.shape[0], a.shape[1], indices)
     rows = np.arange(a.shape[0])
 
     def kernel(x):
@@ -480,6 +503,25 @@ def select_columns(a: Tensor, indices) -> Tensor:
     return a.tape._emit("select_columns", [a], kernel)
 
 
+def cross_entropy_values(a: np.ndarray, idx: np.ndarray, slices: int = 1):
+    """-mean_i log_softmax(a)[i, idx[i]] over each of a's row slices (idx:
+    one label per row of a slice), one value per slice; with the
+    log-probabilities and the [slices, rows] row index that backward reads."""
+    shifted = a - a.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    n = len(idx)
+    rows = np.arange(slices * n).reshape(slices, n)
+    return -1.0 * logp[rows, idx].mean(axis=1), logp, rows
+
+
+def mean_abs_diff_values(x: np.ndarray, y: np.ndarray, slices: int = 1):
+    """sum|x - y| / size over each of the row slices, one value per slice;
+    with the difference x - y, whose sign backward reads."""
+    d = x - y
+    c = 1.0 / (d.size // slices)
+    return c * np.abs(d).reshape(slices, -1).sum(axis=1), d
+
+
 def cross_entropy(logits: Tensor, labels) -> Tensor:
     """-mean_i log_softmax(logits)[i, labels[i]] of each row slice, one
     value per slice (labels: one per row of a slice): the numpy calls of
@@ -489,20 +531,16 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     _check_rows(logits, "cross_entropy")
 
     def kernel(a, idx):
-        shifted = a - a.max(axis=1, keepdims=True)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        n = len(idx)
-        rows = np.arange(m * n).reshape(m, n)  # slice m's rows, one per label
-        picked = logp[rows, idx]
+        loss, logp, rows = cross_entropy_values(a, idx, m)
 
         def backward_fn(g):
             g_logp = np.zeros(a.shape)
-            g_logp[rows, idx] = ((-1.0 * g) / n)[:, None]
+            g_logp[rows, idx] = ((-1.0 * g) / len(idx))[:, None]
             return (g_logp - np.exp(logp) * g_logp.sum(axis=1, keepdims=True),)
 
-        return -1.0 * picked.mean(axis=1), backward_fn, None
+        return loss, backward_fn, None
 
-    check = functools.partial(_checked_indices, "cross_entropy",
+    check = functools.partial(checked_indices, "cross_entropy",
                               logits.shape[0] // m, logits.shape[1])
     return logits.tape._emit("cross_entropy", [logits], kernel, args=(labels,),
                              check=check)
@@ -531,7 +569,7 @@ def mean_abs_diff(a: Tensor, b: Optional[Tensor] = None) -> Tensor:
         if pair:
             half = x.shape[0] // 2
             x, y = x[:half], x[half:]
-        d = x - y
+        loss, d = mean_abs_diff_values(x, y, m)
         sign = np.sign(d)  # sign(0) == 0: abs subgradient at 0 is 0
         c = 1.0 / (d.size // m)
 
@@ -539,7 +577,7 @@ def mean_abs_diff(a: Tensor, b: Optional[Tensor] = None) -> Tensor:
             g_d = ((c * g)[:, None] * sign.reshape(m, -1)).reshape(sign.shape)
             return (np.concatenate((g_d, -g_d)),) if pair else (g_d, -g_d)
 
-        return c * np.abs(d).reshape(m, -1).sum(axis=1), backward_fn, None
+        return loss, backward_fn, None
 
     return tape._emit("mean_abs_diff", inputs, kernel)
 

@@ -4,9 +4,10 @@ Inference only ever touches the invariant module's extractor, transform
 layer and primary classifier; the discriminative module exists purely to
 push the invariant one toward domain-invariant features during training.
 
-A DualModel stores each parameter of its two modules as one [2, ...] array
-(invariant first); each module's layers are views of its slice, so names,
-checkpoints and inference read the same arrays that training updates.
+A DualModel stores every parameter of its two modules in one flat float64
+buffer, the invariant module's range first (``nn.stack_component_sets``).
+Each stacked [2, ...] array and each module's own arrays are views of it,
+so names, checkpoints and inference read the values that training updates.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ class DualModel:
         ids2 = {id(a) for _, a in self.discriminative.named_arrays()}
         if ids1 & ids2:
             raise ContractError("modules must not share parameter arrays")
-        self.stacked = stack_component_sets([self.invariant,
-                                             self.discriminative])
+        self.buffer, self.stacked = stack_component_sets(
+            [self.invariant, self.discriminative])
 
     def modules(self, names: Tuple[str, ...] = MODULES
                 ) -> Tuple[ComponentSet, Tuple[str, ...]]:

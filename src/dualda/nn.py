@@ -7,11 +7,13 @@ scan), so that every rerun reads the latest values and the optimizer can
 look gradients up by parameter name. Inference reads the arrays
 directly (``Stack.apply``, ``ComponentSet.features``), with no tape.
 
-Structurally identical modules can share storage: ``stack_component_sets``
-puts each parameter of M modules into one ``[M, ...]`` array and makes each
-module's layers views of their slice, so a stacked ComponentSet binds all
-M modules as one graph (``BoundComponents``) while each module still reads
-and writes its own arrays.
+Structurally identical modules share one store: ``stack_component_sets``
+puts every parameter of M modules into one flat float64 buffer, module by
+module, and makes each ``[M, ...]`` stacked array and each module's own
+arrays views of it. A stacked ComponentSet binds all M modules as one
+graph (``BoundComponents``) and runs them without a tape
+(``Stack.apply``), while each module still reads and writes its own
+arrays, and the optimizer steps every parameter through the buffer.
 """
 
 from __future__ import annotations
@@ -96,16 +98,18 @@ class Stack:
             yield f"{i}.weight", layer.weight
             yield f"{i}.bias", layer.bias
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
+    def apply(self, x: np.ndarray, slices: int = 1) -> np.ndarray:
         """The forward pass without a tape: the numpy calls of
-        BoundStack.forward, so the same bits."""
+        BoundStack.forward, so the same bits. Stacked layers of M slices
+        read x's `slices` row slices (1 or M) and return M."""
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise DimensionError(
                 f"Stack: input {list(x.shape)} does not fit a stack of input "
                 f"width {self.in_dim}")
         last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
-            x = ad.dense(x, layer.weight, layer.bias, relu=i < last)
+            x = ad.dense(x, layer.weight, layer.bias, i < last, slices)
+            slices = 1 if layer.weight.ndim == 2 else layer.weight.shape[0]
         return x
 
 
@@ -172,10 +176,17 @@ class ComponentSet:
     def components(self) -> Dict[str, Stack]:
         return {k: getattr(self, k) for k in COMPONENT_KEYS}
 
+    @property
+    def slices(self) -> int:
+        """How many modules the set runs: 1, or M for a stacked set."""
+        weight = self.transform.layers[0].weight
+        return 1 if weight.ndim == 2 else weight.shape[0]
+
     def features(self, x) -> np.ndarray:
-        """Transform-layer outputs for input rows x, without a tape; the
-        input is checked like a tape leaf."""
-        return self.transform.apply(self.extractor.apply(ad.checked_input(x)))
+        """Transform-layer outputs for input rows x, without a tape, one
+        row slice per module; the input is checked like a tape leaf."""
+        return self.transform.apply(self.extractor.apply(ad.checked_input(x)),
+                                    self.slices)
 
     def named_arrays(self, prefix: str = "") -> Iterator[Tuple[str, np.ndarray]]:
         for key, stack in self.components().items():
@@ -183,21 +194,42 @@ class ComponentSet:
                 yield f"{prefix}{key}.{name}", arr
 
 
-def stack_component_sets(sets: Sequence[ComponentSet]) -> ComponentSet:
-    """One ComponentSet whose arrays stack the sets' arrays [M, ...] in set
-    order. Each set's layers then hold views of their slice, so training
-    the stacked set trains every set in place."""
+# the order of the components within one set's range of a parameter store:
+# every component group that an update trains is then one contiguous range
+STORE_ORDER = ("extractor", "transform", "classifier_a", "classifier_b",
+               "discriminator")
+
+
+def stack_component_sets(sets: Sequence[ComponentSet]
+                         ) -> Tuple[np.ndarray, ComponentSet]:
+    """One float64 buffer holding every parameter of the M sets, set-major
+    and within a set in STORE_ORDER (each layer's weight, then its bias),
+    and one ComponentSet whose arrays stack the sets' arrays [M, ...] as
+    views of that buffer. The sets must be structurally identical. Each
+    set's layers become views of their slice, so training any of them
+    trains the buffer in place."""
+    size = sum(a.size for _, a in sets[0].named_arrays())
+    buffer = np.empty(len(sets) * size)
+    rows = buffer.reshape(len(sets), size)
+    offset = 0
     stacked = {}
-    for key in COMPONENT_KEYS:
+    for key in STORE_ORDER:
         layers = []
         for per_set in zip(*(getattr(c, key).layers for c in sets)):
-            layer = LinearLayer(np.stack([l.weight for l in per_set]),
-                                np.stack([l.bias for l in per_set]))
-            for m, l in enumerate(per_set):
-                l.weight, l.bias = layer.weight[m], layer.bias[m]
-            layers.append(layer)
+            views = []
+            for attr in ("weight", "bias"):
+                shape = getattr(per_set[0], attr).shape
+                n = math.prod(shape)
+                # splits a unit-stride axis, so a view: no copy
+                view = rows[:, offset:offset + n].reshape((len(sets),) + shape)
+                offset += n
+                for m, layer in enumerate(per_set):
+                    view[m] = getattr(layer, attr)
+                    setattr(layer, attr, view[m])
+                views.append(view)
+            layers.append(LinearLayer(*views))
         stacked[key] = Stack(layers)
-    return ComponentSet(**stacked)
+    return buffer, ComponentSet(**stacked)
 
 
 def build_component_set(input_dim: int, feature_dim: int, num_classes: int,

@@ -38,7 +38,16 @@ names, parameter array, leaf tensor) triples each loss trains, once: on
 the first batch of a ``train`` call (``_program``). Every later update of
 that site re-runs the tape on its batch (``ad.Tape.rerun``), which makes
 the numpy calls of a fresh tape, so the same bits; a batch of another
-shape is captured again.
+shape is captured again. Each optimizer steps the model's one flat
+parameter buffer (``optim.SGD``): an update costs a few numpy calls per
+module, plus one per array to add its gradient.
+
+``compute_metrics`` builds no tape: per domain it runs one stacked forward
+of both modules over the full dataset on the numpy functions that the
+training records call (``ad.dense``, ``ad.row_softmax``,
+``ad.cross_entropy_values``, ``ad.mean_abs_diff_values``), so its values
+are bitwise those of the losses on a tape, and it drops each temporary
+once it is read.
 """
 
 from __future__ import annotations
@@ -221,9 +230,9 @@ def step1_mcd(comps: ComponentSet, batch_s, labels_s, batch_t, k: int,
     """Boundary learning on one module; returns the classifier pair's
     target-batch discrepancy measured before and after phase C.
 
-    name_prefix keeps this module's velocity buffers distinct when two
-    modules train under one optimizer. train() runs the same updates
-    without the closing discrepancy read.
+    name_prefix prefixes the parameter names that a divergence error
+    gives. train() runs the same updates without the closing discrepancy
+    read.
     """
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
@@ -296,37 +305,69 @@ def step3_dual(model: DualModel, batch_s, batch_t, lam: float, lr: float,
     return model
 
 
-def _accuracy(probs: ad.Tensor, labels: np.ndarray) -> float:
-    """Accuracy of the invariant module's rows (slice 0) of a stacked
-    primary-classifier softmax: predict()'s rule on the same bits."""
-    return float(np.mean(np.argmax(probs.data[:len(labels)], axis=1) == labels))
+def _domain_terms(model: DualModel, x, labels: np.ndarray,
+                  domain: int) -> tuple:
+    """The logged terms of one full domain (0 source, 1 target), from one
+    stacked forward of both modules with no tape: each module's domain CE,
+    the feature and prediction discrepancies, the invariant module's
+    accuracy, and its classifier pair's term on this domain (the source
+    CE of both classifiers, or the target discrepancy). Each head runs
+    once; classifier_b runs on the invariant slice only, the one these
+    terms read. Every temporary is dropped once it is read."""
+    comps, n = model.stacked, len(labels)
+    t = comps.features(x)
+    feature_dis = ad.mean_abs_diff_values(*_halves(ad.row_softmax(t)))[0]
+    domain_ce = ad.cross_entropy_values(comps.discriminator.apply(t, 2),
+                                        np.full(n, domain), 2)[0]
+    logits_b = model.invariant.classifier_b.apply(t[:n])
+    logits_a = comps.classifier_a.apply(t, 2)
+    del t
+    if domain == 0:
+        labels = ad.checked_indices("cross_entropy", n, logits_a.shape[1],
+                                    labels)
+        pair = (ad.cross_entropy_values(logits_a, labels, 2)[0][0] +
+                ad.cross_entropy_values(logits_b, labels)[0][0])
+    probs_a = ad.row_softmax(logits_a)
+    del logits_a
+    if domain == 1:
+        pair = ad.mean_abs_diff_values(probs_a[:n],
+                                       ad.row_softmax(logits_b))[0][0]
+    del logits_b
+    prediction_dis = ad.mean_abs_diff_values(*_halves(probs_a))[0]
+    accuracy = float(np.mean(np.argmax(probs_a[:n], axis=1) == labels))
+    return domain_ce, feature_dis, prediction_dis, accuracy, pair
+
+
+def _halves(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The two module slices of a stacked activation."""
+    half = a.shape[0] // 2
+    return a[:half], a[half:]
 
 
 def compute_metrics(model: DualModel, source: DomainDataset,
                     target: DomainDataset, epoch: int) -> MetricsRecord:
-    """Measure every logged loss in one full-dataset forward pass of both
-    modules at the current parameters (training never reads these
-    values); the accuracies are predict()'s, read off the same pass."""
+    """Measure every logged loss on the full datasets at the current
+    parameters, with no tape (training never reads these values). Each
+    value is bitwise the one module_loss, dual_loss and
+    classifier_discrepancy give on a tape, since the same numpy calls make
+    it; the accuracies are predict()'s."""
     if source.labels is None or target.labels is None:
         raise ContractError("compute_metrics needs labeled datasets")
-    tape = ad.Tape()
-    b = BoundComponents(tape, *model.modules())
-    t_s = b.features(tape.leaf(source.features))
-    t_t = b.features(tape.leaf(target.features))
-    parts = module_loss(b, t_s, source.labels, t_t, None)
-    dual = dual_loss(b, t_s, t_t, 0.0)
-    mcd_dis = classifier_discrepancy(b, t_t)
-
+    dom_s, fdis_s, pdis_s, src_acc, cls_ce = _domain_terms(
+        model, source.features, source.labels, 0)
+    dom_t, fdis_t, pdis_t, tgt_acc, mcd_dis = _domain_terms(
+        model, target.features, target.labels, 1)
+    domain_ce = dom_s + dom_t
     return MetricsRecord(
         epoch=epoch,
-        cls_ce=float(parts.classifier_ce.data[0]),
-        dom_ce_m1=float(parts.domain_ce.data[0]),
-        dom_ce_m2=float(parts.domain_ce.data[1]),
-        dis_t=float(dual.feature_dis.data[0]),
-        dis_c=float(dual.prediction_dis.data[0]),
-        mcd_dis=float(mcd_dis.data[0]),
-        src_acc=_accuracy(dual.probs_s, source.labels),
-        tgt_acc=_accuracy(dual.probs_t, target.labels),
+        cls_ce=float(cls_ce),
+        dom_ce_m1=float(domain_ce[0]),
+        dom_ce_m2=float(domain_ce[1]),
+        dis_t=float((fdis_s + fdis_t)[0]),
+        dis_c=float((pdis_s + pdis_t)[0]),
+        mcd_dis=float(mcd_dis),
+        src_acc=src_acc,
+        tgt_acc=tgt_acc,
     )
 
 

@@ -1,11 +1,20 @@
 """Independent reference implementations used to pin expected values.
 
-Everything here deliberately avoids the library's autodiff path: losses are
+Most of these deliberately avoid the library's autodiff path: losses are
 recomputed with explicit numpy loops, gradients with central finite
-differences on forward values only.
+differences on forward values only. Two keep a design the library
+replaced, as the reference for its replacement: the tape-built evaluation
+(``compute_metrics_on_tape``) and the array-by-array optimizer
+(``ArraySGD``).
 """
 
 import numpy as np
+
+from dualda import autodiff as ad
+from dualda.errors import ContractError
+from dualda.losses import classifier_discrepancy, dual_loss, module_loss
+from dualda.nn import BoundComponents
+from dualda.trainer import MetricsRecord
 
 FD_H = 1e-5
 FD_TOL = 1e-4
@@ -126,3 +135,64 @@ def sgd_two_step_unrolled(param, grad1, grad2, lr, momentum):
     v2 = momentum * v1 + grad2
     p2 = p1 - lr * v2
     return p2
+
+
+def compute_metrics_on_tape(model, source, target, epoch):
+    """compute_metrics as one full-dataset tape of both modules through
+    module_loss, dual_loss and classifier_discrepancy, every value read
+    off the tape."""
+    tape = ad.Tape()
+    b = BoundComponents(tape, *model.modules())
+    t_s = b.features(tape.leaf(source.features))
+    t_t = b.features(tape.leaf(target.features))
+    parts = module_loss(b, t_s, source.labels, t_t, None)
+    dual = dual_loss(b, t_s, t_t, 0.0)
+    mcd_dis = classifier_discrepancy(b, t_t)
+
+    def accuracy(probs, labels):
+        return float(np.mean(np.argmax(probs.data[:len(labels)], axis=1)
+                             == labels))
+
+    return MetricsRecord(
+        epoch=epoch,
+        cls_ce=float(parts.classifier_ce.data[0]),
+        dom_ce_m1=float(parts.domain_ce.data[0]),
+        dom_ce_m2=float(parts.domain_ce.data[1]),
+        dis_t=float(dual.feature_dis.data[0]),
+        dis_c=float(dual.prediction_dis.data[0]),
+        mcd_dis=float(mcd_dis.data[0]),
+        src_acc=accuracy(dual.probs_s, source.labels),
+        tgt_acc=accuracy(dual.probs_t, target.labels),
+    )
+
+
+class ArraySGD:
+    """Momentum SGD array by array, one velocity per name, with six numpy
+    calls per array; the same (names, array, grad) items and lr as
+    dualda.optim.SGD."""
+
+    def __init__(self, momentum):
+        self.momentum = momentum
+        self.velocity = {}
+
+    def step(self, named, lr):
+        rates = None if np.isscalar(lr) else np.asarray(lr, dtype=np.float64)
+        for name, param, grad in named:
+            names = (name,) if isinstance(name, str) else name
+            v = self.velocity.get(name)
+            if v is None:
+                v = self.velocity[name] = np.zeros_like(param)
+            v *= self.momentum
+            v += grad
+            if rates is None:
+                param -= lr * v
+            else:
+                param -= rates.reshape((-1,) + (1,) * (param.ndim - 1)) * v
+            if not np.isfinite(param).all():
+                m = 0 if len(names) == 1 else next(
+                    i for i in range(len(names))
+                    if not np.isfinite(param[i]).all())
+                raise ContractError(
+                    f"sgd: parameter {names[m]} is no longer finite after an "
+                    f"update with lr {lr if rates is None else rates[m]:g}; "
+                    f"training diverged")

@@ -539,6 +539,50 @@ def test_tape_free_kernels_equal_the_records_bytewise():
     assert ad.row_softmax(x).tobytes() == ad.softmax(xt).data.tobytes()
 
 
+def _branchy_relu(pre):
+    """The relu before it lost its branch: +0.0 wherever pre > 0 fails."""
+    return np.where(pre > 0, pre, 0.0)
+
+
+def test_relu_equals_the_branchy_relu_bytewise_at_every_simd_tail():
+    """Signed zeros at every length from 1 to 4099, so that every SIMD
+    width's tail is hit: -0.0 becomes +0.0, as the branch made it."""
+    rng = np.random.default_rng(31)
+    values = np.array([-0.0, 0.0, -0.0, 1.5, -2.0, 5e-324, -5e-324, 0.0])
+    for n in range(1, 4100):
+        pre = rng.choice(values, n)
+        want = _branchy_relu(pre).tobytes()
+        assert ad.relu_values(pre).tobytes() == want, n
+        assert ad.relu_values(pre.copy(), pre.copy()).tobytes() == want, n
+        tape = ad.Tape()
+        assert ad.relu(tape.leaf(pre)).data.tobytes() == want, n
+    neg_zero = ad.relu_values(np.full(7, -0.0))
+    assert not np.signbit(neg_zero).any()
+
+
+def test_dense_and_matmul_relu_equal_the_branchy_relu_bytewise():
+    """Exact-zero, negative and positive pre-activations at every length
+    from 1 to 4099, through the tape-free layer and the record."""
+    rng = np.random.default_rng(32)
+    w, b = np.array([[1.0]]), np.array([0.0])
+    for n in range(1, 4100):
+        x = rng.choice(np.array([0.0, 1.0, -3.0, 0.25]), (n, 1))
+        pre = ad.dense(x, w, b)
+        want = _branchy_relu(pre).tobytes()
+        assert ad.dense(x, w, b, relu=True).tobytes() == want, n
+        tape = ad.Tape()
+        rec = ad.matmul(tape.leaf(x), tape.param(w), transpose_b=True,
+                        bias=tape.param(b), relu=True)
+        assert rec.data.tobytes() == want, n
+        assert tape.records[-1].relu_in.tobytes() == pre.tobytes(), n
+
+
+def test_a_nan_pre_activation_propagates_through_the_relu():
+    pre = np.array([np.nan, -1.0, 2.0])
+    assert np.isnan(ad.relu_values(pre)[0])
+    assert np.isnan(ad.dense(pre[:, None], np.ones((1, 1)), relu=True)[0, 0])
+
+
 # --- stacked slices equal their per-slice records, bit for bit ---------------
 
 STACK_ROWS = (16, 64, 128, 500, 1000, 2560)   # batches and full datasets

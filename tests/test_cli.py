@@ -1,6 +1,9 @@
 import csv
+import os
 import re
 import struct
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -546,3 +549,15 @@ def test_cli_idx_target_without_highest_source_class_runs(tmp_path):
     paths.update(write_idx_domain(tmp_path, "target", np.arange(24) % 2, seed=1))
     assert main(["run", "--config", str(idx_config(tmp_path, paths))]) == 0
     assert (tmp_path / "out" / "summary.csv").exists()
+
+
+def test_python_m_dualda_runs_the_command_line_without_a_warning():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-W", "default", "-m", "dualda",
+                           "--help"], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "{run,ablate,embed,check-grad}" in proc.stdout

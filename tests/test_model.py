@@ -250,7 +250,9 @@ def test_each_module_array_is_a_view_of_its_slice_of_the_stacked_array():
     stacked = dict(model.stacked.named_arrays())
     for m, comps in enumerate((model.invariant, model.discriminative)):
         for name, arr in comps.named_arrays():
-            assert arr.base is stacked[name]
+            # numpy points every view's base at the array that owns the
+            # data: the model's one flat buffer
+            assert arr.base is model.buffer and stacked[name].base is model.buffer
             assert stacked[name][m].__array_interface__ == arr.__array_interface__
             assert arr.flags.c_contiguous
     assert all(a.shape[0] == 2 for a in stacked.values())
