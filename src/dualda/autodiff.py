@@ -24,10 +24,19 @@ step inputs: batches, a label vector, a lambda. A leaf made from one of
 these objects, and a label vector or reversal weight that is one of them,
 is tied to it. ``Tape.rerun(*inputs)`` refills everything tied from new
 inputs of the captured shapes, checking each like its op did (NaN/Inf,
-label range, lambda >= 0), and runs every kernel again in record order.
-That makes the numpy calls of a fresh tape on the new inputs, so the same
+label range, lambda >= 0), and makes every record's numpy calls again in
+record order: the calls of a fresh tape on the new inputs, so the same
 bits, without building a tensor, a record or a binding. Parameters are
 read in place, so a rerun sees the latest update.
+
+A rerun runs generated code: on its first rerun the tape lowers its
+records into one straight-line Python function (``_lower_forward``), made
+by the code generator that each op kind that training records keeps
+beside its kernel, with every value a local and no per-record call,
+closure or list. Its compiled code is cached per source for the whole
+process, and the source names no tape and holds no user text. Lowering a
+tape with an op kind that has no generator is a ContractError naming the
+kind.
 
 ``backward(tape, loss, wrt)`` with a list of tensors visits only the
 records whose outputs depend on them and returns (and stores in ``.grad``)
@@ -35,9 +44,13 @@ only their gradients; without ``wrt`` every node gets a gradient, zeros
 where the loss does not reach. Either way the gradients of the visited
 nodes are bitwise the same. A pruned sweep also tells each record which of
 its inputs are live, so a matmul skips the product for an operand nobody
-reads (the data in front of a network). The tape caches each sweep's plan,
-its live flags and the records it visits, per (loss, wrt), so a rerun tape
-computes liveness once.
+reads (the data in front of a network). On a captured tape the sweep
+calls each record's backward closure; after a rerun it is generated code
+too, one function per (loss, wrt) with each gradient's accumulation
+resolved when it is made. ``backward(..., into=arrays)`` writes the wrt
+gradients into the given arrays (an optimizer's gradient store): with
+``out=`` where the first contribution is a numpy call that takes one,
+adding each later contribution in place.
 
 The op set is deliberately small: dense matmul (with an optional
 transpose-b mode, an optional bias and an optional relu, so that a dense
@@ -75,6 +88,7 @@ state, so a tape-free pass frees each temporary once it is read.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -121,9 +135,9 @@ Kernel = Callable[..., Tuple[np.ndarray, Callable, Optional[np.ndarray]]]
 
 
 class _Record:
-    """One executed op: kind, wiring, its forward kernel and the arguments
-    it takes after the input arrays, and the backward closure and relu
-    input of the kernel's latest run.
+    """One executed op: kind, wiring, the checked arguments its kernel takes
+    after the input arrays, the static settings its code generator reads,
+    and the backward closure and relu input of the kernel's latest run.
 
     A pruning record's closure also takes the live flags of its inputs and
     may return None for an input that is not live. relu_in is the input of
@@ -131,18 +145,18 @@ class _Record:
     its kink).
     """
 
-    __slots__ = ("kind", "input_ids", "output_id", "kernel", "args",
+    __slots__ = ("kind", "input_ids", "output_id", "args", "static",
                  "backward_fn", "prunes", "relu_in")
 
     def __init__(self, kind: str, input_ids: List[int], output_id: int,
-                 kernel: Kernel, args: list,
+                 args: list, static: tuple,
                  backward_fn: Callable[..., Sequence[Optional[np.ndarray]]],
                  prunes: bool, relu_in: Optional[np.ndarray]):
         self.kind = kind
         self.input_ids = input_ids
         self.output_id = output_id
-        self.kernel = kernel
         self.args = args
+        self.static = static
         self.backward_fn = backward_fn
         self.prunes = prunes
         self.relu_in = relu_in
@@ -167,7 +181,16 @@ class Tape:
         # check(inputs[k]) at list[slot], a leaf's value or a record's
         # argument
         self._refills: List[Tuple[list, int, Callable, int]] = []
+        # (loss, wrt) -> the closure sweep's plan, and its generated sweep
         self._plans: Dict[tuple, list] = {}
+        self._sweeps: Dict[tuple, Callable] = {}
+        # the generated forward and the per-tape objects it reads; the
+        # arrays its latest run saved for the backward (None while the
+        # values come from the capture's kernels)
+        self._forward: Optional[Callable] = None
+        self._consts: tuple = ()
+        self._saved_names: List[str] = []
+        self._saved: Optional[tuple] = None
 
     def leaf(self, data) -> Tensor:
         """Wrap an array (or nested lists) as a graph input node."""
@@ -194,15 +217,21 @@ class Tape:
 
     def _emit(self, kind: str, inputs: Sequence[Tensor], kernel: Kernel,
               args: Sequence = (), check: Optional[Callable] = None,
-              prunes: bool = False, slices: int = 1) -> Tensor:
+              prunes: bool = False, slices: int = 1,
+              static: tuple = ()) -> Tensor:
         """Run kernel on the inputs' values and the arguments (each passed
-        through check first) and record it."""
+        through check first) and record it, with the settings its code
+        generator reads. A tape that has rerun takes no new record: its
+        generated code would not know it."""
+        if self._saved is not None:
+            raise ContractError(f"{kind}: a tape takes no new record once it "
+                                f"has rerun")
         ids = [t.node_id for t in inputs]
         checked = [check(a) for a in args]
         out, backward_fn, relu_in = kernel(*[self.values[i] for i in ids],
                                            *checked)
         t = self._new_tensor(out, slices)
-        self.records.append(_Record(kind, ids, t.node_id, kernel, checked,
+        self.records.append(_Record(kind, ids, t.node_id, checked, static,
                                     backward_fn, prunes, relu_in))
         for j, a in enumerate(args):
             self._tie(checked, j, check, a)
@@ -215,28 +244,27 @@ class Tape:
 
     def rerun(self, *inputs) -> None:
         """Refill the leaves and arguments tied to the step inputs from
-        inputs, checking each, and run every record's kernel again in
-        order. Every declared input must have been read at capture."""
+        inputs, checking each, and make every record's numpy calls again in
+        order, through the tape's generated forward (made on the first
+        rerun). Every declared input must have been read at capture."""
         if not self.fits(*inputs):
             raise DimensionError(
                 f"rerun: inputs of shapes {[np.shape(v) for v in inputs]} "
                 f"do not fit the captured {self._shapes}")
-        if len({k for *_, k in self._refills}) != len(inputs):
-            raise ContractError("rerun: a step input was not read at capture")
-        for store, slot, check, k in self._refills:
-            store[slot] = check(inputs[k])
-        values = self.values
-        self.grads = [None] * len(values)
-        for rec in self.records:
-            out, rec.backward_fn, rec.relu_in = rec.kernel(
-                *[values[i] for i in rec.input_ids], *rec.args)
-            values[rec.output_id] = out
+        if self._forward is None:
+            if len({k for *_, k in self._refills}) != len(inputs):
+                raise ContractError(
+                    "rerun: a step input was not read at capture")
+            self._forward, self._consts, self._saved_names = \
+                _lower_forward(self)
+        self.grads = [None] * len(self.values)
+        self._saved = self._forward(inputs, self.values, self._consts)
 
 
 def checked_input(data) -> np.ndarray:
     """data as a float64 array; NaN or Inf is a ContractError."""
     arr = np.asarray(data, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ContractError("input contains NaN or Inf")
     return arr
 
@@ -284,8 +312,8 @@ def relu_values(pre: np.ndarray, out: Optional[np.ndarray] = None
 
 def row_softmax(z: np.ndarray) -> np.ndarray:
     """Softmax of each row, numerically stabilized by the row max."""
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(z - np.maximum.reduce(z, 1, keepdims=True))
+    return e / np.add.reduce(e, 1, keepdims=True)
 
 
 def _same_tape(*tensors: Tensor) -> Tape:
@@ -342,7 +370,8 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
             if live[0]:
                 gx = gs @ (ws if transpose_b else wt)
                 if m > 1:  # a shared input collects every slice's gradient
-                    gx = gx.reshape(x.shape) if a_slices == m else gx.sum(axis=0)
+                    gx = (gx.reshape(x.shape) if a_slices == m
+                          else np.add.reduce(gx, 0))
             if live[1]:
                 gw = _mT(gs) @ xs if transpose_b else _mT(xs) @ gs
                 if gw.shape != w.shape:  # one slice of a [1, ...] stack
@@ -351,7 +380,7 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
                 return gx, gw
             gb = None
             if live[2]:
-                gb = gs.sum(axis=-2)
+                gb = np.add.reduce(gs, -2)
                 if gb.shape != bias_data.shape:
                     gb = gb.reshape(bias_data.shape)
             return gx, gw, gb
@@ -359,7 +388,81 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
         return out, backward_fn, pre
 
     inputs = [a, b] if bias is None else [a, b, bias]
-    return tape._emit("matmul", inputs, kernel, prunes=True, slices=m)
+    return tape._emit("matmul", inputs, kernel, prunes=True, slices=m,
+                      static=(a_slices, transpose_b, relu))
+
+
+# The code generators of the op kinds that training records sit beside
+# their kernels; "generated code" below says what they take and return.
+
+def _matmul_operands(rec: _Record, ins, values):
+    """The names of the product operands xs and ws (see _slice_operands),
+    whether ws is 2-D, and m and the width of the record's product."""
+    a_slices, transpose_b, _ = rec.static
+    x, w = (values[i] for i in rec.input_ids[:2])
+    m = 1 if w.ndim == 2 else w.shape[0]
+    width = w.shape[-2] if transpose_b else w.shape[-1]
+    if w.ndim == 2:
+        return ins[0], ins[1], True, m, width
+    if m == 1:
+        return ins[0], f"{ins[1]}[0]", True, m, width
+    xs = ins[0] if a_slices == 1 else f"{ins[0]}.reshape({m}, -1, {x.shape[1]})"
+    return xs, ins[1], False, m, width
+
+
+def _mT_code(a: str, two_d: bool) -> str:
+    return f"{a}.T" if two_d else f"{a}.swapaxes(1, 2)"
+
+
+def _matmul_forward_code(rec, j, ins, out, values, const):
+    """dense() and the kernel's relu, as code."""
+    _, transpose_b, relu = rec.static
+    xs, ws, ws_2d, _, width = _matmul_operands(rec, ins, values)
+    y = f"r{j}_p" if relu else out
+    lines = [f"{y} = {xs} @ "
+             f"{_mT_code(ws, ws_2d) if transpose_b else ws}"]
+    if len(ins) == 3:
+        lines.append(f"{y} += {ins[2]}" if ws_2d else f"{y} += {ins[2]}[:, None]")
+    if not ws_2d:
+        lines.append(f"{y} = {y}.reshape(-1, {width})")
+    if not relu:
+        return lines, []
+    return lines + [f"r{j}_m = {y} > 0", f"{out} = np.maximum({y}, 0.0)",
+                    f"{const(rec)}.relu_in = {y}"], [f"r{j}_m"]
+
+
+def _matmul_backward_code(rec, j, ins, out, g, live, values):
+    """The kernel's backward_fn, as code: the gradient of each live input."""
+    a_slices, transpose_b, relu = rec.static
+    xs, ws, ws_2d, m, width = _matmul_operands(rec, ins, values)
+    x, w = (values[i] for i in rec.input_ids[:2])
+    lines, grads = [], [None] * len(ins)
+    if relu:
+        lines.append(f"t{j}_g = {g} * r{j}_m")
+        g = f"t{j}_g"
+    gs = g
+    if m != 1:
+        gs = f"t{j}_s"
+        lines.append(f"{gs} = {g}.reshape({m}, -1, {width})")
+    one_of_stack = w.ndim == 3 and m == 1  # the 2-D product takes w's shape
+    if live[0]:
+        a, b = gs, ws if transpose_b else _mT_code(ws, ws_2d)
+        if m == 1:
+            grads[0] = (f"np.matmul({a}, {b})", True)
+        elif a_slices == m:
+            grads[0] = (f"({a} @ {b}).reshape({x.shape})", False)
+        else:
+            grads[0] = (f"np.add.reduce({a} @ {b}, 0)", True)
+    if live[1]:
+        gw = (f"np.matmul({_mT_code(gs, m == 1)}, {xs})" if transpose_b
+              else f"np.matmul({_mT_code(xs, ws_2d or a_slices == 1)}, {gs})")
+        grads[1] = ((f"{gw}.reshape({w.shape})", False) if one_of_stack
+                    else (gw, True))
+    if len(ins) == 3 and live[2]:
+        gb = f"np.add.reduce({gs}, -2)"
+        grads[2] = ((f"{gb}.reshape(1, {width})", False) if one_of_stack
+                    else (gb, True))
+    return lines, grads
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -370,11 +473,21 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             return g, g
     elif a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
         def backward_fn(g):
-            return g, g.sum(axis=0)
+            return g, np.add.reduce(g, 0)
     else:
         raise DimensionError(
             f"add: shapes {list(a.shape)} and {list(b.shape)} do not conform")
     return tape._emit("add", [a, b], lambda x, y: (x + y, backward_fn, None))
+
+
+def _add_forward_code(rec, j, ins, out, values, const):
+    return [f"{out} = {ins[0]} + {ins[1]}"], []
+
+
+def _add_backward_code(rec, j, ins, out, g, live, values):
+    a, b = (values[i] for i in rec.input_ids)
+    return [], [(g, False), (g, False) if a.shape == b.shape
+                else (f"np.add.reduce({g}, 0)", True)]
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -387,6 +500,14 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         return g, -g
 
     return tape._emit("sub", [a, b], lambda x, y: (x - y, backward_fn, None))
+
+
+def _sub_forward_code(rec, j, ins, out, values, const):
+    return [f"{out} = {ins[0]} - {ins[1]}"], []
+
+
+def _sub_backward_code(rec, j, ins, out, g, live, values):
+    return [], [(g, False), (f"-{g}", False)]
 
 
 def scalar_mul(a: Tensor, c: float) -> Tensor:
@@ -417,7 +538,7 @@ def _softmax_kernel(z):
     s = row_softmax(z)
 
     def backward_fn(g):
-        dot = (g * s).sum(axis=1, keepdims=True)
+        dot = np.add.reduce(g * s, 1, keepdims=True)
         return (s * (g - dot),)
 
     return s, backward_fn, None
@@ -427,6 +548,15 @@ def softmax(a: Tensor) -> Tensor:
     """Row-wise softmax, numerically stabilized by the row max."""
     _check_rows(a, "softmax")
     return a.tape._emit("softmax", [a], _softmax_kernel, slices=a.slices)
+
+
+def _softmax_forward_code(rec, j, ins, out, values, const):
+    return [f"{out} = row_softmax({ins[0]})"], []
+
+
+def _softmax_backward_code(rec, j, ins, out, g, live, values):
+    return [], [(f"{out} * ({g} - np.add.reduce({g} * {out}, 1, "
+                 f"keepdims=True))", False)]
 
 
 def log_softmax(a: Tensor) -> Tensor:
@@ -477,9 +607,9 @@ def checked_indices(op: str, rows: int, cols: int, indices) -> np.ndarray:
         raise DimensionError(
             f"{op}: index vector length {list(idx.shape)} does not "
             f"match {rows} rows")
-    if not np.issubdtype(idx.dtype, np.integer):
+    if idx.dtype.kind not in "iu":
         raise ContractError(f"{op}: indices must be integers")
-    if idx.min() < 0 or idx.max() >= cols:
+    if np.minimum.reduce(idx) < 0 or np.maximum.reduce(idx) >= cols:
         raise ContractError(f"{op}: index out of range [0, {cols})")
     return idx
 
@@ -507,11 +637,11 @@ def cross_entropy_values(a: np.ndarray, idx: np.ndarray, slices: int = 1):
     """-mean_i log_softmax(a)[i, idx[i]] over each of a's row slices (idx:
     one label per row of a slice), one value per slice; with the
     log-probabilities and the [slices, rows] row index that backward reads."""
-    shifted = a - a.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = a - np.maximum.reduce(a, 1, keepdims=True)
+    logp = shifted - np.log(np.add.reduce(np.exp(shifted), 1, keepdims=True))
     n = len(idx)
     rows = np.arange(slices * n).reshape(slices, n)
-    return -1.0 * logp[rows, idx].mean(axis=1), logp, rows
+    return -1.0 * (np.add.reduce(logp[rows, idx], 1) / n), logp, rows
 
 
 def mean_abs_diff_values(x: np.ndarray, y: np.ndarray, slices: int = 1):
@@ -519,7 +649,7 @@ def mean_abs_diff_values(x: np.ndarray, y: np.ndarray, slices: int = 1):
     with the difference x - y, whose sign backward reads."""
     d = x - y
     c = 1.0 / (d.size // slices)
-    return c * np.abs(d).reshape(slices, -1).sum(axis=1), d
+    return c * np.add.reduce(np.abs(d).reshape(slices, -1), 1), d
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -536,14 +666,39 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         def backward_fn(g):
             g_logp = np.zeros(a.shape)
             g_logp[rows, idx] = ((-1.0 * g) / len(idx))[:, None]
-            return (g_logp - np.exp(logp) * g_logp.sum(axis=1, keepdims=True),)
+            return (g_logp - np.exp(logp) *
+                    np.add.reduce(g_logp, 1, keepdims=True),)
 
         return loss, backward_fn, None
 
-    check = functools.partial(checked_indices, "cross_entropy",
-                              logits.shape[0] // m, logits.shape[1])
     return logits.tape._emit("cross_entropy", [logits], kernel, args=(labels,),
-                             check=check)
+                             check=_label_check(logits.shape[0] // m,
+                                                logits.shape[1]),
+                             static=(m,))
+
+
+@functools.lru_cache(maxsize=None)
+def _label_check(rows: int, cols: int) -> Callable:
+    """The check of cross_entropy's labels for `rows` rows of `cols`
+    classes: one object per shape, so that a rerun checks a label input
+    that several records read once."""
+    return functools.partial(checked_indices, "cross_entropy", rows, cols)
+
+
+def _cross_entropy_forward_code(rec, j, ins, out, values, const):
+    return [f"r{j}_i = {const(rec.args)}[0]",
+            f"{out}, r{j}_l, r{j}_r = cross_entropy_values({ins[0]}, r{j}_i, "
+            f"{rec.static[0]})"], [f"r{j}_i", f"r{j}_l", f"r{j}_r"]
+
+
+def _cross_entropy_backward_code(rec, j, ins, out, g, live, values):
+    a = values[rec.input_ids[0]]
+    t = f"t{j}_l"
+    return [f"{t} = np.zeros({a.shape})",
+            f"{t}[r{j}_r, r{j}_i] = ((-1.0 * {g}) / "
+            f"{a.shape[0] // rec.static[0]})[:, None]"], [
+        (f"{t} - np.exp(r{j}_l) * np.add.reduce({t}, 1, keepdims=True)",
+         False)]
 
 
 def mean_abs_diff(a: Tensor, b: Optional[Tensor] = None) -> Tensor:
@@ -579,7 +734,29 @@ def mean_abs_diff(a: Tensor, b: Optional[Tensor] = None) -> Tensor:
 
         return loss, backward_fn, None
 
-    return tape._emit("mean_abs_diff", inputs, kernel)
+    return tape._emit("mean_abs_diff", inputs, kernel, static=(pair, m))
+
+
+def _mean_abs_diff_forward_code(rec, j, ins, out, values, const):
+    pair, m = rec.static
+    if pair:
+        half = values[rec.input_ids[0]].shape[0] // 2
+        ins = [f"{ins[0]}[:{half}]", f"{ins[0]}[{half}:]"]
+    return [f"{out}, r{j}_d = mean_abs_diff_values({ins[0]}, {ins[1]}, {m})",
+            f"r{j}_s = np.sign(r{j}_d)"], [f"r{j}_s"]
+
+
+def _mean_abs_diff_backward_code(rec, j, ins, out, g, live, values):
+    pair, m = rec.static
+    x = values[rec.input_ids[0]]
+    shape = (x.shape[0] // 2,) + x.shape[1:] if pair else x.shape
+    c = 1.0 / (math.prod(shape) // m)
+    t = f"t{j}_d"
+    lines = [f"{t} = (({c!r} * {g})[:, None] * r{j}_s.reshape({m}, -1))"
+             f".reshape({shape})"]
+    if pair:
+        return lines, [(f"np.concatenate(({t}, -{t}))", False)]
+    return lines, [(t, False), (f"-{t}", False)]
 
 
 def _checked_lambda(v):
@@ -621,6 +798,26 @@ def grad_reverse(a: Tensor, lam) -> Tensor:
                         check=_checked_lambda, slices=a.slices)
 
 
+def _grad_reverse_forward_code(rec, j, ins, out, values, const):
+    lams = const(rec.args)
+    weights = ", ".join(f"1.0 if {lams}[{k}] is None else -float({lams}[{k}])"
+                        for k in range(len(rec.args)))
+    x = values[rec.input_ids[0]]
+    if len(rec.args) == 1:
+        lines = [f"r{j}_w = {weights}"]
+    else:
+        lines = [f"r{j}_w = np.repeat([{weights}], "
+                 f"{x.shape[0] // len(rec.args)})",
+                 f"r{j}_w = r{j}_w.reshape({(-1,) + (1,) * (x.ndim - 1)})"]
+    return lines + [f"{out} = {ins[0]}.copy()"], [f"r{j}_w"]
+
+
+def _grad_reverse_backward_code(rec, j, ins, out, g, live, values):
+    if len(rec.args) == 1:
+        return [], [(f"r{j}_w * {g}", False)]
+    return [], [(f"{g} * r{j}_w", False)]
+
+
 def _plan(tape: Tape, loss_id: int,
           wrt_ids: Optional[Tuple[int, ...]]) -> list:
     """The records a sweep from loss_id visits, last first, each with the
@@ -653,7 +850,9 @@ def _plan(tape: Tape, loss_id: int,
 
 
 def backward(tape: Tape, loss: Tensor,
-             wrt: Optional[Sequence[Tensor]] = None) -> Dict[int, np.ndarray]:
+             wrt: Optional[Sequence[Tensor]] = None,
+             into: Optional[Sequence[np.ndarray]] = None
+             ) -> Dict[int, np.ndarray]:
     """Reverse sweep from a loss node: one value, or one per stacked slice,
     each seeded with 1 (for slices with disjoint parameters, each slice's
     parameters get the gradient of that slice's loss).
@@ -664,7 +863,13 @@ def backward(tape: Tape, loss: Tensor,
     run their backward, and only the wrt tensors get a gradient (zeros if
     the loss does not reach them) in the returned map and in .grad; a
     pruning record is told which of its inputs are live and skips the
-    others.
+    others. into, one array per wrt tensor, receives the gradients: after a
+    rerun they are written there in place (the returned map and .grad then
+    hold those arrays), else copied there.
+
+    After a rerun the sweep runs as generated code, made once per (loss,
+    wrt): the backward numpy calls of the records it visits, in order, with
+    each gradient's accumulation resolved in advance.
     """
     if loss.tape is not tape:
         raise ContractError("backward: loss tensor is not on this tape")
@@ -676,11 +881,23 @@ def backward(tape: Tape, loss: Tensor,
             f"shape {list(loss_data.shape)}")
     wrt_ids = None
     if wrt is not None:
-        for t in wrt:
-            if t.tape is not tape:
-                raise ContractError("backward: wrt tensor is not on this tape")
-        wrt_ids = tuple(t.node_id for t in wrt)
+        wrt_ids = tuple([t.node_id for t in wrt if t.tape is tape])
+        if len(wrt_ids) != len(wrt):
+            raise ContractError("backward: wrt tensor is not on this tape")
+    if into is not None and (wrt_ids is None or len(into) != len(wrt_ids)):
+        raise ContractError("backward: into needs one array per wrt tensor")
     key = (loss.node_id, wrt_ids)
+    if tape._saved is not None:
+        ids = range(len(values)) if wrt_ids is None else wrt_ids
+        sweep = tape._sweeps.get(key)
+        if sweep is None:
+            plan = tape._plans.get(key) or _plan(tape, loss.node_id, wrt_ids)
+            sweep = tape._sweeps[key] = _lower_backward(
+                tape, plan, loss.node_id, ids)
+        if into is None:
+            into = [np.empty_like(values[i]) for i in ids]
+        sweep(values, tape._saved, into, tape.grads)
+        return dict(zip(ids, into))
     plan = tape._plans.get(key)
     if plan is None:
         plan = tape._plans[key] = _plan(tape, loss.node_id, wrt_ids)
@@ -703,4 +920,159 @@ def backward(tape: Tape, loss: Tensor,
             g = np.zeros_like(values[nid])
         tape.grads[nid] = g
         result[nid] = g
+    if into is not None:
+        for nid, out in zip(wrt_ids, into):
+            np.copyto(out, result[nid])
     return result
+
+
+# --- generated code ------------------------------------------------------------
+#
+# A rerun and the sweeps after it run as straight-line Python, one function
+# per tape (forward) and per (loss, wrt) (backward), made from the records
+# by the code generators of their op kinds, each beside its kernel:
+#   forward(rec, j, ins, out, values, const) -> (lines, saved names)
+#   backward(rec, j, ins, out, g, live, values) -> (lines, grads)
+# ins and out name the record's input and output values (v<node id>), g its
+# output gradient; j numbers the record, so its locals are r<j>_* (saved
+# for the backward) and t<j>_* (temporaries). const(obj) names a per-tape
+# object the forward reads (a check, an argument list, a record). Each grad
+# is None (not live) or (expression, whether it is a call that takes out=).
+# The source names no tape and holds no user text, so its compiled code is
+# shared by every tape of the same structure.
+
+_CODE_GENERATORS = {
+    "matmul": (_matmul_forward_code, _matmul_backward_code),
+    "add": (_add_forward_code, _add_backward_code),
+    "sub": (_sub_forward_code, _sub_backward_code),
+    "softmax": (_softmax_forward_code, _softmax_backward_code),
+    "cross_entropy": (_cross_entropy_forward_code,
+                      _cross_entropy_backward_code),
+    "mean_abs_diff": (_mean_abs_diff_forward_code,
+                      _mean_abs_diff_backward_code),
+    "grad_reverse": (_grad_reverse_forward_code, _grad_reverse_backward_code),
+}
+
+# generated source -> its function, for the whole process
+_COMPILED: Dict[str, Callable] = {}
+
+
+def _unpack(names: Sequence[str], source: str) -> List[str]:
+    """A line that unpacks source into names (none when there are none)."""
+    if not names:
+        return []
+    return [", ".join(names) + ("," if len(names) == 1 else "") + f" = {source}"]
+
+
+def _generators(kind: str):
+    generators = _CODE_GENERATORS.get(kind)
+    if generators is None:
+        raise ContractError(f"rerun: op kind {kind} has no code generator")
+    return generators
+
+
+def _function(args: str, lines: List[str]) -> Callable:
+    """The function `generated(args)` with this body, compiled once per
+    process."""
+    source = (f"def generated({args}):\n" +
+              "".join(f"    {line}\n" for line in lines))
+    fn = _COMPILED.get(source)
+    if fn is None:
+        namespace: dict = {}
+        exec(compile(source, "<dualda generated>", "exec"), globals(),
+             namespace)
+        fn = _COMPILED[source] = namespace["generated"]
+    return fn
+
+
+def _lower_forward(tape: Tape) -> Tuple[Callable, tuple, List[str]]:
+    """The tape's forward as generated code: refill and check each tied
+    input in capture order, then each record's numpy calls in record order;
+    it stores every value into the tape's list and returns the arrays the
+    backward reads. Returns the function, the per-tape objects it reads and
+    the names of what it saves."""
+    consts: list = []
+    named: Dict[int, str] = {}
+
+    def const(obj) -> str:
+        name = named.get(id(obj))
+        if name is None:
+            name = named[id(obj)] = f"c{len(consts)}"
+            consts.append(obj)
+        return name
+
+    values = [f"v{i}" for i in range(len(tape.values))]
+    body = _unpack(values, "values")
+    checked: Dict[tuple, str] = {}  # (check, input) -> where its result is
+    for store, slot, check, k in tape._refills:
+        target = values[slot] if store is tape.values else f"{const(store)}[{slot}]"
+        done = checked.setdefault((const(check), k), target)
+        body.append(f"{target} = {const(check)}(inputs[{k}])" if done == target
+                    else f"{target} = {done}")
+    saved: List[str] = []
+    for j, rec in enumerate(tape.records):
+        forward, _ = _generators(rec.kind)
+        lines, names = forward(rec, j, [values[i] for i in rec.input_ids],
+                               values[rec.output_id], tape.values, const)
+        body += lines
+        saved += names
+    body.append(f"values[:] = ({', '.join(values)},)")
+    body.append(f"return ({''.join(n + ', ' for n in saved)})")
+    body = _unpack([f"c{k}" for k in range(len(consts))], "consts") + body
+    return _function("inputs, values, consts", body), tuple(consts), saved
+
+
+def _lower_backward(tape: Tape, plan: list, loss_id: int,
+                    ids: Sequence[int]) -> Callable:
+    """The sweep of plan as generated code that writes the gradient of node
+    ids[k] into out[k], and stores out[k] as that node's entry of grads:
+    with out= where the first contribution is a call that takes it, by a
+    copy otherwise, and adds every later one in place; an unreached node's
+    array is filled with zeros. Every other gradient is a local, bound to
+    its first contribution and summed into a new array by each later one,
+    as the closure sweep does."""
+    sinks: Dict[int, str] = {}
+    body = _unpack([f"o{k}" for k in range(len(ids))], "out")
+    for k, nid in enumerate(ids):
+        if nid in sinks:  # a node named twice gets its gradient copied
+            continue
+        sinks[nid] = f"o{k}"
+    body += _unpack(tape._saved_names, "saved")
+    body += _unpack([f"v{i}" for i in range(len(tape.values))], "values")
+    started = set()
+
+    def accumulate(nid: int, expr: str, takes_out: bool) -> None:
+        sink = sinks.get(nid)
+        if sink is None:
+            body.append(f"g{nid} = g{nid} + {expr}" if nid in started
+                        else f"g{nid} = {expr}")
+        elif nid in started:
+            body.append(f"{sink} += {expr}")
+        elif takes_out:
+            body.append(f"{expr[:-1]}, out={sink})")
+        else:
+            body.append(f"np.copyto({sink}, {expr})")
+        started.add(nid)
+
+    def grad(nid: int) -> str:
+        return sinks.get(nid, f"g{nid}")
+
+    accumulate(loss_id, f"np.ones_like(v{loss_id})", False)
+    index = {id(rec): j for j, rec in enumerate(tape.records)}
+    for rec, live in plan:
+        _, backward_code = _generators(rec.kind)
+        lines, grads = backward_code(
+            rec, index[id(rec)], [f"v{i}" for i in rec.input_ids],
+            f"v{rec.output_id}", grad(rec.output_id), live, tape.values)
+        body += lines
+        for iid, flag, g in zip(rec.input_ids, live, grads):
+            if flag:
+                accumulate(iid, *g)
+    for nid, sink in sinks.items():
+        if nid not in started:
+            body.append(f"{sink}.fill(0.0)")
+    for k, nid in enumerate(ids):
+        if sinks[nid] != f"o{k}":
+            body.append(f"np.copyto(o{k}, {sinks[nid]})")
+        body.append(f"grads[{nid}] = o{k}")
+    return _function("values, saved, out, grads", body)

@@ -237,6 +237,7 @@ def run_experiment(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     marker = out / "INCOMPLETE"
     marker.write_text("experiment in progress or aborted\n")
+    trial = None  # the trial running, named when it fails
     try:
         finals: List[Tuple[int, int, str, float, float]] = []
         for trial in range(cfg.trials):
@@ -249,6 +250,7 @@ def run_experiment(cfg: RunConfig) -> int:
             checksum = dataset_checksum(source) + ":" + dataset_checksum(target)
             finals.append((trial, trial_seed, checksum,
                            records[-1].src_acc, records[-1].tgt_acc))
+        trial = None
         _write_csv(out / "manifest.csv",
                    ("trial", "seed", "dataset_checksum", "final_src_acc",
                     "final_tgt_acc"), finals)
@@ -257,8 +259,14 @@ def run_experiment(cfg: RunConfig) -> int:
                    ("variant", "dataset", "trials", "mean_tgt_acc", "std_tgt_acc"),
                    [(cfg.variant, cfg.dataset, cfg.trials, mean, std)])
     except Exception as e:
-        marker.write_text(f"experiment failed: {e}\n")
-        print(f"error: {e}", file=sys.stderr)
+        if trial is None:
+            marker.write_text(f"experiment failed: {e}\n")
+            print(f"error: {e}", file=sys.stderr)
+        else:
+            marker.write_text(f"experiment failed in trial {trial} (seed "
+                              f"{cfg.seed + trial}): {e}\n")
+            print(f"error: {e} (trial {trial}, seed {cfg.seed + trial})",
+                  file=sys.stderr)
         return 2
     marker.unlink()
     return 0

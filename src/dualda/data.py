@@ -36,7 +36,14 @@ class DomainDataset:
         if self.domain_tag not in ("source", "target"):
             raise ContractError(f"bad domain_tag {self.domain_tag!r}")
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
+            raw = np.asarray(self.labels)
+            if raw.dtype.kind == "f":
+                whole = np.isfinite(raw) & (raw == np.trunc(raw))
+                if not whole.all():
+                    raise ContractError(
+                        f"labels must be whole numbers, got "
+                        f"{float(raw[~whole][0])!r}")
+            self.labels = np.asarray(raw, dtype=np.int64)
             if self.labels.shape != (self.features.shape[0],):
                 raise ContractError("labels must have one entry per sample")
             if self.labels.min() < 0 or self.labels.max() >= self.num_classes:

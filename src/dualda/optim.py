@@ -4,10 +4,12 @@ lr follows eta0 / (1 + alpha*p)^beta and the adversarial weight follows
 2 / (1 + exp(-gamma*p)) - 1, with p the training progress in [0, 1].
 
 ``SGD`` steps parameters through the flat buffer they are views of (one
-``DualModel.buffer`` holds both modules): one velocity element per
-parameter element, and an update is a few numpy calls per contiguous range
-of the buffer (one range per module for every update that training makes)
-plus one per array, to add its gradient.
+``DualModel.buffer`` holds both modules): one velocity element and one
+gradient element per parameter element, and an update is a few numpy calls
+per contiguous range of the buffer (one range per module for every update
+that training makes). A backward writes each gradient straight into its
+parameter's view of the gradient store (``SGD.grad_view``); any other
+gradient is copied there.
 """
 
 from __future__ import annotations
@@ -65,12 +67,14 @@ class SGD:
     that owns its data, such as ``DualModel.buffer``), or a plain array,
     which is its own buffer. It is named by one str, or by a tuple with one
     name per slice of a stacked [M, ...] array; lr is one float, or one per
-    slice. The optimizer keeps one velocity element per buffer element, so
-    a velocity belongs to the elements it moves, whatever their name. A
-    step decays the velocity of each contiguous range of the buffer that
-    its parameters cover, adds each gradient at its parameter's place, and
-    moves each range at its slice's lr: a few numpy calls per range and
-    one per array, with the per-element arithmetic of updating array by
+    slice. The optimizer keeps a velocity store and a gradient store laid
+    out like each buffer, so a velocity belongs to the elements it moves,
+    whatever their name. A step takes each gradient in the gradient store:
+    as it is when it is the parameter's own view of the store
+    (``grad_view``), else copied there. Then it decays the velocity of each
+    contiguous range of the buffer that its parameters cover, adds the
+    range's gradients and moves the range at its slice's lr: a few numpy
+    calls per range, with the per-element arithmetic of updating array by
     array, so the same bits.
     Each update checks that its parameters stayed finite, so training that
     diverges stops at the first update that produced NaN or Inf (forward
@@ -81,21 +85,26 @@ class SGD:
         if not 0 <= momentum < 1:
             raise ContractError(f"momentum must lie in [0, 1), got {momentum}")
         self.momentum = momentum
-        # id(buffer) -> (buffer, its flat view, flat velocity, its address)
+        # id(buffer) -> (buffer, its flat view, flat velocity, flat gradient
+        # store, its address)
         self._buffers: Dict[int, tuple] = {}
-        # id(param) -> (param, buffer entry, velocity view, span per slice);
+        # id(param) -> (param, buffer entry, gradient view, span per slice);
         # the entry keeps param alive, so its id names it for good
         self._places: Dict[int, tuple] = {}
-        # param ids -> [(buffer entry, slice, start, stop)]
-        self._runs: Dict[tuple, list] = {}
+        # param ids -> [(velocity, gradients, parameters, lr index)] per
+        # block of the buffer that a step with these parameters moves
+        self._blocks_of: Dict[tuple, list] = {}
+        # id(items tuple) -> its layout (see _layout)
+        self._layouts: Dict[int, tuple] = {}
 
-    def _place(self, param: np.ndarray, names: Tuple[str, ...]) -> tuple:
+    def _place(self, param: np.ndarray, name: NameKey) -> tuple:
         """Where param lies in its buffer: the buffer's entry, the view of
-        the velocity at param's place, and the [start, stop) element span
-        of each of its slices."""
+        the gradient store at param's place, and the [start, stop) element
+        span of each of its slices."""
         place = self._places.get(id(param))
         if place is not None:
             return place
+        names = (name,) if isinstance(name, str) else name
         buffer = param if param.base is None else param.base
         stacked = len(names) > 1
         if not (isinstance(buffer, np.ndarray) and param.dtype == np.float64
@@ -107,72 +116,112 @@ class SGD:
         if entry is None:
             flat = buffer.reshape(-1)
             entry = self._buffers[id(buffer)] = (
-                buffer, flat, np.zeros_like(flat),
+                buffer, flat, np.zeros_like(flat), np.zeros_like(flat),
                 buffer.__array_interface__["data"][0])
-        start = (param.__array_interface__["data"][0] - entry[3]) // 8
+        start = (param.__array_interface__["data"][0] - entry[4]) // 8
         size, step = ((param[0].size, param.strides[0] // 8) if stacked
                       else (param.size, 0))
         spans = [(start + m * step, start + m * step + size)
                  for m in range(len(names))]
-        velocity = np.ndarray(param.shape, np.float64, entry[2], start * 8,
-                              param.strides)
-        place = self._places[id(param)] = (param, entry, velocity, spans)
+        grad = np.ndarray(param.shape, np.float64, entry[3], start * 8,
+                          param.strides)
+        place = self._places[id(param)] = (param, entry, grad, spans)
         return place
 
+    def grad_view(self, name: NameKey, param: np.ndarray) -> np.ndarray:
+        """The gradient store's view at param's place: a gradient written
+        there is stepped without a copy."""
+        return self._place(param, name)[2]
+
     @staticmethod
-    def _merge(places: Sequence[tuple]) -> list:
+    def _blocks(places: Sequence[tuple]) -> list:
         """The spans of the places' slices, joined into maximal contiguous
-        runs per buffer and slice index (the slice's lr)."""
-        groups: Dict[tuple, tuple] = {}
+        runs of one slice index (the slice's lr) per buffer. A buffer's runs
+        of one length at an even spacing (the slices of stacked modules)
+        form one [runs, length] block, any other run a block of its own;
+        each block as views of the velocity, gradient and parameter stores,
+        with the index of its rows' lr."""
+        groups: Dict[int, tuple] = {}
         for _, entry, _, spans in places:
-            for m, span in enumerate(spans):
-                groups.setdefault((id(entry[0]), m), (entry, m, []))[2].append(span)
-        runs = []
-        for entry, k, spans in groups.values():
+            for k, (start, stop) in enumerate(spans):
+                groups.setdefault(id(entry[0]), (entry, []))[1].append(
+                    (start, stop, k))
+        blocks = []
+        for (_, flat, velocity, grads, _), spans in groups.values():
             spans.sort()
-            start, stop = spans[0]
-            for s, e in spans[1:]:
-                if s < stop:
+            runs = [list(spans[0])]
+            for start, stop, k in spans[1:]:
+                if start < runs[-1][1]:
                     raise ContractError("sgd: one step names a parameter twice")
-                if s > stop:
-                    runs.append((entry, k, start, stop))
-                    start = s
-                stop = e
-            runs.append((entry, k, start, stop))
-        return runs
+                if start > runs[-1][1] or k != runs[-1][2]:
+                    runs.append([start, stop, k])
+                runs[-1][1] = stop
+            lengths = {stop - start for start, stop, _ in runs}
+            spacings = {b[0] - a[0] for a, b in zip(runs, runs[1:])}
+            if len(runs) > 1 and len(lengths) == 1 and len(spacings) == 1:
+                specs = [(runs[0][0], (len(runs), lengths.pop()),
+                          (8 * spacings.pop(), 8),
+                          np.array([[k] for *_, k in runs]))]
+            else:
+                specs = [(start, (stop - start,), (8,), k)
+                         for start, stop, k in runs]
+            blocks += [(*(np.ndarray(shape, np.float64, store, 8 * start,
+                                     strides)
+                          for store in (velocity, grads, flat)), rows)
+                       for start, shape, strides, rows in specs]
+        return blocks
+
+    def _layout(self, named) -> tuple:
+        """(named, its (name, place) items, the blocks they cover), each
+        gradient taken into the store: as it is when it is its parameter's
+        own view (grad_view), else copied there. A tuple of items whose
+        every gradient is such a view is remembered, so that a step given
+        it again (a call site's items, as the trainer keeps them) reads
+        this layout and does not go through the items; the tuple cannot
+        change, and the memo keeps it alive, so its id names it."""
+        places, items, key, copied = self._places, [], [], False
+        for name, param, grad in named:
+            if grad is None:
+                raise ContractError(
+                    f"sgd: missing gradient for "
+                    f"{name if isinstance(name, str) else ', '.join(name)}")
+            place = places.get(id(param)) or self._place(param, name)
+            if grad is not place[2]:
+                np.copyto(place[2], grad)
+                copied = True
+            items.append((name, place))
+            key.append(id(param))
+        key = tuple(key)
+        blocks = self._blocks_of.get(key)
+        if blocks is None:
+            blocks = self._blocks_of[key] = self._blocks(
+                [place for _, place in items])
+        layout = (named, items, blocks)
+        if isinstance(named, tuple) and not copied:
+            self._layouts[id(named)] = layout
+        return layout
 
     def step(self, named: Iterable[Tuple[NameKey, np.ndarray,
                                          Optional[np.ndarray]]],
              lr: Union[float, Sequence[float]]) -> None:
         rates = None if np.isscalar(lr) else np.asarray(lr, dtype=np.float64)
-        items = []
-        for name, param, grad in named:
-            names = (name,) if isinstance(name, str) else name
-            if grad is None:
-                raise ContractError(
-                    f"sgd: missing gradient for {', '.join(names)}")
-            items.append((names, self._place(param, names), grad))
-        key = tuple(id(place[0]) for _, place, _ in items)
-        runs = self._runs.get(key)
-        if runs is None:
-            runs = self._runs[key] = self._merge(
-                [place for _, place, _ in items])
-        for (_, _, velocity, _), _, start, stop in runs:
-            v = velocity[start:stop]
-            v *= self.momentum
-        for _, (_, _, velocity, _), grad in items:
-            velocity += grad
-        for (_, flat, velocity, _), k, start, stop in runs:
-            p = flat[start:stop]
-            p -= (lr if rates is None else rates[k]) * velocity[start:stop]
-        if not all(np.isfinite(entry[1][start:stop]).all()
-                   for entry, _, start, stop in runs):
+        layout = self._layouts.get(id(named))
+        if layout is None or layout[0] is not named:
+            layout = self._layout(named)
+        _, items, blocks = layout
+        momentum = self.momentum
+        for velocity, grads, params, rows in blocks:
+            velocity *= momentum
+            velocity += grads
+            params -= (lr if rates is None else rates[rows]) * velocity
+        if not all(np.isfinite(params).all() for _, _, params, _ in blocks):
             self._diverged(items, lr, rates)
 
     @staticmethod
     def _diverged(items, lr, rates) -> None:
         """Name the first slice, in step order, that is no longer finite."""
-        for names, (param, *_), _ in items:
+        for name, (param, *_) in items:
+            names = (name,) if isinstance(name, str) else name
             for m, part in enumerate(param if len(names) > 1 else (param,)):
                 if not np.isfinite(part).all():
                     raise ContractError(

@@ -35,12 +35,15 @@ a failing step.
 Each call site (step 1's phases A, B and C, step 2's source-only and
 adversarial updates, step 3) records its tape and its terms, the (slice
 names, parameter array, leaf tensor) triples each loss trains, once: on
-the first batch of a ``train`` call (``_program``). Every later update of
-that site re-runs the tape on its batch (``ad.Tape.rerun``), which makes
+the first batch of a ``train`` call (``_program``). It also takes, once,
+the view of its optimizer's gradient store at each trained parameter
+(``SGD.grad_view``). Every later update of that site re-runs the tape on
+its batch (``ad.Tape.rerun``) as generated straight-line code that makes
 the numpy calls of a fresh tape, so the same bits; a batch of another
-shape is captured again. Each optimizer steps the model's one flat
-parameter buffer (``optim.SGD``): an update costs a few numpy calls per
-module, plus one per array to add its gradient.
+shape is captured again. Each backward writes its gradients into those
+views (``ad.backward(..., into=...)``), and the optimizer steps the
+model's one flat parameter buffer from them (``optim.SGD``): an update
+costs a few numpy calls per module.
 
 ``compute_metrics`` builds no tape: per domain it runs one stacked forward
 of both modules over the full dataset on the numpy functions that the
@@ -54,7 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,9 +73,19 @@ from .optim import SGD, Schedule, lambda_at, lr_at
 _PATH_COMPONENTS = ("extractor", "transform", "classifier_a", "classifier_b")
 
 # a loss and the (slice names, parameter array, leaf tensor) of every
-# parameter it trains; a call site's tape and the terms of its update
+# parameter it trains
 Term = Tuple[ad.Tensor, List[Tuple[Tuple[str, ...], np.ndarray, ad.Tensor]]]
-Program = Tuple[ad.Tape, List[Term]]
+
+
+class Program(NamedTuple):
+    """A call site's tape and the terms of its update; per term the (loss,
+    leaf tensors, gradient-store views) of its backward, and the (slice
+    names, parameter array, gradient-store view) items of its SGD step."""
+
+    tape: ad.Tape
+    terms: List[Term]
+    sweeps: List[Tuple[ad.Tensor, List[ad.Tensor], List[np.ndarray]]]
+    named: Tuple[Tuple[Tuple[str, ...], np.ndarray, np.ndarray], ...]
 
 
 @dataclass
@@ -122,30 +135,35 @@ class MetricsRecord:
 MetricsRecord.COLUMNS = tuple(f.name for f in fields(MetricsRecord))
 
 
-def _update(sgd: SGD, lr, tape: ad.Tape, terms: Sequence[Term]) -> None:
-    """One SGD update: each (loss, pairs) term back-propagates its loss (one
-    value per module) to exactly the leaf tensors of its (names, array,
-    tensor) pairs, and one optimizer step applies every term's gradients."""
-    updates = []
-    for loss, pairs in terms:
-        grads = ad.backward(tape, loss, wrt=[t for _, _, t in pairs])
-        updates += [(names, arr, grads[t.node_id]) for names, arr, t in pairs]
-    sgd.step(updates, lr)
+def _update(sgd: SGD, lr, program: Program) -> None:
+    """One SGD update: each term back-propagates its loss (one value per
+    module) to exactly its leaf tensors, into the gradient store of sgd,
+    and one optimizer step applies every term's gradients."""
+    for loss, wrt, into in program.sweeps:
+        ad.backward(program.tape, loss, wrt, into=into)
+    sgd.step(program.named, lr)
 
 
-def _program(programs: Dict[str, Program], site: str, capture, context,
-             inputs: tuple) -> Program:
+def _program(programs: Dict[str, Program], site: str, sgd: SGD, capture,
+             context, inputs: tuple) -> Program:
     """Call site `site`'s tape run on the step inputs, with its terms: the
     tape it captured on an earlier batch, re-run, when the inputs have that
     batch's shapes; else a new tape on which capture(tape, *context,
     *inputs) records the site's graph and returns its terms, kept for the
-    next batch. programs belongs to one model and one train() call."""
+    next batch with the views of sgd's gradient store that the terms'
+    parameters take. programs belongs to one model and one train() call."""
     program = programs.get(site)
-    if program is not None and program[0].fits(*inputs):
-        program[0].rerun(*inputs)
+    if program is not None and program.tape.fits(*inputs):
+        program.tape.rerun(*inputs)
         return program
     tape = ad.Tape(*inputs)
-    program = programs[site] = (tape, capture(tape, *context, *inputs))
+    terms = capture(tape, *context, *inputs)
+    sweeps, named = [], []
+    for loss, pairs in terms:
+        into = [sgd.grad_view(names, arr) for names, arr, _ in pairs]
+        sweeps.append((loss, [t for _, _, t in pairs], into))
+        named += [(names, arr, g) for (names, arr, _), g in zip(pairs, into)]
+    program = programs[site] = Program(tape, terms, sweeps, tuple(named))
     return program
 
 
@@ -209,18 +227,18 @@ def _boundary_updates(comps: ComponentSet, prefix, batch_s, labels_s,
     each module's discrepancy read before the first phase-C update."""
     context = (comps, prefix)
     # (A) both classifiers fit source; whole path updates
-    _update(sgd, lr, *_program(programs, "step 1 A", _capture_source,
-                               context, (batch_s, labels_s)))
+    _update(sgd, lr, _program(programs, "step 1 A", sgd, _capture_source,
+                              context, (batch_s, labels_s)))
     # (B) classifier pair maximizes target disagreement, keeping source CE
-    _update(sgd, lr, *_program(programs, "step 1 B", _capture_boundary,
-                               context, (batch_s, labels_s, batch_t)))
+    _update(sgd, lr, _program(programs, "step 1 B", sgd, _capture_boundary,
+                              context, (batch_s, labels_s, batch_t)))
     # (C) extractor+transform minimize the disagreement, k times
     for i in range(k):
-        tape, terms = _program(programs, "step 1 C", _capture_discrepancy,
-                               context, (batch_t,))
+        program = _program(programs, "step 1 C", sgd, _capture_discrepancy,
+                           context, (batch_t,))
         if i == 0:
-            before = terms[0][0].data
-        _update(sgd, lr, tape, terms)
+            before = program.terms[0][0].data
+        _update(sgd, lr, program)
     return before
 
 
@@ -241,9 +259,9 @@ def step1_mcd(comps: ComponentSet, batch_s, labels_s, batch_t, k: int,
     programs: Dict[str, Program] = {}
     before = _boundary_updates(comps, name_prefix, batch_s, labels_s, batch_t,
                                k, lr, sgd, programs)
-    _, terms = _program(programs, "step 1 C", _capture_discrepancy,
-                        (comps, name_prefix), (batch_t,))
-    return float(before[0]), float(terms[0][0].data[0])
+    after = _program(programs, "step 1 C", sgd, _capture_discrepancy,
+                     (comps, name_prefix), (batch_t,)).terms[0][0].data
+    return float(before[0]), float(after[0])
 
 
 def step2_modules(model: DualModel, batch_s, labels_s, batch_t, lam: float,
@@ -260,8 +278,8 @@ def step2_modules(model: DualModel, batch_s, labels_s, batch_t, lam: float,
         programs = {}
 
     if plan.step2_invariant == "ce_only":
-        _update(sgd, lr, *_program(
-            programs, "step 2 source", _capture_source,
+        _update(sgd, lr, _program(
+            programs, "step 2 source", sgd, _capture_source,
             (model.invariant, "invariant."), (batch_s, labels_s)))
 
     # the adversarial modules, each with its reversal flag
@@ -274,8 +292,8 @@ def step2_modules(model: DualModel, batch_s, labels_s, batch_t, lam: float,
         inputs = (batch_s, labels_s, batch_t)
         if adversarial.get("invariant"):
             inputs += (lam,)
-        _update(sgd, lr, *_program(
-            programs, "step 2", _capture_modules,
+        _update(sgd, lr, _program(
+            programs, "step 2", sgd, _capture_modules,
             (*model.modules(tuple(adversarial)), tuple(adversarial.values())),
             inputs))
     return model
@@ -300,8 +318,8 @@ def step3_dual(model: DualModel, batch_s, batch_t, lam: float, lr: float,
         sgd = SGD(0.0)
     if programs is None:
         programs = {}
-    _update(sgd, lr, *_program(programs, "step 3", _capture_dual, (model,),
-                               (batch_s, batch_t, lam)))
+    _update(sgd, lr, _program(programs, "step 3", sgd, _capture_dual,
+                              (model,), (batch_s, batch_t, lam)))
     return model
 
 

@@ -299,11 +299,16 @@ def test_run_experiment_rerun_byte_identical(tmp_path):
     assert first == second
 
 
-def test_run_experiment_failure_leaves_marker(tmp_path):
-    cfg = fast_config(tmp_path)
+def test_run_experiment_failure_leaves_marker(tmp_path, capsys):
+    cfg = fast_config(tmp_path, seed=5)
     cfg.batch_size = 4096  # larger than the dataset: training will refuse
     assert run_experiment(cfg) == 2
-    assert (tmp_path / "out" / "INCOMPLETE").exists()
+    marker = (tmp_path / "out" / "INCOMPLETE").read_text()
+    assert marker.startswith("experiment failed in trial 0 (seed 5): "), marker
+    assert "batch" in marker
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert err[0].endswith(" (trial 0, seed 5)"), err
 
 
 def test_manifest_checksums_shared_across_variants(tmp_path):

@@ -35,6 +35,18 @@ def test_two_moons_seed_changes_noise():
     assert not np.array_equal(a.features, b.features)
 
 
+def test_fractional_labels_are_refused():
+    with pytest.raises(ContractError, match="labels must be whole numbers, "
+                                            "got 1.7"):
+        DomainDataset(np.zeros((3, 2)), np.array([0.0, 1.0, 1.7]), "source", 2)
+    with pytest.raises(ContractError, match="whole numbers"):
+        DomainDataset(np.zeros((2, 2)), np.array([0.0, np.nan]), "source", 2)
+    whole = DomainDataset(np.zeros((3, 2)), np.array([0.0, 1.0, 1.0]),
+                          "source", 2)
+    assert whole.labels.dtype == np.int64
+    assert whole.labels.tolist() == [0, 1, 1]
+
+
 def test_domain_shift_identity():
     ds = gen_two_moons(20, 0.1, seed=0)
     out = domain_shift(ds, 0.0, (0.0, 0.0))

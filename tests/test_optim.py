@@ -141,3 +141,23 @@ def test_sgd_names_the_slice_that_stops_being_finite():
                                  r"finite after an update with lr 10;"):
         SGD(0.0).step([(("invariant.w", "discriminative.w"), param, grad)],
                       [1.0, 10.0])
+
+
+def test_a_tuple_of_items_stepped_again_reads_its_gradients_again():
+    """Only items whose gradients are the store's own views skip the copy
+    when the same tuple is stepped again; a plain gradient array may have
+    changed in place."""
+    param, grad = np.zeros(3), np.ones(3)
+    items = (("p", param, grad),)
+    sgd = SGD(momentum=0.0)
+    sgd.step(items, 1.0)
+    grad[...] = 2.0
+    sgd.step(items, 1.0)
+    assert param.tolist() == [-3.0, -3.0, -3.0]
+    view = sgd.grad_view("p", param)
+    view[...] = 4.0
+    stored = ((("p",), param, view),)
+    sgd.step(stored, 1.0)
+    view[...] = 8.0
+    sgd.step(stored, 1.0)
+    assert param.tolist() == [-15.0, -15.0, -15.0]

@@ -1,6 +1,9 @@
-"""Replay: a call site's tape, captured on one batch and re-run on the next,
-must equal a fresh tape on that batch byte for byte, keep every per-batch
-check, and be freed by reference counting like every other tape."""
+"""Replay: a call site's tape, captured on one batch and re-run on the next
+as generated code, must equal a fresh tape on that batch byte for byte,
+forward and backward, keep every per-batch check, and be freed by
+reference counting like every other tape; its gradients written into an
+optimizer's gradient store must step the parameters like the
+array-by-array optimizer."""
 
 import gc
 import weakref
@@ -16,6 +19,8 @@ from dualda.losses import cross_entropy
 from dualda.model import DualModel, Variant
 from dualda.optim import SGD, Schedule
 from dualda.trainer import TrainConfig, compute_metrics, train
+
+from oracles import ArraySGD
 
 B = 16
 
@@ -83,6 +88,9 @@ def _sweep(tape, terms):
 
 @pytest.mark.parametrize("site", SITES)
 def test_rerun_equals_a_fresh_tape_bytewise(site):
+    """The generated forward's values and relu inputs, and a backward
+    without a store after it, which runs generated code too and must not
+    reach the closures the capture left behind."""
     model = _model()
     first, second = _batch(1), _batch(2)
     tape, terms = _capture(site, model, first)
@@ -92,6 +100,140 @@ def test_rerun_equals_a_fresh_tape_bytewise(site):
     fresh = _sweep(*_capture(site, model, second))
     assert replayed == fresh
     assert replayed != on_first
+
+
+def _store_grads(tape, terms, sgd):
+    """Every term's gradients, written by backward into sgd's gradient-store
+    views of the parameters, as bytes."""
+    out = []
+    for loss, pairs in terms:
+        into = [sgd.grad_view(names, arr) for names, arr, _ in pairs]
+        grads = ad.backward(tape, loss, [t for _, _, t in pairs], into=into)
+        assert [grads[t.node_id].tobytes() for _, _, t in pairs] == \
+            [g.tobytes() for g in into]
+        out.append([(names, g.tobytes())
+                    for (names, _, _), g in zip(pairs, into)])
+    return out
+
+
+@pytest.mark.parametrize("site", SITES)
+def test_backward_into_the_gradient_store_equals_a_fresh_tape_bytewise(site):
+    """On the captured tape the sweep's gradients are copied into the
+    store; after a rerun the generated sweep writes them there in place."""
+    model, sgd = _model(), SGD(0.9)
+    tape, terms = _capture(site, model, _batch(1))
+    n_records = len(tape.records)
+    assert _store_grads(tape, terms, sgd) == \
+        _sweep(*_capture(site, model, _batch(1)))[n_records:]
+    tape.rerun(*_inputs(_batch(2), SITES[site][2]))
+    assert _store_grads(tape, terms, sgd) == \
+        _sweep(*_capture(site, model, _batch(2)))[n_records:]
+    for _, pairs in terms:
+        assert all(t.grad is sgd.grad_view(names, arr)
+                   for names, arr, t in pairs)
+
+
+# the updates that training makes at these sites, with their lr
+STORE_SITES = {"phase A, one module": 0.05,
+               "phase B, two modules": [0.05, 0.02],
+               "phase C, two modules": [0.04, 0.03],
+               "step 2, two modules": 0.05,
+               "step 3": 0.05}
+
+
+@pytest.mark.parametrize("site", STORE_SITES)
+def test_updates_from_the_gradient_store_equal_array_sgd_bytewise(site):
+    """_program and _update (generated rerun, backward into the store, one
+    range step) against fresh tapes and the array-by-array optimizer."""
+    capture, context, reads = SITES[site]
+    lr = STORE_SITES[site]
+    model, ref = _model(), _model()
+    sgd, array_sgd = SGD(0.9), ArraySGD(0.9)
+    programs = {}
+    for seed in (1, 2, 3):
+        inputs = _inputs(_batch(seed), reads)
+        trainer._update(sgd, lr, trainer._program(
+            programs, site, sgd, capture, context(model), inputs))
+        tape = ad.Tape(*inputs)
+        items = []
+        for loss, pairs in capture(tape, *context(ref), *inputs):
+            grads = ad.backward(tape, loss, wrt=[t for _, _, t in pairs])
+            items += [(names, arr, grads[t.node_id])
+                      for names, arr, t in pairs]
+        array_sgd.step(items, lr)
+        assert model.buffer.tobytes() == ref.buffer.tobytes()
+    assert model.buffer.tobytes() != _model().buffer.tobytes()
+
+
+def test_a_divergence_from_the_gradient_store_names_the_slice():
+    messages = []
+    for sgd in (SGD(0.0), ArraySGD(0.0)):
+        model = _model()
+        comps, prefixes = model.modules()
+        names = tuple(f"{p}transform.0.weight" for p in prefixes)
+        param = comps.transform.layers[0].weight
+        grad = (sgd.grad_view(names, param) if isinstance(sgd, SGD)
+                else np.zeros_like(param))
+        grad[...] = 0.0
+        grad[1, 2, 3] = -1e308
+        with np.errstate(over="ignore"), pytest.raises(ContractError) as info:
+            sgd.step([(names, param, grad)], [1.0, 10.0])
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(
+        "sgd: parameter discriminative.transform.0.weight is no longer "
+        "finite after an update with lr 10;")
+
+
+def _dense_ce_tape(x, labels, w, orphan):
+    tape = ad.Tape(x, labels)
+    wt, ot = tape.param(w), tape.param(orphan)
+    loss = cross_entropy(ad.matmul(tape.leaf(x), wt, transpose_b=True), labels)
+    return tape, loss, wt, ot
+
+
+def test_the_generated_sweep_fills_unreached_and_repeated_gradients():
+    """An unreached parameter's array is zero-filled; a tensor named twice
+    gets its gradient in both arrays."""
+    rng = np.random.default_rng(3)
+    w, orphan = rng.standard_normal((2, 2)), np.ones((3, 2))
+    (x1, y1, _, _), (x2, y2, _, _) = _batch(1), _batch(2)
+    tape, loss, wt, ot = _dense_ce_tape(x1, y1, w, orphan)
+    tape.rerun(x2, y2)
+    into = [np.full((2, 2), np.nan), np.full((3, 2), np.nan),
+            np.full((2, 2), np.nan)]
+    ad.backward(tape, loss, [wt, ot, wt], into=into)
+    fresh, loss2, wt2, ot2 = _dense_ce_tape(x2, y2, w, orphan)
+    want = ad.backward(fresh, loss2, [wt2, ot2])
+    assert into[0].tobytes() == want[wt2.node_id].tobytes()
+    assert into[2].tobytes() == want[wt2.node_id].tobytes()
+    assert into[1].tobytes() == np.zeros((3, 2)).tobytes()
+
+
+def test_backward_into_needs_one_array_per_wrt_tensor():
+    tape, terms = _capture("phase C, one module", _model(), _batch(1))
+    loss, pairs = terms[0]
+    with pytest.raises(ContractError, match="one array per wrt tensor"):
+        ad.backward(tape, loss, [t for _, _, t in pairs], into=[])
+
+
+def test_a_tape_that_has_rerun_takes_no_new_record():
+    xs, ys, _, _ = _batch(1)
+    tape = ad.Tape(xs)
+    h = ad.matmul(tape.leaf(xs), tape.param(np.ones((3, 2))), transpose_b=True)
+    tape.rerun(xs)
+    with pytest.raises(ContractError, match="softmax: a tape takes no new "
+                                            "record once it has rerun"):
+        ad.softmax(h)
+
+
+def test_a_rerun_refuses_an_op_kind_without_a_code_generator():
+    x = np.ones((2, 3))
+    tape = ad.Tape(x)
+    ad.tensor_sum(ad.relu(tape.leaf(x)))
+    with pytest.raises(ContractError, match="op kind relu has no code "
+                                            "generator"):
+        tape.rerun(x)
 
 
 class _Fresh(dict):
@@ -183,16 +325,17 @@ def test_a_changed_batch_shape_captures_again():
     model = _model()
     programs = {}
     context = (model.invariant, "invariant.")
-    first = trainer._program(programs, "A", trainer._capture_source, context,
-                             _batch(1)[:2])
+    sgd = SGD(0.9)
+    first = trainer._program(programs, "A", sgd, trainer._capture_source,
+                             context, _batch(1)[:2])
     short = _batch(2, n=B - 6)[:2]
     with pytest.raises(DimensionError, match="rerun"):
-        first[0].rerun(*short)
-    again = trainer._program(programs, "A", trainer._capture_source, context,
-                             short)
-    assert again[0] is not first[0]
-    assert _sweep(*again) == _sweep(*_capture("phase A, one module", model,
-                                              _batch(2, n=B - 6)))
+        first.tape.rerun(*short)
+    again = trainer._program(programs, "A", sgd, trainer._capture_source,
+                             context, short)
+    assert again.tape is not first.tape
+    assert _sweep(again.tape, again.terms) == _sweep(
+        *_capture("phase A, one module", model, _batch(2, n=B - 6)))
 
 
 def test_a_rerun_refuses_a_step_input_the_capture_did_not_read():
@@ -251,6 +394,21 @@ def test_train_leaves_no_tape_for_the_cyclic_collector(tape_refs, variant):
     train(config, *_moons())
     assert tape_refs
     assert [r for r in tape_refs if r() is not None] == []
+
+
+def test_a_second_train_compiles_no_new_source():
+    """Generated code is cached per source for the whole process, and the
+    source names no parameter, so a second run reuses every function."""
+    config = TrainConfig(variant="ours_2m", epochs=2, batch_size=16,
+                         eval_every=2, feature_dim=4, g_hidden=(6,),
+                         head_hidden=(4,), schedule=Schedule(eta0=0.01))
+    train(config, *_moons())
+    compiled = dict(ad._COMPILED)
+    assert compiled
+    train(config, *_moons())
+    assert ad._COMPILED == compiled
+    assert not any("invariant" in source or "weight" in source
+                   for source in compiled)
 
 
 def test_compute_metrics_constructs_no_tape(tape_refs):
