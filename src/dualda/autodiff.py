@@ -7,8 +7,8 @@ order, which makes gradients bit-for-bit reproducible.
 
 The tape owns every value. A ``Tensor`` is a handle (tape, node id,
 slices) whose ``.data`` and ``.grad`` live in the tape's ``values`` and
-``grads`` lists, and the records hold kernels and numpy arrays, never a
-tensor. So no reference cycle forms: a tape is freed by reference
+``grads`` lists, and the records hold their arguments and numpy arrays,
+never a tensor. So no reference cycle forms: a tape is freed by reference
 counting as soon as its last handle goes.
 
 Graph inputs enter a tape two ways: ``Tape.leaf`` converts and checks data
@@ -19,38 +19,42 @@ parameters finite instead (``optim.SGD.step`` checks after each update).
 Each op checks its operands once, when it records itself, and then runs
 its forward kernel: a function of the input arrays (and of the op's label
 vector or reversal weights) that makes the op's numpy calls and returns
-the output with the closure of its backward. ``Tape(*inputs)`` declares
-step inputs: batches, a label vector, a lambda. A leaf made from one of
-these objects, and a label vector or reversal weight that is one of them,
-is tied to it. ``Tape.rerun(*inputs)`` refills everything tied from new
+the output with the arrays its backward reads (a relu mask, the labels
+and log-probabilities of a cross-entropy, a sign, a reversal factor),
+which the tape keeps in record order. ``Tape(*inputs)`` declares step
+inputs: batches, a label vector, a lambda. A leaf made from one of these
+objects, and a label vector or reversal weight that is one of them, is
+tied to it. ``Tape.rerun(*inputs)`` refills everything tied from new
 inputs of the captured shapes, checking each like its op did (NaN/Inf,
-label range, lambda >= 0), and makes every record's numpy calls again in
-record order: the calls of a fresh tape on the new inputs, so the same
-bits, without building a tensor, a record or a binding. Parameters are
-read in place, so a rerun sees the latest update.
+label range, a finite lambda >= 0), and makes every record's numpy calls
+again in record order: the calls of a fresh tape on the new inputs, so
+the same bits, without building a tensor, a record or a binding.
+Parameters are read in place, so a rerun sees the latest update.
 
 A rerun runs generated code: on its first rerun the tape lowers its
 records into one straight-line Python function (``_lower_forward``), made
-by the code generator that each op kind that training records keeps
-beside its kernel, with every value a local and no per-record call,
-closure or list. Its compiled code is cached per source for the whole
-process, and the source names no tape and holds no user text. Lowering a
-tape with an op kind that has no generator is a ContractError naming the
+by the forward code generator that each op kind that training records
+keeps beside its kernel, with every value a local and no per-record call
+or list. It saves the arrays its backward reads exactly as the kernels
+lay them out. Compiled code is cached per source for the whole process,
+and a source names no tape and holds no user text. Lowering a tape with
+an op kind that has no forward generator is a ContractError naming the
 kind.
 
-``backward(tape, loss, wrt)`` with a list of tensors visits only the
-records whose outputs depend on them and returns (and stores in ``.grad``)
-only their gradients; without ``wrt`` every node gets a gradient, zeros
-where the loss does not reach. Either way the gradients of the visited
-nodes are bitwise the same. A pruned sweep also tells each record which of
-its inputs are live, so a matmul skips the product for an operand nobody
-reads (the data in front of a network). On a captured tape the sweep
-calls each record's backward closure; after a rerun it is generated code
-too, one function per (loss, wrt) with each gradient's accumulation
-resolved when it is made. ``backward(..., into=arrays)`` writes the wrt
-gradients into the given arrays (an optimizer's gradient store): with
-``out=`` where the first contribution is a numpy call that takes one,
-adding each later contribution in place.
+Every backward sweep is generated code too, on a captured tape and after
+a rerun alike: ``backward(tape, loss, wrt)`` lowers one function per
+(loss, wrt) from the backward code generators of the records it visits,
+with each gradient's accumulation resolved when it is made, and caches it
+on the tape. With a list of tensors it visits only the records whose
+outputs depend on them and returns (and stores in ``.grad``) only their
+gradients; without ``wrt`` every node gets a gradient, zeros where the
+loss does not reach. Either way the gradients of the visited nodes are
+bitwise the same. A record's generator is told which of its inputs are
+live, so a matmul makes no product for an operand nobody reads (the data
+in front of a network). The sweep writes each returned gradient into an
+array: a new one, or with ``into=arrays`` the given one (an optimizer's
+gradient store), in place, with ``out=`` where the first contribution is
+a numpy call that takes one, adding each later contribution in place.
 
 The op set is deliberately small: dense matmul (with an optional
 transpose-b mode, an optional bias and an optional relu, so that a dense
@@ -130,35 +134,31 @@ class Tensor:
         return add(self, other)
 
 
-# kernel(*input arrays, *args) -> (output, backward_fn, relu_in)
-Kernel = Callable[..., Tuple[np.ndarray, Callable, Optional[np.ndarray]]]
+# kernel(*input arrays, *args) -> (output, saved, relu_in): saved holds
+# the arrays the kind's backward code reads as r<j>_0, r<j>_1, ..., the
+# order in which its forward code generator, if it has one, saves them
+Kernel = Callable[..., Tuple[np.ndarray, tuple, Optional[np.ndarray]]]
 
 
 class _Record:
     """One executed op: kind, wiring, the checked arguments its kernel takes
-    after the input arrays, the static settings its code generator reads,
-    and the backward closure and relu input of the kernel's latest run.
+    after the input arrays, the static settings its code generators read,
+    how many arrays it saves for the backward, and the relu input of its
+    latest run: the input of the relu the record applies, if any (gradient
+    checks keep away from its kink)."""
 
-    A pruning record's closure also takes the live flags of its inputs and
-    may return None for an input that is not live. relu_in is the input of
-    the relu the record applies, if any (gradient checks keep away from
-    its kink).
-    """
-
-    __slots__ = ("kind", "input_ids", "output_id", "args", "static",
-                 "backward_fn", "prunes", "relu_in")
+    __slots__ = ("kind", "input_ids", "output_id", "args", "static", "saved",
+                 "relu_in")
 
     def __init__(self, kind: str, input_ids: List[int], output_id: int,
-                 args: list, static: tuple,
-                 backward_fn: Callable[..., Sequence[Optional[np.ndarray]]],
-                 prunes: bool, relu_in: Optional[np.ndarray]):
+                 args: list, static: tuple, saved: int,
+                 relu_in: Optional[np.ndarray]):
         self.kind = kind
         self.input_ids = input_ids
         self.output_id = output_id
         self.args = args
         self.static = static
-        self.backward_fn = backward_fn
-        self.prunes = prunes
+        self.saved = saved
         self.relu_in = relu_in
 
 
@@ -181,16 +181,14 @@ class Tape:
         # check(inputs[k]) at list[slot], a leaf's value or a record's
         # argument
         self._refills: List[Tuple[list, int, Callable, int]] = []
-        # (loss, wrt) -> the closure sweep's plan, and its generated sweep
-        self._plans: Dict[tuple, list] = {}
+        # (loss, wrt) -> its generated sweep
         self._sweeps: Dict[tuple, Callable] = {}
-        # the generated forward and the per-tape objects it reads; the
-        # arrays its latest run saved for the backward (None while the
-        # values come from the capture's kernels)
+        # the generated forward (None until the first rerun) and the
+        # per-tape objects it reads; the arrays the backward reads, in
+        # record order, as the latest forward saved them
         self._forward: Optional[Callable] = None
         self._consts: tuple = ()
-        self._saved_names: List[str] = []
-        self._saved: Optional[tuple] = None
+        self._saved: Sequence = []
 
     def leaf(self, data) -> Tensor:
         """Wrap an array (or nested lists) as a graph input node."""
@@ -217,22 +215,23 @@ class Tape:
 
     def _emit(self, kind: str, inputs: Sequence[Tensor], kernel: Kernel,
               args: Sequence = (), check: Optional[Callable] = None,
-              prunes: bool = False, slices: int = 1,
-              static: tuple = ()) -> Tensor:
+              slices: int = 1, static: tuple = ()) -> Tensor:
         """Run kernel on the inputs' values and the arguments (each passed
         through check first) and record it, with the settings its code
-        generator reads. A tape that has rerun takes no new record: its
-        generated code would not know it."""
-        if self._saved is not None:
+        generators read. A sweep lowered before knows no new record, so
+        the next backward lowers again. A tape that has rerun takes no new
+        record: its generated forward would not know it."""
+        if self._forward is not None:
             raise ContractError(f"{kind}: a tape takes no new record once it "
                                 f"has rerun")
         ids = [t.node_id for t in inputs]
         checked = [check(a) for a in args]
-        out, backward_fn, relu_in = kernel(*[self.values[i] for i in ids],
-                                           *checked)
+        out, saved, relu_in = kernel(*[self.values[i] for i in ids], *checked)
         t = self._new_tensor(out, slices)
         self.records.append(_Record(kind, ids, t.node_id, checked, static,
-                                    backward_fn, prunes, relu_in))
+                                    len(saved), relu_in))
+        self._saved += saved
+        self._sweeps.clear()
         for j, a in enumerate(args):
             self._tie(checked, j, check, a)
         return t
@@ -255,8 +254,7 @@ class Tape:
             if len({k for *_, k in self._refills}) != len(inputs):
                 raise ContractError(
                     "rerun: a step input was not read at capture")
-            self._forward, self._consts, self._saved_names = \
-                _lower_forward(self)
+            self._forward, self._consts = _lower_forward(self)
         self.grads = [None] * len(self.values)
         self._saved = self._forward(inputs, self.values, self._consts)
 
@@ -330,8 +328,8 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
     added to every row and a relu after it run in the same record (a dense
     layer). A 3-D b stacks M weight slices (a bias is then [M, width]):
     slice m multiplies slice m of a's rows, or all of a when a has one
-    slice, and the product has M slices. A backward sweep skips the
-    gradient of an operand that is not live."""
+    slice, and the product has M slices. A backward sweep makes no
+    product for an operand that is not live."""
     tape = _same_tape(a, b) if bias is None else _same_tape(a, b, bias)
     x, w = a.data, b.data
     if x.ndim != 2 or w.ndim not in (2, 3):
@@ -355,45 +353,19 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
 
     def kernel(x, w, bias_data=None):
         out = dense(x, w, bias_data, False, a_slices, transpose_b)
-        pre = None
-        if relu:
-            pre, mask = out, out > 0  # subgradient at 0 is 0 by convention
-            out = relu_values(pre)
-
-        def backward_fn(g, live=(True, True, True)):
-            if relu:
-                g = g * mask
-            xs, ws = _slice_operands(x, w, a_slices)
-            wt = _mT(ws)
-            gs = g if m == 1 else g.reshape(m, -1, width)
-            gx = gw = None
-            if live[0]:
-                gx = gs @ (ws if transpose_b else wt)
-                if m > 1:  # a shared input collects every slice's gradient
-                    gx = (gx.reshape(x.shape) if a_slices == m
-                          else np.add.reduce(gx, 0))
-            if live[1]:
-                gw = _mT(gs) @ xs if transpose_b else _mT(xs) @ gs
-                if gw.shape != w.shape:  # one slice of a [1, ...] stack
-                    gw = gw.reshape(w.shape)
-            if bias_data is None:
-                return gx, gw
-            gb = None
-            if live[2]:
-                gb = np.add.reduce(gs, -2)
-                if gb.shape != bias_data.shape:
-                    gb = gb.reshape(bias_data.shape)
-            return gx, gw, gb
-
-        return out, backward_fn, pre
+        if not relu:
+            return out, (), None
+        # the mask: the relu's subgradient at 0 is 0 by convention
+        return relu_values(out), (out > 0,), out
 
     inputs = [a, b] if bias is None else [a, b, bias]
-    return tape._emit("matmul", inputs, kernel, prunes=True, slices=m,
+    return tape._emit("matmul", inputs, kernel, slices=m,
                       static=(a_slices, transpose_b, relu))
 
 
-# The code generators of the op kinds that training records sit beside
-# their kernels; "generated code" below says what they take and return.
+# Each op kind's code generators sit beside its kernel: a backward one for
+# every kind, a forward one for the kinds that training records; "generated
+# code" below says what they take and return.
 
 def _matmul_operands(rec: _Record, ins, values):
     """The names of the product operands xs and ws (see _slice_operands),
@@ -418,7 +390,7 @@ def _matmul_forward_code(rec, j, ins, out, values, const):
     """dense() and the kernel's relu, as code."""
     _, transpose_b, relu = rec.static
     xs, ws, ws_2d, _, width = _matmul_operands(rec, ins, values)
-    y = f"r{j}_p" if relu else out
+    y = f"t{j}_p" if relu else out
     lines = [f"{y} = {xs} @ "
              f"{_mT_code(ws, ws_2d) if transpose_b else ws}"]
     if len(ins) == 3:
@@ -426,19 +398,20 @@ def _matmul_forward_code(rec, j, ins, out, values, const):
     if not ws_2d:
         lines.append(f"{y} = {y}.reshape(-1, {width})")
     if not relu:
-        return lines, []
-    return lines + [f"r{j}_m = {y} > 0", f"{out} = np.maximum({y}, 0.0)",
-                    f"{const(rec)}.relu_in = {y}"], [f"r{j}_m"]
+        return lines
+    return lines + [f"r{j}_0 = {y} > 0", f"{out} = np.maximum({y}, 0.0)",
+                    f"{const(rec)}.relu_in = {y}"]
 
 
 def _matmul_backward_code(rec, j, ins, out, g, live, values):
-    """The kernel's backward_fn, as code: the gradient of each live input."""
+    """The gradient of each live input: the product of an operand that is
+    not live is not made."""
     a_slices, transpose_b, relu = rec.static
     xs, ws, ws_2d, m, width = _matmul_operands(rec, ins, values)
     x, w = (values[i] for i in rec.input_ids[:2])
     lines, grads = [], [None] * len(ins)
     if relu:
-        lines.append(f"t{j}_g = {g} * r{j}_m")
+        lines.append(f"t{j}_g = {g} * r{j}_0")
         g = f"t{j}_g"
     gs = g
     if m != 1:
@@ -451,7 +424,7 @@ def _matmul_backward_code(rec, j, ins, out, g, live, values):
             grads[0] = (f"np.matmul({a}, {b})", True)
         elif a_slices == m:
             grads[0] = (f"({a} @ {b}).reshape({x.shape})", False)
-        else:
+        else:  # a shared input collects every slice's gradient
             grads[0] = (f"np.add.reduce({a} @ {b}, 0)", True)
     if live[1]:
         gw = (f"np.matmul({_mT_code(gs, m == 1)}, {xs})" if transpose_b
@@ -468,20 +441,15 @@ def _matmul_backward_code(rec, j, ins, out, g, live, values):
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; b may be 1-D and broadcast over a's leading batch dim."""
     tape = _same_tape(a, b)
-    if a.shape == b.shape:
-        def backward_fn(g):
-            return g, g
-    elif a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
-        def backward_fn(g):
-            return g, np.add.reduce(g, 0)
-    else:
+    if a.shape != b.shape and not (a.data.ndim == 2 and b.data.ndim == 1 and
+                                   a.shape[1] == b.shape[0]):
         raise DimensionError(
             f"add: shapes {list(a.shape)} and {list(b.shape)} do not conform")
-    return tape._emit("add", [a, b], lambda x, y: (x + y, backward_fn, None))
+    return tape._emit("add", [a, b], lambda x, y: (x + y, (), None))
 
 
 def _add_forward_code(rec, j, ins, out, values, const):
-    return [f"{out} = {ins[0]} + {ins[1]}"], []
+    return [f"{out} = {ins[0]} + {ins[1]}"]
 
 
 def _add_backward_code(rec, j, ins, out, g, live, values):
@@ -495,15 +463,11 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise DimensionError(
             f"sub: shapes {list(a.shape)} and {list(b.shape)} differ")
-
-    def backward_fn(g):
-        return g, -g
-
-    return tape._emit("sub", [a, b], lambda x, y: (x - y, backward_fn, None))
+    return tape._emit("sub", [a, b], lambda x, y: (x - y, (), None))
 
 
 def _sub_forward_code(rec, j, ins, out, values, const):
-    return [f"{out} = {ins[0]} - {ins[1]}"], []
+    return [f"{out} = {ins[0]} - {ins[1]}"]
 
 
 def _sub_backward_code(rec, j, ins, out, g, live, values):
@@ -511,20 +475,22 @@ def _sub_backward_code(rec, j, ins, out, g, live, values):
 
 
 def scalar_mul(a: Tensor, c: float) -> Tensor:
-    c = float(c)
+    return a.tape._emit("scalar_mul", [a], lambda x, c: (c * x, (c,), None),
+                        args=(c,), check=float)
 
-    def backward_fn(g):
-        return (c * g,)
 
-    return a.tape._emit("scalar_mul", [a], lambda x: (c * x, backward_fn, None))
+def _scalar_mul_backward_code(rec, j, ins, out, g, live, values):
+    return [], [(f"r{j}_0 * {g}", False)]
 
 
 def relu(a: Tensor) -> Tensor:
-    def kernel(x):
-        mask = x > 0  # subgradient at 0 is 0 by convention
-        return relu_values(x), lambda g: (g * mask,), x
+    # the mask: the subgradient at 0 is 0 by convention
+    return a.tape._emit("relu", [a], lambda x: (relu_values(x), (x > 0,), x),
+                        slices=a.slices)
 
-    return a.tape._emit("relu", [a], kernel, slices=a.slices)
+
+def _relu_backward_code(rec, j, ins, out, g, live, values):
+    return [], [(f"{g} * r{j}_0", False)]
 
 
 def _check_rows(a: Tensor, op: str) -> None:
@@ -534,24 +500,15 @@ def _check_rows(a: Tensor, op: str) -> None:
         raise DomainError(f"{op}: rows are empty (shape {list(a.shape)})")
 
 
-def _softmax_kernel(z):
-    s = row_softmax(z)
-
-    def backward_fn(g):
-        dot = np.add.reduce(g * s, 1, keepdims=True)
-        return (s * (g - dot),)
-
-    return s, backward_fn, None
-
-
 def softmax(a: Tensor) -> Tensor:
     """Row-wise softmax, numerically stabilized by the row max."""
     _check_rows(a, "softmax")
-    return a.tape._emit("softmax", [a], _softmax_kernel, slices=a.slices)
+    return a.tape._emit("softmax", [a], lambda z: (row_softmax(z), (), None),
+                        slices=a.slices)
 
 
 def _softmax_forward_code(rec, j, ins, out, values, const):
-    return [f"{out} = row_softmax({ins[0]})"], []
+    return [f"{out} = row_softmax({ins[0]})"]
 
 
 def _softmax_backward_code(rec, j, ins, out, g, live, values):
@@ -564,39 +521,43 @@ def log_softmax(a: Tensor) -> Tensor:
 
     def kernel(x):
         shifted = x - x.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        out = shifted - lse
-        soft = np.exp(out)
-        return out, lambda g: (g - soft * g.sum(axis=1, keepdims=True),), None
+        out = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        return out, (), None
 
     return a.tape._emit("log_softmax", [a], kernel, slices=a.slices)
 
 
+def _log_softmax_backward_code(rec, j, ins, out, g, live, values):
+    return [], [(f"{g} - np.exp({out}) * {g}.sum(axis=1, keepdims=True)",
+                 False)]
+
+
 def mean(a: Tensor) -> Tensor:
     """Mean over every entry, as a shape-[1] tensor."""
-    def kernel(x):
-        n, shape = x.size, x.shape
-        return (np.array([x.mean()]),
-                lambda g: (np.full(shape, g[0] / n),), None)
+    return a.tape._emit("mean", [a], lambda x: (np.array([x.mean()]), (), None))
 
-    return a.tape._emit("mean", [a], kernel)
+
+def _mean_backward_code(rec, j, ins, out, g, live, values):
+    x = values[rec.input_ids[0]]
+    return [], [(f"np.full({x.shape}, {g}[0] / {x.size})", False)]
 
 
 def tensor_sum(a: Tensor) -> Tensor:
     """Sum over every entry, as a shape-[1] tensor."""
-    def kernel(x):
-        shape = x.shape
-        return np.array([x.sum()]), lambda g: (np.full(shape, g[0]),), None
+    return a.tape._emit("sum", [a], lambda x: (np.array([x.sum()]), (), None))
 
-    return a.tape._emit("sum", [a], kernel)
+
+def _sum_backward_code(rec, j, ins, out, g, live, values):
+    return [], [(f"np.full({values[rec.input_ids[0]].shape}, {g}[0])", False)]
 
 
 def tensor_abs(a: Tensor) -> Tensor:
-    def kernel(x):
-        sign = np.sign(x)  # sign(0) == 0: abs subgradient at 0 is 0
-        return np.abs(x), lambda g: (g * sign,), None
+    return a.tape._emit("abs", [a], lambda x: (np.abs(x), (), None))
 
-    return a.tape._emit("abs", [a], kernel)
+
+def _abs_backward_code(rec, j, ins, out, g, live, values):
+    # sign(0) == 0: the abs subgradient at 0 is 0
+    return [], [(f"{g} * np.sign({ins[0]})", False)]
 
 
 def checked_indices(op: str, rows: int, cols: int, indices) -> np.ndarray:
@@ -617,20 +578,20 @@ def checked_indices(op: str, rows: int, cols: int, indices) -> np.ndarray:
 def select_columns(a: Tensor, indices) -> Tensor:
     """Pick one entry per row by a constant index vector; output [rows, 1]."""
     _check_rows(a, "select_columns")
-    idx = checked_indices("select_columns", a.shape[0], a.shape[1], indices)
-    rows = np.arange(a.shape[0])
 
-    def kernel(x):
-        shape = x.shape
+    def kernel(x, idx):
+        rows = np.arange(x.shape[0])
+        return x[rows, idx][:, None], (rows, idx), None
 
-        def backward_fn(g):
-            out = np.zeros(shape)
-            out[rows, idx] = g[:, 0]
-            return (out,)
+    return a.tape._emit("select_columns", [a], kernel, args=(indices,),
+                        check=functools.partial(checked_indices,
+                                                "select_columns", *a.shape))
 
-        return x[rows, idx][:, None], backward_fn, None
 
-    return a.tape._emit("select_columns", [a], kernel)
+def _select_columns_backward_code(rec, j, ins, out, g, live, values):
+    t = f"t{j}_c"
+    return [f"{t} = np.zeros({values[rec.input_ids[0]].shape})",
+            f"{t}[r{j}_0, r{j}_1] = {g}[:, 0]"], [(t, False)]
 
 
 def cross_entropy_values(a: np.ndarray, idx: np.ndarray, slices: int = 1):
@@ -659,17 +620,13 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     backward, in one record."""
     m = logits.slices
     _check_rows(logits, "cross_entropy")
+    if logits.shape[0] == 0:
+        raise DomainError(f"cross_entropy: the batch is empty (shape "
+                          f"{list(logits.shape)})")
 
     def kernel(a, idx):
         loss, logp, rows = cross_entropy_values(a, idx, m)
-
-        def backward_fn(g):
-            g_logp = np.zeros(a.shape)
-            g_logp[rows, idx] = ((-1.0 * g) / len(idx))[:, None]
-            return (g_logp - np.exp(logp) *
-                    np.add.reduce(g_logp, 1, keepdims=True),)
-
-        return loss, backward_fn, None
+        return loss, (idx, logp, rows), None
 
     return logits.tape._emit("cross_entropy", [logits], kernel, args=(labels,),
                              check=_label_check(logits.shape[0] // m,
@@ -686,18 +643,18 @@ def _label_check(rows: int, cols: int) -> Callable:
 
 
 def _cross_entropy_forward_code(rec, j, ins, out, values, const):
-    return [f"r{j}_i = {const(rec.args)}[0]",
-            f"{out}, r{j}_l, r{j}_r = cross_entropy_values({ins[0]}, r{j}_i, "
-            f"{rec.static[0]})"], [f"r{j}_i", f"r{j}_l", f"r{j}_r"]
+    return [f"r{j}_0 = {const(rec.args)}[0]",
+            f"{out}, r{j}_1, r{j}_2 = cross_entropy_values({ins[0]}, r{j}_0, "
+            f"{rec.static[0]})"]
 
 
 def _cross_entropy_backward_code(rec, j, ins, out, g, live, values):
     a = values[rec.input_ids[0]]
     t = f"t{j}_l"
     return [f"{t} = np.zeros({a.shape})",
-            f"{t}[r{j}_r, r{j}_i] = ((-1.0 * {g}) / "
+            f"{t}[r{j}_2, r{j}_0] = ((-1.0 * {g}) / "
             f"{a.shape[0] // rec.static[0]})[:, None]"], [
-        (f"{t} - np.exp(r{j}_l) * np.add.reduce({t}, 1, keepdims=True)",
+        (f"{t} - np.exp(r{j}_1) * np.add.reduce({t}, 1, keepdims=True)",
          False)]
 
 
@@ -719,20 +676,17 @@ def mean_abs_diff(a: Tensor, b: Optional[Tensor] = None) -> Tensor:
             raise DimensionError(
                 f"mean_abs_diff: shapes {list(a.shape)} and {list(b.shape)} "
                 f"({a.slices} and {b.slices} slices) differ")
+    if a.size == 0:
+        raise DomainError(f"mean_abs_diff: the operands are empty (shape "
+                          f"{list(a.shape)})")
 
     def kernel(x, y=None):
         if pair:
             half = x.shape[0] // 2
             x, y = x[:half], x[half:]
         loss, d = mean_abs_diff_values(x, y, m)
-        sign = np.sign(d)  # sign(0) == 0: abs subgradient at 0 is 0
-        c = 1.0 / (d.size // m)
-
-        def backward_fn(g):
-            g_d = ((c * g)[:, None] * sign.reshape(m, -1)).reshape(sign.shape)
-            return (np.concatenate((g_d, -g_d)),) if pair else (g_d, -g_d)
-
-        return loss, backward_fn, None
+        # sign(0) == 0: the abs subgradient at 0 is 0
+        return loss, (np.sign(d),), None
 
     return tape._emit("mean_abs_diff", inputs, kernel, static=(pair, m))
 
@@ -742,8 +696,8 @@ def _mean_abs_diff_forward_code(rec, j, ins, out, values, const):
     if pair:
         half = values[rec.input_ids[0]].shape[0] // 2
         ins = [f"{ins[0]}[:{half}]", f"{ins[0]}[{half}:]"]
-    return [f"{out}, r{j}_d = mean_abs_diff_values({ins[0]}, {ins[1]}, {m})",
-            f"r{j}_s = np.sign(r{j}_d)"], [f"r{j}_s"]
+    return [f"{out}, t{j}_d = mean_abs_diff_values({ins[0]}, {ins[1]}, {m})",
+            f"r{j}_0 = np.sign(t{j}_d)"]
 
 
 def _mean_abs_diff_backward_code(rec, j, ins, out, g, live, values):
@@ -752,7 +706,7 @@ def _mean_abs_diff_backward_code(rec, j, ins, out, g, live, values):
     shape = (x.shape[0] // 2,) + x.shape[1:] if pair else x.shape
     c = 1.0 / (math.prod(shape) // m)
     t = f"t{j}_d"
-    lines = [f"{t} = (({c!r} * {g})[:, None] * r{j}_s.reshape({m}, -1))"
+    lines = [f"{t} = (({c!r} * {g})[:, None] * r{j}_0.reshape({m}, -1))"
              f".reshape({shape})"]
     if pair:
         return lines, [(f"np.concatenate(({t}, -{t}))", False)]
@@ -760,9 +714,21 @@ def _mean_abs_diff_backward_code(rec, j, ins, out, g, live, values):
 
 
 def _checked_lambda(v):
-    if v is not None and float(v) < 0:
-        raise ContractError(f"grad_reverse: lambda must be >= 0, got {v}")
+    if v is not None and not 0.0 <= float(v) < math.inf:
+        raise ContractError(
+            f"grad_reverse: lambda must be >= 0 and finite, got {v}")
     return v
+
+
+def _reversal_factor(lams: Sequence, shape: tuple):
+    """The factor by which a reversal scales its gradient: -lambda, or +1.0
+    for None; with several lambdas an array that gives each row of a value
+    of this shape its slice's factor."""
+    weights = [1.0 if v is None else -float(v) for v in lams]
+    if len(weights) == 1:
+        return weights[0]
+    return np.repeat(weights, shape[0] // len(weights)).reshape(
+        (-1,) + (1,) * (len(shape) - 1))
 
 
 def grad_reverse(a: Tensor, lam) -> Tensor:
@@ -779,74 +745,22 @@ def grad_reverse(a: Tensor, lam) -> Tensor:
             f"{len(lams)} row slices")
 
     def kernel(x, *lams):
-        weights = [1.0 if v is None else -float(v) for v in lams]
-        if len(weights) == 1:
-            weight = weights[0]
-
-            def backward_fn(g):
-                return (weight * g,)
-        else:
-            rows = np.repeat(weights, x.shape[0] // len(weights))
-            rows = rows.reshape((-1,) + (1,) * (x.ndim - 1))
-
-            def backward_fn(g):
-                return (g * rows,)
-
-        return x.copy(), backward_fn, None
+        return x.copy(), (_reversal_factor(lams, x.shape),), None
 
     return a.tape._emit("grad_reverse", [a], kernel, args=lams,
                         check=_checked_lambda, slices=a.slices)
 
 
 def _grad_reverse_forward_code(rec, j, ins, out, values, const):
-    lams = const(rec.args)
-    weights = ", ".join(f"1.0 if {lams}[{k}] is None else -float({lams}[{k}])"
-                        for k in range(len(rec.args)))
-    x = values[rec.input_ids[0]]
-    if len(rec.args) == 1:
-        lines = [f"r{j}_w = {weights}"]
-    else:
-        lines = [f"r{j}_w = np.repeat([{weights}], "
-                 f"{x.shape[0] // len(rec.args)})",
-                 f"r{j}_w = r{j}_w.reshape({(-1,) + (1,) * (x.ndim - 1)})"]
-    return lines + [f"{out} = {ins[0]}.copy()"], [f"r{j}_w"]
+    shape = values[rec.input_ids[0]].shape
+    return [f"r{j}_0 = _reversal_factor({const(rec.args)}, {shape})",
+            f"{out} = {ins[0]}.copy()"]
 
 
 def _grad_reverse_backward_code(rec, j, ins, out, g, live, values):
     if len(rec.args) == 1:
-        return [], [(f"r{j}_w * {g}", False)]
-    return [], [(f"{g} * r{j}_w", False)]
-
-
-def _plan(tape: Tape, loss_id: int,
-          wrt_ids: Optional[Tuple[int, ...]]) -> list:
-    """The records a sweep from loss_id visits, last first, each with the
-    live flags of its inputs. A node is live when it depends on a wrt
-    node (every node without wrt); only live nodes can pass gradient on to
-    one, and a record runs when its output is live and the loss reaches
-    it."""
-    n = len(tape.values)
-    if wrt_ids is None:
-        live = [True] * n
-    else:
-        live = [False] * n
-        for i in wrt_ids:
-            live[i] = True
-        for rec in tape.records:
-            for iid in rec.input_ids:
-                if live[iid]:
-                    live[rec.output_id] = True
-                    break
-    reached = [False] * n
-    reached[loss_id] = True
-    plan = []
-    for rec in reversed(tape.records):
-        if reached[rec.output_id] and live[rec.output_id]:
-            flags = [live[i] for i in rec.input_ids]
-            plan.append((rec, flags))
-            for iid, flag in zip(rec.input_ids, flags):
-                reached[iid] = reached[iid] or flag
-    return plan
+        return [], [(f"r{j}_0 * {g}", False)]
+    return [], [(f"{g} * r{j}_0", False)]
 
 
 def backward(tape: Tape, loss: Tensor,
@@ -860,16 +774,15 @@ def backward(tape: Tape, loss: Tensor,
     Without wrt, returns a map node_id -> gradient array for every node
     (zeros for nodes the loss does not reach) and fills each tensor's
     .grad. With wrt, only the records whose outputs depend on those tensors
-    run their backward, and only the wrt tensors get a gradient (zeros if
-    the loss does not reach them) in the returned map and in .grad; a
-    pruning record is told which of its inputs are live and skips the
-    others. into, one array per wrt tensor, receives the gradients: after a
-    rerun they are written there in place (the returned map and .grad then
-    hold those arrays), else copied there.
+    run their backward, each told which of its inputs are live, and only
+    the wrt tensors get a gradient (zeros if the loss does not reach them)
+    in the returned map and in .grad. into, one array per wrt tensor,
+    receives the gradients in place; the returned map and .grad then hold
+    those arrays.
 
-    After a rerun the sweep runs as generated code, made once per (loss,
-    wrt): the backward numpy calls of the records it visits, in order, with
-    each gradient's accumulation resolved in advance.
+    The sweep runs as generated code, made once per (loss, wrt) and tape,
+    captured or re-run: the backward numpy calls of the records it visits,
+    in order, with each gradient's accumulation resolved in advance.
     """
     if loss.tape is not tape:
         raise ContractError("backward: loss tensor is not on this tape")
@@ -886,60 +799,33 @@ def backward(tape: Tape, loss: Tensor,
             raise ContractError("backward: wrt tensor is not on this tape")
     if into is not None and (wrt_ids is None or len(into) != len(wrt_ids)):
         raise ContractError("backward: into needs one array per wrt tensor")
+    ids = range(len(values)) if wrt_ids is None else wrt_ids
     key = (loss.node_id, wrt_ids)
-    if tape._saved is not None:
-        ids = range(len(values)) if wrt_ids is None else wrt_ids
-        sweep = tape._sweeps.get(key)
-        if sweep is None:
-            plan = tape._plans.get(key) or _plan(tape, loss.node_id, wrt_ids)
-            sweep = tape._sweeps[key] = _lower_backward(
-                tape, plan, loss.node_id, ids)
-        if into is None:
-            into = [np.empty_like(values[i]) for i in ids]
-        sweep(values, tape._saved, into, tape.grads)
-        return dict(zip(ids, into))
-    plan = tape._plans.get(key)
-    if plan is None:
-        plan = tape._plans[key] = _plan(tape, loss.node_id, wrt_ids)
-    grads: List[Optional[np.ndarray]] = [None] * len(values)
-    grads[loss.node_id] = np.ones_like(loss_data)
-    for rec, flags in plan:
-        g_out = grads[rec.output_id]
-        g_ins = (rec.backward_fn(g_out, flags) if rec.prunes
-                 else rec.backward_fn(g_out))
-        for iid, flag, g_in in zip(rec.input_ids, flags, g_ins):
-            if flag:
-                # a new array on every accumulation: a stored gradient may
-                # be shared with another node (add returns g for both operands)
-                g = grads[iid]
-                grads[iid] = g_in if g is None else g + g_in
-    result: Dict[int, np.ndarray] = {}
-    for nid in (range(len(values)) if wrt_ids is None else wrt_ids):
-        g = grads[nid]
-        if g is None:
-            g = np.zeros_like(values[nid])
-        tape.grads[nid] = g
-        result[nid] = g
-    if into is not None:
-        for nid, out in zip(wrt_ids, into):
-            np.copyto(out, result[nid])
-    return result
+    sweep = tape._sweeps.get(key)
+    if sweep is None:
+        sweep = tape._sweeps[key] = _lower_backward(tape, loss.node_id,
+                                                    wrt_ids, ids)
+    if into is None:
+        into = [np.empty_like(values[i]) for i in ids]
+    sweep(values, tape._saved, into, tape.grads)
+    return dict(zip(ids, into))
 
 
 # --- generated code ------------------------------------------------------------
 #
-# A rerun and the sweeps after it run as straight-line Python, one function
+# A rerun and every backward sweep run as straight-line Python, one function
 # per tape (forward) and per (loss, wrt) (backward), made from the records
 # by the code generators of their op kinds, each beside its kernel:
-#   forward(rec, j, ins, out, values, const) -> (lines, saved names)
+#   forward(rec, j, ins, out, values, const) -> lines
 #   backward(rec, j, ins, out, g, live, values) -> (lines, grads)
 # ins and out name the record's input and output values (v<node id>), g its
-# output gradient; j numbers the record, so its locals are r<j>_* (saved
-# for the backward) and t<j>_* (temporaries). const(obj) names a per-tape
-# object the forward reads (a check, an argument list, a record). Each grad
-# is None (not live) or (expression, whether it is a call that takes out=).
-# The source names no tape and holds no user text, so its compiled code is
-# shared by every tape of the same structure.
+# output gradient; j numbers the record, so its locals are r<j>_<k> (the
+# k-th array it saves for the backward, as its kernel returns them) and
+# t<j>_* (temporaries). const(obj) names a per-tape object the forward
+# reads (a check, an argument list, a record). Each grad is None (not live)
+# or (expression, whether it is a call that takes out=). The source names
+# no tape and holds no user text, so its compiled code is shared by every
+# tape of the same structure.
 
 _CODE_GENERATORS = {
     "matmul": (_matmul_forward_code, _matmul_backward_code),
@@ -951,6 +837,14 @@ _CODE_GENERATORS = {
     "mean_abs_diff": (_mean_abs_diff_forward_code,
                       _mean_abs_diff_backward_code),
     "grad_reverse": (_grad_reverse_forward_code, _grad_reverse_backward_code),
+    # kinds that training never records: a backward sweep, no rerun
+    "scalar_mul": (None, _scalar_mul_backward_code),
+    "relu": (None, _relu_backward_code),
+    "log_softmax": (None, _log_softmax_backward_code),
+    "mean": (None, _mean_backward_code),
+    "sum": (None, _sum_backward_code),
+    "abs": (None, _abs_backward_code),
+    "select_columns": (None, _select_columns_backward_code),
 }
 
 # generated source -> its function, for the whole process
@@ -964,11 +858,11 @@ def _unpack(names: Sequence[str], source: str) -> List[str]:
     return [", ".join(names) + ("," if len(names) == 1 else "") + f" = {source}"]
 
 
-def _generators(kind: str):
-    generators = _CODE_GENERATORS.get(kind)
-    if generators is None:
-        raise ContractError(f"rerun: op kind {kind} has no code generator")
-    return generators
+def _saved_names(tape: Tape) -> List[str]:
+    """The locals of the arrays the records save for the backward, in the
+    order of tape._saved."""
+    return [f"r{j}_{k}" for j, rec in enumerate(tape.records)
+            for k in range(rec.saved)]
 
 
 def _function(args: str, lines: List[str]) -> Callable:
@@ -985,12 +879,12 @@ def _function(args: str, lines: List[str]) -> Callable:
     return fn
 
 
-def _lower_forward(tape: Tape) -> Tuple[Callable, tuple, List[str]]:
+def _lower_forward(tape: Tape) -> Tuple[Callable, tuple]:
     """The tape's forward as generated code: refill and check each tied
     input in capture order, then each record's numpy calls in record order;
     it stores every value into the tape's list and returns the arrays the
-    backward reads. Returns the function, the per-tape objects it reads and
-    the names of what it saves."""
+    backward reads, laid out as the kernels lay them out. Returns the
+    function and the per-tape objects it reads."""
     consts: list = []
     named: Dict[int, str] = {}
 
@@ -1009,36 +903,53 @@ def _lower_forward(tape: Tape) -> Tuple[Callable, tuple, List[str]]:
         done = checked.setdefault((const(check), k), target)
         body.append(f"{target} = {const(check)}(inputs[{k}])" if done == target
                     else f"{target} = {done}")
-    saved: List[str] = []
     for j, rec in enumerate(tape.records):
-        forward, _ = _generators(rec.kind)
-        lines, names = forward(rec, j, [values[i] for i in rec.input_ids],
-                               values[rec.output_id], tape.values, const)
-        body += lines
-        saved += names
+        forward = _CODE_GENERATORS[rec.kind][0]
+        if forward is None:
+            raise ContractError(
+                f"rerun: op kind {rec.kind} has no code generator")
+        body += forward(rec, j, [values[i] for i in rec.input_ids],
+                        values[rec.output_id], tape.values, const)
     body.append(f"values[:] = ({', '.join(values)},)")
-    body.append(f"return ({''.join(n + ', ' for n in saved)})")
+    body.append(f"return ({''.join(n + ', ' for n in _saved_names(tape))})")
     body = _unpack([f"c{k}" for k in range(len(consts))], "consts") + body
-    return _function("inputs, values, consts", body), tuple(consts), saved
+    return _function("inputs, values, consts", body), tuple(consts)
 
 
-def _lower_backward(tape: Tape, plan: list, loss_id: int,
+def _lower_backward(tape: Tape, loss_id: int,
+                    wrt_ids: Optional[Tuple[int, ...]],
                     ids: Sequence[int]) -> Callable:
-    """The sweep of plan as generated code that writes the gradient of node
-    ids[k] into out[k], and stores out[k] as that node's entry of grads:
-    with out= where the first contribution is a call that takes it, by a
-    copy otherwise, and adds every later one in place; an unreached node's
-    array is filled with zeros. Every other gradient is a local, bound to
-    its first contribution and summed into a new array by each later one,
-    as the closure sweep does."""
+    """The sweep from loss_id as generated code that writes the gradient of
+    node ids[k] into out[k], and stores out[k] as that node's entry of
+    grads: with out= where the first contribution is a call that takes it,
+    by a copy otherwise, and adds every later one in place; an unreached
+    node's array is filled with zeros. Every other gradient is a local,
+    bound to its first contribution and summed into a new array by each
+    later one (a local may be another node's array: add passes its output
+    gradient on to both inputs).
+
+    A node is live when it depends on a wrt node (every node without wrt);
+    only live nodes can pass gradient on to one, so the sweep visits a
+    record, last first, when its output is live and the loss reaches it,
+    and tells the record's generator which of its inputs are live."""
+    n = len(tape.values)
+    live = [wrt_ids is None] * n
+    for i in wrt_ids or ():
+        live[i] = True
+    for rec in tape.records:
+        if any(live[i] for i in rec.input_ids):
+            live[rec.output_id] = True
+    reached = [False] * n
+    reached[loss_id] = True
+
     sinks: Dict[int, str] = {}
     body = _unpack([f"o{k}" for k in range(len(ids))], "out")
     for k, nid in enumerate(ids):
         if nid in sinks:  # a node named twice gets its gradient copied
             continue
         sinks[nid] = f"o{k}"
-    body += _unpack(tape._saved_names, "saved")
-    body += _unpack([f"v{i}" for i in range(len(tape.values))], "values")
+    body += _unpack(_saved_names(tape), "saved")
+    body += _unpack([f"v{i}" for i in range(n)], "values")
     started = set()
 
     def accumulate(nid: int, expr: str, takes_out: bool) -> None:
@@ -1054,19 +965,19 @@ def _lower_backward(tape: Tape, plan: list, loss_id: int,
             body.append(f"np.copyto({sink}, {expr})")
         started.add(nid)
 
-    def grad(nid: int) -> str:
-        return sinks.get(nid, f"g{nid}")
-
     accumulate(loss_id, f"np.ones_like(v{loss_id})", False)
-    index = {id(rec): j for j, rec in enumerate(tape.records)}
-    for rec, live in plan:
-        _, backward_code = _generators(rec.kind)
-        lines, grads = backward_code(
-            rec, index[id(rec)], [f"v{i}" for i in rec.input_ids],
-            f"v{rec.output_id}", grad(rec.output_id), live, tape.values)
+    for j in range(len(tape.records) - 1, -1, -1):
+        rec = tape.records[j]
+        if not (reached[rec.output_id] and live[rec.output_id]):
+            continue
+        flags = [live[i] for i in rec.input_ids]
+        lines, grads = _CODE_GENERATORS[rec.kind][1](
+            rec, j, [f"v{i}" for i in rec.input_ids], f"v{rec.output_id}",
+            sinks.get(rec.output_id, f"g{rec.output_id}"), flags, tape.values)
         body += lines
-        for iid, flag, g in zip(rec.input_ids, live, grads):
+        for iid, flag, g in zip(rec.input_ids, flags, grads):
             if flag:
+                reached[iid] = True
                 accumulate(iid, *g)
     for nid, sink in sinks.items():
         if nid not in started:

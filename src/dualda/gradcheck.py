@@ -1,4 +1,5 @@
-"""Randomized finite-difference verification of every backward rule.
+"""Randomized finite-difference verification of every backward rule, as
+the generated sweeps that training runs apply it.
 
 Backs the `check-grad` CLI subcommand. Central differences with h=1e-5;
 relative error is |analytic - numeric| / max(1, |analytic|, |numeric|).

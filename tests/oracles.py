@@ -2,10 +2,11 @@
 
 Most of these deliberately avoid the library's autodiff path: losses are
 recomputed with explicit numpy loops, gradients with central finite
-differences on forward values only. Two keep a design the library
+differences on forward values only. Three keep a design the library
 replaced, as the reference for its replacement: the tape-built evaluation
-(``compute_metrics_on_tape``) and the array-by-array optimizer
-(``ArraySGD``).
+(``compute_metrics_on_tape``), the array-by-array optimizer (``ArraySGD``)
+and the per-record backward formulas that the generated sweeps replaced
+(``reference_backward``).
 """
 
 import numpy as np
@@ -196,3 +197,125 @@ class ArraySGD:
                     f"sgd: parameter {names[m]} is no longer finite after an "
                     f"update with lr {lr if rates is None else rates[m]:g}; "
                     f"training diverged")
+
+
+# --- the per-record backward formulas, swept in plain numpy ------------------
+
+def _mT(a):
+    return a.T if a.ndim == 2 else a.swapaxes(1, 2)
+
+
+def _matmul_grads(rec, ins, out, g, live):
+    a_slices, transpose_b, relu = rec.static
+    x, w = ins[:2]
+    if relu:
+        g = g * (rec.relu_in > 0)
+    m = 1 if w.ndim == 2 else w.shape[0]
+    width = w.shape[-2] if transpose_b else w.shape[-1]
+    xs, ws = x, w
+    if m == 1 and w.ndim == 3:
+        ws = w[0]
+    elif m > 1 and a_slices == m:
+        xs = x.reshape(m, -1, x.shape[1])
+    gs = g if m == 1 else g.reshape(m, -1, width)
+    gx = gw = gb = None
+    if live[0]:
+        gx = gs @ (ws if transpose_b else _mT(ws))
+        if m > 1:
+            gx = gx.reshape(x.shape) if a_slices == m else np.add.reduce(gx, 0)
+    if live[1]:
+        gw = _mT(gs) @ xs if transpose_b else _mT(xs) @ gs
+        gw = gw.reshape(w.shape)
+    if len(ins) == 3 and live[2]:
+        gb = np.add.reduce(gs, -2).reshape(ins[2].shape)
+    return gx, gw, gb
+
+
+def _cross_entropy_grads(rec, ins, out, g, live):
+    (a,), idx, m = ins, rec.args[0], rec.static[0]
+    shifted = a - np.maximum.reduce(a, 1, keepdims=True)
+    logp = shifted - np.log(np.add.reduce(np.exp(shifted), 1, keepdims=True))
+    rows = np.arange(m * len(idx)).reshape(m, len(idx))
+    g_logp = np.zeros(a.shape)
+    g_logp[rows, idx] = ((-1.0 * g) / len(idx))[:, None]
+    return (g_logp - np.exp(logp) * np.add.reduce(g_logp, 1, keepdims=True),)
+
+
+def _mean_abs_diff_grads(rec, ins, out, g, live):
+    pair, m = rec.static
+    x, y = (ins[0][:len(ins[0]) // 2], ins[0][len(ins[0]) // 2:]) if pair \
+        else ins
+    sign = np.sign(x - y)
+    c = 1.0 / (sign.size // m)
+    g_d = ((c * g)[:, None] * sign.reshape(m, -1)).reshape(sign.shape)
+    return (np.concatenate((g_d, -g_d)),) if pair else (g_d, -g_d)
+
+
+def _grad_reverse_grads(rec, ins, out, g, live):
+    weights = [1.0 if v is None else -float(v) for v in rec.args]
+    if len(weights) == 1:
+        return (weights[0] * g,)
+    rows = np.repeat(weights, len(g) // len(weights))
+    return (g * rows.reshape((-1,) + (1,) * (g.ndim - 1)),)
+
+
+def _select_columns_grads(rec, ins, out, g, live):
+    grad = np.zeros(ins[0].shape)
+    grad[np.arange(len(grad)), rec.args[0]] = g[:, 0]
+    return (grad,)
+
+
+# kind -> (record, input values, output value, output gradient, live flags)
+#         -> the gradient of each input (None where not live)
+_BACKWARD_RULES = {
+    "matmul": _matmul_grads,
+    "add": lambda rec, ins, out, g, live: (
+        g, g if ins[0].shape == ins[1].shape else np.add.reduce(g, 0)),
+    "sub": lambda rec, ins, out, g, live: (g, -g),
+    "scalar_mul": lambda rec, ins, out, g, live: (rec.args[0] * g,),
+    "relu": lambda rec, ins, out, g, live: (g * (ins[0] > 0),),
+    "softmax": lambda rec, ins, out, g, live: (
+        out * (g - np.add.reduce(g * out, 1, keepdims=True)),),
+    "log_softmax": lambda rec, ins, out, g, live: (
+        g - np.exp(out) * g.sum(axis=1, keepdims=True),),
+    "mean": lambda rec, ins, out, g, live: (
+        np.full(ins[0].shape, g[0] / ins[0].size),),
+    "sum": lambda rec, ins, out, g, live: (np.full(ins[0].shape, g[0]),),
+    "abs": lambda rec, ins, out, g, live: (g * np.sign(ins[0]),),
+    "select_columns": _select_columns_grads,
+    "cross_entropy": _cross_entropy_grads,
+    "mean_abs_diff": _mean_abs_diff_grads,
+    "grad_reverse": _grad_reverse_grads,
+}
+
+
+def reference_backward(tape, loss, wrt=None):
+    """ad.backward's gradients by the per-record backward formulas, applied
+    record by record in reverse in plain numpy from the records' inputs,
+    outputs and arguments, each contribution summed into a new array in
+    the same order: the reference for the generated sweeps' bytes. Returns
+    node id -> gradient for every wrt tensor (every node without wrt),
+    zeros where the loss does not reach; tensors' .grad is left alone."""
+    values = tape.values
+    live = [wrt is None] * len(values)
+    for t in wrt or ():
+        live[t.node_id] = True
+    for rec in tape.records:
+        if any(live[i] for i in rec.input_ids):
+            live[rec.output_id] = True
+    grads = [None] * len(values)
+    grads[loss.node_id] = np.ones_like(values[loss.node_id])
+    for rec in reversed(tape.records):
+        g = grads[rec.output_id]
+        if g is None or not live[rec.output_id]:
+            continue
+        flags = [live[i] for i in rec.input_ids]
+        contributions = _BACKWARD_RULES[rec.kind](
+            rec, [values[i] for i in rec.input_ids], values[rec.output_id], g,
+            flags)
+        for i, flag, g_in in zip(rec.input_ids, flags, contributions):
+            if flag:
+                grads[i] = g_in if grads[i] is None else grads[i] + g_in
+    ids = range(len(values)) if wrt is None else [t.node_id for t in wrt]
+    return {i: np.zeros_like(values[i]) if grads[i] is None else grads[i]
+            for i in ids}

@@ -6,7 +6,7 @@ import pytest
 import dualda.autodiff as ad
 from dualda.errors import ContractError, DimensionError, DomainError
 
-from oracles import FD_TOL, fd_gradient, fd_rel_err
+from oracles import FD_TOL, fd_gradient, fd_rel_err, reference_backward
 
 
 def leaf(data):
@@ -136,6 +136,24 @@ def test_grad_reverse_rejects_negative_lambda():
     tape, x = leaf([1.0])
     with pytest.raises(ContractError):
         ad.grad_reverse(x, -0.1)
+
+
+def test_an_empty_batch_is_a_domain_error_naming_the_loss():
+    tape = ad.Tape()
+    logits = tape.leaf(np.zeros((0, 3)))
+    with pytest.raises(DomainError, match="cross_entropy: the batch is empty"):
+        ad.cross_entropy(logits, np.zeros(0, dtype=np.int64))
+
+
+@pytest.mark.parametrize("pair", [False, True])
+def test_an_empty_batch_is_a_domain_error_naming_the_discrepancy(pair):
+    tape = ad.Tape()
+    w = tape.param(np.ones((2, 3, 4)))
+    probs = ad.softmax(ad.matmul(tape.leaf(np.zeros((0, 4))), w,
+                                 transpose_b=True))
+    with pytest.raises(DomainError,
+                       match="mean_abs_diff: the operands are empty"):
+        ad.mean_abs_diff(probs) if pair else ad.mean_abs_diff(probs, probs)
 
 
 def test_grad_reverse_equals_minus_lambda_times_identity_gradient():
@@ -350,11 +368,25 @@ def test_matmul_bias_is_one_record_equal_to_matmul_then_add():
         assert got.grad.tobytes() == want.grad.tobytes()
 
 
+def _sweep_source(tape, loss, wrt):
+    """The generated source of the sweep that backward(tape, loss, wrt)
+    runs."""
+    key = (loss.node_id, None if wrt is None else
+           tuple(t.node_id for t in wrt))
+    sweep = tape._sweeps[key]
+    return next(src for src, fn in ad._COMPILED.items() if fn is sweep)
+
+
 def test_matmul_without_bias_returns_no_bias_gradient():
     tape = ad.Tape()
-    out = ad.matmul(tape.leaf(np.ones((2, 3))), tape.leaf(np.ones((4, 3))),
-                    transpose_b=True)
-    assert len(tape.records[-1].backward_fn(np.ones_like(out.data))) == 2
+    x, w = tape.leaf(np.ones((2, 3))), tape.leaf(np.full((4, 3), 2.0))
+    loss = ad.tensor_sum(ad.matmul(x, w, transpose_b=True))
+    grads = ad.backward(tape, loss)
+    assert sorted(grads) == list(range(4))  # x, w, the product, the loss
+    assert np.array_equal(x.grad, np.full((2, 3), 8.0))
+    assert np.array_equal(w.grad, np.full((4, 3), 2.0))
+    # the sweep sums no gradient over rows, as a bias gradient would
+    assert "np.add.reduce" not in _sweep_source(tape, loss, None)
 
 
 @pytest.mark.parametrize("shape", [(4,), (3,), (1, 5), (5, 1)])
@@ -485,32 +517,53 @@ def test_fused_records_match_the_unfused_chains_bytewise(pick):
     subsets; a subset without x (index 0) skips the data gradient."""
     data = _fusion_data()
     results = []
-    for fused in (True, False):
+    for fused, backward in ((True, ad.backward), (False, ad.backward),
+                            (False, reference_backward)):
         tape, loss, leaves, outs = _head_graph(data, fused)
         wrt = None if pick is None else [leaves[i] for i in pick]
-        grads = ad.backward(tape, loss, wrt=wrt)
+        grads = backward(tape, loss, wrt=wrt)
         results.append(([o.data.tobytes() for o in (*outs, loss)],
                         [grads[t.node_id].tobytes() for t in wrt or leaves]))
-    assert results[0] == results[1]
+    assert results[0] == results[1] == results[2]
 
 
 def test_matmul_skips_the_gradient_of_an_operand_that_is_not_live():
-    tape = ad.Tape()
-    x, w, b = (tape.leaf(a) for a in _fusion_data()[:3])
-    out = ad.matmul(x, w, transpose_b=True, bias=b, relu=True)
-    rec = tape.records[-1]
-    g = np.ones_like(out.data)
-    full = rec.backward_fn(g, [True, True, True])
-    skipped = rec.backward_fn(g, [False, True, False])
-    assert skipped[0] is None and skipped[2] is None
-    assert skipped[1].tobytes() == full[1].tobytes()
-    # the pruned sweep asks for w only, and tells the record so
-    told = []
-    rec.backward_fn = lambda g, live, fn=rec.backward_fn: (
-        told.append(list(live)) or fn(g, live))
-    ad.backward(tape, ad.mean(out), wrt=[w])
-    assert told == [[False, True, False]]
+    def dense_loss():
+        tape = ad.Tape()
+        x, w, b = (tape.leaf(a) for a in _fusion_data()[:3])
+        return tape, ad.mean(ad.matmul(x, w, transpose_b=True, bias=b,
+                                       relu=True)), (x, w, b)
+
+    tape, loss, xwb = dense_loss()
+    full = ad.backward(tape, loss, wrt=xwb)
+    assert _sweep_source(tape, loss, xwb).count("np.matmul(") == 2
+    tape, loss, (x, w, b) = dense_loss()
+    skipped = ad.backward(tape, loss, wrt=[w])
+    assert skipped[w.node_id].tobytes() == full[w.node_id].tobytes()
+    # the pruned sweep makes the weight gradient's product only, and no
+    # bias sum
+    source = _sweep_source(tape, loss, [w])
+    assert source.count("np.matmul(") == 1
+    assert "np.add.reduce(" not in source
     assert x.grad is None and b.grad is None
+
+
+def test_a_record_added_after_a_backward_joins_the_next_sweep():
+    """A tape that has not rerun takes records after a backward: the next
+    backward, of the old loss or of a new one, sees them."""
+    rng = np.random.default_rng(9)
+    tape = ad.Tape()
+    x = tape.leaf(rng.uniform(-2, 2, (4, 3)))
+    p = ad.softmax(x)
+    ce = ad.cross_entropy(x, np.array([0, 2, 1, 1]))
+    ad.backward(tape, ce)
+    total = ad.add(ce, ad.mean_abs_diff(p, ad.softmax(ad.scalar_mul(x, 2.0))))
+    grads = ad.backward(tape, ce)
+    assert sorted(grads) == list(range(len(tape.values)))
+    for loss in (ce, total):
+        grads, want = ad.backward(tape, loss), reference_backward(tape, loss)
+        assert [grads[i].tobytes() for i in want] == \
+            [want[i].tobytes() for i in want]
 
 
 def test_cross_entropy_checks_its_labels():

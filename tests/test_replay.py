@@ -20,7 +20,7 @@ from dualda.model import DualModel, Variant
 from dualda.optim import SGD, Schedule
 from dualda.trainer import TrainConfig, compute_metrics, train
 
-from oracles import ArraySGD
+from oracles import ArraySGD, reference_backward
 
 B = 16
 
@@ -73,14 +73,14 @@ def _capture(site, model, batch):
     return tape, capture(tape, *context(model), *inputs)
 
 
-def _sweep(tape, terms):
+def _sweep(tape, terms, backward=ad.backward):
     """Every record's kind, output and relu input, then every term's
-    gradients, as bytes."""
+    gradients by backward, as bytes."""
     out = [(rec.kind, tape.values[rec.output_id].tobytes(),
             None if rec.relu_in is None else rec.relu_in.tobytes())
            for rec in tape.records]
     for loss, pairs in terms:
-        grads = ad.backward(tape, loss, wrt=[t for _, _, t in pairs])
+        grads = backward(tape, loss, wrt=[t for _, _, t in pairs])
         out.append([(names, grads[t.node_id].tobytes())
                     for names, _, t in pairs])
     return out
@@ -88,16 +88,18 @@ def _sweep(tape, terms):
 
 @pytest.mark.parametrize("site", SITES)
 def test_rerun_equals_a_fresh_tape_bytewise(site):
-    """The generated forward's values and relu inputs, and a backward
-    without a store after it, which runs generated code too and must not
-    reach the closures the capture left behind."""
+    """The generated forward's values and relu inputs, and the sweeps
+    without a store before and after it (lowered on the captured tape and
+    reused after the rerun), against the per-record formulas on a fresh
+    tape."""
     model = _model()
     first, second = _batch(1), _batch(2)
     tape, terms = _capture(site, model, first)
-    on_first = _sweep(tape, terms)  # caches the backward plans
+    on_first = _sweep(tape, terms)
+    assert on_first == _sweep(tape, terms, reference_backward)
     tape.rerun(*_inputs(second, SITES[site][2]))
     replayed = _sweep(tape, terms)
-    fresh = _sweep(*_capture(site, model, second))
+    fresh = _sweep(*_capture(site, model, second), reference_backward)
     assert replayed == fresh
     assert replayed != on_first
 
@@ -118,19 +120,34 @@ def _store_grads(tape, terms, sgd):
 
 @pytest.mark.parametrize("site", SITES)
 def test_backward_into_the_gradient_store_equals_a_fresh_tape_bytewise(site):
-    """On the captured tape the sweep's gradients are copied into the
-    store; after a rerun the generated sweep writes them there in place."""
+    """The generated sweep writes the gradients into the store in place, on
+    the captured tape and after a rerun alike, with the bytes of the
+    per-record formulas on a fresh tape."""
     model, sgd = _model(), SGD(0.9)
     tape, terms = _capture(site, model, _batch(1))
     n_records = len(tape.records)
-    assert _store_grads(tape, terms, sgd) == \
-        _sweep(*_capture(site, model, _batch(1)))[n_records:]
-    tape.rerun(*_inputs(_batch(2), SITES[site][2]))
-    assert _store_grads(tape, terms, sgd) == \
-        _sweep(*_capture(site, model, _batch(2)))[n_records:]
-    for _, pairs in terms:
-        assert all(t.grad is sgd.grad_view(names, arr)
-                   for names, arr, t in pairs)
+    for seed in (1, 2):
+        if seed == 2:
+            tape.rerun(*_inputs(_batch(2), SITES[site][2]))
+        assert _store_grads(tape, terms, sgd) == _sweep(
+            *_capture(site, model, _batch(seed)),
+            reference_backward)[n_records:]
+        for _, pairs in terms:
+            assert all(t.grad is sgd.grad_view(names, arr)
+                       for names, arr, t in pairs)
+
+
+def test_the_first_update_of_a_call_site_writes_the_store_in_place():
+    model, sgd = _model(), SGD(0.9)
+    for site in ("phase B, two modules", "step 2, two modules", "step 3"):
+        capture, context, reads = SITES[site]
+        program = trainer._program({}, site, sgd, capture, context(model),
+                                   _inputs(_batch(1), reads))
+        trainer._update(sgd, 0.05, program)
+        assert program.tape._forward is None  # captured, never re-run
+        for _, pairs in program.terms:
+            assert all(t.grad is sgd.grad_view(names, arr)
+                       for names, arr, t in pairs)
 
 
 # the updates that training makes at these sites, with their lr
@@ -157,7 +174,8 @@ def test_updates_from_the_gradient_store_equal_array_sgd_bytewise(site):
         tape = ad.Tape(*inputs)
         items = []
         for loss, pairs in capture(tape, *context(ref), *inputs):
-            grads = ad.backward(tape, loss, wrt=[t for _, _, t in pairs])
+            grads = reference_backward(tape, loss,
+                                       wrt=[t for _, _, t in pairs])
             items += [(names, arr, grads[t.node_id])
                       for names, arr, t in pairs]
         array_sgd.step(items, lr)
@@ -204,7 +222,7 @@ def test_the_generated_sweep_fills_unreached_and_repeated_gradients():
             np.full((2, 2), np.nan)]
     ad.backward(tape, loss, [wt, ot, wt], into=into)
     fresh, loss2, wt2, ot2 = _dense_ce_tape(x2, y2, w, orphan)
-    want = ad.backward(fresh, loss2, [wt2, ot2])
+    want = reference_backward(fresh, loss2, [wt2, ot2])
     assert into[0].tobytes() == want[wt2.node_id].tobytes()
     assert into[2].tobytes() == want[wt2.node_id].tobytes()
     assert into[1].tobytes() == np.zeros((3, 2)).tobytes()
@@ -289,9 +307,13 @@ def _error(fn):
     return str(info.value)
 
 
+# a bad lambda of each kind
+BAD_LAMBDAS = {"lam": -0.25, "lam_nan": float("nan"), "lam_inf": float("inf")}
+
+
 def _bad_batch(bad):
     """Batch 2 with one bad step input: a NaN in the target batch, a label
-    out of range, or a negative lambda."""
+    out of range, or a negative, NaN or infinite lambda."""
     xs, ys, xt, lam = _batch(2)
     if bad == "xt":
         xt = xt.copy()
@@ -300,7 +322,7 @@ def _bad_batch(bad):
         ys = ys.copy()
         ys[5] = 2
     else:
-        lam = -0.25
+        lam = BAD_LAMBDAS[bad]
     return xs, ys, xt, lam
 
 
@@ -308,7 +330,9 @@ def _bad_batch(bad):
     ("phase B, two modules", "xt"), ("phase B, two modules", "ys"),
     ("phase C, one module", "xt"), ("step 2, two modules", "xt"),
     ("step 2, two modules", "ys"), ("step 2, two modules", "lam"),
-    ("step 2, one module", "lam"), ("step 3", "xt"), ("step 3", "lam")])
+    ("step 2, one module", "lam"), ("step 3", "xt"), ("step 3", "lam"),
+    ("step 2, two modules", "lam_nan"), ("step 2, one module", "lam_inf"),
+    ("step 3", "lam_nan"), ("step 3", "lam_inf")])
 def test_a_rerun_raises_what_a_fresh_tape_raises(site, bad):
     batch = _bad_batch(bad)
     model = _model()
@@ -316,9 +340,10 @@ def test_a_rerun_raises_what_a_fresh_tape_raises(site, bad):
     replayed = _error(lambda: tape.rerun(*_inputs(batch, SITES[site][2])))
     fresh = _error(lambda: _capture(site, model, batch))
     assert replayed == fresh
-    assert replayed.startswith({"xt": "input contains NaN or Inf",
-                                "ys": "cross_entropy: index out of range",
-                                "lam": "grad_reverse: lambda must be >= 0"}[bad])
+    assert replayed.startswith(
+        {"xt": "input contains NaN or Inf",
+         "ys": "cross_entropy: index out of range"}.get(
+            bad, "grad_reverse: lambda must be >= 0"))
 
 
 def test_a_changed_batch_shape_captures_again():
