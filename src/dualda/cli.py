@@ -24,7 +24,6 @@ from typing import (Dict, List, Optional, Sequence, Tuple, get_args,
 
 import numpy as np
 
-from . import gradcheck
 from .data import (DomainDataset, dataset_checksum, derived_seed,
                    domain_shift, gen_blob_shift, gen_two_moons, load_idx)
 from .errors import ConfigError, ContractError
@@ -397,6 +396,7 @@ def _cmd_check_grad(args) -> int:
         raise ConfigError(f"--trials must be a positive integer, got {args.trials}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
+    from . import gradcheck  # only this subcommand reads it
     ok = gradcheck.run_suite(trials_ops=args.trials, trials_losses=args.trials,
                              seed=args.seed)
     print("gradient suite:", "PASS" if ok else "FAIL")

@@ -15,7 +15,7 @@ gradient is copied there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -35,6 +35,11 @@ class Schedule:
     momentum: float = 0.9
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ContractError(
+                    f"{field.name} must be finite, got {value}")
         if self.eta0 <= 0:
             raise ContractError(f"eta0 must be > 0, got {self.eta0}")
         if min(self.alpha, self.beta, self.gamma) < 0:

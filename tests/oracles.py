@@ -43,6 +43,16 @@ def softmax_rows(z):
     return e / e.sum(axis=1, keepdims=True)
 
 
+def cross_entropy_values_reduce(a, idx, slices=1):
+    """ad.cross_entropy_values with numpy's own row reductions: the byte
+    reference of its row max (and, by softmax_rows, of ad.row_softmax's)."""
+    shifted = a - np.maximum.reduce(a, 1, keepdims=True)
+    logp = shifted - np.log(np.add.reduce(np.exp(shifted), 1, keepdims=True))
+    n = len(idx)
+    rows = np.arange(slices * n).reshape(slices, n)
+    return -1.0 * (np.add.reduce(logp[rows, idx], 1) / n), logp, rows
+
+
 def cross_entropy_direct(logits, labels):
     """Explicit softmax, then -log of the labeled entry, summed by loop."""
     probs = softmax_rows(logits)

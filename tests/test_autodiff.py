@@ -2,11 +2,14 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dualda.autodiff as ad
 from dualda.errors import ContractError, DimensionError, DomainError
 
-from oracles import FD_TOL, fd_gradient, fd_rel_err, reference_backward
+from oracles import (FD_TOL, cross_entropy_values_reduce, fd_gradient,
+                     fd_rel_err, reference_backward, softmax_rows)
 
 
 def leaf(data):
@@ -576,6 +579,18 @@ def test_cross_entropy_checks_its_labels():
         ad.cross_entropy(logits, np.array([0.0, 1.0]))
 
 
+def test_select_columns_of_an_empty_batch_is_a_domain_error_naming_it():
+    tape = ad.Tape()
+    x = tape.leaf(np.zeros((0, 3)))
+    with pytest.raises(DomainError, match="select_columns: the batch is empty"):
+        ad.select_columns(x, np.zeros(0, dtype=np.int64))
+
+
+def test_checked_indices_of_no_rows_is_the_empty_vector():
+    idx = ad.checked_indices("op", 0, 3, np.zeros(0, dtype=np.int64))
+    assert idx.shape == (0,)
+
+
 def test_mean_abs_diff_rejects_different_shapes():
     tape = ad.Tape()
     with pytest.raises(DimensionError, match="mean_abs_diff"):
@@ -590,6 +605,57 @@ def test_tape_free_kernels_equal_the_records_bytewise():
         rec = ad.matmul(xt, wt, transpose_b=True, bias=bt, relu=relu)
         assert ad.dense(x, w, b, relu=relu).tobytes() == rec.data.tobytes()
     assert ad.row_softmax(x).tobytes() == ad.softmax(xt).data.tobytes()
+
+
+# +-0.0, +-inf, +-NaN, subnormals and +-1e300 among standard normals
+_ROW_MAX_SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                              5e-324, -5e-324, 2.5e-310, -2.5e-310,
+                              1e300, -1e300])
+
+
+def _same_rows(got, want, lead_nan):
+    """got and want equal byte for byte on every row whose first entry is
+    not NaN; on the others, NaN where want is NaN (numpy's contiguous
+    reduce returns +NaN for a leading NaN of either sign, ad.row_max that
+    NaN)."""
+    assert got.shape == want.shape
+    keep = ~lead_nan
+    assert got[keep].tobytes() == want[keep].tobytes()
+    assert np.array_equal(np.isnan(got[lead_nan]), np.isnan(want[lead_nan]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(0, 2000), cols=st.integers(1, 12),
+       special=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+       layout=st.sampled_from(["contiguous", "every other row",
+                               "reversed columns"]),
+       seed=st.integers(0, 2**31))
+def test_row_max_and_its_callers_equal_numpy_reduce_bytewise(
+        rows, cols, special, layout, seed):
+    """row_max against np.maximum.reduce, and row_softmax and
+    cross_entropy_values against their reduce-based formulas, on both
+    sides of every width and row count at which row_max changes method.
+    A numpy release that reorders its reduce fails here by name."""
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((2 * rows, cols))
+    mask = rng.random(base.shape) < special
+    base[mask] = rng.choice(_ROW_MAX_SPECIALS, int(mask.sum()))
+    z = {"contiguous": base[:rows], "every other row": base[::2],
+         "reversed columns": base[:rows, ::-1]}[layout]
+    lead_nan = np.isnan(z[:, 0])
+    with np.errstate(all="ignore"):
+        _same_rows(ad.row_max(z), np.maximum.reduce(z, 1, keepdims=True),
+                   lead_nan)
+        _same_rows(ad.row_softmax(z), softmax_rows(z), lead_nan)
+        if rows == 0:
+            return
+        slices = 2 if rows % 2 == 0 else 1
+        idx = rng.integers(0, cols, rows // slices)
+        got = ad.cross_entropy_values(z, idx, slices)
+        want = cross_entropy_values_reduce(z, idx, slices)
+    _same_rows(got[1], want[1], lead_nan)
+    assert got[2].tobytes() == want[2].tobytes()
+    _same_rows(got[0], want[0], lead_nan.reshape(slices, -1).any(1))
 
 
 def _branchy_relu(pre):

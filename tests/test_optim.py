@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,10 @@ def test_schedule_validation():
         Schedule(momentum=1.0)
     with pytest.raises(ContractError):
         Schedule(alpha=-1.0)
+    for name in ("eta0", "alpha", "beta", "gamma", "momentum"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ContractError, match=f"{name} must be finite"):
+                Schedule(**{name: bad})
 
 
 def test_sgd_vanilla():
