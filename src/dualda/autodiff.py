@@ -36,10 +36,16 @@ records into one straight-line Python function (``_lower_forward``), made
 by the forward code generator that each op kind that training records
 keeps beside its kernel, with every value a local and no per-record call
 or list. It saves the arrays its backward reads exactly as the kernels
-lay them out. Compiled code is cached per source for the whole process,
-and a source names no tape and holds no user text. Lowering a tape with
-an op kind that has no forward generator is a ContractError naming the
-kind.
+lay them out. What would be the same at every rerun is made once: a
+parameter's product operand and bias view (transposed, sliced or
+broadcast) is made at lowering, by the functions ``dense`` calls, and
+read from the tape's consts. A parameter is never rebound, since the
+optimizer and ``load_state`` write into its array, so its view sees
+every update. The cross-entropy row index and the loss seed of a sweep
+are read-only arrays shared per shape. Compiled code is cached per source
+for the whole process, and a source names no tape and holds no user
+text. Lowering a tape with an op kind that has no forward generator is a
+ContractError naming the kind.
 
 Every backward sweep is generated code too, on a captured tape and after
 a rerun alike: ``backward(tape, loss, wrt)`` lowers one function per
@@ -181,7 +187,7 @@ class Tape:
         self.values: List[np.ndarray] = []
         self.grads: List[Optional[np.ndarray]] = []
         self._inputs = inputs
-        self._shapes = [np.shape(v) for v in inputs]
+        self._shapes = [_shape(v) for v in inputs]
         # (list, slot, check, k) in capture order: a rerun stores
         # check(inputs[k]) at list[slot], a leaf's value or a record's
         # argument
@@ -241,20 +247,22 @@ class Tape:
             self._tie(checked, j, check, a)
         return t
 
-    def fits(self, *inputs) -> bool:
-        """True when inputs match the declared step inputs in number and
-        shapes, so that the tape can rerun on them."""
-        return [np.shape(v) for v in inputs] == self._shapes
-
     def rerun(self, *inputs) -> None:
         """Refill the leaves and arguments tied to the step inputs from
         inputs, checking each, and make every record's numpy calls again in
         order, through the tape's generated forward (made on the first
-        rerun). Every declared input must have been read at capture."""
-        if not self.fits(*inputs):
+        rerun). Every declared input must have been read at capture, and
+        inputs must match the declared ones in number and shapes."""
+        if not self.rerun_if_fits(*inputs):
             raise DimensionError(
                 f"rerun: inputs of shapes {[np.shape(v) for v in inputs]} "
                 f"do not fit the captured {self._shapes}")
+
+    def rerun_if_fits(self, *inputs) -> bool:
+        """rerun(*inputs) when inputs match the declared step inputs in
+        number and shapes; returns whether they do."""
+        if [_shape(v) for v in inputs] != self._shapes:
+            return False
         if self._forward is None:
             if len({k for *_, k in self._refills}) != len(inputs):
                 raise ContractError(
@@ -262,6 +270,15 @@ class Tape:
             self._forward, self._consts = _lower_forward(self)
         self.grads = [None] * len(self.values)
         self._saved = self._forward(inputs, self.values, self._consts)
+        return True
+
+
+def _shape(v) -> tuple:
+    """np.shape(v), without numpy's dispatch for an array or its conversion
+    of a Python number."""
+    if isinstance(v, np.ndarray):
+        return v.shape
+    return () if isinstance(v, (int, float)) else np.shape(v)
 
 
 def checked_input(data) -> np.ndarray:
@@ -277,16 +294,27 @@ def _mT(a: np.ndarray) -> np.ndarray:
     return a.T if a.ndim == 2 else a.swapaxes(1, 2)
 
 
-def _slice_operands(x: np.ndarray, w: np.ndarray, slices: int):
-    """x and w as product operands: both 2-D for one weight slice; else the
-    [M, ., .] weights against x's M row slices, or against x itself when it
-    has one slice (a batch every slice reads)."""
-    if w.ndim == 2:
-        return x, w
-    m = w.shape[0]
-    if m == 1:
-        return x, w[0]
-    return (x if slices == 1 else x.reshape(m, -1, x.shape[1])), w
+def _row_operand(x: np.ndarray, w: np.ndarray, slices: int) -> np.ndarray:
+    """x as the left product operand: x itself against one weight slice, or
+    against M slices when x has one row slice (a batch every slice reads);
+    else x's M row slices, [M, rows, in]."""
+    if w.ndim == 2 or w.shape[0] == 1 or slices == 1:
+        return x
+    return x.reshape(w.shape[0], -1, x.shape[1])
+
+
+def _weight_operand(w: np.ndarray, transpose_b: bool) -> np.ndarray:
+    """w as the right product operand, a view: 2-D for one weight slice (a
+    stack of one as its slice), else the [M, ., .] stack; transposed when
+    transpose_b is set."""
+    ws = w[0] if w.ndim == 3 and w.shape[0] == 1 else w
+    return _mT(ws) if transpose_b else ws
+
+
+def _bias_operand(bias: np.ndarray) -> np.ndarray:
+    """bias as the term added to the product: a [M, width] bias of M > 1
+    slices as a [M, 1, width] view, any other as it is."""
+    return bias[:, None] if bias.ndim == 2 and bias.shape[0] > 1 else bias
 
 
 def dense(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray] = None,
@@ -296,10 +324,9 @@ def dense(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray] = None,
     bias, then relu when set. A 3-D w stacks M layers (bias [M, width]) by
     the slice rules of matmul: x holds `slices` row slices, 1 or M, and the
     output holds M."""
-    xs, ws = _slice_operands(x, w, slices)
-    out = xs @ (_mT(ws) if transpose_b else ws)
+    out = _row_operand(x, w, slices) @ _weight_operand(w, transpose_b)
     if bias is not None:
-        out += bias if ws.ndim == 2 else bias[:, None]
+        out += _bias_operand(bias)
     if out.ndim == 3:
         out = out.reshape(-1, out.shape[2])
     return relu_values(out, out) if relu else out
@@ -394,7 +421,8 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
 # code" below says what they take and return.
 
 def _matmul_operands(rec: _Record, ins, values):
-    """The names of the product operands xs and ws (see _slice_operands),
+    """The names of the product operands xs and ws (see _row_operand and
+    _weight_operand; ws untransposed),
     whether ws is 2-D, and m and the width of the record's product."""
     a_slices, transpose_b, _ = rec.static
     x, w = (values[i] for i in rec.input_ids[:2])
@@ -412,15 +440,24 @@ def _mT_code(a: str, two_d: bool) -> str:
     return f"{a}.T" if two_d else f"{a}.swapaxes(1, 2)"
 
 
-def _matmul_forward_code(rec, j, ins, out, values, const):
-    """dense() and the kernel's relu, as code."""
+def _matmul_forward_code(rec, j, ins, out, values, const, fixed):
+    """dense() and the kernel's relu, as code; the operand view of a fixed
+    weight or bias is made here, once, by the functions dense() calls."""
     _, transpose_b, relu = rec.static
     xs, ws, ws_2d, _, width = _matmul_operands(rec, ins, values)
+    w_id = rec.input_ids[1]
     y = f"t{j}_p" if relu else out
-    lines = [f"{y} = {xs} @ "
-             f"{_mT_code(ws, ws_2d) if transpose_b else ws}"]
+    if fixed[1]:
+        ws = const(_weight_operand(values[w_id], transpose_b),
+                   ("weight", w_id, transpose_b))
+    elif transpose_b:
+        ws = _mT_code(ws, ws_2d)
+    lines = [f"{y} = {xs} @ {ws}"]
     if len(ins) == 3:
-        lines.append(f"{y} += {ins[2]}" if ws_2d else f"{y} += {ins[2]}[:, None]")
+        b_id = rec.input_ids[2]
+        bias = (const(_bias_operand(values[b_id]), ("bias", b_id)) if fixed[2]
+                else ins[2] if ws_2d else f"{ins[2]}[:, None]")
+        lines.append(f"{y} += {bias}")
     if not ws_2d:
         lines.append(f"{y} = {y}.reshape(-1, {width})")
     if not relu:
@@ -474,7 +511,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return tape._emit("add", [a, b], lambda x, y: (x + y, (), None))
 
 
-def _add_forward_code(rec, j, ins, out, values, const):
+def _add_forward_code(rec, j, ins, out, values, const, fixed):
     return [f"{out} = {ins[0]} + {ins[1]}"]
 
 
@@ -492,7 +529,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return tape._emit("sub", [a, b], lambda x, y: (x - y, (), None))
 
 
-def _sub_forward_code(rec, j, ins, out, values, const):
+def _sub_forward_code(rec, j, ins, out, values, const, fixed):
     return [f"{out} = {ins[0]} - {ins[1]}"]
 
 
@@ -533,7 +570,7 @@ def softmax(a: Tensor) -> Tensor:
                         slices=a.slices)
 
 
-def _softmax_forward_code(rec, j, ins, out, values, const):
+def _softmax_forward_code(rec, j, ins, out, values, const, fixed):
     return [f"{out} = row_softmax({ins[0]})"]
 
 
@@ -631,8 +668,17 @@ def cross_entropy_values(a: np.ndarray, idx: np.ndarray, slices: int = 1):
     shifted = a - row_max(a)
     logp = shifted - np.log(np.add.reduce(np.exp(shifted), 1, keepdims=True))
     n = len(idx)
+    rows = _row_index(slices, n)
+    return np.add.reduce(logp[rows, idx], 1) / -n, logp, rows
+
+
+@functools.lru_cache(maxsize=64)
+def _row_index(slices: int, n: int) -> np.ndarray:
+    """The [slices, n] index of the rows of `slices` slices of n rows each,
+    read-only: one array per shape, which every tape of it shares."""
     rows = np.arange(slices * n).reshape(slices, n)
-    return -1.0 * (np.add.reduce(logp[rows, idx], 1) / n), logp, rows
+    rows.flags.writeable = False
+    return rows
 
 
 def mean_abs_diff_values(x: np.ndarray, y: np.ndarray, slices: int = 1):
@@ -672,7 +718,7 @@ def _label_check(rows: int, cols: int) -> Callable:
     return functools.partial(checked_indices, "cross_entropy", rows, cols)
 
 
-def _cross_entropy_forward_code(rec, j, ins, out, values, const):
+def _cross_entropy_forward_code(rec, j, ins, out, values, const, fixed):
     return [f"r{j}_0 = {const(rec.args)}[0]",
             f"{out}, r{j}_1, r{j}_2 = cross_entropy_values({ins[0]}, r{j}_0, "
             f"{rec.static[0]})"]
@@ -682,8 +728,8 @@ def _cross_entropy_backward_code(rec, j, ins, out, g, live, values):
     a = values[rec.input_ids[0]]
     t = f"t{j}_l"
     return [f"{t} = np.zeros({a.shape})",
-            f"{t}[r{j}_2, r{j}_0] = ((-1.0 * {g}) / "
-            f"{a.shape[0] // rec.static[0]})[:, None]"], [
+            f"{t}[r{j}_2, r{j}_0] = ({g} / "
+            f"-{a.shape[0] // rec.static[0]})[:, None]"], [
         (f"{t} - np.exp(r{j}_1) * np.add.reduce({t}, 1, keepdims=True)",
          False)]
 
@@ -721,7 +767,7 @@ def mean_abs_diff(a: Tensor, b: Optional[Tensor] = None) -> Tensor:
     return tape._emit("mean_abs_diff", inputs, kernel, static=(pair, m))
 
 
-def _mean_abs_diff_forward_code(rec, j, ins, out, values, const):
+def _mean_abs_diff_forward_code(rec, j, ins, out, values, const, fixed):
     pair, m = rec.static
     if pair:
         half = values[rec.input_ids[0]].shape[0] // 2
@@ -757,7 +803,7 @@ def _reversal_factor(lams: Sequence, shape: tuple):
     weights = [1.0 if v is None else -float(v) for v in lams]
     if len(weights) == 1:
         return weights[0]
-    return np.repeat(weights, shape[0] // len(weights)).reshape(
+    return np.array(weights).repeat(shape[0] // len(weights)).reshape(
         (-1,) + (1,) * (len(shape) - 1))
 
 
@@ -781,7 +827,7 @@ def grad_reverse(a: Tensor, lam) -> Tensor:
                         check=_checked_lambda, slices=a.slices)
 
 
-def _grad_reverse_forward_code(rec, j, ins, out, values, const):
+def _grad_reverse_forward_code(rec, j, ins, out, values, const, fixed):
     shape = values[rec.input_ids[0]].shape
     return [f"r{j}_0 = _reversal_factor({const(rec.args)}, {shape})",
             f"{out} = {ins[0]}.copy()"]
@@ -846,16 +892,18 @@ def backward(tape: Tape, loss: Tensor,
 # A rerun and every backward sweep run as straight-line Python, one function
 # per tape (forward) and per (loss, wrt) (backward), made from the records
 # by the code generators of their op kinds, each beside its kernel:
-#   forward(rec, j, ins, out, values, const) -> lines
+#   forward(rec, j, ins, out, values, const, fixed) -> lines
 #   backward(rec, j, ins, out, g, live, values) -> (lines, grads)
 # ins and out name the record's input and output values (v<node id>), g its
 # output gradient; j numbers the record, so its locals are r<j>_<k> (the
 # k-th array it saves for the backward, as its kernel returns them) and
-# t<j>_* (temporaries). const(obj) names a per-tape object the forward
-# reads (a check, an argument list, a record). Each grad is None (not live)
-# or (expression, whether it is a call that takes out=). The source names
-# no tape and holds no user text, so its compiled code is shared by every
-# tape of the same structure.
+# t<j>_* (temporaries). const(obj, key=id(obj)) names a per-tape object the
+# forward reads (a check, an argument list, a record, a parameter's view),
+# one per key. fixed flags the inputs that no record outputs and no rerun
+# refills (parameters, untied leaves): their arrays stay for the tape's life.
+# Each grad is None (not live) or (expression, whether it is a call that
+# takes out=). The source names no tape and holds no user text, so its
+# compiled code is shared by every tape of the same structure.
 
 _CODE_GENERATORS = {
     "matmul": (_matmul_forward_code, _matmul_backward_code),
@@ -879,6 +927,15 @@ _CODE_GENERATORS = {
 
 # generated source -> its function, for the whole process
 _COMPILED: Dict[str, Callable] = {}
+
+
+@functools.lru_cache(maxsize=None)
+def _loss_seed(shape: tuple, dtype: str) -> np.ndarray:
+    """np.ones(shape, dtype), read-only: the seed of every sweep from a loss
+    of this shape and dtype."""
+    ones = np.ones(shape, dtype)
+    ones.flags.writeable = False
+    return ones
 
 
 def _unpack(names: Sequence[str], source: str) -> List[str]:
@@ -916,15 +973,22 @@ def _lower_forward(tape: Tape) -> Tuple[Callable, tuple]:
     backward reads, laid out as the kernels lay them out. Returns the
     function and the per-tape objects it reads."""
     consts: list = []
-    named: Dict[int, str] = {}
+    named: Dict[object, str] = {}
 
-    def const(obj) -> str:
-        name = named.get(id(obj))
+    def const(obj, key=None) -> str:
+        key = id(obj) if key is None else key
+        name = named.get(key)
         if name is None:
-            name = named[id(obj)] = f"c{len(consts)}"
+            name = named[key] = f"c{len(consts)}"
             consts.append(obj)
         return name
 
+    fixed = [True] * len(tape.values)
+    for store, slot, *_ in tape._refills:
+        if store is tape.values:
+            fixed[slot] = False
+    for rec in tape.records:
+        fixed[rec.output_id] = False
     values = [f"v{i}" for i in range(len(tape.values))]
     body = _unpack(values, "values")
     checked: Dict[tuple, str] = {}  # (check, input) -> where its result is
@@ -939,7 +1003,8 @@ def _lower_forward(tape: Tape) -> Tuple[Callable, tuple]:
             raise ContractError(
                 f"rerun: op kind {rec.kind} has no code generator")
         body += forward(rec, j, [values[i] for i in rec.input_ids],
-                        values[rec.output_id], tape.values, const)
+                        values[rec.output_id], tape.values, const,
+                        [fixed[i] for i in rec.input_ids])
     body.append(f"values[:] = ({', '.join(values)},)")
     body.append(f"return ({''.join(n + ', ' for n in _saved_names(tape))})")
     body = _unpack([f"c{k}" for k in range(len(consts))], "consts") + body
@@ -995,7 +1060,8 @@ def _lower_backward(tape: Tape, loss_id: int,
             body.append(f"np.copyto({sink}, {expr})")
         started.add(nid)
 
-    accumulate(loss_id, f"np.ones_like(v{loss_id})", False)
+    loss = tape.values[loss_id]
+    accumulate(loss_id, f"_loss_seed({loss.shape}, {loss.dtype.str!r})", False)
     for j in range(len(tape.records) - 1, -1, -1):
         rec = tape.records[j]
         if not (reached[rec.output_id] and live[rec.output_id]):

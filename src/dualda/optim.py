@@ -56,8 +56,13 @@ def _check_progress(p: float) -> float:
 
 
 def lr_at(s: Schedule, p: float) -> float:
+    """eta0 / (1 + alpha*p)^beta; 0.0 (eta0 / inf) where the power overflows
+    float64."""
     p = _check_progress(p)
-    return s.eta0 / (1.0 + s.alpha * p) ** s.beta
+    try:
+        return s.eta0 / (1.0 + s.alpha * p) ** s.beta
+    except OverflowError:
+        return s.eta0 / math.inf
 
 
 def lambda_at(s: Schedule, p: float) -> float:
@@ -210,6 +215,8 @@ class SGD:
                                          Optional[np.ndarray]]],
              lr: Union[float, Sequence[float]]) -> None:
         rates = None if np.isscalar(lr) else np.asarray(lr, dtype=np.float64)
+        if rates is not None and rates.ndim == 0:  # one lr, as an array
+            lr, rates = float(rates), None
         layout = self._layouts.get(id(named))
         if layout is None or layout[0] is not named:
             layout = self._layout(named)

@@ -38,9 +38,9 @@ names, parameter array, leaf tensor) triples each loss trains, once: on
 the first batch of a ``train`` call (``_program``). It also takes, once,
 the view of its optimizer's gradient store at each trained parameter
 (``SGD.grad_view``). Every later update of that site re-runs the tape on
-its batch (``ad.Tape.rerun``) as generated straight-line code that makes
-the numpy calls of a fresh tape, so the same bits; a batch of another
-shape is captured again. Each backward writes its gradients into those
+its batch (``ad.Tape.rerun_if_fits``, one shape check) as generated
+straight-line code that makes the numpy calls of a fresh tape, so the
+same bits; a batch of another shape is captured again. Each backward writes its gradients into those
 views (``ad.backward(..., into=...)``), and the optimizer steps the
 model's one flat parameter buffer from them (``optim.SGD``): an update
 costs a few numpy calls per module.
@@ -153,8 +153,7 @@ def _program(programs: Dict[str, Program], site: str, sgd: SGD, capture,
     next batch with the views of sgd's gradient store that the terms'
     parameters take. programs belongs to one model and one train() call."""
     program = programs.get(site)
-    if program is not None and program.tape.fits(*inputs):
-        program.tape.rerun(*inputs)
+    if program is not None and program.tape.rerun_if_fits(*inputs):
         return program
     tape = ad.Tape(*inputs)
     terms = capture(tape, *context, *inputs)

@@ -793,3 +793,83 @@ def test_stacked_records_equal_the_per_slice_records_bytewise(m, lams, rows,
                 for s in range(m):
                     want = ref[ref_leaves[f"{k}{s}"].node_id]
                     assert got[s].tobytes() == want.tobytes(), (wrt, k, s)
+
+
+# --- constants made once per shape ---------------------------------------------
+
+def _nan(sign, payload):
+    """A float64 NaN of this sign and (quiet) payload."""
+    bits = (sign << 63) | (0x7FF8 << 48) | payload
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0]
+
+
+def test_negated_division_equals_negating_the_quotient_bytewise():
+    """s / -n is -1.0 * (s / n) to the bit, for the forward loss and the
+    backward seed of cross_entropy: round-to-nearest-even rounds the two
+    exact quotients -(s / n) and s / (-n) alike, multiplying by -1.0 only
+    flips the sign, and a NaN passes through either way with its sign and
+    payload (NaN, +-0, +-inf and subnormals included)."""
+    rng = np.random.default_rng(5)
+    specials = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.5e-310,
+                -2.5e-310, 1e300, -1e300, 1.7976931348623157e308,
+                _nan(0, 0), _nan(1, 0), _nan(0, 12345), _nan(1, 2**40 + 7)]
+    s = np.concatenate([specials, rng.standard_normal(4096),
+                        rng.standard_normal(4096) * 10.0 **
+                        rng.integers(-300, 300, 4096)])
+    for n in (1, 2, 3, 7, 16, 32, 128, 500, 2560, 3 * 2**40 + 1):
+        with np.errstate(all="ignore"):
+            negated = (-1.0 * (s / n)).tobytes()
+            assert (s / -n).tobytes() == negated, n
+            assert ((-1.0 * s) / n).tobytes() == negated, n
+        for i in range(0, len(s), 257):  # the one-value loss of a slice
+            assert (s[i:i + 1] / -n).tobytes() == \
+                (-1.0 * (s[i:i + 1] / n)).tobytes(), (n, s[i])
+
+
+def test_the_cross_entropy_row_index_is_made_once_per_shape_and_read_only():
+    z = np.random.default_rng(2).standard_normal((32, 3))
+    idx = np.arange(16) % 3
+    rows = ad.cross_entropy_values(z, idx, 2)[2]
+    assert rows.tobytes() == np.arange(32).reshape(2, 16).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0, 0] = 5
+    assert ad.cross_entropy_values(z + 1.0, idx[::-1], 2)[2] is rows
+    assert ad.cross_entropy_values(z, np.r_[idx, idx], 1)[2] is not rows
+    assert ad.cross_entropy_values(z[:16], idx, 1)[2] is not rows
+
+
+def _ce_tape(x, labels, w):
+    tape = ad.Tape(x, labels)
+    logits = ad.matmul(tape.leaf(x), tape.param(w), transpose_b=True)
+    return tape, ad.cross_entropy(logits, labels)
+
+
+def test_tapes_of_one_shape_share_the_row_index_and_the_loss_seed():
+    """A rerun and a backward read the cached row index and loss seed: one
+    pair per shape, never written (a write to either raises)."""
+    rng = np.random.default_rng(6)
+    w = rng.standard_normal((3, 4))
+
+    def run(n):
+        x, labels = rng.standard_normal((n, 4)), rng.integers(0, 3, n)
+        tape, loss = _ce_tape(x, labels, w)
+        tape.rerun(x + 1.0, labels[::-1])
+        seed = ad.backward(tape, loss, [loss])[loss.node_id]  # a copy of it
+        return [a for a in tape._saved if not a.flags.writeable], seed
+
+    (first,), seed = run(16)
+    (second,), _ = run(16)
+    (other,), _ = run(10)
+    assert first is second and first is not other
+    assert other.shape == (1, 10)
+    assert seed.tobytes() == np.ones(1).tobytes()
+    loss_seed = ad._loss_seed((1,), "<f8")
+    assert loss_seed is ad._loss_seed((1,), "<f8")
+    assert loss_seed is not ad._loss_seed((2,), "<f8")
+    assert ad._loss_seed((2,), "<f8").tobytes() == np.ones(2).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        loss_seed[0] = 2.0
+    tape, loss = _ce_tape(np.ones((4, 4)), np.zeros(4, int), w)
+    ad.backward(tape, loss)
+    source = _sweep_source(tape, loss, None)
+    assert "_loss_seed((1,), '<f8')" in source and "ones" not in source

@@ -435,6 +435,23 @@ def test_cli_divergent_run_exits_2_naming_the_parameter(tmp_path, capsys):
                      r"(weight|bias) is no longer finite", err[0]), err[0]
 
 
+def test_cli_run_with_an_lr_power_that_overflows_exits_0(tmp_path, capsys):
+    """beta = 1000 overflows (1 + alpha*p)^beta early in training: the lr
+    is then 0.0, and the run finishes and writes its CSVs."""
+    cfg_path = write_config(
+        tmp_path,
+        "variant = ours_2m\ndataset = two_moons\nepochs = 2\n"
+        "batch_size = 16\nn_source = 40\nn_target = 40\ntrials = 1\n"
+        "eval_every = 1\nfeature_dim = 4\ng_hidden = 6\nhead_hidden = 4\n"
+        "beta = 1000\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert "error" not in capsys.readouterr().err
+    with open(out / "run_0.csv") as f:
+        assert len(list(csv.DictReader(f))) == 2
+    assert (out / "summary.csv").exists()
+
+
 def test_cli_config_error_exit_code(tmp_path):
     cfg_path = write_config(tmp_path, "variant = DANN\ndataset = two_moons\n")
     assert main(["run", "--config", str(cfg_path)]) == 1

@@ -36,6 +36,19 @@ def test_lr_at_rejects_out_of_range():
         lr_at(s, 1.01)
 
 
+def test_lr_at_is_zero_where_the_power_overflows():
+    """eta0 / inf = 0.0 where (1 + alpha*p)^beta overflows float64; the
+    same expression, and so the same bits, everywhere else."""
+    steep = Schedule(beta=1000.0)
+    assert lr_at(steep, 1.0) == 0.0
+    assert lr_at(Schedule(alpha=1e308, beta=2.0), 1.0) == 0.0
+    assert lr_at(steep, 0.0) == steep.eta0
+    assert lr_at(steep, 0.01) == steep.eta0 / (1.0 + 10.0 * 0.01) ** 1000.0
+    assert lr_at(steep, 0.01) > 0.0
+    values = [lr_at(steep, p) for p in np.linspace(0, 1, 101)]
+    assert all(b <= a for a, b in zip(values, values[1:]))
+
+
 def test_lambda_at_values():
     s = Schedule()
     assert lambda_at(s, 0.0) == 0.0
@@ -69,6 +82,19 @@ def test_sgd_vanilla():
     param = np.array([1.0])
     SGD(momentum=0.0).step([("p", param, np.array([2.0]))], lr=0.1)
     assert param[0] == pytest.approx(0.8, abs=1e-15)
+
+
+def test_sgd_takes_a_0d_lr_as_one_lr_bytewise():
+    rng = np.random.default_rng(4)
+    base, grads = rng.standard_normal(5), rng.standard_normal((2, 5))
+    stepped = []
+    for lr in (0.1, np.array(0.1), np.float64(0.1)):
+        param, opt = base.copy(), SGD(momentum=0.9)
+        for g in grads:
+            opt.step([("p", param, g.copy())], lr)
+        stepped.append(param.tobytes())
+    assert stepped[0] != base.tobytes()
+    assert stepped[1] == stepped[0] and stepped[2] == stepped[0]
 
 
 def test_sgd_zero_grad_no_change():

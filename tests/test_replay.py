@@ -6,6 +6,7 @@ optimizer's gradient store must step the parameters like the
 array-by-array optimizer."""
 
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -243,6 +244,71 @@ def test_a_tape_that_has_rerun_takes_no_new_record():
     with pytest.raises(ContractError, match="softmax: a tape takes no new "
                                             "record once it has rerun"):
         ad.softmax(h)
+
+
+def _forward_source(tape):
+    return next(src for src, fn in ad._COMPILED.items() if fn is tape._forward)
+
+
+@pytest.mark.parametrize("site", SITES)
+def test_the_generated_forward_makes_no_view_of_a_parameter(site):
+    """The product operand and the bias of every parameter are views made
+    once, when the tape is lowered: the generated forward neither
+    transposes, slices nor widens a parameter."""
+    tape, _ = _capture(site, _model(), _batch(1))
+    tape.rerun(*_inputs(_batch(2), SITES[site][2]))
+    source = _forward_source(tape)
+    assert tape.records[0].kind == "matmul" and " @ c" in source
+    assert not re.search(r"v\d+(\.swapaxes\(|\[:, None\]|\.T\b|\[0\])",
+                         source)
+
+
+def test_a_weight_tied_to_a_step_input_is_viewed_at_each_rerun():
+    """A weight that a rerun refills is not fixed: the generated forward
+    makes its views from each new array."""
+    rng = np.random.default_rng(8)
+
+    def tape_on(x, w, b):
+        tape = ad.Tape(x, w, b)
+        out = ad.matmul(tape.leaf(x), tape.leaf(w), transpose_b=True,
+                        bias=tape.leaf(b))
+        return tape, out
+
+    def inputs():
+        return (rng.standard_normal((6, 3)), rng.standard_normal((2, 4, 3)),
+                rng.standard_normal((2, 4)))
+
+    tape, out = tape_on(*inputs())
+    second = inputs()
+    tape.rerun(*second)
+    assert out.data.tobytes() == tape_on(*second)[1].data.tobytes()
+    source = _forward_source(tape)
+    assert ".swapaxes(1, 2)" in source and "[:, None]" in source
+
+
+@pytest.mark.parametrize("change", ["an SGD step", "load_state"])
+def test_a_captured_site_sees_every_in_place_parameter_update(change):
+    """The operand views made at lowering read the parameters in place: after
+    an SGD step, or after load_state writes other parameters, a rerun equals
+    a fresh tape at the new parameters byte for byte."""
+    site = "step 2, two modules"
+    capture, context, reads = SITES[site]
+    model, sgd, programs = _model(), SGD(0.9), {}
+    for seed in (1, 2):  # capture, then rerun: the views are made
+        program = trainer._program(programs, site, sgd, capture,
+                                   context(model), _inputs(_batch(seed), reads))
+    assert program.tape._forward is not None
+    before = model.buffer.tobytes()
+    if change == "an SGD step":
+        trainer._update(sgd, 0.05, program)
+    else:
+        model.load_state(_model(seed=9).named_parameters())
+    assert model.buffer.tobytes() != before
+    inputs = _inputs(_batch(3), reads)
+    assert trainer._program(programs, site, sgd, capture, context(model),
+                            inputs) is program
+    assert _sweep(program.tape, program.terms) == _sweep(
+        *_capture(site, model, _batch(3)), reference_backward)
 
 
 def test_a_rerun_refuses_an_op_kind_without_a_code_generator():
