@@ -17,35 +17,30 @@ parameter array as it is, with no copy and no scan; the optimizer keeps
 parameters finite instead (``optim.SGD.step`` checks after each update).
 
 Each op checks its operands once, when it records itself, and then runs
-its forward kernel: a function of the input arrays (and of the op's label
-vector or reversal weights) that makes the op's numpy calls and returns
-the output with the arrays its backward reads (a relu mask, the labels
-and log-probabilities of a cross-entropy, a sign, a reversal factor),
-which the tape keeps in record order. ``Tape(*inputs)`` declares step
-inputs: batches, a label vector, a lambda. A leaf made from one of these
-objects, and a label vector or reversal weight that is one of them, is
-tied to it. ``Tape.rerun(*inputs)`` refills everything tied from new
-inputs of the captured shapes, checking each like its op did (NaN/Inf,
-label range, a finite lambda >= 0), and makes every record's numpy calls
-again in record order: the calls of a fresh tape on the new inputs, so
-the same bits, without building a tensor, a record or a binding.
-Parameters are read in place, so a rerun sees the latest update.
+its one forward: the code that its kind's forward code generator writes
+for the record, made once per kind, static settings and input shapes. It
+makes the op's numpy calls and saves the arrays its backward reads (a relu
+mask, the labels and log-probabilities of a cross-entropy, a sign, a
+reversal factor) in record order. ``Tape(*inputs)`` declares step inputs:
+batches, a label vector, a lambda. A leaf made from one of these objects,
+and a label vector or reversal weight that is one of them, is tied to it.
+``Tape.rerun(*inputs)`` refills everything tied from new inputs of the
+captured shapes, checking each like its op did (NaN/Inf, label range, a
+finite lambda >= 0), and runs the code of the same generators for every
+record in order, lowered on the first rerun into one straight-line
+function (``_lower_forward``) with every value a local: the numpy calls of
+a fresh tape on the new inputs, so the same bits, without building a
+tensor, a record or a binding.
 
-A rerun runs generated code: on its first rerun the tape lowers its
-records into one straight-line Python function (``_lower_forward``), made
-by the forward code generator that each op kind that training records
-keeps beside its kernel, with every value a local and no per-record call
-or list. It saves the arrays its backward reads exactly as the kernels
-lay them out. What would be the same at every rerun is made once: a
-parameter's product operand and bias view (transposed, sliced or
-broadcast) is made at lowering, by the functions ``dense`` calls, and
-read from the tape's consts. A parameter is never rebound, since the
-optimizer and ``load_state`` write into its array, so its view sees
-every update. The cross-entropy row index and the loss seed of a sweep
-are read-only arrays shared per shape. Compiled code is cached per source
-for the whole process, and a source names no tape and holds no user
-text. Lowering a tape with an op kind that has no forward generator is a
-ContractError naming the kind.
+Parameters are read in place, so a rerun sees the latest update, and what
+would be the same at every rerun is made once: a parameter's product
+operand and bias view (transposed, sliced or broadcast) is made at
+lowering, by the functions ``dense`` calls, and read from the tape's
+consts. A parameter is never rebound, since the optimizer and
+``load_state`` write into its array, so its view sees every update. The
+cross-entropy row index and the loss seed of a sweep are read-only arrays
+shared per shape. Compiled code is cached per source for the whole
+process, and a source names no tape and holds no user text.
 
 Every backward sweep is generated code too, on a captured tape and after
 a rerun alike: ``backward(tape, loss, wrt)`` lowers one function per
@@ -85,18 +80,15 @@ and seeds every slice with 1. Every stacked record runs the numpy calls of
 its slices at once, and each slice's values, forward and backward, are
 bitwise those of the unstacked record on that slice alone.
 
-Evaluation and inference run without a tape, on the numpy functions that
-the records' forward kernels call themselves, so each computation has one
-owner and a tape-free forward gives the same bits: ``checked_input``
-(``Tape.leaf``), ``dense`` (the matmul record, stacked slices included),
-``relu_values`` (every relu: ``max(x, 0)``, no branch per element),
-``row_softmax`` (softmax), ``cross_entropy_values`` and
-``mean_abs_diff_values`` (the two loss records), and ``row_max`` (every
-row max: softmax, log_softmax and the cross-entropy). numpy's reduce
-along a row costs about 50 ns per row whatever the width, so ``row_max``
-takes the max of a tall narrow array column by column, left to right as
-numpy does, which gives numpy's bytes (``row_max`` says where a NaN's
-sign may differ). These functions keep no backward state, so a tape-free
+Evaluation and inference run without a tape, on numpy functions that the
+records' generated code calls, or whose numpy calls it makes, so a
+tape-free forward gives the same bits: ``checked_input`` (``Tape.leaf``),
+``dense`` (the matmul record, stacked slices included), ``relu_values``
+(every relu: ``max(x, 0)``, no branch per element), ``row_softmax``
+(softmax), ``cross_entropy_values`` and ``mean_abs_diff_values`` (the two
+loss records), and ``row_max`` (every row max: softmax, log_softmax and
+the cross-entropy; it says how it gives numpy's bytes faster on tall
+narrow arrays). These functions keep no backward state, so a tape-free
 pass frees each temporary once it is read.
 """
 
@@ -104,6 +96,7 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -145,32 +138,21 @@ class Tensor:
         return add(self, other)
 
 
-# kernel(*input arrays, *args) -> (output, saved, relu_in): saved holds
-# the arrays the kind's backward code reads as r<j>_0, r<j>_1, ..., the
-# order in which its forward code generator, if it has one, saves them
-Kernel = Callable[..., Tuple[np.ndarray, tuple, Optional[np.ndarray]]]
-
-
+@dataclass(slots=True, eq=False)
 class _Record:
-    """One executed op: kind, wiring, the checked arguments its kernel takes
-    after the input arrays, the static settings its code generators read,
-    how many arrays it saves for the backward, and the relu input of its
-    latest run: the input of the relu the record applies, if any (gradient
-    checks keep away from its kink)."""
+    """One executed op: kind, wiring, its checked arguments (a label vector,
+    reversal weights), the static settings its code generators read, how
+    many arrays its forward saves for the backward, and the relu input of
+    its latest run: the input of the relu the record applies, if any
+    (gradient checks keep away from its kink)."""
 
-    __slots__ = ("kind", "input_ids", "output_id", "args", "static", "saved",
-                 "relu_in")
-
-    def __init__(self, kind: str, input_ids: List[int], output_id: int,
-                 args: list, static: tuple, saved: int,
-                 relu_in: Optional[np.ndarray]):
-        self.kind = kind
-        self.input_ids = input_ids
-        self.output_id = output_id
-        self.args = args
-        self.static = static
-        self.saved = saved
-        self.relu_in = relu_in
+    kind: str
+    input_ids: List[int]
+    output_id: int
+    args: list
+    static: tuple
+    saved: int = 0
+    relu_in: Optional[np.ndarray] = None
 
 
 class Tape:
@@ -224,23 +206,23 @@ class Tape:
                 self._refills.append((store, slot, check, k))
                 return
 
-    def _emit(self, kind: str, inputs: Sequence[Tensor], kernel: Kernel,
-              args: Sequence = (), check: Optional[Callable] = None,
-              slices: int = 1, static: tuple = ()) -> Tensor:
-        """Run kernel on the inputs' values and the arguments (each passed
-        through check first) and record it, with the settings its code
-        generators read. A sweep lowered before knows no new record, so
+    def _emit(self, kind: str, inputs: Sequence[Tensor], args: Sequence = (),
+              check: Optional[Callable] = None, slices: int = 1,
+              static: tuple = ()) -> Tensor:
+        """Record an op on the inputs, with its arguments (each passed
+        through check first) and the settings its code generators read, and
+        run it (_run_record). A sweep lowered before knows no new record, so
         the next backward lowers again. A tape that has rerun takes no new
         record: its generated forward would not know it."""
         if self._forward is not None:
             raise ContractError(f"{kind}: a tape takes no new record once it "
                                 f"has rerun")
-        ids = [t.node_id for t in inputs]
         checked = [check(a) for a in args]
-        out, saved, relu_in = kernel(*[self.values[i] for i in ids], *checked)
+        rec = _Record(kind, [t.node_id for t in inputs], len(self.values),
+                      checked, static)
+        out, saved = _run_record(rec, self.values)
         t = self._new_tensor(out, slices)
-        self.records.append(_Record(kind, ids, t.node_id, checked, static,
-                                    len(saved), relu_in))
+        self.records.append(rec)
         self._saved += saved
         self._sweeps.clear()
         for j, a in enumerate(args):
@@ -403,22 +385,13 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
         raise DimensionError(
             f"matmul: bias {list(bias.shape)} does not fit the product "
             f"{[x.shape[0], width]} of {m} slice(s)")
-
-    def kernel(x, w, bias_data=None):
-        out = dense(x, w, bias_data, False, a_slices, transpose_b)
-        if not relu:
-            return out, (), None
-        # the mask: the relu's subgradient at 0 is 0 by convention
-        return relu_values(out), (out > 0,), out
-
     inputs = [a, b] if bias is None else [a, b, bias]
-    return tape._emit("matmul", inputs, kernel, slices=m,
+    return tape._emit("matmul", inputs, slices=m,
                       static=(a_slices, transpose_b, relu))
 
 
-# Each op kind's code generators sit beside its kernel: a backward one for
-# every kind, a forward one for the kinds that training records; "generated
-# code" below says what they take and return.
+# Each op kind's two code generators, forward and backward, sit beside its
+# recording function; "generated code" below says what they take and return.
 
 def _matmul_operands(rec: _Record, ins, values):
     """The names of the product operands xs and ws (see _row_operand and
@@ -441,8 +414,8 @@ def _mT_code(a: str, two_d: bool) -> str:
 
 
 def _matmul_forward_code(rec, j, ins, out, values, const, fixed):
-    """dense() and the kernel's relu, as code; the operand view of a fixed
-    weight or bias is made here, once, by the functions dense() calls."""
+    """dense(), its relu by the relu record's code; the operand view of a
+    fixed weight or bias is made here, once, by the functions dense() calls."""
     _, transpose_b, relu = rec.static
     xs, ws, ws_2d, _, width = _matmul_operands(rec, ins, values)
     w_id = rec.input_ids[1]
@@ -461,9 +434,9 @@ def _matmul_forward_code(rec, j, ins, out, values, const, fixed):
     if not ws_2d:
         lines.append(f"{y} = {y}.reshape(-1, {width})")
     if not relu:
-        return lines
-    return lines + [f"r{j}_0 = {y} > 0", f"{out} = np.maximum({y}, 0.0)",
-                    f"{const(rec)}.relu_in = {y}"]
+        return lines, 0
+    more, saved = _relu_forward_code(rec, j, [y], out, values, const, fixed)
+    return lines + more, saved
 
 
 def _matmul_backward_code(rec, j, ins, out, g, live, values):
@@ -508,11 +481,13 @@ def add(a: Tensor, b: Tensor) -> Tensor:
                                    a.shape[1] == b.shape[0]):
         raise DimensionError(
             f"add: shapes {list(a.shape)} and {list(b.shape)} do not conform")
-    return tape._emit("add", [a, b], lambda x, y: (x + y, (), None))
+    return tape._emit("add", [a, b])
 
 
-def _add_forward_code(rec, j, ins, out, values, const, fixed):
-    return [f"{out} = {ins[0]} + {ins[1]}"]
+def _binary_forward_code(rec, j, ins, out, values, const, fixed):
+    """add or sub: the operator that the record's kind names."""
+    op = "+" if rec.kind == "add" else "-"
+    return [f"{out} = {ins[0]} {op} {ins[1]}"], 0
 
 
 def _add_backward_code(rec, j, ins, out, g, live, values):
@@ -526,11 +501,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise DimensionError(
             f"sub: shapes {list(a.shape)} and {list(b.shape)} differ")
-    return tape._emit("sub", [a, b], lambda x, y: (x - y, (), None))
-
-
-def _sub_forward_code(rec, j, ins, out, values, const, fixed):
-    return [f"{out} = {ins[0]} - {ins[1]}"]
+    return tape._emit("sub", [a, b])
 
 
 def _sub_backward_code(rec, j, ins, out, g, live, values):
@@ -538,8 +509,11 @@ def _sub_backward_code(rec, j, ins, out, g, live, values):
 
 
 def scalar_mul(a: Tensor, c: float) -> Tensor:
-    return a.tape._emit("scalar_mul", [a], lambda x, c: (c * x, (c,), None),
-                        args=(c,), check=float)
+    return a.tape._emit("scalar_mul", [a], args=(c,), check=float)
+
+
+def _scalar_mul_forward_code(rec, j, ins, out, values, const, fixed):
+    return [f"r{j}_0 = {const(rec.args)}[0]", f"{out} = r{j}_0 * {ins[0]}"], 1
 
 
 def _scalar_mul_backward_code(rec, j, ins, out, g, live, values):
@@ -547,9 +521,14 @@ def _scalar_mul_backward_code(rec, j, ins, out, g, live, values):
 
 
 def relu(a: Tensor) -> Tensor:
-    # the mask: the subgradient at 0 is 0 by convention
-    return a.tape._emit("relu", [a], lambda x: (relu_values(x), (x > 0,), x),
-                        slices=a.slices)
+    return a.tape._emit("relu", [a], slices=a.slices)
+
+
+def _relu_forward_code(rec, j, ins, out, values, const, fixed):
+    """relu_values, saving its mask (the subgradient at 0 is 0 by
+    convention) and keeping its input as the record's relu_in."""
+    return [f"r{j}_0 = {ins[0]} > 0", f"{out} = np.maximum({ins[0]}, 0.0)",
+            f"{const(rec)}.relu_in = {ins[0]}"], 1
 
 
 def _relu_backward_code(rec, j, ins, out, g, live, values):
@@ -566,12 +545,11 @@ def _check_rows(a: Tensor, op: str) -> None:
 def softmax(a: Tensor) -> Tensor:
     """Row-wise softmax, numerically stabilized by the row max."""
     _check_rows(a, "softmax")
-    return a.tape._emit("softmax", [a], lambda z: (row_softmax(z), (), None),
-                        slices=a.slices)
+    return a.tape._emit("softmax", [a], slices=a.slices)
 
 
 def _softmax_forward_code(rec, j, ins, out, values, const, fixed):
-    return [f"{out} = row_softmax({ins[0]})"]
+    return [f"{out} = row_softmax({ins[0]})"], 0
 
 
 def _softmax_backward_code(rec, j, ins, out, g, live, values):
@@ -581,13 +559,13 @@ def _softmax_backward_code(rec, j, ins, out, g, live, values):
 
 def log_softmax(a: Tensor) -> Tensor:
     _check_rows(a, "log_softmax")
+    return a.tape._emit("log_softmax", [a], slices=a.slices)
 
-    def kernel(x):
-        shifted = x - row_max(x)
-        out = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        return out, (), None
 
-    return a.tape._emit("log_softmax", [a], kernel, slices=a.slices)
+def _log_softmax_forward_code(rec, j, ins, out, values, const, fixed):
+    return [f"t{j}_s = {ins[0]} - row_max({ins[0]})",
+            f"{out} = t{j}_s - np.log(np.exp(t{j}_s).sum(axis=1, "
+            f"keepdims=True))"], 0
 
 
 def _log_softmax_backward_code(rec, j, ins, out, g, live, values):
@@ -597,7 +575,12 @@ def _log_softmax_backward_code(rec, j, ins, out, g, live, values):
 
 def mean(a: Tensor) -> Tensor:
     """Mean over every entry, as a shape-[1] tensor."""
-    return a.tape._emit("mean", [a], lambda x: (np.array([x.mean()]), (), None))
+    return a.tape._emit("mean", [a])
+
+
+def _reduce_forward_code(rec, j, ins, out, values, const, fixed):
+    """mean or sum: the array method that the record's kind names."""
+    return [f"{out} = np.array([{ins[0]}.{rec.kind}()])"], 0
 
 
 def _mean_backward_code(rec, j, ins, out, g, live, values):
@@ -607,7 +590,7 @@ def _mean_backward_code(rec, j, ins, out, g, live, values):
 
 def tensor_sum(a: Tensor) -> Tensor:
     """Sum over every entry, as a shape-[1] tensor."""
-    return a.tape._emit("sum", [a], lambda x: (np.array([x.sum()]), (), None))
+    return a.tape._emit("sum", [a])
 
 
 def _sum_backward_code(rec, j, ins, out, g, live, values):
@@ -615,7 +598,11 @@ def _sum_backward_code(rec, j, ins, out, g, live, values):
 
 
 def tensor_abs(a: Tensor) -> Tensor:
-    return a.tape._emit("abs", [a], lambda x: (np.abs(x), (), None))
+    return a.tape._emit("abs", [a])
+
+
+def _abs_forward_code(rec, j, ins, out, values, const, fixed):
+    return [f"{out} = np.abs({ins[0]})"], 0
 
 
 def _abs_backward_code(rec, j, ins, out, g, live, values):
@@ -645,14 +632,15 @@ def select_columns(a: Tensor, indices) -> Tensor:
     if a.shape[0] == 0:
         raise DomainError(f"select_columns: the batch is empty (shape "
                           f"{list(a.shape)})")
-
-    def kernel(x, idx):
-        rows = np.arange(x.shape[0])
-        return x[rows, idx][:, None], (rows, idx), None
-
-    return a.tape._emit("select_columns", [a], kernel, args=(indices,),
+    return a.tape._emit("select_columns", [a], args=(indices,),
                         check=functools.partial(checked_indices,
                                                 "select_columns", *a.shape))
+
+
+def _select_columns_forward_code(rec, j, ins, out, values, const, fixed):
+    rows = values[rec.input_ids[0]].shape[0]
+    return [f"r{j}_0 = np.arange({rows})", f"r{j}_1 = {const(rec.args)}[0]",
+            f"{out} = {ins[0]}[r{j}_0, r{j}_1][:, None]"], 2
 
 
 def _select_columns_backward_code(rec, j, ins, out, g, live, values):
@@ -699,12 +687,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     if logits.shape[0] == 0:
         raise DomainError(f"cross_entropy: the batch is empty (shape "
                           f"{list(logits.shape)})")
-
-    def kernel(a, idx):
-        loss, logp, rows = cross_entropy_values(a, idx, m)
-        return loss, (idx, logp, rows), None
-
-    return logits.tape._emit("cross_entropy", [logits], kernel, args=(labels,),
+    return logits.tape._emit("cross_entropy", [logits], args=(labels,),
                              check=_label_check(logits.shape[0] // m,
                                                 logits.shape[1]),
                              static=(m,))
@@ -721,7 +704,7 @@ def _label_check(rows: int, cols: int) -> Callable:
 def _cross_entropy_forward_code(rec, j, ins, out, values, const, fixed):
     return [f"r{j}_0 = {const(rec.args)}[0]",
             f"{out}, r{j}_1, r{j}_2 = cross_entropy_values({ins[0]}, r{j}_0, "
-            f"{rec.static[0]})"]
+            f"{rec.static[0]})"], 3
 
 
 def _cross_entropy_backward_code(rec, j, ins, out, g, live, values):
@@ -755,25 +738,18 @@ def mean_abs_diff(a: Tensor, b: Optional[Tensor] = None) -> Tensor:
     if a.size == 0:
         raise DomainError(f"mean_abs_diff: the operands are empty (shape "
                           f"{list(a.shape)})")
-
-    def kernel(x, y=None):
-        if pair:
-            half = x.shape[0] // 2
-            x, y = x[:half], x[half:]
-        loss, d = mean_abs_diff_values(x, y, m)
-        # sign(0) == 0: the abs subgradient at 0 is 0
-        return loss, (np.sign(d),), None
-
-    return tape._emit("mean_abs_diff", inputs, kernel, static=(pair, m))
+    return tape._emit("mean_abs_diff", inputs, static=(pair, m))
 
 
 def _mean_abs_diff_forward_code(rec, j, ins, out, values, const, fixed):
+    """mean_abs_diff_values, saving the sign of the difference (sign(0) ==
+    0: the abs subgradient at 0 is 0)."""
     pair, m = rec.static
     if pair:
         half = values[rec.input_ids[0]].shape[0] // 2
         ins = [f"{ins[0]}[:{half}]", f"{ins[0]}[{half}:]"]
     return [f"{out}, t{j}_d = mean_abs_diff_values({ins[0]}, {ins[1]}, {m})",
-            f"r{j}_0 = np.sign(t{j}_d)"]
+            f"r{j}_0 = np.sign(t{j}_d)"], 1
 
 
 def _mean_abs_diff_backward_code(rec, j, ins, out, g, live, values):
@@ -819,18 +795,14 @@ def grad_reverse(a: Tensor, lam) -> Tensor:
         raise DimensionError(
             f"grad_reverse: shape {list(a.shape)} does not split into "
             f"{len(lams)} row slices")
-
-    def kernel(x, *lams):
-        return x.copy(), (_reversal_factor(lams, x.shape),), None
-
-    return a.tape._emit("grad_reverse", [a], kernel, args=lams,
+    return a.tape._emit("grad_reverse", [a], args=lams,
                         check=_checked_lambda, slices=a.slices)
 
 
 def _grad_reverse_forward_code(rec, j, ins, out, values, const, fixed):
     shape = values[rec.input_ids[0]].shape
     return [f"r{j}_0 = _reversal_factor({const(rec.args)}, {shape})",
-            f"{out} = {ins[0]}.copy()"]
+            f"{out} = {ins[0]}.copy()"], 1
 
 
 def _grad_reverse_backward_code(rec, j, ins, out, g, live, values):
@@ -889,15 +861,16 @@ def backward(tape: Tape, loss: Tensor,
 
 # --- generated code ------------------------------------------------------------
 #
-# A rerun and every backward sweep run as straight-line Python, one function
-# per tape (forward) and per (loss, wrt) (backward), made from the records
-# by the code generators of their op kinds, each beside its kernel:
-#   forward(rec, j, ins, out, values, const, fixed) -> lines
+# Every forward and every backward sweep runs as straight-line Python, made
+# from the records by the code generators of their op kinds: one function
+# per new record (its run at capture), per tape (a rerun) and per (loss,
+# wrt) (a sweep).
+#   forward(rec, j, ins, out, values, const, fixed) -> (lines, saved)
 #   backward(rec, j, ins, out, g, live, values) -> (lines, grads)
-# ins and out name the record's input and output values (v<node id>), g its
-# output gradient; j numbers the record, so its locals are r<j>_<k> (the
-# k-th array it saves for the backward, as its kernel returns them) and
-# t<j>_* (temporaries). const(obj, key=id(obj)) names a per-tape object the
+# ins and out name the record's input and output values, g its output
+# gradient; j numbers the record, so its locals are r<j>_<k> (the k-th of
+# the `saved` arrays its forward keeps for the backward) and t<j>_*
+# (temporaries). const(obj, key=id(obj)) names a per-tape object the
 # forward reads (a check, an argument list, a record, a parameter's view),
 # one per key. fixed flags the inputs that no record outputs and no rerun
 # refills (parameters, untied leaves): their arrays stay for the tape's life.
@@ -907,26 +880,28 @@ def backward(tape: Tape, loss: Tensor,
 
 _CODE_GENERATORS = {
     "matmul": (_matmul_forward_code, _matmul_backward_code),
-    "add": (_add_forward_code, _add_backward_code),
-    "sub": (_sub_forward_code, _sub_backward_code),
+    "add": (_binary_forward_code, _add_backward_code),
+    "sub": (_binary_forward_code, _sub_backward_code),
     "softmax": (_softmax_forward_code, _softmax_backward_code),
     "cross_entropy": (_cross_entropy_forward_code,
                       _cross_entropy_backward_code),
     "mean_abs_diff": (_mean_abs_diff_forward_code,
                       _mean_abs_diff_backward_code),
     "grad_reverse": (_grad_reverse_forward_code, _grad_reverse_backward_code),
-    # kinds that training never records: a backward sweep, no rerun
-    "scalar_mul": (None, _scalar_mul_backward_code),
-    "relu": (None, _relu_backward_code),
-    "log_softmax": (None, _log_softmax_backward_code),
-    "mean": (None, _mean_backward_code),
-    "sum": (None, _sum_backward_code),
-    "abs": (None, _abs_backward_code),
-    "select_columns": (None, _select_columns_backward_code),
+    # kinds that training never records
+    "scalar_mul": (_scalar_mul_forward_code, _scalar_mul_backward_code),
+    "relu": (_relu_forward_code, _relu_backward_code),
+    "log_softmax": (_log_softmax_forward_code, _log_softmax_backward_code),
+    "mean": (_reduce_forward_code, _mean_backward_code),
+    "sum": (_reduce_forward_code, _sum_backward_code),
+    "abs": (_abs_forward_code, _abs_backward_code),
+    "select_columns": (_select_columns_forward_code,
+                       _select_columns_backward_code),
 }
 
 # generated source -> its function, for the whole process
 _COMPILED: Dict[str, Callable] = {}
+_RECORDS: Dict[tuple, Tuple[Callable, int]] = {}  # see _run_record
 
 
 @functools.lru_cache(maxsize=None)
@@ -966,12 +941,9 @@ def _function(args: str, lines: List[str]) -> Callable:
     return fn
 
 
-def _lower_forward(tape: Tape) -> Tuple[Callable, tuple]:
-    """The tape's forward as generated code: refill and check each tied
-    input in capture order, then each record's numpy calls in record order;
-    it stores every value into the tape's list and returns the arrays the
-    backward reads, laid out as the kernels lay them out. Returns the
-    function and the per-tape objects it reads."""
+def _const_table() -> Tuple[Callable, list]:
+    """const(obj, key=id(obj)) -> the name c<k> of a per-tape object that
+    generated code reads, one per key; and the list of those objects."""
     consts: list = []
     named: Dict[object, str] = {}
 
@@ -983,6 +955,40 @@ def _lower_forward(tape: Tape) -> Tuple[Callable, tuple]:
             consts.append(obj)
         return name
 
+    return const, consts
+
+
+def _run_record(rec: _Record, values: List[np.ndarray]) -> tuple:
+    """Run a new record on its inputs' values by the code its forward code
+    generator writes for it alone, which makes a rerun's numpy calls; set
+    rec.saved and return the output and the arrays the backward reads.
+    With no input fixed, the code's only consts are the record (c0) and its
+    arguments (c1), so _RECORDS keeps it, and how many arrays it saves, per
+    kind, static settings and input shapes."""
+    ins = [values[i] for i in rec.input_ids]
+    key = (rec.kind, rec.static, tuple([a.shape for a in ins]))
+    code = _RECORDS.get(key)
+    if code is None:
+        const, consts = _const_table()
+        const(rec), const(rec.args)
+        names = [f"x{k}" for k in range(len(ins))]
+        lines, saved = _CODE_GENERATORS[rec.kind][0](
+            rec, 0, names, "y", values, const, [False] * len(ins))
+        assert len(consts) == 2, rec.kind
+        saves = "".join(f"r0_{k}, " for k in range(saved))
+        code = _RECORDS[key] = (_function("ins, c0, c1", _unpack(
+            names, "ins") + lines + [f"return y, ({saves})"]), saved)
+    fn, rec.saved = code
+    return fn(ins, rec, rec.args)
+
+
+def _lower_forward(tape: Tape) -> Tuple[Callable, tuple]:
+    """The tape's forward as generated code: refill and check each tied
+    input in capture order, then each record's numpy calls in record order;
+    it stores every value into the tape's list and returns the arrays the
+    backward reads, as each record's forward saved them at capture.
+    Returns the function and the per-tape objects it reads."""
+    const, consts = _const_table()
     fixed = [True] * len(tape.values)
     for store, slot, *_ in tape._refills:
         if store is tape.values:
@@ -998,13 +1004,9 @@ def _lower_forward(tape: Tape) -> Tuple[Callable, tuple]:
         body.append(f"{target} = {const(check)}(inputs[{k}])" if done == target
                     else f"{target} = {done}")
     for j, rec in enumerate(tape.records):
-        forward = _CODE_GENERATORS[rec.kind][0]
-        if forward is None:
-            raise ContractError(
-                f"rerun: op kind {rec.kind} has no code generator")
-        body += forward(rec, j, [values[i] for i in rec.input_ids],
-                        values[rec.output_id], tape.values, const,
-                        [fixed[i] for i in rec.input_ids])
+        body += _CODE_GENERATORS[rec.kind][0](
+            rec, j, [values[i] for i in rec.input_ids], values[rec.output_id],
+            tape.values, const, [fixed[i] for i in rec.input_ids])[0]
     body.append(f"values[:] = ({', '.join(values)},)")
     body.append(f"return ({''.join(n + ', ' for n in _saved_names(tape))})")
     body = _unpack([f"c{k}" for k in range(len(consts))], "consts") + body

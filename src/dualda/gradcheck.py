@@ -1,5 +1,7 @@
-"""Randomized finite-difference verification of every backward rule, as
-the generated sweeps that training runs apply it.
+"""Randomized finite-difference verification of every backward rule on
+the generated code that every training batch runs: the analytic gradients
+come from the generated sweep, and each finite-difference evaluation
+reruns the case's one tape through its generated forward.
 
 Backs the `check-grad` CLI subcommand. Central differences with h=1e-5;
 relative error is |analytic - numeric| / max(1, |analytic|, |numeric|).
@@ -164,29 +166,28 @@ def check_op(kind: str, trials: int, seed: int = 0,
     worst = 0.0
     for _ in range(trials):
         arrs, build, weights = _op_case(kind, rng)
-
-        def value() -> float:
-            tape = ad.Tape()
-            tensors = [tape.leaf(a) for a in arrs]
-            if reverse_lambda is not None:
-                tensors = [ad.grad_reverse(t, reverse_lambda) for t in tensors]
-            return float(_scalarize(build(tensors)).data[0])
-
-        tape = ad.Tape()
+        tape = ad.Tape(*arrs)
         tensors = [tape.leaf(a) for a in arrs]
-        wrapped = tensors
-        if reverse_lambda is not None:
-            wrapped = [ad.grad_reverse(t, reverse_lambda) for t in tensors]
-        ad.backward(tape, _scalarize(build(wrapped)))
+        wrapped = tensors if reverse_lambda is None else [
+            ad.grad_reverse(t, reverse_lambda) for t in tensors]
+        loss = _scalarize(build(wrapped))
+        ad.backward(tape, loss)
+        grads = [t.grad.reshape(-1) for t in tensors]  # a rerun drops .grad
 
         scale = 1.0 if reverse_lambda is None else -reverse_lambda
-        for j, (arr, tensor) in enumerate(zip(arrs, tensors)):
-            flat_grad = tensor.grad.reshape(-1)
+        for j, (arr, flat_grad) in enumerate(zip(arrs, grads)):
             factor = np.ones(arr.size) if weights is None else weights[j].reshape(-1)
             for i in range(arr.size):
-                numeric = scale * factor[i] * central_diff(value, arr, i)
+                numeric = scale * factor[i] * central_diff(
+                    lambda: _rerun_value(tape, loss, *arrs), arr, i)
                 worst = max(worst, rel_err(flat_grad[i], numeric))
     return worst
+
+
+def _rerun_value(tape: ad.Tape, t: ad.Tensor, *inputs) -> float:
+    """t's first value after tape reruns on inputs."""
+    tape.rerun(*inputs)
+    return float(t.data[0])
 
 
 def _tiny_setup(rng: np.random.Generator):
@@ -200,7 +201,8 @@ def _tiny_setup(rng: np.random.Generator):
 
 
 def _loss_parts(kind: str, model: DualModel, xs, ys, xt, lam):
-    """Forward values of the loss's additive parts, on a fresh tape.
+    """Forward values of the loss's additive parts, on a new tape with no
+    step inputs: a rerun reads the parameters in place.
 
     Returns (tape, binding, parts, weight_fn, total) where
     weight_fn(component_key) gives the per-part combination weights for
@@ -226,12 +228,9 @@ def _loss_parts(kind: str, model: DualModel, xs, ys, xt, lam):
         return tape, b, [dis], lambda comp: [1.0], [dis]
     if kind == "invariant_module":
         parts = module_loss(b, b.features(x_s), ys, b.features(x_t), lam)
-
-        def weights(comp):
-            return [1.0, 1.0 if comp == "discriminator" else -lam]
-
         return tape, b, [parts.classifier_ce, parts.domain_ce], \
-            weights, [parts.total]
+            lambda comp: [1.0, 1.0 if comp == "discriminator" else -lam], \
+            [parts.total]
     if kind == "discriminative_module":
         parts = module_loss(b, b.features(x_s), ys, b.features(x_t), None)
         return tape, b, [parts.classifier_ce, parts.domain_ce], \
@@ -274,15 +273,12 @@ def check_loss(kind: str, trials: int, seed: int = 0) -> float:
                     pairs.append((comp, arr, grad))
         for comp, arr, grad in pairs:
             flat_grad = grad.reshape(-1)
-            weights = weight_fn(comp)
             picks = rng.choice(arr.size, size=min(3, arr.size), replace=False)
             for i in picks:
                 numeric = 0.0
-                for part_idx, w in enumerate(weights):
-                    def part_value(part_idx=part_idx):
-                        fresh = _loss_parts(kind, model, xs, ys, xt, lam)
-                        return float(fresh[2][part_idx].data[0])
-                    numeric += w * central_diff(part_value, arr, i)
+                for part, w in zip(parts, weight_fn(comp)):
+                    numeric += w * central_diff(
+                        lambda: _rerun_value(tape, part), arr, i)
                 worst = max(worst, rel_err(flat_grad[i], numeric))
     return worst
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractError
-from .nn import (COMPONENT_KEYS, ComponentSet, build_component_set,
-                 load_params, save_params, stack_component_sets)
+from .nn import (ComponentSet, build_component_set, load_params, save_params,
+                 stack_component_sets)
 
 MODULES = ("invariant", "discriminative")
 
@@ -155,26 +155,6 @@ class TrainingPlan:
     step2_invariant: str            # "none" | "ce_only" | "adversarial"
     step2_discriminative: bool      # train the second module's own loss
     step3: bool                     # cross-module min-max step
-
-    def trained_components(self) -> frozenset:
-        """Exact set of '<module>.<component>' keys this plan may update."""
-        comps = set()
-        for m in self.mcd_modules:
-            comps.update({f"{m}.extractor", f"{m}.transform",
-                          f"{m}.classifier_a", f"{m}.classifier_b"})
-        if self.step2_invariant != "none":
-            comps.update({"invariant.extractor", "invariant.transform",
-                          "invariant.classifier_a", "invariant.classifier_b"})
-            if self.step2_invariant == "adversarial":
-                comps.add("invariant.discriminator")
-        if self.step2_discriminative:
-            comps.update({f"discriminative.{k}" for k in COMPONENT_KEYS})
-        if self.step3:
-            comps.update({"invariant.extractor", "invariant.transform",
-                          "invariant.classifier_a",
-                          "discriminative.extractor", "discriminative.transform",
-                          "discriminative.classifier_a"})
-        return frozenset(comps)
 
 
 _PLANS = {

@@ -292,8 +292,9 @@ class BoundComponents:
 # ---------------------------------------------------------------------------
 
 def save_params(path, named: Dict[str, np.ndarray]) -> None:
-    """Write the file next to its destination, then rename it into place,
-    so a failed write leaves any previous file at path untouched."""
+    """Write the file next to its destination, sync it to disk, then rename
+    it into place, so a failed write or a power loss leaves either the
+    previous file at path or the complete new one."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
@@ -306,6 +307,8 @@ def save_params(path, named: Dict[str, np.ndarray]) -> None:
                 f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
             for arr in named.values():
                 f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            f.flush()
+            os.fsync(f.fileno())
         os.replace(tmp, path)
     finally:
         with contextlib.suppress(FileNotFoundError):

@@ -6,7 +6,9 @@ differences on forward values only. Three keep a design the library
 replaced, as the reference for its replacement: the tape-built evaluation
 (``compute_metrics_on_tape``), the array-by-array optimizer (``ArraySGD``)
 and the per-record backward formulas that the generated sweeps replaced
-(``reference_backward``).
+(``reference_backward``). ``trained_components`` states which components
+each training plan updates, the reference for the component groups that
+the trainer's call sites train.
 """
 
 import numpy as np
@@ -14,7 +16,7 @@ import numpy as np
 from dualda import autodiff as ad
 from dualda.errors import ContractError
 from dualda.losses import classifier_discrepancy, dual_loss, module_loss
-from dualda.nn import BoundComponents
+from dualda.nn import COMPONENT_KEYS, BoundComponents
 from dualda.trainer import MetricsRecord
 
 FD_H = 1e-5
@@ -129,6 +131,29 @@ def dual_loss_composition(comps1, comps2, xs, xt):
         discrepancy_brute_force(softmax_rows(ca1_s), softmax_rows(ca2_s)) +
         discrepancy_brute_force(softmax_rows(ca1_t), softmax_rows(ca2_t)))
     return feature_dis, prediction_dis
+
+
+def trained_components(plan):
+    """The exact set of '<module>.<component>' keys that a TrainingPlan may
+    update, stated from the paper's steps: the reference for the component
+    groups that the trainer's call sites train."""
+    comps = set()
+    for m in plan.mcd_modules:
+        comps.update({f"{m}.extractor", f"{m}.transform",
+                      f"{m}.classifier_a", f"{m}.classifier_b"})
+    if plan.step2_invariant != "none":
+        comps.update({"invariant.extractor", "invariant.transform",
+                      "invariant.classifier_a", "invariant.classifier_b"})
+        if plan.step2_invariant == "adversarial":
+            comps.add("invariant.discriminator")
+    if plan.step2_discriminative:
+        comps.update({f"discriminative.{k}" for k in COMPONENT_KEYS})
+    if plan.step3:
+        comps.update({"invariant.extractor", "invariant.transform",
+                      "invariant.classifier_a",
+                      "discriminative.extractor", "discriminative.transform",
+                      "discriminative.classifier_a"})
+    return frozenset(comps)
 
 
 def accuracy_counting(predictions, labels):

@@ -21,7 +21,8 @@ from dualda.nn import BoundComponents, build_component_set
 from dualda.optim import Schedule, lambda_at, lr_at
 from dualda.trainer import TrainConfig, step1_mcd, train
 
-from oracles import (FD_TOL, discrepancy_brute_force, fd_gradient, fd_rel_err)
+from oracles import (FD_TOL, discrepancy_brute_force, fd_gradient, fd_rel_err,
+                     trained_components)
 
 # hyperparameters of the ordering experiment (criterion: dataset sizes,
 # rotation, epochs and seed count are fixed; the rest is the library's
@@ -84,26 +85,33 @@ def _op_cases():
     }
 
 
+def _rerun_value(tape, t, *inputs):
+    """t's first value after tape reruns on inputs."""
+    tape.rerun(*inputs)
+    return float(t.data[0])
+
+
 def _check_op_cases(kind, case, trials, seed, reverse_lambda=None):
+    """Each finite-difference evaluation reruns the case's one tape, whose
+    step inputs are the input arrays."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
         m, k, n = rng.integers(2, 5, size=3)
         arrs, build = case(rng, m, k, n)
-
-        def value():
-            tape = ad.Tape()
-            ts = [tape.leaf(a) for a in arrs]
-            return float(_scalarize(build(ts)).data[0])
-
-        tape = ad.Tape()
+        tape = ad.Tape(*arrs)
         ts = [tape.leaf(a) for a in arrs]
         wrapped = ts if reverse_lambda is None else \
             [ad.grad_reverse(t, reverse_lambda) for t in ts]
-        ad.backward(tape, _scalarize(build(wrapped)))
+        loss = _scalarize(build(wrapped))
+        ad.backward(tape, loss)
+        flats = [t.grad.reshape(-1) for t in ts]  # a rerun drops .grad
+
+        def value():
+            return _rerun_value(tape, loss, *arrs)
+
         scale = 1.0 if reverse_lambda is None else -reverse_lambda
-        for arr, t in zip(arrs, ts):
-            flat = t.grad.reshape(-1)
+        for arr, flat in zip(arrs, flats):
             for i in range(arr.size):
                 numeric = scale * fd_gradient(value, arr, i)
                 worst = max(worst, fd_rel_err(flat[i], numeric))
@@ -174,7 +182,8 @@ def _check_loss_kind(kind, trials, seed, coords_per_param=3):
     """FD check of parameter gradients; reversal-wrapped parts are compared
     against -lambda times their numeric derivative. Each randomized case
     probes a few random coordinates per parameter array, so coverage of
-    every coordinate accumulates across the 100 cases."""
+    every coordinate accumulates across the 100 cases. Each evaluation
+    reruns the case's one tape, which reads the parameters in place."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     done = 0
@@ -208,10 +217,9 @@ def _check_loss_kind(kind, trials, seed, coords_per_param=3):
                                replace=False)
             for i in picks:
                 numeric = 0.0
-                for pi, w in enumerate(weights):
-                    def part_value(pi=pi):
-                        fresh = _loss_graphs(kind, model, xs, ys, xt, lam)
-                        return float(fresh[2][pi].data[0])
+                for part, w in zip(parts, weights):
+                    def part_value(part=part):
+                        return _rerun_value(tape, part)
                     numeric += w * fd_gradient(part_value, arr, i)
                 worst = max(worst, fd_rel_err(flat[i], numeric))
     return worst
@@ -342,7 +350,7 @@ def test_criterion_variant_gating():
         changed = {name.rsplit(".", 2)[0]
                    for name, arr in model.named_parameters().items()
                    if not np.array_equal(reference[name], arr)}
-        assert changed == variant_plan(variant).trained_components(), variant
+        assert changed == trained_components(variant_plan(variant)), variant
 
     # source-only trajectories ignore target labels entirely
     cfg = TrainConfig(variant=Variant.SOURCE_ONLY, epochs=2, batch_size=32,

@@ -597,7 +597,10 @@ def test_mean_abs_diff_rejects_different_shapes():
         ad.mean_abs_diff(tape.leaf(np.ones((2, 3))), tape.leaf(np.ones((3, 2))))
 
 
-def test_tape_free_kernels_equal_the_records_bytewise():
+def test_tape_free_functions_and_numpy_formulas_equal_the_records():
+    """Each record kind's one forward, its generated code, against a second
+    implementation, byte for byte: the tape-free functions for the kinds
+    that training records, a plain numpy formula for the others."""
     x, w, b = _fusion_data()[:3]
     tape = ad.Tape()
     xt, wt, bt = (tape.leaf(a) for a in (x, w, b))
@@ -605,6 +608,21 @@ def test_tape_free_kernels_equal_the_records_bytewise():
         rec = ad.matmul(xt, wt, transpose_b=True, bias=bt, relu=relu)
         assert ad.dense(x, w, b, relu=relu).tobytes() == rec.data.tobytes()
     assert ad.row_softmax(x).tobytes() == ad.softmax(xt).data.tobytes()
+    z = x.copy()
+    z[0, 0], z[1, 1] = -0.0, -2.5    # beside the exact +0.0 row of x
+    zt, rows, c = tape.leaf(z), np.arange(5), -1.7
+    idx = np.array([2, 0, 1, 1, 0])
+    shifted = z - z.max(axis=1, keepdims=True)
+    for got, want in [
+            (ad.relu(zt), np.maximum(z, 0.0)),
+            (ad.log_softmax(zt),
+             shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))),
+            (ad.mean(zt), np.array([z.mean()])),
+            (ad.tensor_sum(zt), np.array([z.sum()])),
+            (ad.tensor_abs(zt), np.abs(z)),
+            (ad.select_columns(zt, idx), z[rows, idx][:, None]),
+            (ad.scalar_mul(zt, c), c * z)]:
+        assert got.data.tobytes() == want.tobytes(), tape.records[-1].kind
 
 
 # +-0.0, +-inf, +-NaN, subnormals and +-1e300 among standard normals

@@ -1,3 +1,4 @@
+import os
 import struct
 import tempfile
 from pathlib import Path
@@ -231,6 +232,31 @@ def test_save_params_failing_midway_keeps_the_previous_file(tmp_path):
         save_params(path, {"w": np.ones(3), "broken": object()})
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["params.bin"]
+
+
+def test_save_params_syncs_the_complete_file_before_renaming_it(
+        tmp_path, monkeypatch):
+    """The rename must not reach the disk before the data it names."""
+    events = []
+    fsync, replace = os.fsync, os.replace
+
+    def spy_fsync(fd):
+        st = os.fstat(fd)
+        events.append(("fsync", st.st_ino, st.st_size))
+        fsync(fd)
+
+    def spy_replace(src, dst):
+        events.append(("replace", os.stat(src).st_ino, os.stat(src).st_size))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", spy_fsync)
+    monkeypatch.setattr(os, "replace", spy_replace)
+    path = tmp_path / "params.bin"
+    save_params(path, {"w": np.arange(6.0).reshape(2, 3), "b": np.ones(2)})
+    size = path.stat().st_size
+    assert [e[0] for e in events] == ["fsync", "replace"]
+    assert events[0][1:] == events[1][1:] == (path.stat().st_ino, size)
+    assert load_params(path)["w"].tobytes() == np.arange(6.0).tobytes()
 
 
 def _params_header(count, name, dims):

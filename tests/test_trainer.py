@@ -17,7 +17,8 @@ from dualda.trainer import (MetricsRecord, TrainConfig, compute_metrics,
 
 from oracles import (accuracy_counting, discrepancy_brute_force,
                      dual_loss_composition, module_forward_numpy,
-                     module_loss_composition, softmax_rows)
+                     module_loss_composition, softmax_rows,
+                     trained_components)
 
 
 def small_data(seed=0, n=120, noise=0.1, theta=35.0):
@@ -329,7 +330,7 @@ def test_variant_gating_audit(variant):
                             g_hidden=cfg.g_hidden, head_hidden=cfg.head_hidden)
     before = snapshot(probe)
     model, _ = train(cfg, source, target)
-    assert changed_components(before, model) == plan.trained_components()
+    assert changed_components(before, model) == trained_components(plan)
 
 
 @pytest.mark.parametrize("variant", [Variant.SOURCE_ONLY, Variant.OURS_2M])
