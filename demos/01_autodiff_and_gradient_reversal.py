@@ -1,6 +1,7 @@
-"""Walk through the autodiff core: build a graph, run backward, verify a
-gradient against finite differences, and watch the gradient reversal layer
-flip a gradient's sign.
+"""Walk through the autodiff core: record a small network and its loss on
+a tape, take gradients from backward, check one against a finite
+difference from a rerun of the same tape, and watch the gradient reversal
+layer flip a gradient's sign.
 """
 
 import numpy as np
@@ -8,29 +9,39 @@ import numpy as np
 import dualda.autodiff as ad
 
 rng = np.random.default_rng(0)
+x = rng.uniform(-1, 1, (4, 3))
+labels = np.array([0, 1, 1, 0])
+w1, b1 = rng.uniform(-1, 1, (5, 3)), rng.uniform(-0.1, 0.1, 5)
+w2, b2 = rng.uniform(-1, 1, (2, 5)), rng.uniform(-0.1, 0.1, 2)
 
 # A tape records every op as it runs; backward replays it in reverse.
+# tape.param wraps a parameter array in place, so a rerun reads its latest
+# values. A dense layer relu(x @ w1.T + b1) is one record.
 tape = ad.Tape()
-x = tape.leaf(rng.uniform(-1, 1, (4, 3)))
-w = tape.leaf(rng.uniform(-1, 1, (2, 3)))
+params = [tape.param(a) for a in (w1, b1, w2, b2)]
+hidden = ad.matmul(tape.leaf(x), params[0], bias=params[1], relu=True)
+logits = ad.matmul(hidden, params[2], bias=params[3])
+loss = ad.cross_entropy(logits, labels)
 
-logits = ad.matmul(ad.relu(x), w, transpose_b=True)
-loss = ad.mean(ad.tensor_abs(ad.log_softmax(logits)))
-grads = ad.backward(tape, loss)
+# The gradient reversal layer: identity forward, -lambda x gradient
+# backward. A second loss reads the same logits through it.
+reversed_logits = ad.grad_reverse(logits, 0.5)
+reversed_loss = ad.cross_entropy(reversed_logits, labels)
 
+# backward returns the gradient of each wrt tensor, in wrt order.
+g_w1, g_b1, g_w2, g_b2 = ad.backward(tape, loss, params)
 print("loss:", loss.data[0])
-print("grad wrt w:\n", w.grad)
+print("grad wrt w2:\n", g_w2)
 
-# Check one coordinate against a central finite difference.
-i = 3
-h = 1e-5
-flat = w.data.reshape(-1)
+# Check one coordinate of w1 against a central finite difference: perturb
+# the parameter in place and rerun the tape for each value.
+i, h = 3, 1e-5
+flat = w1.reshape(-1)
 
 
 def value():
-    t = ad.Tape()
-    lo = ad.matmul(ad.relu(t.leaf(x.data)), t.leaf(w.data), transpose_b=True)
-    return float(ad.mean(ad.tensor_abs(ad.log_softmax(lo))).data[0])
+    tape.rerun()
+    return float(loss.data[0])
 
 
 keep = flat[i]
@@ -39,13 +50,12 @@ up = value()
 flat[i] = keep - h
 down = value()
 flat[i] = keep
-print(f"analytic grad[{i}] = {w.grad.reshape(-1)[i]:.8f}, "
+print(f"analytic grad[{i}] = {g_w1.reshape(-1)[i]:.8f}, "
       f"finite diff = {(up - down) / (2 * h):.8f}")
 
-# The gradient reversal layer: identity forward, -lambda x gradient backward.
-tape = ad.Tape()
-v = tape.leaf([1.0, 2.0, 3.0])
-out = ad.grad_reverse(v, 0.5)
-print("\ngrad_reverse forward (identity):", out.data)
-ad.backward(tape, ad.tensor_sum(out))
-print("gradient through grad_reverse(lambda=0.5):", v.grad)
+tape.rerun()
+print("\ngrad_reverse forward (identity):",
+      reversed_logits.data.tobytes() == logits.data.tobytes())
+(g_reversed,) = ad.backward(tape, reversed_loss, [params[3]])
+print("gradient wrt b2:                     ", g_b2)
+print("the same through grad_reverse(0.5):  ", g_reversed)

@@ -1,9 +1,8 @@
 """dualda: dual-module adversarial unsupervised domain adaptation, built on
 a minimal reverse-mode autodiff core with a gradient reversal layer."""
 
-from .autodiff import (Tape, Tensor, add, backward, grad_reverse, log_softmax,
-                       matmul, mean, relu, scalar_mul, select_columns, softmax,
-                       sub, tensor_abs, tensor_sum)
+from .autodiff import (Tape, Tensor, add, backward, grad_reverse, matmul,
+                       softmax, sub)
 from .data import (DomainDataset, batches, dataset_checksum, domain_shift,
                    gen_blob_shift, gen_two_moons, load_idx, write_idx_images,
                    write_idx_labels)

@@ -6,10 +6,10 @@ exact reverse order and accumulates gradients by summation in that fixed
 order, which makes gradients bit-for-bit reproducible.
 
 The tape owns every value. A ``Tensor`` is a handle (tape, node id,
-slices) whose ``.data`` and ``.grad`` live in the tape's ``values`` and
-``grads`` lists, and the records hold their arguments and numpy arrays,
-never a tensor. So no reference cycle forms: a tape is freed by reference
-counting as soon as its last handle goes.
+slices) whose ``.data`` lives in the tape's ``values`` list, and the
+records hold their arguments and numpy arrays, never a tensor. So no
+reference cycle forms: a tape is freed by reference counting as soon as
+its last handle goes.
 
 Graph inputs enter a tape two ways: ``Tape.leaf`` converts and checks data
 (it rejects NaN/Inf), while ``Tape.param`` wraps a persistent float64
@@ -46,20 +46,19 @@ Every backward sweep is generated code too, on a captured tape and after
 a rerun alike: ``backward(tape, loss, wrt)`` lowers one function per
 (loss, wrt) from the backward code generators of the records it visits,
 with each gradient's accumulation resolved when it is made, and caches it
-on the tape. With a list of tensors it visits only the records whose
-outputs depend on them and returns (and stores in ``.grad``) only their
-gradients; without ``wrt`` every node gets a gradient, zeros where the
-loss does not reach. Either way the gradients of the visited nodes are
-bitwise the same. A record's generator is told which of its inputs are
-live, so a matmul makes no product for an operand nobody reads (the data
-in front of a network). The sweep writes each returned gradient into an
-array: a new one, or with ``into=arrays`` the given one (an optimizer's
-gradient store), in place, with ``out=`` where the first contribution is
-a numpy call that takes one, adding each later contribution in place.
+on the tape. It visits only the records whose outputs depend on the wrt
+tensors and returns their gradients as a list in wrt order, zeros where
+the loss does not reach. A record's generator is told which of its
+inputs are live, so a matmul makes no product for an operand nobody
+reads (the data in front of a network). The sweep writes each returned
+gradient into an array: a new one, or with ``into=arrays`` the given one
+(an optimizer's gradient store), in place, with ``out=`` where the first
+contribution is a numpy call that takes one, adding each later
+contribution in place.
 
-The op set is deliberately small: dense matmul (with an optional
-transpose-b mode, an optional bias and an optional relu, so that a dense
-layer ``relu(x @ W.T + b)`` is one record), broadcast add, sub,
+The op set is deliberately small: the dense product ``x @ W.T`` (with an
+optional bias and an optional relu, so that a dense layer
+``relu(x @ W.T + b)`` is one record), add and sub of equal shapes,
 scalar_mul, relu, row-wise softmax / log_softmax, full reductions mean /
 sum, abs, per-row select_columns, the two loss terms ``cross_entropy``
 (log_softmax, select, mean and negate) and ``mean_abs_diff`` (sub, abs,
@@ -105,8 +104,8 @@ from .errors import ContractError, DimensionError, DomainError
 
 
 class Tensor:
-    """A handle on one node of a tape; the tape holds its float64 data and
-    gradient. Its rows hold `slices` stacked slices of equal size."""
+    """A handle on one node of a tape; the tape holds its float64 data. Its
+    rows hold `slices` stacked slices of equal size."""
 
     __slots__ = ("tape", "node_id", "slices")
 
@@ -118,10 +117,6 @@ class Tensor:
     @property
     def data(self) -> np.ndarray:
         return self.tape.values[self.node_id]
-
-    @property
-    def grad(self) -> Optional[np.ndarray]:
-        return self.tape.grads[self.node_id]
 
     @property
     def shape(self):
@@ -156,8 +151,8 @@ class _Record:
 
 
 class Tape:
-    """Ordered op records built during one forward pass, and the value and
-    gradient of every node. inputs are the step inputs a rerun refills.
+    """Ordered op records built during one forward pass, and the value of
+    every node. inputs are the step inputs a rerun refills.
 
     A tape and its tensors are confined to a single thread for the
     duration of a forward+backward pass; independent tapes may run on
@@ -167,7 +162,6 @@ class Tape:
     def __init__(self, *inputs):
         self.records: List[_Record] = []
         self.values: List[np.ndarray] = []
-        self.grads: List[Optional[np.ndarray]] = []
         self._inputs = inputs
         self._shapes = [_shape(v) for v in inputs]
         # (list, slot, check, k) in capture order: a rerun stores
@@ -195,7 +189,6 @@ class Tape:
 
     def _new_tensor(self, data: np.ndarray, slices: int = 1) -> Tensor:
         self.values.append(data)
-        self.grads.append(None)
         return Tensor(self, len(self.values) - 1, slices)
 
     def _tie(self, store: list, slot: int, check: Callable, value) -> None:
@@ -250,7 +243,6 @@ class Tape:
                 raise ContractError(
                     "rerun: a step input was not read at capture")
             self._forward, self._consts = _lower_forward(self)
-        self.grads = [None] * len(self.values)
         self._saved = self._forward(inputs, self.values, self._consts)
         return True
 
@@ -285,12 +277,10 @@ def _row_operand(x: np.ndarray, w: np.ndarray, slices: int) -> np.ndarray:
     return x.reshape(w.shape[0], -1, x.shape[1])
 
 
-def _weight_operand(w: np.ndarray, transpose_b: bool) -> np.ndarray:
-    """w as the right product operand, a view: 2-D for one weight slice (a
-    stack of one as its slice), else the [M, ., .] stack; transposed when
-    transpose_b is set."""
-    ws = w[0] if w.ndim == 3 and w.shape[0] == 1 else w
-    return _mT(ws) if transpose_b else ws
+def _weight_operand(w: np.ndarray) -> np.ndarray:
+    """w as the right product operand, a transposed view: 2-D for one weight
+    slice (a stack of one as its slice), else the [M, ., .] stack."""
+    return _mT(w[0] if w.ndim == 3 and w.shape[0] == 1 else w)
 
 
 def _bias_operand(bias: np.ndarray) -> np.ndarray:
@@ -300,13 +290,11 @@ def _bias_operand(bias: np.ndarray) -> np.ndarray:
 
 
 def dense(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray] = None,
-          relu: bool = False, slices: int = 1,
-          transpose_b: bool = True) -> np.ndarray:
-    """One dense layer in numpy: x @ w.T (x @ w without transpose_b), plus
-    bias, then relu when set. A 3-D w stacks M layers (bias [M, width]) by
-    the slice rules of matmul: x holds `slices` row slices, 1 or M, and the
-    output holds M."""
-    out = _row_operand(x, w, slices) @ _weight_operand(w, transpose_b)
+          relu: bool = False, slices: int = 1) -> np.ndarray:
+    """One dense layer in numpy: x @ w.T, plus bias, then relu when set. A
+    3-D w stacks M layers (bias [M, width]) by the slice rules of matmul: x
+    holds `slices` row slices, 1 or M, and the output holds M."""
+    out = _row_operand(x, w, slices) @ _weight_operand(w)
     if bias is not None:
         out += _bias_operand(bias)
     if out.ndim == 3:
@@ -357,26 +345,27 @@ def _same_tape(*tensors: Tensor) -> Tape:
     return tape
 
 
-def matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
-           bias: Optional[Tensor] = None, relu: bool = False) -> Tensor:
-    """2-D matrix product a @ b, or a @ b.T when transpose_b is set; a bias
-    added to every row and a relu after it run in the same record (a dense
-    layer). A 3-D b stacks M weight slices (a bias is then [M, width]):
-    slice m multiplies slice m of a's rows, or all of a when a has one
-    slice, and the product has M slices. A backward sweep makes no
+def matmul(a: Tensor, w: Tensor, bias: Optional[Tensor] = None,
+           relu: bool = False) -> Tensor:
+    """The dense product a @ w.T of a 2-D a and a weight w [width, in]; a
+    bias added to every row and a relu after it run in the same record (a
+    dense layer). A 3-D w stacks M weight slices (a bias is then [M,
+    width]): slice m multiplies slice m of a's rows, or all of a when a has
+    one slice, and the product has M slices. A backward sweep makes no
     product for an operand that is not live."""
-    tape = _same_tape(a, b) if bias is None else _same_tape(a, b, bias)
-    x, w = a.data, b.data
+    inputs = [a, w] if bias is None else [a, w, bias]
+    tape = _same_tape(*inputs)
+    x, w = a.data, w.data
     if x.ndim != 2 or w.ndim not in (2, 3):
         raise DimensionError(
             f"matmul: expected a 2-D operand and a 2-D or stacked 3-D one, "
             f"got {list(x.shape)} and {list(w.shape)}")
     m = 1 if w.ndim == 2 else w.shape[0]
-    width, inner_b = w.shape[-2:] if transpose_b else w.shape[:-3:-1]
-    if x.shape[1] != inner_b:
+    width, inner = w.shape[-2:]
+    if x.shape[1] != inner:
         raise DimensionError(
             f"matmul: inner dimensions differ for shapes {list(x.shape)} and "
-            f"{list(w.shape)}" + (" (transpose_b)" if transpose_b else ""))
+            f"{list(w.shape)}")
     a_slices = a.slices
     if a_slices not in (1, m):
         raise DimensionError(
@@ -385,9 +374,7 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
         raise DimensionError(
             f"matmul: bias {list(bias.shape)} does not fit the product "
             f"{[x.shape[0], width]} of {m} slice(s)")
-    inputs = [a, b] if bias is None else [a, b, bias]
-    return tape._emit("matmul", inputs, slices=m,
-                      static=(a_slices, transpose_b, relu))
+    return tape._emit("matmul", inputs, slices=m, static=(a_slices, relu))
 
 
 # Each op kind's two code generators, forward and backward, sit beside its
@@ -395,12 +382,12 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
 
 def _matmul_operands(rec: _Record, ins, values):
     """The names of the product operands xs and ws (see _row_operand and
-    _weight_operand; ws untransposed),
-    whether ws is 2-D, and m and the width of the record's product."""
-    a_slices, transpose_b, _ = rec.static
+    _weight_operand; ws untransposed), whether ws is 2-D, and m and the
+    width of the record's product."""
+    a_slices = rec.static[0]
     x, w = (values[i] for i in rec.input_ids[:2])
     m = 1 if w.ndim == 2 else w.shape[0]
-    width = w.shape[-2] if transpose_b else w.shape[-1]
+    width = w.shape[-2]
     if w.ndim == 2:
         return ins[0], ins[1], True, m, width
     if m == 1:
@@ -416,15 +403,12 @@ def _mT_code(a: str, two_d: bool) -> str:
 def _matmul_forward_code(rec, j, ins, out, values, const, fixed):
     """dense(), its relu by the relu record's code; the operand view of a
     fixed weight or bias is made here, once, by the functions dense() calls."""
-    _, transpose_b, relu = rec.static
+    relu = rec.static[1]
     xs, ws, ws_2d, _, width = _matmul_operands(rec, ins, values)
     w_id = rec.input_ids[1]
     y = f"t{j}_p" if relu else out
-    if fixed[1]:
-        ws = const(_weight_operand(values[w_id], transpose_b),
-                   ("weight", w_id, transpose_b))
-    elif transpose_b:
-        ws = _mT_code(ws, ws_2d)
+    ws = (const(_weight_operand(values[w_id]), ("weight", w_id)) if fixed[1]
+          else _mT_code(ws, ws_2d))
     lines = [f"{y} = {xs} @ {ws}"]
     if len(ins) == 3:
         b_id = rec.input_ids[2]
@@ -442,7 +426,7 @@ def _matmul_forward_code(rec, j, ins, out, values, const, fixed):
 def _matmul_backward_code(rec, j, ins, out, g, live, values):
     """The gradient of each live input: the product of an operand that is
     not live is not made."""
-    a_slices, transpose_b, relu = rec.static
+    a_slices, relu = rec.static
     xs, ws, ws_2d, m, width = _matmul_operands(rec, ins, values)
     x, w = (values[i] for i in rec.input_ids[:2])
     lines, grads = [], [None] * len(ins)
@@ -455,16 +439,14 @@ def _matmul_backward_code(rec, j, ins, out, g, live, values):
         lines.append(f"{gs} = {g}.reshape({m}, -1, {width})")
     one_of_stack = w.ndim == 3 and m == 1  # the 2-D product takes w's shape
     if live[0]:
-        a, b = gs, ws if transpose_b else _mT_code(ws, ws_2d)
         if m == 1:
-            grads[0] = (f"np.matmul({a}, {b})", True)
+            grads[0] = (f"np.matmul({gs}, {ws})", True)
         elif a_slices == m:
-            grads[0] = (f"({a} @ {b}).reshape({x.shape})", False)
+            grads[0] = (f"({gs} @ {ws}).reshape({x.shape})", False)
         else:  # a shared input collects every slice's gradient
-            grads[0] = (f"np.add.reduce({a} @ {b}, 0)", True)
+            grads[0] = (f"np.add.reduce({gs} @ {ws}, 0)", True)
     if live[1]:
-        gw = (f"np.matmul({_mT_code(gs, m == 1)}, {xs})" if transpose_b
-              else f"np.matmul({_mT_code(xs, ws_2d or a_slices == 1)}, {gs})")
+        gw = f"np.matmul({_mT_code(gs, m == 1)}, {xs})"
         grads[1] = ((f"{gw}.reshape({w.shape})", False) if one_of_stack
                     else (gw, True))
     if len(ins) == 3 and live[2]:
@@ -475,12 +457,11 @@ def _matmul_backward_code(rec, j, ins, out, g, live, values):
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; b may be 1-D and broadcast over a's leading batch dim."""
+    """Elementwise sum of two tensors of one shape."""
     tape = _same_tape(a, b)
-    if a.shape != b.shape and not (a.data.ndim == 2 and b.data.ndim == 1 and
-                                   a.shape[1] == b.shape[0]):
+    if a.shape != b.shape:
         raise DimensionError(
-            f"add: shapes {list(a.shape)} and {list(b.shape)} do not conform")
+            f"add: shapes {list(a.shape)} and {list(b.shape)} differ")
     return tape._emit("add", [a, b])
 
 
@@ -490,10 +471,9 @@ def _binary_forward_code(rec, j, ins, out, values, const, fixed):
     return [f"{out} = {ins[0]} {op} {ins[1]}"], 0
 
 
-def _add_backward_code(rec, j, ins, out, g, live, values):
-    a, b = (values[i] for i in rec.input_ids)
-    return [], [(g, False), (g, False) if a.shape == b.shape
-                else (f"np.add.reduce({g}, 0)", True)]
+def _binary_backward_code(rec, j, ins, out, g, live, values):
+    """add or sub: the output gradient, negated for sub's second input."""
+    return [], [(g, False), (g if rec.kind == "add" else f"-{g}", False)]
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -502,10 +482,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(
             f"sub: shapes {list(a.shape)} and {list(b.shape)} differ")
     return tape._emit("sub", [a, b])
-
-
-def _sub_backward_code(rec, j, ins, out, g, live, values):
-    return [], [(g, False), (f"-{g}", False)]
 
 
 def scalar_mul(a: Tensor, c: float) -> Tensor:
@@ -811,22 +787,17 @@ def _grad_reverse_backward_code(rec, j, ins, out, g, live, values):
     return [], [(f"{g} * r{j}_0", False)]
 
 
-def backward(tape: Tape, loss: Tensor,
-             wrt: Optional[Sequence[Tensor]] = None,
-             into: Optional[Sequence[np.ndarray]] = None
-             ) -> Dict[int, np.ndarray]:
+def backward(tape: Tape, loss: Tensor, wrt: Sequence[Tensor],
+             into: Optional[List[np.ndarray]] = None) -> List[np.ndarray]:
     """Reverse sweep from a loss node: one value, or one per stacked slice,
     each seeded with 1 (for slices with disjoint parameters, each slice's
     parameters get the gradient of that slice's loss).
 
-    Without wrt, returns a map node_id -> gradient array for every node
-    (zeros for nodes the loss does not reach) and fills each tensor's
-    .grad. With wrt, only the records whose outputs depend on those tensors
-    run their backward, each told which of its inputs are live, and only
-    the wrt tensors get a gradient (zeros if the loss does not reach them)
-    in the returned map and in .grad. into, one array per wrt tensor,
-    receives the gradients in place; the returned map and .grad then hold
-    those arrays.
+    Only the records whose outputs depend on the wrt tensors run their
+    backward, each told which of its inputs are live. Returns the gradient
+    of each wrt tensor, in wrt order (zeros where the loss does not reach
+    it): new arrays, or into itself, one array per wrt tensor, which then
+    receives the gradients in place.
 
     The sweep runs as generated code, made once per (loss, wrt) and tape,
     captured or re-run: the backward numpy calls of the records it visits,
@@ -840,23 +811,20 @@ def backward(tape: Tape, loss: Tensor,
         raise ContractError(
             f"backward: loss must be scalar or one value per slice, got "
             f"shape {list(loss_data.shape)}")
-    wrt_ids = None
-    if wrt is not None:
-        wrt_ids = tuple([t.node_id for t in wrt if t.tape is tape])
-        if len(wrt_ids) != len(wrt):
-            raise ContractError("backward: wrt tensor is not on this tape")
-    if into is not None and (wrt_ids is None or len(into) != len(wrt_ids)):
+    wrt_ids = tuple([t.node_id for t in wrt if t.tape is tape])
+    if len(wrt_ids) != len(wrt):
+        raise ContractError("backward: wrt tensor is not on this tape")
+    if into is not None and len(into) != len(wrt_ids):
         raise ContractError("backward: into needs one array per wrt tensor")
-    ids = range(len(values)) if wrt_ids is None else wrt_ids
     key = (loss.node_id, wrt_ids)
     sweep = tape._sweeps.get(key)
     if sweep is None:
         sweep = tape._sweeps[key] = _lower_backward(tape, loss.node_id,
-                                                    wrt_ids, ids)
+                                                    wrt_ids)
     if into is None:
-        into = [np.empty_like(values[i]) for i in ids]
-    sweep(values, tape._saved, into, tape.grads)
-    return dict(zip(ids, into))
+        into = [np.empty_like(values[i]) for i in wrt_ids]
+    sweep(values, tape._saved, into)
+    return into
 
 
 # --- generated code ------------------------------------------------------------
@@ -880,8 +848,8 @@ def backward(tape: Tape, loss: Tensor,
 
 _CODE_GENERATORS = {
     "matmul": (_matmul_forward_code, _matmul_backward_code),
-    "add": (_binary_forward_code, _add_backward_code),
-    "sub": (_binary_forward_code, _sub_backward_code),
+    "add": (_binary_forward_code, _binary_backward_code),
+    "sub": (_binary_forward_code, _binary_backward_code),
     "softmax": (_softmax_forward_code, _softmax_backward_code),
     "cross_entropy": (_cross_entropy_forward_code,
                       _cross_entropy_backward_code),
@@ -1014,24 +982,22 @@ def _lower_forward(tape: Tape) -> Tuple[Callable, tuple]:
 
 
 def _lower_backward(tape: Tape, loss_id: int,
-                    wrt_ids: Optional[Tuple[int, ...]],
-                    ids: Sequence[int]) -> Callable:
+                    wrt_ids: Tuple[int, ...]) -> Callable:
     """The sweep from loss_id as generated code that writes the gradient of
-    node ids[k] into out[k], and stores out[k] as that node's entry of
-    grads: with out= where the first contribution is a call that takes it,
-    by a copy otherwise, and adds every later one in place; an unreached
-    node's array is filled with zeros. Every other gradient is a local,
-    bound to its first contribution and summed into a new array by each
-    later one (a local may be another node's array: add passes its output
-    gradient on to both inputs).
+    node wrt_ids[k] into out[k]: with out= where the first contribution is
+    a call that takes it, by a copy otherwise, and adds every later one in
+    place; an unreached node's array is filled with zeros. Every other
+    gradient is a local, bound to its first contribution and summed into a
+    new array by each later one (a local may be another node's array: add
+    passes its output gradient on to both inputs).
 
-    A node is live when it depends on a wrt node (every node without wrt);
-    only live nodes can pass gradient on to one, so the sweep visits a
-    record, last first, when its output is live and the loss reaches it,
-    and tells the record's generator which of its inputs are live."""
+    A node is live when it depends on a wrt node; only live nodes can pass
+    gradient on to one, so the sweep visits a record, last first, when its
+    output is live and the loss reaches it, and tells the record's
+    generator which of its inputs are live."""
     n = len(tape.values)
-    live = [wrt_ids is None] * n
-    for i in wrt_ids or ():
+    live = [False] * n
+    for i in wrt_ids:
         live[i] = True
     for rec in tape.records:
         if any(live[i] for i in rec.input_ids):
@@ -1040,8 +1006,8 @@ def _lower_backward(tape: Tape, loss_id: int,
     reached[loss_id] = True
 
     sinks: Dict[int, str] = {}
-    body = _unpack([f"o{k}" for k in range(len(ids))], "out")
-    for k, nid in enumerate(ids):
+    body = _unpack([f"o{k}" for k in range(len(wrt_ids))], "out")
+    for k, nid in enumerate(wrt_ids):
         if nid in sinks:  # a node named twice gets its gradient copied
             continue
         sinks[nid] = f"o{k}"
@@ -1080,8 +1046,7 @@ def _lower_backward(tape: Tape, loss_id: int,
     for nid, sink in sinks.items():
         if nid not in started:
             body.append(f"{sink}.fill(0.0)")
-    for k, nid in enumerate(ids):
+    for k, nid in enumerate(wrt_ids):
         if sinks[nid] != f"o{k}":
             body.append(f"np.copyto(o{k}, {sinks[nid]})")
-        body.append(f"grads[{nid}] = o{k}")
-    return _function("values, saved, out, grads", body)
+    return _function("values, saved, out", body)

@@ -186,9 +186,19 @@ def load_idx(images_path, labels_path=None, domain_tag: str = "source",
     return DomainDataset(features, labels, domain_tag, num_classes)
 
 
+def _idx_bytes(values, op: str) -> np.ndarray:
+    """values as a uint8 array; a value outside [0, 255] is a ContractError
+    (numpy would wrap it around)."""
+    arr = np.asarray(values)
+    if arr.dtype != np.uint8 and arr.size and not (
+            np.min(arr) >= 0 and np.max(arr) <= 255):
+        raise ContractError(f"{op}: values must lie in [0, 255]")
+    return np.asarray(arr, dtype=np.uint8)
+
+
 def write_idx_images(path, images: np.ndarray) -> None:
     """Inverse of the image half of load_idx; images are [n, rows, cols] u8."""
-    images = np.asarray(images, dtype=np.uint8)
+    images = _idx_bytes(images, "write_idx_images")
     if images.ndim != 3:
         raise ContractError("write_idx_images expects [n, rows, cols]")
     with open(path, "wb") as f:
@@ -197,7 +207,11 @@ def write_idx_images(path, images: np.ndarray) -> None:
 
 
 def write_idx_labels(path, labels: np.ndarray) -> None:
-    labels = np.asarray(labels, dtype=np.uint8)
+    """Inverse of the label half of load_idx; labels are one u8 per image."""
+    labels = _idx_bytes(labels, "write_idx_labels")
+    if labels.ndim != 1:
+        raise ContractError(f"write_idx_labels expects a 1-D label vector, "
+                            f"got shape {list(labels.shape)}")
     with open(path, "wb") as f:
         f.write(struct.pack(">II", IDX_LABEL_MAGIC, labels.shape[0]))
         f.write(labels.tobytes())

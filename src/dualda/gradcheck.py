@@ -47,27 +47,22 @@ def _op_case(kind: str, rng: np.random.Generator):
     (None: 1), which a per-slice reversal sets."""
     m, k, n = rng.integers(2, 5, size=3)
     weights = None
-    if kind == "matmul":
-        arrs = [rng.uniform(-2, 2, (m, k)), rng.uniform(-2, 2, (k, n))]
-        build = lambda t: ad.matmul(t[0], t[1])
-    elif kind == "matmul_t":
+    if kind == "matmul_t":  # the dense product x @ w.T
         arrs = [rng.uniform(-2, 2, (m, k)), rng.uniform(-2, 2, (n, k))]
-        build = lambda t: ad.matmul(t[0], t[1], transpose_b=True)
+        build = lambda t: ad.matmul(t[0], t[1])
     elif kind == "matmul_bias":
         arrs = [rng.uniform(-2, 2, (m, k)), rng.uniform(-2, 2, (n, k)),
                 rng.uniform(-2, 2, (n,))]
-        build = lambda t: ad.matmul(t[0], t[1], transpose_b=True, bias=t[2])
+        build = lambda t: ad.matmul(t[0], t[1], bias=t[2])
     elif kind == "matmul_relu":
         arrs = _dense_away_from_kink(rng, m, k, n)
-        build = lambda t: ad.matmul(t[0], t[1], transpose_b=True, bias=t[2],
-                                    relu=True)
+        build = lambda t: ad.matmul(t[0], t[1], bias=t[2], relu=True)
     elif kind == "matmul_stacked":
         # two stacked dense layers (M = 2): the first reads one shared batch
         # with both weight slices, the second each slice's rows with its own
         arrs = _stacked_dense_away_from_kink(rng, m, k, n)
         build = lambda t: ad.matmul(
-            ad.matmul(t[0], t[1], transpose_b=True, bias=t[2], relu=True),
-            t[3], transpose_b=True, bias=t[4])
+            ad.matmul(t[0], t[1], bias=t[2], relu=True), t[3], bias=t[4])
     elif kind == "reverse_slices":
         # slice 0 reversed by lambda, slice 1 passed on with weight +1.0
         lam = float(rng.uniform(0.1, 1.5))
@@ -75,7 +70,7 @@ def _op_case(kind: str, rng: np.random.Generator):
         weights = [np.repeat([-lam, 1.0], m * n).reshape(2 * m, n)]
         build = lambda t: ad.softmax(ad.grad_reverse(t[0], [lam, None]))
     elif kind == "add":
-        arrs = [rng.uniform(-2, 2, (m, n)), rng.uniform(-2, 2, (n,))]
+        arrs = [rng.uniform(-2, 2, (m, n)), rng.uniform(-2, 2, (m, n))]
         build = lambda t: ad.add(t[0], t[1])
     elif kind == "sub":
         arrs = [rng.uniform(-2, 2, (m, n)), rng.uniform(-2, 2, (m, n))]
@@ -171,8 +166,7 @@ def check_op(kind: str, trials: int, seed: int = 0,
         wrapped = tensors if reverse_lambda is None else [
             ad.grad_reverse(t, reverse_lambda) for t in tensors]
         loss = _scalarize(build(wrapped))
-        ad.backward(tape, loss)
-        grads = [t.grad.reshape(-1) for t in tensors]  # a rerun drops .grad
+        grads = [g.reshape(-1) for g in ad.backward(tape, loss, tensors)]
 
         scale = 1.0 if reverse_lambda is None else -reverse_lambda
         for j, (arr, flat_grad) in enumerate(zip(arrs, grads)):
@@ -259,18 +253,18 @@ def check_loss(kind: str, trials: int, seed: int = 0) -> float:
         if _near_relu_kink(tape):
             continue
         trial += 1
-        ad.backward(tape, total[0])
+        params = [(comp, arr, tensor) for comp in COMPONENT_KEYS
+                  for _, arr, tensor in binding.named_pairs((comp,))]
+        grads = ad.backward(tape, total[0], [t for _, _, t in params])
 
         # module by module: each slice of a stacked parameter on its own
         pairs = []
         slices = len(binding.prefixes)
         for m in range(slices):
-            for comp in COMPONENT_KEYS:
-                for name, arr, tensor in binding.named_pairs((comp,)):
-                    grad = tensor.grad
-                    if slices > 1:
-                        arr, grad = arr[m], grad[m]
-                    pairs.append((comp, arr, grad))
+            for (comp, arr, _), grad in zip(params, grads):
+                if slices > 1:
+                    arr, grad = arr[m], grad[m]
+                pairs.append((comp, arr, grad))
         for comp, arr, grad in pairs:
             flat_grad = grad.reshape(-1)
             picks = rng.choice(arr.size, size=min(3, arr.size), replace=False)
@@ -291,10 +285,10 @@ def _near_relu_kink(tape: ad.Tape, margin: float = 5e-4) -> bool:
                for rec in tape.records if rec.relu_in is not None)
 
 
-OP_CASES = ("matmul", "matmul_t", "matmul_bias", "matmul_relu",
-            "matmul_stacked", "add", "sub", "scalar_mul", "relu", "abs",
-            "softmax", "log_softmax", "mean", "sum", "select_columns",
-            "cross_entropy", "mean_abs_diff", "reverse_slices")
+OP_CASES = ("matmul_t", "matmul_bias", "matmul_relu", "matmul_stacked",
+            "add", "sub", "scalar_mul", "relu", "abs", "softmax",
+            "log_softmax", "mean", "sum", "select_columns", "cross_entropy",
+            "mean_abs_diff", "reverse_slices")
 LOSS_KINDS = ("cross_entropy", "discrepancy", "invariant_module",
               "discriminative_module", "dual")
 

@@ -137,7 +137,7 @@ class BoundStack:
         h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = ad.matmul(h, w, transpose_b=True, bias=b, relu=i < last)
+            h = ad.matmul(h, w, bias=b, relu=i < last)
         return h
 
     def named_pairs(self) -> Iterator[Tuple[str, np.ndarray, ad.Tensor]]:

@@ -241,12 +241,12 @@ def _mT(a):
 
 
 def _matmul_grads(rec, ins, out, g, live):
-    a_slices, transpose_b, relu = rec.static
+    a_slices, relu = rec.static
     x, w = ins[:2]
     if relu:
         g = g * (rec.relu_in > 0)
     m = 1 if w.ndim == 2 else w.shape[0]
-    width = w.shape[-2] if transpose_b else w.shape[-1]
+    width = w.shape[-2]
     xs, ws = x, w
     if m == 1 and w.ndim == 3:
         ws = w[0]
@@ -255,12 +255,11 @@ def _matmul_grads(rec, ins, out, g, live):
     gs = g if m == 1 else g.reshape(m, -1, width)
     gx = gw = gb = None
     if live[0]:
-        gx = gs @ (ws if transpose_b else _mT(ws))
+        gx = gs @ ws
         if m > 1:
             gx = gx.reshape(x.shape) if a_slices == m else np.add.reduce(gx, 0)
     if live[1]:
-        gw = _mT(gs) @ xs if transpose_b else _mT(xs) @ gs
-        gw = gw.reshape(w.shape)
+        gw = (_mT(gs) @ xs).reshape(w.shape)
     if len(ins) == 3 and live[2]:
         gb = np.add.reduce(gs, -2).reshape(ins[2].shape)
     return gx, gw, gb
@@ -304,8 +303,7 @@ def _select_columns_grads(rec, ins, out, g, live):
 #         -> the gradient of each input (None where not live)
 _BACKWARD_RULES = {
     "matmul": _matmul_grads,
-    "add": lambda rec, ins, out, g, live: (
-        g, g if ins[0].shape == ins[1].shape else np.add.reduce(g, 0)),
+    "add": lambda rec, ins, out, g, live: (g, g),
     "sub": lambda rec, ins, out, g, live: (g, -g),
     "scalar_mul": lambda rec, ins, out, g, live: (rec.args[0] * g,),
     "relu": lambda rec, ins, out, g, live: (g * (ins[0] > 0),),
@@ -324,16 +322,16 @@ _BACKWARD_RULES = {
 }
 
 
-def reference_backward(tape, loss, wrt=None):
+def reference_backward(tape, loss, wrt):
     """ad.backward's gradients by the per-record backward formulas, applied
     record by record in reverse in plain numpy from the records' inputs,
     outputs and arguments, each contribution summed into a new array in
     the same order: the reference for the generated sweeps' bytes. Returns
-    node id -> gradient for every wrt tensor (every node without wrt),
-    zeros where the loss does not reach; tensors' .grad is left alone."""
+    the gradient of each wrt tensor, in wrt order, zeros where the loss
+    does not reach."""
     values = tape.values
-    live = [wrt is None] * len(values)
-    for t in wrt or ():
+    live = [False] * len(values)
+    for t in wrt:
         live[t.node_id] = True
     for rec in tape.records:
         if any(live[i] for i in rec.input_ids):
@@ -351,6 +349,11 @@ def reference_backward(tape, loss, wrt=None):
         for i, flag, g_in in zip(rec.input_ids, flags, contributions):
             if flag:
                 grads[i] = g_in if grads[i] is None else grads[i] + g_in
-    ids = range(len(values)) if wrt is None else [t.node_id for t in wrt]
-    return {i: np.zeros_like(values[i]) if grads[i] is None else grads[i]
-            for i in ids}
+    return [np.zeros_like(values[t.node_id]) if grads[t.node_id] is None
+            else grads[t.node_id] for t in wrt]
+
+
+def every_node(tape):
+    """A handle on every node of tape, in node order: as wrt, the gradient
+    of every value, leaves and record outputs alike."""
+    return [ad.Tensor(tape, i) for i in range(len(tape.values))]

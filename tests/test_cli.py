@@ -493,6 +493,28 @@ def test_cli_check_grad_fast():
     assert main(["check-grad", "--trials", "2"]) == 0
 
 
+CHECK_GRAD_OPS = ("matmul_t", "matmul_bias", "matmul_relu", "matmul_stacked",
+                  "add", "sub", "scalar_mul", "relu", "abs", "softmax",
+                  "log_softmax", "mean", "sum", "select_columns",
+                  "cross_entropy", "mean_abs_diff", "reverse_slices")
+CHECK_GRAD_LOSSES = ("cross_entropy", "discrepancy", "invariant_module",
+                     "discriminative_module", "dual")
+
+
+def test_cli_check_grad_prints_every_case_once_in_order(capsys):
+    """Each op case plain, then each behind the reversal, then each loss,
+    one ok line each, then the PASS line."""
+    assert main(["check-grad", "--trials", "1"]) == 0
+    *cases, last = capsys.readouterr().out.splitlines()
+    assert [" ".join(line.split(" max rel err ")[0].split())
+            for line in cases] == (
+        [f"op {k}" for k in CHECK_GRAD_OPS] +
+        [f"grl+{k}" for k in CHECK_GRAD_OPS] +
+        [f"loss {k}" for k in CHECK_GRAD_LOSSES])
+    assert all(line.endswith("  ok") for line in cases)
+    assert last == "gradient suite: PASS"
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["--trials", "0"], "--trials"),
     (["--trials", "-3"], "--trials"),

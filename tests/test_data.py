@@ -129,6 +129,30 @@ def test_load_idx_roundtrip_exact(tmp_path):
     assert np.array_equal(back, images)
 
 
+@pytest.mark.parametrize("labels", [np.array([[1, 0], [2, 1]]), np.array(3)])
+def test_write_idx_labels_refuses_labels_that_are_not_one_vector(tmp_path,
+                                                                 labels):
+    """A [2, 2] array would write a header of 2 labels over 4 bytes, which
+    load_idx then rejects; a 0-d array has no length to write."""
+    lab = tmp_path / "lab.idx"
+    with pytest.raises(ContractError, match="1-D label vector"):
+        write_idx_labels(lab, labels)
+    assert not lab.exists()
+
+
+@pytest.mark.parametrize("bad", [300, -1, 255.5, np.nan])
+def test_write_idx_refuses_values_outside_a_byte(tmp_path, bad):
+    """numpy would wrap 300 around to 44 and -1 to 255."""
+    images = np.zeros((2, 2, 2))
+    images[1, 0, 1] = bad
+    labels = np.array([1.0, bad])
+    with pytest.raises(ContractError, match=r"write_idx_images: .*\[0, 255\]"):
+        write_idx_images(tmp_path / "img.idx", images)
+    with pytest.raises(ContractError, match=r"write_idx_labels: .*\[0, 255\]"):
+        write_idx_labels(tmp_path / "lab.idx", labels)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_load_idx_bad_magic(tmp_path):
     img = tmp_path / "img.idx"
     blob = struct.pack(">IIII", 0x00000802, 1, 2, 2) + bytes(4)

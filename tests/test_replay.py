@@ -21,7 +21,7 @@ from dualda.model import DualModel, Variant
 from dualda.optim import SGD, Schedule
 from dualda.trainer import TrainConfig, compute_metrics, train
 
-from oracles import ArraySGD, reference_backward
+from oracles import ArraySGD, every_node, reference_backward
 
 B = 16
 
@@ -82,8 +82,8 @@ def _sweep(tape, terms, backward=ad.backward):
            for rec in tape.records]
     for loss, pairs in terms:
         grads = backward(tape, loss, wrt=[t for _, _, t in pairs])
-        out.append([(names, grads[t.node_id].tobytes())
-                    for names, _, t in pairs])
+        out.append([(names, g.tobytes())
+                    for (names, _, _), g in zip(pairs, grads)])
     return out
 
 
@@ -107,13 +107,18 @@ def test_rerun_equals_a_fresh_tape_bytewise(site):
 
 def _store_grads(tape, terms, sgd):
     """Every term's gradients, written by backward into sgd's gradient-store
-    views of the parameters, as bytes."""
+    views of the parameters, as bytes. backward returns into itself, and
+    each view is filled with NaN first, so every gradient is written in
+    place."""
     out = []
     for loss, pairs in terms:
         into = [sgd.grad_view(names, arr) for names, arr, _ in pairs]
+        for view in into:
+            view.fill(np.nan)
         grads = ad.backward(tape, loss, [t for _, _, t in pairs], into=into)
-        assert [grads[t.node_id].tobytes() for _, _, t in pairs] == \
-            [g.tobytes() for g in into]
+        assert grads is into
+        assert all(g is sgd.grad_view(names, arr)
+                   for (names, arr, _), g in zip(pairs, grads))
         out.append([(names, g.tobytes())
                     for (names, _, _), g in zip(pairs, into)])
     return out
@@ -133,22 +138,26 @@ def test_backward_into_the_gradient_store_equals_a_fresh_tape_bytewise(site):
         assert _store_grads(tape, terms, sgd) == _sweep(
             *_capture(site, model, _batch(seed)),
             reference_backward)[n_records:]
-        for _, pairs in terms:
-            assert all(t.grad is sgd.grad_view(names, arr)
-                       for names, arr, t in pairs)
 
 
 def test_the_first_update_of_a_call_site_writes_the_store_in_place():
+    """The update on the batch a site captures on runs its sweeps into the
+    gradient-store views of its terms, which then hold the per-record
+    formulas' gradients on a fresh tape."""
     model, sgd = _model(), SGD(0.9)
     for site in ("phase B, two modules", "step 2, two modules", "step 3"):
         capture, context, reads = SITES[site]
         program = trainer._program({}, site, sgd, capture, context(model),
                                    _inputs(_batch(1), reads))
+        fresh = _sweep(*_capture(site, model, _batch(1)), reference_backward)
         trainer._update(sgd, 0.05, program)
         assert program.tape._forward is None  # captured, never re-run
-        for _, pairs in program.terms:
-            assert all(t.grad is sgd.grad_view(names, arr)
-                       for names, arr, t in pairs)
+        for (_, _, into), (_, pairs) in zip(program.sweeps, program.terms):
+            assert all(g is sgd.grad_view(names, arr)
+                       for (names, arr, _), g in zip(pairs, into))
+        assert [[(names, sgd.grad_view(names, arr).tobytes())
+                 for names, arr, _ in pairs] for _, pairs in program.terms] \
+            == fresh[len(program.tape.records):]
 
 
 # the updates that training makes at these sites, with their lr
@@ -177,8 +186,8 @@ def test_updates_from_the_gradient_store_equal_array_sgd_bytewise(site):
         for loss, pairs in capture(tape, *context(ref), *inputs):
             grads = reference_backward(tape, loss,
                                        wrt=[t for _, _, t in pairs])
-            items += [(names, arr, grads[t.node_id])
-                      for names, arr, t in pairs]
+            items += [(names, arr, g)
+                      for (names, arr, _), g in zip(pairs, grads)]
         array_sgd.step(items, lr)
         assert model.buffer.tobytes() == ref.buffer.tobytes()
     assert model.buffer.tobytes() != _model().buffer.tobytes()
@@ -207,7 +216,7 @@ def test_a_divergence_from_the_gradient_store_names_the_slice():
 def _dense_ce_tape(x, labels, w, orphan):
     tape = ad.Tape(x, labels)
     wt, ot = tape.param(w), tape.param(orphan)
-    loss = cross_entropy(ad.matmul(tape.leaf(x), wt, transpose_b=True), labels)
+    loss = cross_entropy(ad.matmul(tape.leaf(x), wt), labels)
     return tape, loss, wt, ot
 
 
@@ -221,11 +230,11 @@ def test_the_generated_sweep_fills_unreached_and_repeated_gradients():
     tape.rerun(x2, y2)
     into = [np.full((2, 2), np.nan), np.full((3, 2), np.nan),
             np.full((2, 2), np.nan)]
-    ad.backward(tape, loss, [wt, ot, wt], into=into)
+    assert ad.backward(tape, loss, [wt, ot, wt], into=into) is into
     fresh, loss2, wt2, ot2 = _dense_ce_tape(x2, y2, w, orphan)
-    want = reference_backward(fresh, loss2, [wt2, ot2])
-    assert into[0].tobytes() == want[wt2.node_id].tobytes()
-    assert into[2].tobytes() == want[wt2.node_id].tobytes()
+    want, _ = reference_backward(fresh, loss2, [wt2, ot2])
+    assert into[0].tobytes() == want.tobytes()
+    assert into[2].tobytes() == want.tobytes()
     assert into[1].tobytes() == np.zeros((3, 2)).tobytes()
 
 
@@ -239,7 +248,7 @@ def test_backward_into_needs_one_array_per_wrt_tensor():
 def test_a_tape_that_has_rerun_takes_no_new_record():
     xs, ys, _, _ = _batch(1)
     tape = ad.Tape(xs)
-    h = ad.matmul(tape.leaf(xs), tape.param(np.ones((3, 2))), transpose_b=True)
+    h = ad.matmul(tape.leaf(xs), tape.param(np.ones((3, 2))))
     tape.rerun(xs)
     with pytest.raises(ContractError, match="softmax: a tape takes no new "
                                             "record once it has rerun"):
@@ -270,8 +279,7 @@ def test_a_weight_tied_to_a_step_input_is_viewed_at_each_rerun():
 
     def tape_on(x, w, b):
         tape = ad.Tape(x, w, b)
-        out = ad.matmul(tape.leaf(x), tape.leaf(w), transpose_b=True,
-                        bias=tape.leaf(b))
+        out = ad.matmul(tape.leaf(x), tape.leaf(w), bias=tape.leaf(b))
         return tape, out
 
     def inputs():
@@ -316,7 +324,6 @@ def test_a_captured_site_sees_every_in_place_parameter_update(change):
 _DRAW = {
     "x": lambda rng: rng.standard_normal((4, 3)),
     "z": lambda rng: rng.standard_normal((4, 3)),
-    "b": lambda rng: rng.standard_normal(3),
     "w": lambda rng: rng.standard_normal((2, 5, 3)),
     "wb": lambda rng: rng.standard_normal((2, 5)),
     "y": lambda rng: rng.integers(0, 3, 4),
@@ -326,10 +333,9 @@ _DRAW = {
 }
 KINDS = {
     "matmul": ("x w wb y5", lambda t, x, w, wb, y: ad.cross_entropy(
-        ad.matmul(t.leaf(x), t.leaf(w), transpose_b=True, bias=t.leaf(wb),
-                  relu=True), y)),
-    "add": ("x b y", lambda t, x, b, y: ad.cross_entropy(
-        ad.add(t.leaf(x), t.leaf(b)), y)),
+        ad.matmul(t.leaf(x), t.leaf(w), bias=t.leaf(wb), relu=True), y)),
+    "add": ("x z y", lambda t, x, z, y: ad.cross_entropy(
+        ad.add(t.leaf(x), t.leaf(z)), y)),
     "sub": ("x z y", lambda t, x, z, y: ad.cross_entropy(
         ad.sub(t.leaf(x), t.leaf(z)), y)),
     "softmax": ("x y", lambda t, x, y: ad.cross_entropy(
@@ -384,10 +390,9 @@ def test_every_record_kind_reruns_like_a_fresh_tape(kind):
     tape.rerun(*second)
     fresh, fresh_loss = _kind_tape(kind, second)
     assert _forward_bytes(tape) == _forward_bytes(fresh) != on_first
-    grads, want = ad.backward(tape, loss), reference_backward(fresh,
-                                                              fresh_loss)
-    assert [grads[i].tobytes() for i in want] == \
-        [want[i].tobytes() for i in want]
+    grads = ad.backward(tape, loss, every_node(tape))
+    want = reference_backward(fresh, fresh_loss, every_node(fresh))
+    assert [g.tobytes() for g in grads] == [g.tobytes() for g in want]
 
 
 def test_a_new_record_runs_the_code_of_its_kind_settings_and_shapes():
@@ -398,12 +403,12 @@ def test_a_new_record_runs_the_code_of_its_kind_settings_and_shapes():
     x, w = rng.standard_normal((6, 3)), rng.standard_normal((4, 3))
     tape = ad.Tape()
     xt, wt = tape.leaf(x), tape.param(w)
-    ad.matmul(xt, wt, transpose_b=True, relu=True)
+    ad.matmul(xt, wt, relu=True)
     count = len(ad._RECORDS)
-    assert ad.matmul(xt, wt, transpose_b=True, relu=True).data.tobytes() == \
+    assert ad.matmul(xt, wt, relu=True).data.tobytes() == \
         ad.dense(x, w, relu=True).tobytes()
     assert len(ad._RECORDS) == count
-    assert ad.matmul(xt, wt, transpose_b=True).data.tobytes() == \
+    assert ad.matmul(xt, wt).data.tobytes() == \
         ad.dense(x, w).tobytes()
     for rows in (6, 2):
         idx = rng.integers(0, 3, rows)
@@ -526,8 +531,7 @@ def test_a_rerun_refuses_a_step_input_the_capture_did_not_read():
     xs, ys, _, _ = _batch(1)
     ys32 = ys.astype(np.int32)
     tape = ad.Tape(xs, ys32)
-    logits = ad.matmul(tape.leaf(xs), tape.param(np.ones((2, 2))),
-                       transpose_b=True)
+    logits = ad.matmul(tape.leaf(xs), tape.param(np.ones((2, 2))))
     cross_entropy(logits, ys32)
     with pytest.raises(ContractError, match="not read at capture"):
         tape.rerun(xs, ys32)
