@@ -24,6 +24,8 @@ mask, the labels and log-probabilities of a cross-entropy, a sign, a
 reversal factor) in record order. ``Tape(*inputs)`` declares step inputs:
 batches, a label vector, a lambda. A leaf made from one of these objects,
 and a label vector or reversal weight that is one of them, is tied to it.
+The tape keeps the declared inputs only until its first rerun, and takes
+no new leaf, parameter or record after it.
 ``Tape.rerun(*inputs)`` refills everything tied from new inputs of the
 captured shapes, checking each like its op did (NaN/Inf, label range, a
 finite lambda >= 0), and runs the code of the same generators for every
@@ -162,7 +164,7 @@ class Tape:
     def __init__(self, *inputs):
         self.records: List[_Record] = []
         self.values: List[np.ndarray] = []
-        self._inputs = inputs
+        self._inputs = inputs  # read by _tie, until the first rerun
         self._shapes = [_shape(v) for v in inputs]
         # (list, slot, check, k) in capture order: a rerun stores
         # check(inputs[k]) at list[slot], a leaf's value or a record's
@@ -179,13 +181,22 @@ class Tape:
 
     def leaf(self, data) -> Tensor:
         """Wrap an array (or nested lists) as a graph input node."""
+        self._refuse_after_rerun("leaf")
         t = self._new_tensor(checked_input(data))
         self._tie(self.values, t.node_id, checked_input, data)
         return t
 
     def param(self, arr: np.ndarray) -> Tensor:
         """Wrap a float64 parameter array in place: no conversion, no check."""
+        self._refuse_after_rerun("param")
         return self._new_tensor(arr)
+
+    def _refuse_after_rerun(self, what: str) -> None:
+        """A tape that has rerun takes no new node: its generated forward
+        would not know it."""
+        if self._forward is not None:
+            raise ContractError(f"{what}: a tape takes no new record once it "
+                                f"has rerun")
 
     def _new_tensor(self, data: np.ndarray, slices: int = 1) -> Tensor:
         self.values.append(data)
@@ -205,11 +216,8 @@ class Tape:
         """Record an op on the inputs, with its arguments (each passed
         through check first) and the settings its code generators read, and
         run it (_run_record). A sweep lowered before knows no new record, so
-        the next backward lowers again. A tape that has rerun takes no new
-        record: its generated forward would not know it."""
-        if self._forward is not None:
-            raise ContractError(f"{kind}: a tape takes no new record once it "
-                                f"has rerun")
+        the next backward lowers again."""
+        self._refuse_after_rerun(kind)
         checked = [check(a) for a in args]
         rec = _Record(kind, [t.node_id for t in inputs], len(self.values),
                       checked, static)
@@ -243,6 +251,7 @@ class Tape:
                 raise ContractError(
                     "rerun: a step input was not read at capture")
             self._forward, self._consts = _lower_forward(self)
+            self._inputs = ()  # only capture reads them: let the batch go
         self._saved = self._forward(inputs, self.values, self._consts)
         return True
 

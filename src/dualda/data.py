@@ -120,14 +120,19 @@ def gen_blob_shift(n: int, num_classes: int, separation: float, shift_vector,
     return source, target
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
-    """n bytes of f; the size is checked against the file before reading,
-    so a header that declares more than the file holds allocates nothing."""
+def _check_left(f, n: int, what: str) -> None:
+    """Refuse to read n bytes of f that the file does not hold, so a header
+    that declares more than the file holds allocates nothing."""
     left = os.fstat(f.fileno()).st_size - f.tell()
     if n > left:
         raise FormatError(
             f"truncated IDX file while reading {what}: wanted {n} bytes, "
             f"got {left}")
+
+
+def _read_exact(f, n: int, what: str) -> bytes:
+    """n bytes of f, checked against the file before reading."""
+    _check_left(f, n, what)
     return f.read(n)
 
 
@@ -160,9 +165,13 @@ def load_idx(images_path, labels_path=None, domain_tag: str = "source",
             raise FormatError(
                 f"IDX image file declares {count} images of {rows}x{cols} "
                 f"pixels; every dimension must be positive")
+        _check_left(f, count * rows * cols, "image payload")
+        # allocated before the payload, so the payload cannot split a free
+        # block that the features alone would fill
+        features = np.empty((count, rows * cols))
         payload = _read_payload(f, count * rows * cols, "image payload")
-    pixels = np.frombuffer(payload, dtype=np.uint8)
-    features = pixels.astype(np.float64).reshape(count, rows * cols) / 255.0
+    features[...] = np.frombuffer(payload, np.uint8).reshape(features.shape)
+    features /= 255.0  # in place: one float64 copy of the pixels
 
     labels = None
     if labels_path is not None:
@@ -187,12 +196,15 @@ def load_idx(images_path, labels_path=None, domain_tag: str = "source",
 
 
 def _idx_bytes(values, op: str) -> np.ndarray:
-    """values as a uint8 array; a value outside [0, 255] is a ContractError
-    (numpy would wrap it around)."""
+    """values as a uint8 array; a value outside [0, 255] or a fractional
+    one is a ContractError (numpy would wrap it around or truncate it)."""
     arr = np.asarray(values)
     if arr.dtype != np.uint8 and arr.size and not (
             np.min(arr) >= 0 and np.max(arr) <= 255):
         raise ContractError(f"{op}: values must lie in [0, 255]")
+    if arr.dtype.kind == "f" and not (arr == np.trunc(arr)).all():
+        raise ContractError(f"{op}: values must be whole numbers, got "
+                            f"{float(arr[arr != np.trunc(arr)][0])!r}")
     return np.asarray(arr, dtype=np.uint8)
 
 
@@ -252,9 +264,9 @@ def derived_seed(seed: int, stream: int) -> int:
 
 def dataset_checksum(ds: DomainDataset) -> str:
     h = hashlib.sha256()
-    h.update(np.ascontiguousarray(ds.features).tobytes())
+    h.update(np.ascontiguousarray(ds.features))  # its buffer, not a copy
     if ds.labels is not None:
-        h.update(np.ascontiguousarray(ds.labels).tobytes())
+        h.update(np.ascontiguousarray(ds.labels))
     h.update(ds.domain_tag.encode())
     h.update(str(ds.num_classes).encode())
     return h.hexdigest()

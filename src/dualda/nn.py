@@ -348,7 +348,11 @@ def load_params(path) -> Dict[str, np.ndarray]:
             raise FormatError(f"parameter file names {name!r} twice")
         n = math.prod(dims)  # a Python int: a huge product cannot wrap
         arr = np.frombuffer(take(8 * n), dtype="<f8").astype(np.float64)
-        named[name] = arr.reshape(dims)
+        try:
+            named[name] = arr.reshape(dims)
+        except ValueError as e:  # an empty shape numpy cannot make
+            raise FormatError(f"parameter {name!r} has dims {list(dims)} that "
+                              f"make no array: {e}") from None
     if offset != len(blob):
         raise FormatError(
             f"parameter file has {len(blob) - offset} trailing bytes")

@@ -40,10 +40,12 @@ the view of its optimizer's gradient store at each trained parameter
 (``SGD.grad_view``). Every later update of that site re-runs the tape on
 its batch (``ad.Tape.rerun_if_fits``, one shape check) as generated
 straight-line code that makes the numpy calls of a fresh tape, so the
-same bits; a batch of another shape is captured again. Each backward writes its gradients into those
-views (``ad.backward(..., into=...)``), and the optimizer steps the
-model's one flat parameter buffer from them (``optim.SGD``): an update
-costs a few numpy calls per module.
+same bits; a batch of another shape is captured again. A tape lets go
+of its capture batch at its first rerun, and ``train`` drops each
+phase's programs when the phase ends. Each backward writes its gradients
+into those views (``ad.backward(..., into=...)``), and the optimizer
+steps the model's one flat parameter buffer from them (``optim.SGD``):
+an update costs a few numpy calls per module.
 
 ``compute_metrics`` builds no tape: per domain it runs one stacked forward
 of both modules over the full dataset on the numpy functions that the
@@ -428,7 +430,7 @@ def train(config: TrainConfig, source: DomainDataset, target: DomainDataset,
 
     n_pairs = num_batch_pairs(source, target, config.batch_size)
     # each call site's tape, captured on the first batch and re-run on the
-    # others (every batch has the same shape)
+    # others (every batch has the same shape), until its phase ends
     programs: Dict[str, Program] = {}
 
     # boundary learning is a warmup phase: it precedes the adversarial
@@ -498,4 +500,5 @@ def train(config: TrainConfig, source: DomainDataset, target: DomainDataset,
                 if checkpoint_dir is not None:  # made at the first save
                     Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
                     model.save(Path(checkpoint_dir) / f"epoch_{epoch:04d}.bin")
+        programs.clear()  # no later phase runs these sites: free their tapes
     return model, records

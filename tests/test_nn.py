@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dualda.autodiff as ad
@@ -287,6 +287,7 @@ _U32 = st.one_of(st.integers(0, 4), st.integers(0, 2**32 - 1))
               _params_header(count, name, dims) + payload,
               _U32, st.binary(max_size=6), st.lists(_U32, max_size=3),
               st.binary(max_size=48))))
+@example(blob=_params_header(1, b"", [0, 2**30, 2**30]))
 def test_load_params_any_bytes_give_params_or_a_format_error(blob):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "params.bin"

@@ -255,6 +255,36 @@ def test_a_tape_that_has_rerun_takes_no_new_record():
         ad.softmax(h)
 
 
+@pytest.mark.parametrize("make", ["leaf", "param"])
+def test_a_tape_that_has_rerun_takes_no_new_leaf_or_param(make):
+    """Its generated forward would not know the new node, so the next rerun
+    would fail inside the generated code."""
+    xs, _, _, _ = _batch(1)
+    tape = ad.Tape(xs)
+    ad.matmul(tape.leaf(xs), tape.param(np.ones((3, 2))))
+    tape.rerun(xs)
+    with pytest.raises(ContractError, match=f"{make}: a tape takes no new "
+                                            f"record once it has rerun"):
+        getattr(tape, make)(np.ones((3, 2)))
+    tape.rerun(xs)
+
+
+@pytest.mark.parametrize("site", SITES)
+def test_a_tape_lets_go_of_its_capture_batch_at_its_first_rerun(site):
+    """Only capture reads the declared inputs, so after the first rerun
+    nothing on the tape holds the capture batch."""
+    model = _model()
+    first = _batch(1)
+    tape, terms = _capture(site, model, first)
+    _, _, reads = SITES[site]
+    refs = [weakref.ref(a) for a in _inputs(first, reads)
+            if isinstance(a, np.ndarray)]
+    del first
+    assert all(r() is not None for r in refs)
+    tape.rerun(*_inputs(_batch(2), reads))
+    assert [r for r in refs if r() is not None] == []
+
+
 def _forward_source(tape):
     return next(src for src, fn in ad._COMPILED.items() if fn is tape._forward)
 
@@ -580,6 +610,31 @@ def test_train_leaves_no_tape_for_the_cyclic_collector(tape_refs, variant):
     train(config, *_moons())
     assert tape_refs
     assert [r for r in tape_refs if r() is not None] == []
+
+
+def test_train_frees_the_tapes_of_step_1_when_the_main_phase_starts(
+        monkeypatch, tape_refs):
+    """Step 1's call sites never run again after the warmup, so their tapes
+    (and the batches and activations they hold) are gone by the first
+    update of step 2."""
+    step1, alive_at_step2 = [], []
+
+    def boundary(*args, _fn=trainer._boundary_updates):
+        before = _fn(*args)
+        step1.extend(weakref.ref(p.tape) for p in args[-1].values())
+        return before
+
+    def modules(*args, _fn=trainer.step2_modules):
+        alive_at_step2.append(sum(r() is not None for r in step1))
+        return _fn(*args)
+
+    monkeypatch.setattr(trainer, "_boundary_updates", boundary)
+    monkeypatch.setattr(trainer, "step2_modules", modules)
+    config = TrainConfig(variant="ours_2m", epochs=2, batch_size=16,
+                         eval_every=1, feature_dim=4, g_hidden=(6,),
+                         head_hidden=(4,), schedule=Schedule(eta0=0.01))
+    train(config, *_moons())
+    assert step1 and alive_at_step2[0] == 0
 
 
 def test_a_second_train_compiles_no_new_source():
