@@ -66,7 +66,13 @@ sum, abs, per-row select_columns, the two loss terms ``cross_entropy``
 (log_softmax, select, mean and negate) and ``mean_abs_diff`` (sub, abs,
 sum and scale) as one record each, and the gradient-reversal pseudo-op
 ``grad_reverse`` whose forward is the identity and whose backward scales
-the upstream gradient by -lambda.
+the upstream gradient by -lambda. A dense record with a relu saves only
+its mask and runs the relu in place on its own product, so no
+pre-activation is kept (``dense`` without the relu makes it again, same
+bits). Training records only matmul, add, sub, softmax, the two loss
+terms and grad_reverse; the seven other kinds stay only for the tests,
+gradcheck's reduction to a scalar (mean and select_columns) and the
+benchmark's tracer, which binds them by name.
 
 Stacked slices. Structurally identical networks run as one graph: matmul
 takes M weight slices ``[M, out, in]`` (biases ``[M, out]``), and a
@@ -138,10 +144,8 @@ class Tensor:
 @dataclass(slots=True, eq=False)
 class _Record:
     """One executed op: kind, wiring, its checked arguments (a label vector,
-    reversal weights), the static settings its code generators read, how
-    many arrays its forward saves for the backward, and the relu input of
-    its latest run: the input of the relu the record applies, if any
-    (gradient checks keep away from its kink)."""
+    reversal weights), the static settings its code generators read, and
+    how many arrays its forward saves for the backward."""
 
     kind: str
     input_ids: List[int]
@@ -149,7 +153,6 @@ class _Record:
     args: list
     static: tuple
     saved: int = 0
-    relu_in: Optional[np.ndarray] = None
 
 
 class Tape:
@@ -281,21 +284,15 @@ def _row_operand(x: np.ndarray, w: np.ndarray, slices: int) -> np.ndarray:
     """x as the left product operand: x itself against one weight slice, or
     against M slices when x has one row slice (a batch every slice reads);
     else x's M row slices, [M, rows, in]."""
-    if w.ndim == 2 or w.shape[0] == 1 or slices == 1:
+    if w.ndim == 2 or slices == 1:
         return x
     return x.reshape(w.shape[0], -1, x.shape[1])
 
 
-def _weight_operand(w: np.ndarray) -> np.ndarray:
-    """w as the right product operand, a transposed view: 2-D for one weight
-    slice (a stack of one as its slice), else the [M, ., .] stack."""
-    return _mT(w[0] if w.ndim == 3 and w.shape[0] == 1 else w)
-
-
 def _bias_operand(bias: np.ndarray) -> np.ndarray:
-    """bias as the term added to the product: a [M, width] bias of M > 1
-    slices as a [M, 1, width] view, any other as it is."""
-    return bias[:, None] if bias.ndim == 2 and bias.shape[0] > 1 else bias
+    """bias as the term added to the product: a [M, width] bias of M
+    slices as a [M, 1, width] view, a [width] bias as it is."""
+    return bias[:, None] if bias.ndim == 2 else bias
 
 
 def dense(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray] = None,
@@ -303,7 +300,7 @@ def dense(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray] = None,
     """One dense layer in numpy: x @ w.T, plus bias, then relu when set. A
     3-D w stacks M layers (bias [M, width]) by the slice rules of matmul: x
     holds `slices` row slices, 1 or M, and the output holds M."""
-    out = _row_operand(x, w, slices) @ _weight_operand(w)
+    out = _row_operand(x, w, slices) @ _mT(w)
     if bias is not None:
         out += _bias_operand(bias)
     if out.ndim == 3:
@@ -327,10 +324,13 @@ def row_max(z: np.ndarray) -> np.ndarray:
     width, so from 2 to 7 columns and at least 16 rows per column this
     takes a running np.maximum over whole columns instead, left to right:
     a max is exact and left to right is numpy's own order below 8 columns,
-    so ties of signed zeros resolve alike. One difference: where a row's
-    first entry is a NaN, numpy's reduce of a contiguous row returns +NaN
-    whatever that NaN's sign and payload, and this returns the entry;
-    either way the max is NaN."""
+    so under numpy's AVX-512 (X86_V4) dispatch ties of signed zeros
+    resolve alike. Under its AVX2 (X86_V3) code they may not: the reduce
+    can return -0.0 where this returns +0.0 for a row holding both, and a
+    NaN of the other sign bit; the max's value is the same. One more
+    difference: where a row's first entry is a NaN, numpy's reduce of a
+    contiguous row returns +NaN whatever that NaN's sign and payload, and
+    this returns the entry; either way the max is NaN."""
     rows, cols = z.shape
     if not 2 <= cols < 8 or rows < 16 * cols:
         return np.maximum.reduce(z, 1, keepdims=True)
@@ -390,17 +390,15 @@ def matmul(a: Tensor, w: Tensor, bias: Optional[Tensor] = None,
 # recording function; "generated code" below says what they take and return.
 
 def _matmul_operands(rec: _Record, ins, values):
-    """The names of the product operands xs and ws (see _row_operand and
-    _weight_operand; ws untransposed), whether ws is 2-D, and m and the
-    width of the record's product."""
+    """The names of the product operands xs and ws (see _row_operand; ws
+    untransposed), whether ws is 2-D, and m and the width of the record's
+    product."""
     a_slices = rec.static[0]
     x, w = (values[i] for i in rec.input_ids[:2])
     m = 1 if w.ndim == 2 else w.shape[0]
     width = w.shape[-2]
     if w.ndim == 2:
         return ins[0], ins[1], True, m, width
-    if m == 1:
-        return ins[0], f"{ins[1]}[0]", True, m, width
     xs = ins[0] if a_slices == 1 else f"{ins[0]}.reshape({m}, -1, {x.shape[1]})"
     return xs, ins[1], False, m, width
 
@@ -410,26 +408,26 @@ def _mT_code(a: str, two_d: bool) -> str:
 
 
 def _matmul_forward_code(rec, j, ins, out, values, const, fixed):
-    """dense(), its relu by the relu record's code; the operand view of a
-    fixed weight or bias is made here, once, by the functions dense() calls."""
-    relu = rec.static[1]
+    """dense(): its relu runs in place on the record's own product, after
+    saving the mask (the subgradient at 0 is 0 by convention); the operand
+    view of a fixed weight or bias is made here, once, by the functions
+    dense() calls."""
     xs, ws, ws_2d, _, width = _matmul_operands(rec, ins, values)
     w_id = rec.input_ids[1]
-    y = f"t{j}_p" if relu else out
-    ws = (const(_weight_operand(values[w_id]), ("weight", w_id)) if fixed[1]
+    ws = (const(_mT(values[w_id]), ("weight", w_id)) if fixed[1]
           else _mT_code(ws, ws_2d))
-    lines = [f"{y} = {xs} @ {ws}"]
+    lines = [f"{out} = {xs} @ {ws}"]
     if len(ins) == 3:
         b_id = rec.input_ids[2]
         bias = (const(_bias_operand(values[b_id]), ("bias", b_id)) if fixed[2]
                 else ins[2] if ws_2d else f"{ins[2]}[:, None]")
-        lines.append(f"{y} += {bias}")
+        lines.append(f"{out} += {bias}")
     if not ws_2d:
-        lines.append(f"{y} = {y}.reshape(-1, {width})")
-    if not relu:
+        lines.append(f"{out} = {out}.reshape(-1, {width})")
+    if not rec.static[1]:
         return lines, 0
-    more, saved = _relu_forward_code(rec, j, [y], out, values, const, fixed)
-    return lines + more, saved
+    return lines + [f"r{j}_0 = {out} > 0",
+                    f"np.maximum({out}, 0.0, out={out})"], 1
 
 
 def _matmul_backward_code(rec, j, ins, out, g, live, values):
@@ -437,31 +435,26 @@ def _matmul_backward_code(rec, j, ins, out, g, live, values):
     not live is not made."""
     a_slices, relu = rec.static
     xs, ws, ws_2d, m, width = _matmul_operands(rec, ins, values)
-    x, w = (values[i] for i in rec.input_ids[:2])
+    x = values[rec.input_ids[0]]
     lines, grads = [], [None] * len(ins)
     if relu:
         lines.append(f"t{j}_g = {g} * r{j}_0")
         g = f"t{j}_g"
     gs = g
-    if m != 1:
+    if not ws_2d:
         gs = f"t{j}_s"
         lines.append(f"{gs} = {g}.reshape({m}, -1, {width})")
-    one_of_stack = w.ndim == 3 and m == 1  # the 2-D product takes w's shape
     if live[0]:
-        if m == 1:
+        if ws_2d:
             grads[0] = (f"np.matmul({gs}, {ws})", True)
         elif a_slices == m:
             grads[0] = (f"({gs} @ {ws}).reshape({x.shape})", False)
         else:  # a shared input collects every slice's gradient
             grads[0] = (f"np.add.reduce({gs} @ {ws}, 0)", True)
     if live[1]:
-        gw = f"np.matmul({_mT_code(gs, m == 1)}, {xs})"
-        grads[1] = ((f"{gw}.reshape({w.shape})", False) if one_of_stack
-                    else (gw, True))
+        grads[1] = (f"np.matmul({_mT_code(gs, ws_2d)}, {xs})", True)
     if len(ins) == 3 and live[2]:
-        gb = f"np.add.reduce({gs}, -2)"
-        grads[2] = ((f"{gb}.reshape(1, {width})", False) if one_of_stack
-                    else (gb, True))
+        grads[2] = (f"np.add.reduce({gs}, -2)", True)
     return lines, grads
 
 
@@ -511,9 +504,8 @@ def relu(a: Tensor) -> Tensor:
 
 def _relu_forward_code(rec, j, ins, out, values, const, fixed):
     """relu_values, saving its mask (the subgradient at 0 is 0 by
-    convention) and keeping its input as the record's relu_in."""
-    return [f"r{j}_0 = {ins[0]} > 0", f"{out} = np.maximum({ins[0]}, 0.0)",
-            f"{const(rec)}.relu_in = {ins[0]}"], 1
+    convention)."""
+    return [f"r{j}_0 = {ins[0]} > 0", f"{out} = np.maximum({ins[0]}, 0.0)"], 1
 
 
 def _relu_backward_code(rec, j, ins, out, g, live, values):
@@ -848,7 +840,7 @@ def backward(tape: Tape, loss: Tensor, wrt: Sequence[Tensor],
 # gradient; j numbers the record, so its locals are r<j>_<k> (the k-th of
 # the `saved` arrays its forward keeps for the backward) and t<j>_*
 # (temporaries). const(obj, key=id(obj)) names a per-tape object the
-# forward reads (a check, an argument list, a record, a parameter's view),
+# forward reads (a check, an argument list, a parameter's view),
 # one per key. fixed flags the inputs that no record outputs and no rerun
 # refills (parameters, untied leaves): their arrays stay for the tape's life.
 # Each grad is None (not live) or (expression, whether it is a call that
@@ -939,24 +931,24 @@ def _run_record(rec: _Record, values: List[np.ndarray]) -> tuple:
     """Run a new record on its inputs' values by the code its forward code
     generator writes for it alone, which makes a rerun's numpy calls; set
     rec.saved and return the output and the arrays the backward reads.
-    With no input fixed, the code's only consts are the record (c0) and its
-    arguments (c1), so _RECORDS keeps it, and how many arrays it saves, per
-    kind, static settings and input shapes."""
+    With no input fixed, the code's only const is the record's arguments
+    (c0), so _RECORDS keeps it, and how many arrays it saves, per kind,
+    static settings and input shapes."""
     ins = [values[i] for i in rec.input_ids]
     key = (rec.kind, rec.static, tuple([a.shape for a in ins]))
     code = _RECORDS.get(key)
     if code is None:
         const, consts = _const_table()
-        const(rec), const(rec.args)
+        const(rec.args)
         names = [f"x{k}" for k in range(len(ins))]
         lines, saved = _CODE_GENERATORS[rec.kind][0](
             rec, 0, names, "y", values, const, [False] * len(ins))
-        assert len(consts) == 2, rec.kind
+        assert len(consts) == 1, rec.kind
         saves = "".join(f"r0_{k}, " for k in range(saved))
-        code = _RECORDS[key] = (_function("ins, c0, c1", _unpack(
+        code = _RECORDS[key] = (_function("ins, c0", _unpack(
             names, "ins") + lines + [f"return y, ({saves})"]), saved)
     fn, rec.saved = code
-    return fn(ins, rec, rec.args)
+    return fn(ins, rec.args)
 
 
 def _lower_forward(tape: Tape) -> Tuple[Callable, tuple]:

@@ -3,6 +3,13 @@ the generated code that every training batch runs: the analytic gradients
 come from the generated sweep, and each finite-difference evaluation
 reruns the case's one tape through its generated forward.
 
+The op cases cover every op that training records: the dense product
+(with a bias, a relu and stacked slices), add, sub, softmax, the two loss
+terms and a per-slice reversal. The rules of the standalone ops that
+training never records (scalar_mul, relu, abs, log_softmax, mean, sum,
+select_columns) are checked by the tests: the gradient suite of
+tests/test_acceptance.py and the op cases of tests/test_autodiff.py.
+
 Backs the `check-grad` CLI subcommand. Central differences with h=1e-5;
 relative error is |analytic - numeric| / max(1, |analytic|, |numeric|).
 Cases whose random draw lands within 1e-3 of a relu/abs kink are redrawn,
@@ -75,32 +82,9 @@ def _op_case(kind: str, rng: np.random.Generator):
     elif kind == "sub":
         arrs = [rng.uniform(-2, 2, (m, n)), rng.uniform(-2, 2, (m, n))]
         build = lambda t: ad.sub(t[0], t[1])
-    elif kind == "scalar_mul":
-        arrs = [rng.uniform(-2, 2, (m, n))]
-        c = float(rng.uniform(-2, 2))
-        build = lambda t: ad.scalar_mul(t[0], c)
-    elif kind == "relu":
-        arrs = [_away_from_zero(rng, (m, n))]
-        build = lambda t: ad.relu(t[0])
-    elif kind == "abs":
-        arrs = [_away_from_zero(rng, (m, n))]
-        build = lambda t: ad.tensor_abs(t[0])
     elif kind == "softmax":
         arrs = [rng.uniform(-2, 2, (m, n))]
         build = lambda t: ad.softmax(t[0])
-    elif kind == "log_softmax":
-        arrs = [rng.uniform(-2, 2, (m, n))]
-        build = lambda t: ad.log_softmax(t[0])
-    elif kind == "mean":
-        arrs = [rng.uniform(-2, 2, (m, n))]
-        build = lambda t: ad.mean(t[0])
-    elif kind == "sum":
-        arrs = [rng.uniform(-2, 2, (m, n))]
-        build = lambda t: ad.tensor_sum(t[0])
-    elif kind == "select_columns":
-        arrs = [rng.uniform(-2, 2, (m, n))]
-        idx = rng.integers(0, n, size=m)
-        build = lambda t: ad.select_columns(t[0], idx)
     elif kind == "cross_entropy":
         arrs = [rng.uniform(-2, 2, (m, n))]
         idx = rng.integers(0, n, size=m)
@@ -211,7 +195,8 @@ def _loss_parts(kind: str, model: DualModel, xs, ys, xt, lam):
         parts = dual_loss(b, b.features(tape.leaf(xs)),
                           b.features(tape.leaf(xt)), lam)
         return tape, b, [parts.feature_dis, parts.prediction_dis], \
-            lambda comp: [-lam, 1.0], [parts.total]
+            lambda comp: [-lam, 1.0], \
+            [parts.reversed_feature_dis + parts.prediction_dis]
     b = BoundComponents(tape, model.invariant, prefix="invariant.")
     x_s, x_t = tape.leaf(xs), tape.leaf(xt)
     if kind == "cross_entropy":
@@ -278,17 +263,19 @@ def check_loss(kind: str, trials: int, seed: int = 0) -> float:
 
 
 def _near_relu_kink(tape: ad.Tape, margin: float = 5e-4) -> bool:
-    """True when the input of any relu on the tape, a relu record's or one
-    inside a dense-layer matmul, sits too close to 0 for FD; the tape holds
-    exactly the relus on the loss's forward path."""
-    return any(np.abs(rec.relu_in).min() < margin
-               for rec in tape.records if rec.relu_in is not None)
+    """True when the pre-activation of any dense-layer relu on the tape sits
+    too close to 0 for FD; the tape holds exactly the relus on the loss's
+    forward path. ad.dense without its relu makes each record's
+    pre-activation, with the same bits, from the record's inputs."""
+    return any(np.abs(ad.dense(*(tape.values[i] for i in rec.input_ids),
+                               slices=rec.static[0])).min() < margin
+               for rec in tape.records
+               if rec.kind == "matmul" and rec.static[1])
 
 
 OP_CASES = ("matmul_t", "matmul_bias", "matmul_relu", "matmul_stacked",
-            "add", "sub", "scalar_mul", "relu", "abs", "softmax",
-            "log_softmax", "mean", "sum", "select_columns", "cross_entropy",
-            "mean_abs_diff", "reverse_slices")
+            "add", "sub", "softmax", "cross_entropy", "mean_abs_diff",
+            "reverse_slices")
 LOSS_KINDS = ("cross_entropy", "discrepancy", "invariant_module",
               "discriminative_module", "dual")
 

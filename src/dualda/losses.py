@@ -118,9 +118,11 @@ def classifier_only_loss(binding: BoundComponents, t_s: ad.Tensor,
 
 @dataclass
 class DualLossParts:
-    """Graph nodes of the cross-module min-max objective."""
+    """Graph nodes of the cross-module min-max objective: its two terms,
+    each descended by its own player and never summed on the tape (a
+    caller that wants the sum adds reversed_feature_dis and
+    prediction_dis itself)."""
 
-    total: ad.Tensor
     feature_dis: ad.Tensor      # discrepancy of softmax-normalized transform outputs
     prediction_dis: ad.Tensor   # discrepancy of the two primary classifiers
     reversed_feature_dis: ad.Tensor  # grad_reverse(feature_dis, lam)
@@ -130,7 +132,7 @@ class DualLossParts:
 
 def dual_loss(binding: BoundComponents, t_s: ad.Tensor, t_t: ad.Tensor,
               lam: float) -> DualLossParts:
-    """grad_reverse(feature discrepancy, lam) + prediction discrepancy.
+    """grad_reverse(feature discrepancy, lam) and prediction discrepancy.
 
     binding holds both modules, and t_s/t_t are their stacked transform
     outputs on the source and target batches. The feature discrepancy is
@@ -149,7 +151,5 @@ def dual_loss(binding: BoundComponents, t_s: ad.Tensor, t_t: ad.Tensor,
     c_t = ad.softmax(binding.classifier_a.forward(t_t))
     prediction_dis = discrepancy(c_s) + discrepancy(c_t)
 
-    reversed_feature = ad.grad_reverse(feature_dis, lam)
-    total = reversed_feature + prediction_dis
-    return DualLossParts(total, feature_dis, prediction_dis, reversed_feature,
-                         c_s, c_t)
+    return DualLossParts(feature_dis, prediction_dis,
+                         ad.grad_reverse(feature_dis, lam), c_s, c_t)

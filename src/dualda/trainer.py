@@ -266,17 +266,13 @@ def step1_mcd(comps: ComponentSet, batch_s, labels_s, batch_t, k: int,
 
 
 def step2_modules(model: DualModel, batch_s, labels_s, batch_t, lam: float,
-                  lr: float, variant: Variant, sgd: Optional[SGD] = None,
-                  programs: Optional[Dict[str, Program]] = None) -> DualModel:
+                  lr: float, variant: Variant, sgd: SGD,
+                  programs: Dict[str, Program]) -> DualModel:
     """Per-module training; the adversarial modules update as one stacked
     graph, each from its own pre-step parameters (the modules are
     parameter-disjoint). programs holds the tapes of train()'s earlier
     batches."""
     plan = variant_plan(variant)
-    if sgd is None:
-        sgd = SGD(0.0)
-    if programs is None:
-        programs = {}
 
     if plan.step2_invariant == "ce_only":
         _update(sgd, lr, _program(
@@ -301,8 +297,7 @@ def step2_modules(model: DualModel, batch_s, labels_s, batch_t, lam: float,
 
 
 def step3_dual(model: DualModel, batch_s, batch_t, lam: float, lr: float,
-               sgd: Optional[SGD] = None,
-               programs: Optional[Dict[str, Program]] = None) -> DualModel:
+               sgd: SGD, programs: Dict[str, Program]) -> DualModel:
     """One update of both modules' extractor/transform/primary classifier
     on the cross-module loss; discriminators and secondary classifiers
     are not part of this graph. programs holds the tapes of train()'s
@@ -315,10 +310,6 @@ def step3_dual(model: DualModel, batch_s, batch_t, lam: float, lr: float,
     two games into a degenerate joint solution and was the single biggest
     destabilizer at desk scale.
     """
-    if sgd is None:
-        sgd = SGD(0.0)
-    if programs is None:
-        programs = {}
     _update(sgd, lr, _program(programs, "step 3", sgd, _capture_dual,
                               (model,), (batch_s, batch_t, lam)))
     return model

@@ -244,7 +244,7 @@ def _matmul_grads(rec, ins, out, g, live):
     a_slices, relu = rec.static
     x, w = ins[:2]
     if relu:
-        g = g * (rec.relu_in > 0)
+        g = g * (out > 0)
     m = 1 if w.ndim == 2 else w.shape[0]
     width = w.shape[-2]
     xs, ws = x, w

@@ -170,7 +170,8 @@ def _loss_graphs(kind, model, xs, ys, xt, lam):
                           b.features(tape.leaf(xt)), lam)
         weights = lambda comp: [-lam, 1.0]
         return tape, [(b, weights)], \
-            [parts.feature_dis, parts.prediction_dis], parts.total
+            [parts.feature_dis, parts.prediction_dis], \
+            parts.reversed_feature_dis + parts.prediction_dis
     raise ValueError(kind)
 
 

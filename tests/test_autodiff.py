@@ -706,7 +706,6 @@ def test_dense_and_matmul_relu_equal_the_branchy_relu_bytewise():
         rec = ad.matmul(tape.leaf(x), tape.param(w), bias=tape.param(b),
                         relu=True)
         assert rec.data.tobytes() == want, n
-        assert tape.records[-1].relu_in.tobytes() == pre.tobytes(), n
 
 
 def test_a_nan_pre_activation_propagates_through_the_relu():

@@ -113,11 +113,12 @@ def module_total(comps, xs, ys, xt, lam):
 
 
 def dual_total(c1, c2, xs, xt, lam):
-    """dual_loss's total on a fresh tape."""
+    """dual_loss's two terms, summed, on a fresh tape."""
     tape = ad.Tape()
     b = BoundComponents(tape, *DualModel(c1, c2).modules())
-    return dual_loss(b, b.features(tape.leaf(xs)), b.features(tape.leaf(xt)),
-                     lam).total
+    parts = dual_loss(b, b.features(tape.leaf(xs)), b.features(tape.leaf(xt)),
+                      lam)
+    return parts.reversed_feature_dis + parts.prediction_dis
 
 
 def test_module_loss_matches_composition_oracle():
@@ -219,9 +220,10 @@ def test_dual_loss_zero_for_identical_modules():
     b = BoundComponents(tape, *DualModel(c1, c2).modules())
     parts = dual_loss(b, b.features(tape.leaf(xs)), b.features(tape.leaf(xt)),
                       0.5)
-    assert float(parts.total.data[0]) == 0.0
+    total = parts.reversed_feature_dis + parts.prediction_dis
+    assert float(total.data[0]) == 0.0
     pairs = list(b.named_pairs())
-    grads = ad.backward(tape, parts.total, [t for _, _, t in pairs])
+    grads = ad.backward(tape, total, [t for _, _, t in pairs])
     for (name, _, _), grad in zip(pairs, grads):
         assert np.all(grad == 0.0), name
 

@@ -8,6 +8,7 @@ from dualda.errors import ContractError, DimensionError
 from dualda.model import (DualModel, Variant, forward_path, predict,
                           predicted_classes, variant_plan)
 from dualda.nn import BoundComponents, build_component_set, save_params
+from dualda.optim import SGD
 from dualda.trainer import step3_dual
 
 from oracles import module_forward_numpy, softmax_rows, trained_components
@@ -276,7 +277,7 @@ def test_a_model_built_from_two_sets_trains_them_in_place():
     model = DualModel(c1, c2)
     rng = np.random.default_rng(5)
     step3_dual(model, rng.uniform(-2, 2, (16, 2)), rng.uniform(-2, 2, (16, 2)),
-               lam=0.5, lr=0.1)
+               lam=0.5, lr=0.1, sgd=SGD(0.0), programs={})
     params = model.named_parameters()
     for name, arr in c1.named_arrays():
         assert arr is params[f"invariant.{name}"]

@@ -119,7 +119,7 @@ def test_stack_gradients_pass_finite_differences():
 
 @pytest.mark.parametrize("hidden_bias,near", [(2e-4, True), (-4e-4, True),
                                                (1e-3, False)])
-def test_near_relu_kink_sees_the_relu_inside_a_dense_layer(hidden_bias, near):
+def test_near_relu_kink_sees_the_relu_of_a_dense_layer(hidden_bias, near):
     # on a zero input the hidden pre-activations are the biases: unit 0
     # sits hidden_bias from the kink, unit 1 far from it
     stack = Stack([LinearLayer(np.ones((2, 1)), np.array([hidden_bias, 0.5])),

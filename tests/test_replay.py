@@ -75,10 +75,9 @@ def _capture(site, model, batch):
 
 
 def _sweep(tape, terms, backward=ad.backward):
-    """Every record's kind, output and relu input, then every term's
-    gradients by backward, as bytes."""
-    out = [(rec.kind, tape.values[rec.output_id].tobytes(),
-            None if rec.relu_in is None else rec.relu_in.tobytes())
+    """Every record's kind and output, then every term's gradients by
+    backward, as bytes."""
+    out = [(rec.kind, tape.values[rec.output_id].tobytes())
            for rec in tape.records]
     for loss, pairs in terms:
         grads = backward(tape, loss, wrt=[t for _, _, t in pairs])
@@ -89,10 +88,9 @@ def _sweep(tape, terms, backward=ad.backward):
 
 @pytest.mark.parametrize("site", SITES)
 def test_rerun_equals_a_fresh_tape_bytewise(site):
-    """The generated forward's values and relu inputs, and the sweeps
-    without a store before and after it (lowered on the captured tape and
-    reused after the rerun), against the per-record formulas on a fresh
-    tape."""
+    """The generated forward's values, and the sweeps without a store
+    before and after it (lowered on the captured tape and reused after the
+    rerun), against the per-record formulas on a fresh tape."""
     model = _model()
     first, second = _batch(1), _batch(2)
     tape, terms = _capture(site, model, first)
@@ -103,6 +101,18 @@ def test_rerun_equals_a_fresh_tape_bytewise(site):
     fresh = _sweep(*_capture(site, model, second), reference_backward)
     assert replayed == fresh
     assert replayed != on_first
+
+
+@pytest.mark.parametrize("site", SITES)
+def test_every_record_of_a_call_site_feeds_a_record_or_a_loss(site):
+    """A call site records nothing that training never reads: each record's
+    output is an input of a later record or the loss of one of its terms,
+    so every rerun's work reaches some update."""
+    tape, terms = _capture(site, _model(), _batch(1))
+    read = {i for rec in tape.records for i in rec.input_ids}
+    read.update(loss.node_id for loss, _ in terms)
+    assert [(j, rec.kind) for j, rec in enumerate(tape.records)
+            if rec.output_id not in read] == []
 
 
 def _store_grads(tape, terms, sgd):
@@ -399,11 +409,9 @@ def _kind_tape(kind, inputs):
 
 
 def _forward_bytes(tape):
-    """Every value, every saved array and every relu input, as bytes."""
+    """Every value and every saved array, as bytes."""
     return ([v.tobytes() for v in tape.values],
-            [np.asarray(a).tobytes() for a in tape._saved],
-            [None if rec.relu_in is None else rec.relu_in.tobytes()
-             for rec in tape.records])
+            [np.asarray(a).tobytes() for a in tape._saved])
 
 
 @pytest.mark.parametrize("kind", KINDS)

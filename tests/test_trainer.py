@@ -153,7 +153,8 @@ def test_step2_dann_leaves_m2_untouched():
     source, target = small_data()
     xs, ys = batch_from(source)
     xt, _ = batch_from(target)
-    step2_modules(model, xs, ys, xt, lam=0.4, lr=0.05, variant=Variant.DANN)
+    step2_modules(model, xs, ys, xt, lam=0.4, lr=0.05, variant=Variant.DANN,
+                  sgd=SGD(0.0), programs={})
     changed = changed_components(before, model)
     assert changed == {f"invariant.{c}" for c in
                        ("extractor", "transform", "discriminator",
@@ -170,9 +171,10 @@ def test_step2_lambda_zero_extractor_update_is_source_only():
     m_full = DualModel.build(2, 6, 2, seed=4)
     m_cls = DualModel.build(2, 6, 2, seed=4)
 
-    step2_modules(m_full, xs, ys, xt, lam=0.0, lr=0.05, variant=Variant.DANN)
+    step2_modules(m_full, xs, ys, xt, lam=0.0, lr=0.05, variant=Variant.DANN,
+                  sgd=SGD(0.0), programs={})
     step2_modules(m_cls, xs, ys, xt, lam=0.0, lr=0.05,
-                  variant=Variant.SOURCE_ONLY)
+                  variant=Variant.SOURCE_ONLY, sgd=SGD(0.0), programs={})
 
     for stack in ("extractor", "transform"):
         got = getattr(m_full.invariant, stack).layers
@@ -204,7 +206,7 @@ def test_step3_identical_modules_no_change():
     before = snapshot(model)
     source, target = small_data()
     step3_dual(model, source.features[:16], target.features[:16],
-               lam=0.5, lr=0.1)
+               lam=0.5, lr=0.1, sgd=SGD(0.0), programs={})
     assert changed_components(before, model) == set()
 
 
@@ -213,7 +215,7 @@ def test_step3_gating_of_untouched_components():
     before = snapshot(model)
     source, target = small_data()
     step3_dual(model, source.features[:16], target.features[:16],
-               lam=0.5, lr=0.1)
+               lam=0.5, lr=0.1, sgd=SGD(0.0), programs={})
     changed = changed_components(before, model)
     assert changed == {"invariant.extractor", "invariant.transform",
                        "invariant.classifier_a", "discriminative.extractor",
@@ -235,7 +237,8 @@ def test_step3_descends_prediction_discrepancy_statistically():
         xs = source.features[:16]
         xt = target.features[:16]
         before = prediction_dis(model, xs, xt)
-        step3_dual(model, xs, xt, lam=0.0, lr=1e-3)
+        step3_dual(model, xs, xt, lam=0.0, lr=1e-3, sgd=SGD(0.0),
+                   programs={})
         wins += prediction_dis(model, xs, xt) <= before
     assert wins >= 90, f"step 3 reduced dis(c) in only {wins}/100 trials"
 
