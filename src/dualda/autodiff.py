@@ -29,28 +29,39 @@ no new leaf, parameter or record after it.
 ``Tape.rerun(*inputs)`` refills everything tied from new inputs of the
 captured shapes, checking each like its op did (NaN/Inf, label range, a
 finite lambda >= 0), and runs the code of the same generators for every
-record in order, lowered on the first rerun into one straight-line
-function (``_lower_forward``) with every value a local: the numpy calls of
-a fresh tape on the new inputs, so the same bits, without building a
+record in order, found on the first rerun as one straight-line function
+(``_lower_forward``) with every value a local: the numpy calls of a
+fresh tape on the new inputs, so the same bits, without building a
 tensor, a record or a binding.
 
 Parameters are read in place, so a rerun sees the latest update, and what
 would be the same at every rerun is made once: a parameter's product
-operand and bias view (transposed, sliced or broadcast) is made at
-lowering, by the functions ``dense`` calls, and read from the tape's
+operand and bias view (transposed, sliced or broadcast) is made at the
+first rerun, by the functions ``dense`` calls, and read from the tape's
 consts. A parameter is never rebound, since the optimizer and
 ``load_state`` write into its array, so its view sees every update. The
 cross-entropy row index and the loss seed of a sweep are read-only arrays
-shared per shape. Compiled code is cached per source for the whole
-process, and a source names no tape and holds no user text.
+shared per shape.
+
+Generated code is shared by tape structure for the whole process. A
+tape's structure key holds what the code generators read: per record its
+kind, static settings, input and output ids, saved count and number of
+arguments; per value its shape and dtype; and, for a forward, per refill
+its store, slot and input and which refills share one check. A tape
+whose key equals an earlier tape's runs that tape's forward and sweeps,
+found by one lookup, which name no tape and hold no user text; a forward
+comes with the keys of its consts (``("weight", i)``, ``("args", j)``, a
+check), which each tape resolves against itself, so every tape keeps its
+own parameter views.
 
 Every backward sweep is generated code too, on a captured tape and after
-a rerun alike: ``backward(tape, loss, wrt)`` lowers one function per
-(loss, wrt) from the backward code generators of the records it visits,
-with each gradient's accumulation resolved when it is made, and caches it
-on the tape. It visits only the records whose outputs depend on the wrt
-tensors and returns their gradients as a list in wrt order, zeros where
-the loss does not reach. A record's generator is told which of its
+a rerun alike: ``backward(tape, loss, wrt)`` runs one function per
+(loss, wrt), lowered from the backward code generators of the records it
+visits for the first tape of its structure, with each gradient's
+accumulation resolved when it is made, and caches it on the tape. It
+visits only the records whose outputs depend on the wrt tensors and
+returns their gradients as a list in wrt order, zeros where the loss
+does not reach. A record's generator is told which of its
 inputs are live, so a matmul makes no product for an operand nobody
 reads (the data in front of a network). The sweep writes each returned
 gradient into an array: a new one, or with ``into=arrays`` the given one
@@ -148,7 +159,7 @@ class _Record:
     how many arrays its forward saves for the backward."""
 
     kind: str
-    input_ids: List[int]
+    input_ids: Tuple[int, ...]
     output_id: int
     args: list
     static: tuple
@@ -169,12 +180,15 @@ class Tape:
         self.values: List[np.ndarray] = []
         self._inputs = inputs  # read by _tie, until the first rerun
         self._shapes = [_shape(v) for v in inputs]
-        # (list, slot, check, k) in capture order: a rerun stores
-        # check(inputs[k]) at list[slot], a leaf's value or a record's
-        # argument
-        self._refills: List[Tuple[list, int, Callable, int]] = []
+        # (record, slot, check, k) in capture order: a rerun stores
+        # check(inputs[k]) in slot `slot` of the tape's values (record None)
+        # or of record `record`'s arguments
+        self._refills: List[Tuple[Optional[int], int, Callable, int]] = []
         # (loss, wrt) -> its generated sweep
         self._sweeps: Dict[tuple, Callable] = {}
+        # what the code generators read of the records and values (see
+        # _structure); None until asked for, and after each new value
+        self._key: Optional[tuple] = None
         # the generated forward (None until the first rerun) and the
         # per-tape objects it reads; the arrays the backward reads, in
         # record order, as the latest forward saved them
@@ -186,7 +200,7 @@ class Tape:
         """Wrap an array (or nested lists) as a graph input node."""
         self._refuse_after_rerun("leaf")
         t = self._new_tensor(checked_input(data))
-        self._tie(self.values, t.node_id, checked_input, data)
+        self._tie(None, t.node_id, checked_input, data)
         return t
 
     def param(self, arr: np.ndarray) -> Tensor:
@@ -202,15 +216,21 @@ class Tape:
                                 f"has rerun")
 
     def _new_tensor(self, data: np.ndarray, slices: int = 1) -> Tensor:
+        """Add a value. A sweep found before knows no new value, so the
+        next backward looks again, under the new structure."""
         self.values.append(data)
+        self._sweeps.clear()
+        self._key = None
         return Tensor(self, len(self.values) - 1, slices)
 
-    def _tie(self, store: list, slot: int, check: Callable, value) -> None:
-        """Refill store[slot] from the step input that value is, if it is
+    def _tie(self, record: Optional[int], slot: int, check: Callable,
+             value) -> None:
+        """Refill slot `slot` of the values (record None) or of record
+        `record`'s arguments from the step input that value is, if it is
         one, passed through check."""
         for k, v in enumerate(self._inputs):
             if value is v:
-                self._refills.append((store, slot, check, k))
+                self._refills.append((record, slot, check, k))
                 return
 
     def _emit(self, kind: str, inputs: Sequence[Tensor], args: Sequence = (),
@@ -218,25 +238,23 @@ class Tape:
               static: tuple = ()) -> Tensor:
         """Record an op on the inputs, with its arguments (each passed
         through check first) and the settings its code generators read, and
-        run it (_run_record). A sweep lowered before knows no new record, so
-        the next backward lowers again."""
+        run it (_run_record)."""
         self._refuse_after_rerun(kind)
         checked = [check(a) for a in args]
-        rec = _Record(kind, [t.node_id for t in inputs], len(self.values),
-                      checked, static)
+        rec = _Record(kind, tuple([t.node_id for t in inputs]),
+                      len(self.values), checked, static)
         out, saved = _run_record(rec, self.values)
         t = self._new_tensor(out, slices)
         self.records.append(rec)
         self._saved += saved
-        self._sweeps.clear()
         for j, a in enumerate(args):
-            self._tie(checked, j, check, a)
+            self._tie(len(self.records) - 1, j, check, a)
         return t
 
     def rerun(self, *inputs) -> None:
         """Refill the leaves and arguments tied to the step inputs from
         inputs, checking each, and make every record's numpy calls again in
-        order, through the tape's generated forward (made on the first
+        order, through the tape's generated forward (found on the first
         rerun). Every declared input must have been read at capture, and
         inputs must match the declared ones in number and shapes."""
         if not self.rerun_if_fits(*inputs):
@@ -253,10 +271,22 @@ class Tape:
             if len({k for *_, k in self._refills}) != len(inputs):
                 raise ContractError(
                     "rerun: a step input was not read at capture")
-            self._forward, self._consts = _lower_forward(self)
+            self._forward, self._consts = _forward_of(self)
             self._inputs = ()  # only capture reads them: let the batch go
         self._saved = self._forward(inputs, self.values, self._consts)
         return True
+
+    def _structure(self) -> tuple:
+        """What the code generators read of the records and values: per
+        record its kind, static settings, input and output ids, saved count
+        and number of arguments; per value its shape and dtype. Made once,
+        and again after a new value."""
+        if self._key is None:
+            self._key = (
+                tuple([(r.kind, r.static, r.input_ids, r.output_id, r.saved,
+                        len(r.args)) for r in self.records]),
+                tuple([(v.shape, v.dtype) for v in self.values]))
+        return self._key
 
 
 def _shape(v) -> tuple:
@@ -410,16 +440,14 @@ def _mT_code(a: str, two_d: bool) -> str:
 def _matmul_forward_code(rec, j, ins, out, values, const, fixed):
     """dense(): its relu runs in place on the record's own product, after
     saving the mask (the subgradient at 0 is 0 by convention); the operand
-    view of a fixed weight or bias is made here, once, by the functions
-    dense() calls."""
+    view of a fixed weight or bias is a const, made once per tape by the
+    functions dense() calls (_const)."""
     xs, ws, ws_2d, _, width = _matmul_operands(rec, ins, values)
-    w_id = rec.input_ids[1]
-    ws = (const(_mT(values[w_id]), ("weight", w_id)) if fixed[1]
+    ws = (const(("weight", rec.input_ids[1])) if fixed[1]
           else _mT_code(ws, ws_2d))
     lines = [f"{out} = {xs} @ {ws}"]
     if len(ins) == 3:
-        b_id = rec.input_ids[2]
-        bias = (const(_bias_operand(values[b_id]), ("bias", b_id)) if fixed[2]
+        bias = (const(("bias", rec.input_ids[2])) if fixed[2]
                 else ins[2] if ws_2d else f"{ins[2]}[:, None]")
         lines.append(f"{out} += {bias}")
     if not ws_2d:
@@ -491,7 +519,8 @@ def scalar_mul(a: Tensor, c: float) -> Tensor:
 
 
 def _scalar_mul_forward_code(rec, j, ins, out, values, const, fixed):
-    return [f"r{j}_0 = {const(rec.args)}[0]", f"{out} = r{j}_0 * {ins[0]}"], 1
+    return [f"r{j}_0 = {const(('args', j))}[0]",
+            f"{out} = r{j}_0 * {ins[0]}"], 1
 
 
 def _scalar_mul_backward_code(rec, j, ins, out, g, live, values):
@@ -616,7 +645,7 @@ def select_columns(a: Tensor, indices) -> Tensor:
 
 def _select_columns_forward_code(rec, j, ins, out, values, const, fixed):
     rows = values[rec.input_ids[0]].shape[0]
-    return [f"r{j}_0 = np.arange({rows})", f"r{j}_1 = {const(rec.args)}[0]",
+    return [f"r{j}_0 = np.arange({rows})", f"r{j}_1 = {const(('args', j))}[0]",
             f"{out} = {ins[0]}[r{j}_0, r{j}_1][:, None]"], 2
 
 
@@ -679,7 +708,7 @@ def _label_check(rows: int, cols: int) -> Callable:
 
 
 def _cross_entropy_forward_code(rec, j, ins, out, values, const, fixed):
-    return [f"r{j}_0 = {const(rec.args)}[0]",
+    return [f"r{j}_0 = {const(('args', j))}[0]",
             f"{out}, r{j}_1, r{j}_2 = cross_entropy_values({ins[0]}, r{j}_0, "
             f"{rec.static[0]})"], 3
 
@@ -778,7 +807,7 @@ def grad_reverse(a: Tensor, lam) -> Tensor:
 
 def _grad_reverse_forward_code(rec, j, ins, out, values, const, fixed):
     shape = values[rec.input_ids[0]].shape
-    return [f"r{j}_0 = _reversal_factor({const(rec.args)}, {shape})",
+    return [f"r{j}_0 = _reversal_factor({const(('args', j))}, {shape})",
             f"{out} = {ins[0]}.copy()"], 1
 
 
@@ -800,9 +829,10 @@ def backward(tape: Tape, loss: Tensor, wrt: Sequence[Tensor],
     it): new arrays, or into itself, one array per wrt tensor, which then
     receives the gradients in place.
 
-    The sweep runs as generated code, made once per (loss, wrt) and tape,
-    captured or re-run: the backward numpy calls of the records it visits,
-    in order, with each gradient's accumulation resolved in advance.
+    The sweep runs as generated code, made once per (loss, wrt) and tape
+    structure in the process, captured or re-run: the backward numpy calls
+    of the records it visits, in order, with each gradient's accumulation
+    resolved in advance.
     """
     if loss.tape is not tape:
         raise ContractError("backward: loss tensor is not on this tape")
@@ -820,8 +850,11 @@ def backward(tape: Tape, loss: Tensor, wrt: Sequence[Tensor],
     key = (loss.node_id, wrt_ids)
     sweep = tape._sweeps.get(key)
     if sweep is None:
-        sweep = tape._sweeps[key] = _lower_backward(tape, loss.node_id,
-                                                    wrt_ids)
+        shared = (tape._structure(),) + key
+        sweep = _SWEEPS.get(shared)
+        if sweep is None:
+            sweep = _SWEEPS[shared] = _lower_backward(tape, *key)
+        tape._sweeps[key] = sweep
     if into is None:
         into = [np.empty_like(values[i]) for i in wrt_ids]
     sweep(values, tape._saved, into)
@@ -839,13 +872,18 @@ def backward(tape: Tape, loss: Tensor, wrt: Sequence[Tensor],
 # ins and out name the record's input and output values, g its output
 # gradient; j numbers the record, so its locals are r<j>_<k> (the k-th of
 # the `saved` arrays its forward keeps for the backward) and t<j>_*
-# (temporaries). const(obj, key=id(obj)) names a per-tape object the
-# forward reads (a check, an argument list, a parameter's view),
-# one per key. fixed flags the inputs that no record outputs and no rerun
-# refills (parameters, untied leaves): their arrays stay for the tape's life.
-# Each grad is None (not live) or (expression, whether it is a call that
-# takes out=). The source names no tape and holds no user text, so its
-# compiled code is shared by every tape of the same structure.
+# (temporaries). const(key) names a per-tape object by what it is, which
+# _const resolves on each tape: ("args", j) record j's argument list,
+# ("weight", i) or ("bias", i) the product operand or bias view of value i,
+# ("check", r) the check of refill r. fixed flags the inputs that no record
+# outputs and no rerun refills (parameters, untied leaves): their arrays
+# stay for the tape's life. Each grad is None (not live) or (expression,
+# whether it is a call that takes out=). The generators read of a tape
+# only what its structure key holds, and the source names no tape and
+# holds no user text, so one function serves every tape of that structure
+# in the process: _FORWARDS keeps each forward with its const keys, which
+# a tape resolves against itself, and _SWEEPS each sweep, which reads no
+# const.
 
 _CODE_GENERATORS = {
     "matmul": (_matmul_forward_code, _matmul_backward_code),
@@ -868,9 +906,15 @@ _CODE_GENERATORS = {
                        _select_columns_backward_code),
 }
 
-# generated source -> its function, for the whole process
+# generated source -> its function, for the whole process: it also shares
+# one function among the records of one kind and settings whose code names
+# no shape (_RECORDS keys them apart by their input shapes)
 _COMPILED: Dict[str, Callable] = {}
 _RECORDS: Dict[tuple, Tuple[Callable, int]] = {}  # see _run_record
+# (structure, refills) -> (forward, const keys); see _forward_of
+_FORWARDS: Dict[tuple, Tuple[Callable, tuple]] = {}
+# (structure, loss id, wrt ids) -> sweep; see backward
+_SWEEPS: Dict[tuple, Callable] = {}
 
 
 @functools.lru_cache(maxsize=None)
@@ -911,20 +955,30 @@ def _function(args: str, lines: List[str]) -> Callable:
 
 
 def _const_table() -> Tuple[Callable, list]:
-    """const(obj, key=id(obj)) -> the name c<k> of a per-tape object that
-    generated code reads, one per key; and the list of those objects."""
-    consts: list = []
-    named: Dict[object, str] = {}
+    """const(key) -> the name c<k> of the per-tape object that key names,
+    one per key; and the list of those keys, in name order."""
+    keys: list = []
+    named: Dict[tuple, str] = {}
 
-    def const(obj, key=None) -> str:
-        key = id(obj) if key is None else key
+    def const(key: tuple) -> str:
         name = named.get(key)
         if name is None:
-            name = named[key] = f"c{len(consts)}"
-            consts.append(obj)
+            name = named[key] = f"c{len(keys)}"
+            keys.append(key)
         return name
 
-    return const, consts
+    return const, keys
+
+
+def _const(tape: Tape, key: tuple):
+    """The object of tape that a const key names (see const above)."""
+    what, i = key
+    if what == "args":
+        return tape.records[i].args
+    if what == "check":
+        return tape._refills[i][2]
+    value = tape.values[i]
+    return _mT(value) if what == "weight" else _bias_operand(value)
 
 
 def _run_record(rec: _Record, values: List[np.ndarray]) -> tuple:
@@ -938,12 +992,12 @@ def _run_record(rec: _Record, values: List[np.ndarray]) -> tuple:
     key = (rec.kind, rec.static, tuple([a.shape for a in ins]))
     code = _RECORDS.get(key)
     if code is None:
-        const, consts = _const_table()
-        const(rec.args)
+        const, keys = _const_table()
+        const(("args", 0))
         names = [f"x{k}" for k in range(len(ins))]
         lines, saved = _CODE_GENERATORS[rec.kind][0](
             rec, 0, names, "y", values, const, [False] * len(ins))
-        assert len(consts) == 1, rec.kind
+        assert len(keys) == 1, rec.kind
         saves = "".join(f"r0_{k}, " for k in range(saved))
         code = _RECORDS[key] = (_function("ins, c0", _unpack(
             names, "ins") + lines + [f"return y, ({saves})"]), saved)
@@ -951,26 +1005,47 @@ def _run_record(rec: _Record, values: List[np.ndarray]) -> tuple:
     return fn(ins, rec.args)
 
 
-def _lower_forward(tape: Tape) -> Tuple[Callable, tuple]:
+def _forward_of(tape: Tape) -> Tuple[Callable, tuple]:
+    """The tape's generated forward, lowered for the first tape of its
+    structure and refills in the process, and the per-tape objects it
+    reads, resolved from this tape. A refill is keyed by its store, slot
+    and input, and by the first refill with the same check object, which
+    says which refills share one check."""
+    first: Dict[int, int] = {}  # id(check) -> the first refill with it
+    refills = tuple([(record, slot, k, first.setdefault(id(check), r))
+                     for r, (record, slot, check, k)
+                     in enumerate(tape._refills)])
+    key = (tape._structure(), refills)
+    code = _FORWARDS.get(key)
+    if code is None:
+        code = _FORWARDS[key] = _lower_forward(tape, refills)
+    fn, const_keys = code
+    return fn, tuple([_const(tape, c) for c in const_keys])
+
+
+def _lower_forward(tape: Tape, refills: tuple) -> Tuple[Callable, tuple]:
     """The tape's forward as generated code: refill and check each tied
     input in capture order, then each record's numpy calls in record order;
     it stores every value into the tape's list and returns the arrays the
     backward reads, as each record's forward saved them at capture.
-    Returns the function and the per-tape objects it reads."""
-    const, consts = _const_table()
+    refills holds (record, slot, input, first refill with this check) per
+    refill. Returns the function and the keys of the consts it reads."""
+    const, const_keys = _const_table()
     fixed = [True] * len(tape.values)
-    for store, slot, *_ in tape._refills:
-        if store is tape.values:
+    for record, slot, *_ in refills:
+        if record is None:
             fixed[slot] = False
     for rec in tape.records:
         fixed[rec.output_id] = False
     values = [f"v{i}" for i in range(len(tape.values))]
     body = _unpack(values, "values")
     checked: Dict[tuple, str] = {}  # (check, input) -> where its result is
-    for store, slot, check, k in tape._refills:
-        target = values[slot] if store is tape.values else f"{const(store)}[{slot}]"
-        done = checked.setdefault((const(check), k), target)
-        body.append(f"{target} = {const(check)}(inputs[{k}])" if done == target
+    for record, slot, k, first in refills:
+        target = (values[slot] if record is None
+                  else f"{const(('args', record))}[{slot}]")
+        check = const(("check", first))
+        done = checked.setdefault((check, k), target)
+        body.append(f"{target} = {check}(inputs[{k}])" if done == target
                     else f"{target} = {done}")
     for j, rec in enumerate(tape.records):
         body += _CODE_GENERATORS[rec.kind][0](
@@ -978,8 +1053,8 @@ def _lower_forward(tape: Tape) -> Tuple[Callable, tuple]:
             tape.values, const, [fixed[i] for i in rec.input_ids])[0]
     body.append(f"values[:] = ({', '.join(values)},)")
     body.append(f"return ({''.join(n + ', ' for n in _saved_names(tape))})")
-    body = _unpack([f"c{k}" for k in range(len(consts))], "consts") + body
-    return _function("inputs, values, consts", body), tuple(consts)
+    body = _unpack([f"c{k}" for k in range(len(const_keys))], "consts") + body
+    return _function("inputs, values, consts", body), tuple(const_keys)
 
 
 def _lower_backward(tape: Tape, loss_id: int,
@@ -1019,7 +1094,7 @@ def _lower_backward(tape: Tape, loss_id: int,
     def accumulate(nid: int, expr: str, takes_out: bool) -> None:
         sink = sinks.get(nid)
         if sink is None:
-            body.append(f"g{nid} = g{nid} + {expr}" if nid in started
+            body.append(f"g{nid} = g{nid} + ({expr})" if nid in started
                         else f"g{nid} = {expr}")
         elif nid in started:
             body.append(f"{sink} += {expr}")

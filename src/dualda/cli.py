@@ -117,27 +117,34 @@ def parse_config(path) -> RunConfig:
     """Parse and validate a key=value config file into a RunConfig."""
     cfg = RunConfig()
     seen: Dict[str, int] = {}
-    with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = _COMMENT.split(raw, 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"line {lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            kind = _KEY_TYPES.get(key)
-            if kind is None:
-                raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-            if key in seen:
-                raise ConfigError(f"line {lineno}: config key {key} is "
-                                  f"already set on line {seen[key]}")
-            seen[key] = lineno
-            try:
-                setattr(cfg, key, kind(value))
-            except ValueError:
-                noun = "integer" if kind is int else "number"
-                raise ConfigError(
-                    f"line {lineno}: invalid {noun} for {key}: {value!r}")
+    with open(path, "rb") as f:
+        lines = f.read().splitlines()  # at \n, \r and \r\n, as text mode
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"line {lineno}: not UTF-8 text (byte "
+                              f"{raw[e.start]:#04x} at column {e.start + 1})"
+                              ) from None
+        line = _COMMENT.split(text, 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        kind = _KEY_TYPES.get(key)
+        if kind is None:
+            raise ConfigError(f"line {lineno}: unknown config key {key!r}")
+        if key in seen:
+            raise ConfigError(f"line {lineno}: config key {key} is "
+                              f"already set on line {seen[key]}")
+        seen[key] = lineno
+        try:
+            setattr(cfg, key, kind(value))
+        except ValueError:
+            noun = "integer" if kind is int else "number"
+            raise ConfigError(
+                f"line {lineno}: invalid {noun} for {key}: {value!r}")
     _validate(cfg)
     return cfg
 

@@ -378,6 +378,21 @@ def _sweep_source(tape, loss, wrt):
     return next(src for src, fn in ad._COMPILED.items() if fn is sweep)
 
 
+def test_a_later_contribution_to_a_gradient_is_added_whole():
+    """A node that two cross-entropies read gets the second contribution,
+    a difference, added as one term, g + (a - b), as the per-record
+    formulas add it; (g + a) - b rounds otherwise."""
+    rng = np.random.default_rng(1)
+    x, labels = rng.standard_normal((6, 3)), rng.integers(0, 4, 6)
+    tape = ad.Tape()
+    w = tape.param(rng.standard_normal((4, 3)))
+    z = ad.matmul(tape.leaf(x), w)
+    loss = ad.add(ad.cross_entropy(z, labels), ad.cross_entropy(z, labels))
+    got, = ad.backward(tape, loss, [w])
+    want, = reference_backward(tape, loss, [w])
+    assert got.tobytes() == want.tobytes()
+
+
 def test_matmul_without_bias_returns_no_bias_gradient():
     tape = ad.Tape()
     x, w = tape.leaf(np.ones((2, 3))), tape.leaf(np.full((4, 3), 2.0))

@@ -83,6 +83,21 @@ def test_parse_config_hash_glued_to_a_number_is_a_config_error(tmp_path,
     assert capsys.readouterr().err.startswith("config error:")
 
 
+def test_parse_config_reads_utf8_and_names_a_line_that_is_not(tmp_path,
+                                                               capsys):
+    path = tmp_path / "exp.cfg"
+    path.write_bytes(MINIMAL.encode() + "out_dir = données\n".encode())
+    assert parse_config(path).out_dir == "données"
+    path.write_bytes(MINIMAL.encode() + b"out_dir = runs\r\nseed = \xff3\n")
+    with pytest.raises(ConfigError, match=r"^line 4: not UTF-8 text "
+                                          r"\(byte 0xff at column 8\)$"):
+        parse_config(path)
+    assert main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: line 4:") and err.count("\n") == 1
+
+
 def test_parse_config_unknown_key(tmp_path):
     with pytest.raises(ConfigError, match="unknown config key 'learning_rate'"):
         parse_config(write_config(tmp_path, MINIMAL + "learning_rate = 3\n"))

@@ -645,16 +645,22 @@ def test_train_frees_the_tapes_of_step_1_when_the_main_phase_starts(
     assert step1 and alive_at_step2[0] == 0
 
 
-def test_a_second_train_compiles_no_new_source():
-    """Generated code is cached per source for the whole process, and the
-    source names no parameter, so a second run reuses every function."""
+def test_a_second_train_compiles_no_new_source(monkeypatch):
+    """Generated code is kept per tape structure for the whole process, and
+    the source names no parameter, so a second run lowers no forward or
+    sweep and reuses every function."""
     config = TrainConfig(variant="ours_2m", epochs=2, batch_size=16,
                          eval_every=2, feature_dim=4, g_hidden=(6,),
                          head_hidden=(4,), schedule=Schedule(eta0=0.01))
     train(config, *_moons())
     compiled = dict(ad._COMPILED)
     assert compiled
+    lowered = []
+    for name in ("_lower_forward", "_lower_backward"):
+        monkeypatch.setattr(ad, name, lambda *args, _fn=getattr(ad, name):
+                            lowered.append(_fn.__name__) or _fn(*args))
     train(config, *_moons())
+    assert lowered == []
     assert ad._COMPILED == compiled
     assert not any("invariant" in source or "weight" in source
                    for source in compiled)
