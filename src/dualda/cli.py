@@ -326,8 +326,6 @@ def ablation_matrix(configs: Sequence[RunConfig], out_dir) -> List[Dict]:
     plus an `avg` of the means when several dataset configs are given;
     also writes ablation.csv under out_dir.
     """
-    if isinstance(configs, RunConfig):
-        configs = [configs]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ds_names = []

@@ -75,9 +75,7 @@ class ModuleLossParts:
 
     total: ad.Tensor
     classifier_ce: ad.Tensor
-    domain_ce: ad.Tensor          # domain_ce_source + domain_ce_target
-    domain_ce_source: ad.Tensor
-    domain_ce_target: ad.Tensor
+    domain_ce: ad.Tensor          # one term per domain, summed
 
 
 def module_loss(binding: BoundComponents, t_s: ad.Tensor, labels_s,
@@ -102,8 +100,7 @@ def module_loss(binding: BoundComponents, t_s: ad.Tensor, labels_s,
     dom_t = cross_entropy(binding.discriminator.forward(d_in_t),
                           np.ones(t_t.shape[0] // t_t.slices, dtype=np.int64))
     domain_ce = dom_s + dom_t
-    return ModuleLossParts(classifier_ce + domain_ce, classifier_ce,
-                           domain_ce, dom_s, dom_t)
+    return ModuleLossParts(classifier_ce + domain_ce, classifier_ce, domain_ce)
 
 
 def classifier_only_loss(binding: BoundComponents, t_s: ad.Tensor,
@@ -126,8 +123,6 @@ class DualLossParts:
     feature_dis: ad.Tensor      # discrepancy of softmax-normalized transform outputs
     prediction_dis: ad.Tensor   # discrepancy of the two primary classifiers
     reversed_feature_dis: ad.Tensor  # grad_reverse(feature_dis, lam)
-    probs_s: ad.Tensor          # both primary classifiers' softmax on source
-    probs_t: ad.Tensor          # ... and on target
 
 
 def dual_loss(binding: BoundComponents, t_s: ad.Tensor, t_t: ad.Tensor,
@@ -152,4 +147,4 @@ def dual_loss(binding: BoundComponents, t_s: ad.Tensor, t_t: ad.Tensor,
     prediction_dis = discrepancy(c_s) + discrepancy(c_t)
 
     return DualLossParts(feature_dis, prediction_dis,
-                         ad.grad_reverse(feature_dis, lam), c_s, c_t)
+                         ad.grad_reverse(feature_dis, lam))

@@ -32,13 +32,15 @@ ran one after the other. ``train`` runs one loop over each phase's step
 invocations; that loop samples the schedules, reports progress and labels
 a failing step.
 
-Each call site (step 1's phases A, B and C, step 2's source-only and
-adversarial updates, step 3) records its tape and its terms, the (slice
-names, parameter array, leaf tensor) triples each loss trains, once: on
-the first batch of a ``train`` call (``_program``). It also takes, once,
-the view of its optimizer's gradient store at each trained parameter
-(``SGD.grad_view``). Every later update of that site re-runs the tape on
-its batch (``ad.Tape.rerun_if_fits``, one shape check) as generated
+``train`` calls ``step1_mcd``, ``step2_modules`` and ``step3_dual`` by
+their module globals. Each call site (step 1's phases A, B and C, step
+2's source-only and adversarial updates, step 3) records its tape once,
+on the first batch of a ``train`` call, as a ``Program`` (``_program``):
+per loss the sweep of its backward (the loss, the leaf tensors it trains
+and the views of the optimizer's gradient store at their parameters,
+``SGD.grad_view``), and the (slice names, parameter array, gradient view)
+items of the SGD step. Every later update of that site re-runs the tape
+on its batch (``ad.Tape.rerun_if_fits``, one shape check) as generated
 straight-line code that makes the numpy calls of a fresh tape, so the
 same bits; a batch of another shape is captured again. A tape lets go
 of its capture batch at its first rerun, and ``train`` drops each
@@ -80,12 +82,11 @@ Term = Tuple[ad.Tensor, List[Tuple[Tuple[str, ...], np.ndarray, ad.Tensor]]]
 
 
 class Program(NamedTuple):
-    """A call site's tape and the terms of its update; per term the (loss,
-    leaf tensors, gradient-store views) of its backward, and the (slice
-    names, parameter array, gradient-store view) items of its SGD step."""
+    """A call site's tape and its update: per term the (loss, leaf tensors,
+    gradient-store views) of its backward, and the (slice names, parameter
+    array, gradient-store view) items of its SGD step."""
 
     tape: ad.Tape
-    terms: List[Term]
     sweeps: List[Tuple[ad.Tensor, List[ad.Tensor], List[np.ndarray]]]
     named: Tuple[Tuple[Tuple[str, ...], np.ndarray, np.ndarray], ...]
 
@@ -148,12 +149,13 @@ def _update(sgd: SGD, lr, program: Program) -> None:
 
 def _program(programs: Dict[str, Program], site: str, sgd: SGD, capture,
              context, inputs: tuple) -> Program:
-    """Call site `site`'s tape run on the step inputs, with its terms: the
+    """Call site `site`'s tape run on the step inputs, with its update: the
     tape it captured on an earlier batch, re-run, when the inputs have that
     batch's shapes; else a new tape on which capture(tape, *context,
-    *inputs) records the site's graph and returns its terms, kept for the
-    next batch with the views of sgd's gradient store that the terms'
-    parameters take. programs belongs to one model and one train() call."""
+    *inputs) records the site's graph and returns its terms, whose sweeps
+    and SGD items (on the views of sgd's gradient store that the terms'
+    parameters take) are kept for the next batch. programs belongs to one
+    model and one train() call."""
     program = programs.get(site)
     if program is not None and program.tape.rerun_if_fits(*inputs):
         return program
@@ -164,7 +166,7 @@ def _program(programs: Dict[str, Program], site: str, sgd: SGD, capture,
         into = [sgd.grad_view(names, arr) for names, arr, _ in pairs]
         sweeps.append((loss, [t for _, _, t in pairs], into))
         named += [(names, arr, g) for (names, arr, _), g in zip(pairs, into)]
-    program = programs[site] = Program(tape, terms, sweeps, tuple(named))
+    program = programs[site] = Program(tape, sweeps, tuple(named))
     return program
 
 
@@ -220,12 +222,15 @@ def _capture_dual(tape: ad.Tape, model: DualModel, xs, xt,
             (parts.prediction_dis, list(b.named_pairs(("classifier_a",))))]
 
 
-def _boundary_updates(comps: ComponentSet, prefix, batch_s, labels_s,
-                      batch_t, k: int, lr, sgd: SGD,
-                      programs: Dict[str, Program]) -> np.ndarray:
-    """Phases A, B and k x C of step 1 on every module of comps at once
-    (prefix and lr: one per module, or one for a single module); returns
-    each module's discrepancy read before the first phase-C update."""
+def step1_mcd(comps: ComponentSet, prefix, batch_s, labels_s, batch_t,
+              k: int, lr, sgd: SGD, programs: Dict[str, Program]) -> np.ndarray:
+    """Boundary learning: phases A, B and k x C on every module of comps at
+    once (prefix and lr: one per module, or one for a single module);
+    returns each module's classifier-pair discrepancy on the target batch,
+    read before the first phase-C update. programs holds the tapes of
+    train()'s earlier batches."""
+    if k < 1:
+        raise ContractError(f"k must be >= 1, got {k}")
     context = (comps, prefix)
     # (A) both classifiers fit source; whole path updates
     _update(sgd, lr, _program(programs, "step 1 A", sgd, _capture_source,
@@ -238,36 +243,14 @@ def _boundary_updates(comps: ComponentSet, prefix, batch_s, labels_s,
         program = _program(programs, "step 1 C", sgd, _capture_discrepancy,
                            context, (batch_t,))
         if i == 0:
-            before = program.terms[0][0].data
+            before = program.sweeps[0][0].data
         _update(sgd, lr, program)
     return before
 
 
-def step1_mcd(comps: ComponentSet, batch_s, labels_s, batch_t, k: int,
-              lr: float, sgd: Optional[SGD] = None,
-              name_prefix: str = "") -> Tuple[float, float]:
-    """Boundary learning on one module; returns the classifier pair's
-    target-batch discrepancy measured before and after phase C.
-
-    name_prefix prefixes the parameter names that a divergence error
-    gives. train() runs the same updates without the closing discrepancy
-    read.
-    """
-    if k < 1:
-        raise ContractError(f"k must be >= 1, got {k}")
-    if sgd is None:
-        sgd = SGD(0.0)
-    programs: Dict[str, Program] = {}
-    before = _boundary_updates(comps, name_prefix, batch_s, labels_s, batch_t,
-                               k, lr, sgd, programs)
-    after = _program(programs, "step 1 C", sgd, _capture_discrepancy,
-                     (comps, name_prefix), (batch_t,)).terms[0][0].data
-    return float(before[0]), float(after[0])
-
-
 def step2_modules(model: DualModel, batch_s, labels_s, batch_t, lam: float,
                   lr: float, variant: Variant, sgd: SGD,
-                  programs: Dict[str, Program]) -> DualModel:
+                  programs: Dict[str, Program]) -> None:
     """Per-module training; the adversarial modules update as one stacked
     graph, each from its own pre-step parameters (the modules are
     parameter-disjoint). programs holds the tapes of train()'s earlier
@@ -293,11 +276,10 @@ def step2_modules(model: DualModel, batch_s, labels_s, batch_t, lam: float,
             programs, "step 2", sgd, _capture_modules,
             (*model.modules(tuple(adversarial)), tuple(adversarial.values())),
             inputs))
-    return model
 
 
 def step3_dual(model: DualModel, batch_s, batch_t, lam: float, lr: float,
-               sgd: SGD, programs: Dict[str, Program]) -> DualModel:
+               sgd: SGD, programs: Dict[str, Program]) -> None:
     """One update of both modules' extractor/transform/primary classifier
     on the cross-module loss; discriminators and secondary classifiers
     are not part of this graph. programs holds the tapes of train()'s
@@ -312,7 +294,6 @@ def step3_dual(model: DualModel, batch_s, batch_t, lam: float, lr: float,
     """
     _update(sgd, lr, _program(programs, "step 3", sgd, _capture_dual,
                               (model,), (batch_s, batch_t, lam)))
-    return model
 
 
 def _domain_terms(model: DualModel, x, labels: np.ndarray,
@@ -438,7 +419,7 @@ def train(config: TrainConfig, source: DomainDataset, target: DomainDataset,
         comps, prefixes = model.modules(plan.mcd_modules)
         warm_steps.append(
             ("step 1", len(prefixes) * (2 + config.k), len(prefixes),
-             lambda xs, ys, xt, lr, lam: _boundary_updates(
+             lambda xs, ys, xt, lr, lam: step1_mcd(
                  comps, prefixes, xs, ys, xt, config.k, lr, step1_sgd,
                  programs)))
     main_steps = []

@@ -100,6 +100,16 @@ def module_forward_numpy(comps, x):
             stack_forward_numpy(comps.discriminator, t_out))
 
 
+def pair_discrepancy(comps, x):
+    """One module's classifier-pair discrepancy on input rows x, with no
+    tape: the numpy calls of classifier_discrepancy's records, so its
+    bytes at the module's current parameters."""
+    t = comps.features(x)
+    return ad.mean_abs_diff_values(
+        ad.row_softmax(comps.classifier_a.apply(t)),
+        ad.row_softmax(comps.classifier_b.apply(t)))[0][0]
+
+
 def module_loss_composition(comps, xs, ys, xt):
     """loss_m1/loss_m2 forward value from the CE oracle on replayed logits.
 
@@ -185,8 +195,9 @@ def compute_metrics_on_tape(model, source, target, epoch):
     dual = dual_loss(b, t_s, t_t, 0.0)
     mcd_dis = classifier_discrepancy(b, t_t)
 
-    def accuracy(probs, labels):
-        return float(np.mean(np.argmax(probs.data[:len(labels)], axis=1)
+    def accuracy(t, labels):
+        probs = ad.softmax(b.classifier_a.forward(t)).data
+        return float(np.mean(np.argmax(probs[:len(labels)], axis=1)
                              == labels))
 
     return MetricsRecord(
@@ -197,8 +208,8 @@ def compute_metrics_on_tape(model, source, target, epoch):
         dis_t=float(dual.feature_dis.data[0]),
         dis_c=float(dual.prediction_dis.data[0]),
         mcd_dis=float(mcd_dis.data[0]),
-        src_acc=accuracy(dual.probs_s, source.labels),
-        tgt_acc=accuracy(dual.probs_t, target.labels),
+        src_acc=accuracy(t_s, source.labels),
+        tgt_acc=accuracy(t_t, target.labels),
     )
 
 

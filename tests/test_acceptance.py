@@ -18,11 +18,11 @@ from dualda.errors import ConsistencyError, FormatError
 from dualda.losses import (cross_entropy, discrepancy, dual_loss, module_loss)
 from dualda.model import DualModel, Variant, predict, variant_plan
 from dualda.nn import BoundComponents, build_component_set
-from dualda.optim import Schedule, lambda_at, lr_at
+from dualda.optim import SGD, Schedule, lambda_at, lr_at
 from dualda.trainer import TrainConfig, step1_mcd, train
 
 from oracles import (FD_TOL, discrepancy_brute_force, fd_gradient, fd_rel_err,
-                     trained_components)
+                     pair_discrepancy, trained_components)
 
 # hyperparameters of the ordering experiment (criterion: dataset sizes,
 # rotation, epochs and seed count are fixed; the rest is the library's
@@ -412,10 +412,10 @@ def test_criterion_mcd_descent():
         ss = lambda k: int(np.random.SeedSequence([seed, k]).generate_state(1)[0])
         source = gen_two_moons(64, 0.1, ss(0))
         target = domain_shift(gen_two_moons(64, 0.1, ss(1)), 30.0)
-        before, after = step1_mcd(comps, source.features[:16],
-                                  source.labels[:16], target.features[:16],
-                                  k=4, lr=0.01)
-        wins += after <= before
+        xt = target.features[:16]
+        before = step1_mcd(comps, "", source.features[:16],
+                           source.labels[:16], xt, 4, 0.01, SGD(0.0), {})[0]
+        wins += pair_discrepancy(comps, xt) <= before
     assert wins >= 90
     ok(f"MCD phase C did not increase classifier discrepancy in {wins}/100 "
        f"seeded trials (threshold 90)")

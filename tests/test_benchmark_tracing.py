@@ -37,6 +37,7 @@ def test_tracer_sees_every_train_step_and_restores_the_originals():
     originals = {name: getattr(trainer, name)
                  for name in (*tracing.TRAIN_STEPS, "train")}
     metrics, n_pairs, k = _traced_train("ours_2m")
+    assert metrics["trainer.step1_mcd.calls"][0] == n_pairs
     assert metrics["trainer.step2_modules.calls"][0] == n_pairs
     assert metrics["trainer.step3_dual.calls"][0] == n_pairs
     assert metrics["trainer.compute_metrics.calls"][0] == 2
@@ -50,6 +51,7 @@ def test_tracer_sees_every_train_step_and_restores_the_originals():
 
 def test_tracer_counts_a_one_module_variant():
     metrics, n_pairs, _ = _traced_train("dann")
+    assert metrics["trainer.step1_mcd.calls"][0] == 0
     assert metrics["trainer.step2_modules.calls"][0] == 2 * n_pairs
     assert metrics["trainer.step3_dual.calls"][0] == 0
     assert metrics["autodiff.backward.calls"][0] == 2 * n_pairs

@@ -327,7 +327,7 @@ def test_run_experiment_failure_leaves_marker(tmp_path, capsys):
 
 
 def test_manifest_checksums_shared_across_variants(tmp_path):
-    rows = ablation_matrix(fast_config(tmp_path, trials=1, epochs=1),
+    rows = ablation_matrix([fast_config(tmp_path, trials=1, epochs=1)],
                            tmp_path / "ablation")
     assert len(rows) == 7
     assert [r["variant"] for r in rows] == [

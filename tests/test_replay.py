@@ -74,6 +74,14 @@ def _capture(site, model, batch):
     return tape, capture(tape, *context(model), *inputs)
 
 
+def _terms(program):
+    """A program's terms, (loss, [(slice names, parameter array, leaf
+    tensor)]), from its sweeps and SGD items."""
+    named = iter(program.named)
+    return [(loss, [(names, arr, t) for t, (names, arr, _) in zip(wrt, named)])
+            for loss, wrt, _ in program.sweeps]
+
+
 def _sweep(tape, terms, backward=ad.backward):
     """Every record's kind and output, then every term's gradients by
     backward, as bytes."""
@@ -162,11 +170,12 @@ def test_the_first_update_of_a_call_site_writes_the_store_in_place():
         fresh = _sweep(*_capture(site, model, _batch(1)), reference_backward)
         trainer._update(sgd, 0.05, program)
         assert program.tape._forward is None  # captured, never re-run
-        for (_, _, into), (_, pairs) in zip(program.sweeps, program.terms):
+        terms = _terms(program)
+        for (_, _, into), (_, pairs) in zip(program.sweeps, terms):
             assert all(g is sgd.grad_view(names, arr)
                        for (names, arr, _), g in zip(pairs, into))
         assert [[(names, sgd.grad_view(names, arr).tobytes())
-                 for names, arr, _ in pairs] for _, pairs in program.terms] \
+                 for names, arr, _ in pairs] for _, pairs in terms] \
             == fresh[len(program.tape.records):]
 
 
@@ -355,7 +364,7 @@ def test_a_captured_site_sees_every_in_place_parameter_update(change):
     inputs = _inputs(_batch(3), reads)
     assert trainer._program(programs, site, sgd, capture, context(model),
                             inputs) is program
-    assert _sweep(program.tape, program.terms) == _sweep(
+    assert _sweep(program.tape, _terms(program)) == _sweep(
         *_capture(site, model, _batch(3)), reference_backward)
 
 
@@ -467,7 +476,7 @@ def _params(model):
 
 @pytest.mark.parametrize("modules", [("invariant",),
                                      ("invariant", "discriminative")])
-def test_boundary_updates_rerun_phase_c_k_times_like_fresh_tapes(modules):
+def test_step1_mcd_reruns_phase_c_k_times_like_fresh_tapes(modules):
     """Phase C re-runs its tape k - 1 times within one invocation (and k
     times on the next batch) while `before` keeps the first reading."""
     results = []
@@ -476,7 +485,7 @@ def test_boundary_updates_rerun_phase_c_k_times_like_fresh_tapes(modules):
         comps, prefixes = model.modules(modules)
         sgd = SGD(0.9)
         lr = [0.05, 0.04][:len(prefixes)]
-        befores = [trainer._boundary_updates(
+        befores = [trainer.step1_mcd(
             comps, prefixes, *_batch(seed)[:3], 4, lr, sgd, programs).tobytes()
             for seed in (1, 2)]
         results.append((befores, _params(model)))
@@ -559,7 +568,7 @@ def test_a_changed_batch_shape_captures_again():
     again = trainer._program(programs, "A", sgd, trainer._capture_source,
                              context, short)
     assert again.tape is not first.tape
-    assert _sweep(again.tape, again.terms) == _sweep(
+    assert _sweep(again.tape, _terms(again)) == _sweep(
         *_capture("phase A, one module", model, _batch(2, n=B - 6)))
 
 
@@ -627,7 +636,7 @@ def test_train_frees_the_tapes_of_step_1_when_the_main_phase_starts(
     update of step 2."""
     step1, alive_at_step2 = [], []
 
-    def boundary(*args, _fn=trainer._boundary_updates):
+    def boundary(*args, _fn=trainer.step1_mcd):
         before = _fn(*args)
         step1.extend(weakref.ref(p.tape) for p in args[-1].values())
         return before
@@ -636,7 +645,7 @@ def test_train_frees_the_tapes_of_step_1_when_the_main_phase_starts(
         alive_at_step2.append(sum(r() is not None for r in step1))
         return _fn(*args)
 
-    monkeypatch.setattr(trainer, "_boundary_updates", boundary)
+    monkeypatch.setattr(trainer, "step1_mcd", boundary)
     monkeypatch.setattr(trainer, "step2_modules", modules)
     config = TrainConfig(variant="ours_2m", epochs=2, batch_size=16,
                          eval_every=1, feature_dim=4, g_hidden=(6,),

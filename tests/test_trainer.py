@@ -17,7 +17,7 @@ from dualda.trainer import (MetricsRecord, TrainConfig, compute_metrics,
 
 from oracles import (accuracy_counting, discrepancy_brute_force,
                      dual_loss_composition, module_forward_numpy,
-                     module_loss_composition, softmax_rows,
+                     module_loss_composition, pair_discrepancy, softmax_rows,
                      trained_components)
 
 
@@ -54,6 +54,13 @@ def batch_from(ds, n=16):
 
 # --- step 1 -------------------------------------------------------------------
 
+def run_step1(comps, xs, ys, xt, k, lr):
+    """step1_mcd on one module, momentum 0, fresh tapes: the pair's
+    discrepancy read before phase C, and the oracle's after it."""
+    before = step1_mcd(comps, "", xs, ys, xt, k, lr, SGD(0.0), {})
+    return float(before[0]), float(pair_discrepancy(comps, xt))
+
+
 def test_step1_identical_classifiers_start_at_zero_discrepancy():
     comps = build_component_set(2, 6, 2, seed=0)
     for la, lb in zip(comps.classifier_a.layers, comps.classifier_b.layers):
@@ -75,7 +82,7 @@ def test_step1_lr_zero_changes_nothing():
     source, target = small_data()
     xs, ys = batch_from(source)
     xt, _ = batch_from(target)
-    step1_mcd(comps, xs, ys, xt, k=4, lr=0.0)
+    run_step1(comps, xs, ys, xt, k=4, lr=0.0)
     for name, arr in comps.named_arrays():
         assert np.array_equal(named_before[name], arr), name
 
@@ -86,7 +93,7 @@ def test_step1_rejects_bad_k():
     xs, ys = batch_from(source)
     xt, _ = batch_from(target)
     with pytest.raises(ContractError):
-        step1_mcd(comps, xs, ys, xt, k=0, lr=0.01)
+        run_step1(comps, xs, ys, xt, k=0, lr=0.01)
 
 
 def test_step1_untouched_discriminator():
@@ -95,7 +102,7 @@ def test_step1_untouched_discriminator():
     source, target = small_data()
     xs, ys = batch_from(source)
     xt, _ = batch_from(target)
-    step1_mcd(comps, xs, ys, xt, k=2, lr=0.05)
+    run_step1(comps, xs, ys, xt, k=2, lr=0.05)
     for layer, before in zip(comps.discriminator.layers, d_before):
         assert np.array_equal(layer.weight, before)
 
@@ -108,13 +115,15 @@ def oracle_pair_discrepancy(comps, x):
 
 
 def test_step1_after_matches_oracle_on_returned_parameters():
+    """The tape-free read after phase C, which the step-1 tests take as
+    `after`, against the numpy replay on the parameters step 1 leaves."""
     source, target = small_data(seed=3)
     xs, ys = batch_from(source)
     xt, _ = batch_from(target)
     for k in (1, 3):
         comps = build_component_set(2, 6, 2, seed=k, g_hidden=(8,),
                                     head_hidden=(4,))
-        _, after = step1_mcd(comps, xs, ys, xt, k=k, lr=0.05)
+        _, after = run_step1(comps, xs, ys, xt, k=k, lr=0.05)
         assert after == pytest.approx(oracle_pair_discrepancy(comps, xt),
                                       abs=1e-12)
 
@@ -126,7 +135,7 @@ def test_step1_before_does_not_depend_on_k():
     runs = {}
     for k in (1, 3):
         comps = build_component_set(2, 6, 2, seed=5)
-        runs[k] = step1_mcd(comps, xs, ys, xt, k=k, lr=0.05)
+        runs[k] = run_step1(comps, xs, ys, xt, k=k, lr=0.05)
     assert runs[1][0] == runs[3][0]
     assert runs[1][1] != runs[3][1]
 
@@ -140,7 +149,7 @@ def test_step1_phase_c_descends_discrepancy_statistically():
         source, target = small_data(seed=seed, n=64)
         xs, ys = batch_from(source)
         xt, _ = batch_from(target)
-        before, after = step1_mcd(comps, xs, ys, xt, k=4, lr=0.01)
+        before, after = run_step1(comps, xs, ys, xt, k=4, lr=0.01)
         wins += after <= before
     assert wins >= 90, f"phase C reduced discrepancy in only {wins}/100 trials"
 
@@ -407,7 +416,7 @@ def test_adversarial_steps_run_after_the_warmup(monkeypatch, epochs,
     Step 1 trains both modules of ours_2m in one stacked call per batch."""
     source, target = small_data()
     cfg = small_config(Variant.OURS_2M, epochs=epochs, mcd_warmup=mcd_warmup)
-    calls = {"_boundary_updates": 0, "step3_dual": 0}
+    calls = {"step1_mcd": 0, "step3_dual": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(trainer, name)):
             calls[_name] += 1
@@ -415,13 +424,14 @@ def test_adversarial_steps_run_after_the_warmup(monkeypatch, epochs,
         monkeypatch.setattr(trainer, name, counted)
     train(cfg, source, target)
     n_pairs = num_batch_pairs(source, target, cfg.batch_size)
-    assert calls == {"_boundary_updates": warm_epochs * n_pairs,
+    assert calls == {"step1_mcd": warm_epochs * n_pairs,
                      "step3_dual": (epochs - warm_epochs) * n_pairs}
 
 
 def test_train_warmup_matches_repeated_step1_mcd_calls():
-    """train() runs step 1 through its own helper; the parameters must be
-    the bytes that step1_mcd gives on the same batches and schedule."""
+    """train() re-runs each step-1 tape on later batches; the parameters
+    must be the bytes that step1_mcd gives with fresh tapes on the same
+    batches and schedule."""
     source, target = small_data(n=64)
     cfg = small_config(Variant.MCD, epochs=2, batch_size=16, k=3)
     model, _ = train(cfg, source, target)
@@ -436,9 +446,8 @@ def test_train_warmup_matches_repeated_step1_mcd_calls():
     for epoch in range(1, cfg.epochs + 1):
         for xs, ys, xt in batches(source, target, cfg.batch_size,
                                   derived_seed(cfg.seed, epoch)):
-            step1_mcd(ref.invariant, xs, ys, xt, cfg.k,
-                      lr_at(cfg.schedule, done / total), sgd,
-                      name_prefix="invariant.")
+            step1_mcd(ref.invariant, "invariant.", xs, ys, xt, cfg.k,
+                      lr_at(cfg.schedule, done / total), sgd, {})
             done += per_call
     assert done == total
     for name, arr in ref.named_parameters().items():
