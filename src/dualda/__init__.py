@@ -1,14 +1,14 @@
 """dualda: dual-module adversarial unsupervised domain adaptation, built on
 a minimal reverse-mode autodiff core with a gradient reversal layer."""
 
-from .autodiff import (Tape, Tensor, add, backward, grad_reverse, matmul,
-                       softmax, sub)
+from .autodiff import (Tape, Tensor, add, backward, cross_entropy, grad_reverse,
+                       matmul, softmax, sub)
 from .data import (DomainDataset, batches, dataset_checksum, domain_shift,
                    gen_blob_shift, gen_two_moons, load_idx, write_idx_images,
                    write_idx_labels)
 from .errors import (ConfigError, ConsistencyError, ContractError,
                      DimensionError, DomainError, FormatError)
-from .losses import cross_entropy, discrepancy
+from .losses import discrepancy
 from .model import (DualModel, TrainingPlan, Variant, forward_path, predict,
                     variant_plan)
 from .nn import (BoundComponents, BoundStack, ComponentSet, LinearLayer,

@@ -685,9 +685,10 @@ def mean_abs_diff_values(x: np.ndarray, y: np.ndarray, slices: int = 1):
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
     """-mean_i log_softmax(logits)[i, labels[i]] of each row slice, one
-    value per slice (labels: one per row of a slice): the numpy calls of
-    log_softmax, select_columns, mean and scalar_mul(-1), forward and
-    backward, in one record."""
+    value per slice (labels: one integer per row of a slice, passed on
+    uncopied, so an int32 or int64 step input ties to the tape): the numpy
+    calls of log_softmax, select_columns, mean and scalar_mul(-1), forward
+    and backward, in one record."""
     m = logits.slices
     _check_rows(logits, "cross_entropy")
     if logits.shape[0] == 0:
@@ -794,8 +795,6 @@ def grad_reverse(a: Tensor, lam) -> Tensor:
     lam may instead hold one entry per row slice: a lambda reverses that
     slice's gradient, None passes it on unchanged (weight +1.0)."""
     lams = list(lam) if isinstance(lam, (list, tuple)) else [lam]
-    for v in lams:
-        _checked_lambda(v)
     if len(lams) != 1 and (not lams or a.data.ndim == 0 or
                            a.shape[0] % len(lams)):
         raise DimensionError(

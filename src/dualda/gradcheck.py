@@ -23,8 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import autodiff as ad
-from .losses import (classifier_discrepancy, cross_entropy, dual_loss,
-                     module_loss)
+from .losses import classifier_discrepancy, dual_loss, module_loss
 from .model import DualModel
 from .nn import COMPONENT_KEYS, BoundComponents, build_component_set
 
@@ -200,7 +199,7 @@ def _loss_parts(kind: str, model: DualModel, xs, ys, xt, lam):
     b = BoundComponents(tape, model.invariant, prefix="invariant.")
     x_s, x_t = tape.leaf(xs), tape.leaf(xt)
     if kind == "cross_entropy":
-        ce = cross_entropy(b.classifier_a.forward(b.features(x_s)), ys)
+        ce = ad.cross_entropy(b.classifier_a.forward(b.features(x_s)), ys)
         return tape, b, [ce], lambda comp: [1.0], [ce]
     if kind == "discrepancy":
         dis = classifier_discrepancy(b, b.features(x_t))

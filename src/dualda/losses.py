@@ -3,7 +3,8 @@
 Every loss scores transform-layer outputs: the caller runs each module's
 extractor and transform layer once per domain (``BoundComponents.features``)
 and hands the results to whichever losses read them, so one forward pass
-serves every term on a tape.
+serves every term on a tape. The losses compose fused tape records, and
+each record checks its own operands (batch, shapes, labels, lambdas).
 
 The discrepancy between two probability rows p, q is mean_k |p_k - q_k|;
 over a batch it is averaged again, i.e. sum|p - q| / (rows * cols). The
@@ -26,32 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ContractError, DimensionError
+from .errors import DimensionError
 from .nn import BoundComponents
-
-
-def cross_entropy(logits: ad.Tensor, labels) -> ad.Tensor:
-    """Mean over the batch of -log_softmax(logits)[label]. int64 labels
-    pass through uncopied, so a tape can tie them to its step input;
-    ad.cross_entropy checks their range, also when a rerun refills them."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if logits.data.ndim != 2:
-        raise DimensionError(
-            f"cross_entropy: logits must be 2-D, got {list(logits.shape)}")
-    rows = logits.shape[0] // logits.slices
-    if labels.ndim != 1 or labels.shape[0] != rows:
-        raise ContractError(
-            f"cross_entropy: need one label per row of a module, got "
-            f"{labels.shape} for {rows} rows")
-    return ad.cross_entropy(logits, labels)
 
 
 def discrepancy(p1: ad.Tensor, p2: ad.Tensor | None = None) -> ad.Tensor:
     """Mean absolute difference between two batches of probability rows, one
     value per module; without p2, between the two modules' rows of p1."""
-    if p2 is not None and p1.shape != p2.shape:
-        raise DimensionError(
-            f"discrepancy: shapes {list(p1.shape)} and {list(p2.shape)} differ")
     if p1.data.ndim != 2:
         raise DimensionError(
             f"discrepancy: expected 2-D probability rows, got {list(p1.shape)}")
@@ -62,11 +44,6 @@ def classifier_discrepancy(binding: BoundComponents, t: ad.Tensor) -> ad.Tensor:
     """Discrepancy of one module's classifier pair on transform outputs t."""
     return discrepancy(ad.softmax(binding.classifier_a.forward(t)),
                        ad.softmax(binding.classifier_b.forward(t)))
-
-
-def _check_batches(t_s: ad.Tensor, t_t: ad.Tensor) -> None:
-    if t_s.shape[0] == 0 or t_t.shape[0] == 0:
-        raise ContractError("loss: empty batch")
 
 
 @dataclass
@@ -87,7 +64,6 @@ def module_loss(binding: BoundComponents, t_s: ad.Tensor, labels_s,
     slice order; None disables reversal (the discriminative module's loss,
     where the domain gradient trains the extractor to separate domains).
     """
-    _check_batches(t_s, t_t)
     classifier_ce = classifier_only_loss(binding, t_s, labels_s)
 
     d_in_s, d_in_t = t_s, t_t
@@ -95,10 +71,10 @@ def module_loss(binding: BoundComponents, t_s: ad.Tensor, labels_s,
     if any(v is not None for v in lams):
         d_in_s = ad.grad_reverse(t_s, lam)
         d_in_t = ad.grad_reverse(t_t, lam)
-    dom_s = cross_entropy(binding.discriminator.forward(d_in_s),
-                          np.zeros(t_s.shape[0] // t_s.slices, dtype=np.int64))
-    dom_t = cross_entropy(binding.discriminator.forward(d_in_t),
-                          np.ones(t_t.shape[0] // t_t.slices, dtype=np.int64))
+    dom_s = ad.cross_entropy(binding.discriminator.forward(d_in_s),
+                             np.zeros(t_s.shape[0] // t_s.slices, dtype=np.int64))
+    dom_t = ad.cross_entropy(binding.discriminator.forward(d_in_t),
+                             np.ones(t_t.shape[0] // t_t.slices, dtype=np.int64))
     domain_ce = dom_s + dom_t
     return ModuleLossParts(classifier_ce + domain_ce, classifier_ce, domain_ce)
 
@@ -106,10 +82,8 @@ def module_loss(binding: BoundComponents, t_s: ad.Tensor, labels_s,
 def classifier_only_loss(binding: BoundComponents, t_s: ad.Tensor,
                          labels_s) -> ad.Tensor:
     """Source-only objective: both classifiers' CE, no domain term."""
-    if t_s.shape[0] == 0:
-        raise ContractError("loss: empty batch")
-    ce_a = cross_entropy(binding.classifier_a.forward(t_s), labels_s)
-    ce_b = cross_entropy(binding.classifier_b.forward(t_s), labels_s)
+    ce_a = ad.cross_entropy(binding.classifier_a.forward(t_s), labels_s)
+    ce_b = ad.cross_entropy(binding.classifier_b.forward(t_s), labels_s)
     return ce_a + ce_b
 
 
@@ -136,9 +110,6 @@ def dual_loss(binding: BoundComponents, t_s: ad.Tensor, t_t: ad.Tensor,
     objective (they descend it). The exposed term nodes let the caller
     backpropagate each term to its own player.
     """
-    _check_batches(t_s, t_t)
-    if t_s.slices != 2 or t_t.slices != 2:
-        raise ContractError("dual_loss: needs both modules' stacked outputs")
     feature_dis = (discrepancy(ad.softmax(t_s)) +
                    discrepancy(ad.softmax(t_t)))
 

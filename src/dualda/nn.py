@@ -30,6 +30,14 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ContractError, DimensionError, FormatError
 
+def checked_int(name: str, value, least: int) -> int:
+    """value as an int; refuses a non-integer (bools too) or one below least."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < least):
+        raise ContractError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class NetworkSpec:
     """Architecture of one dense stack: its layer widths."""
@@ -39,9 +47,8 @@ class NetworkSpec:
     def __post_init__(self):
         if len(self.layer_dims) < 2:
             raise ContractError("NetworkSpec: need at least [in_dim, out_dim]")
-        if any(int(d) < 1 for d in self.layer_dims):
-            raise ContractError(f"NetworkSpec: dims must be >= 1, got {self.layer_dims}")
-        self.layer_dims = [int(d) for d in self.layer_dims]
+        name = f"NetworkSpec: each of layer_dims {self.layer_dims}"
+        self.layer_dims = [checked_int(name, d, 1) for d in self.layer_dims]
 
     @property
     def in_dim(self) -> int:
@@ -237,8 +244,6 @@ def build_component_set(input_dim: int, feature_dim: int, num_classes: int,
                         head_hidden: Sequence[int] = (16,)) -> ComponentSet:
     """Build one module's components with per-component seeds derived from
     one base seed (so the classifier pair starts at different parameters)."""
-    if input_dim < 1 or feature_dim < 1 or num_classes < 1:
-        raise ContractError("input_dim, feature_dim and num_classes must be >= 1")
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     children = seed.spawn(5)

@@ -71,7 +71,7 @@ from .errors import ContractError
 from .losses import (classifier_discrepancy, classifier_only_loss, dual_loss,
                      module_loss)
 from .model import DualModel, Variant, variant_plan
-from .nn import COMPONENT_KEYS, BoundComponents, ComponentSet
+from .nn import COMPONENT_KEYS, BoundComponents, ComponentSet, checked_int
 from .optim import SGD, Schedule, lambda_at, lr_at
 
 _PATH_COMPONENTS = ("extractor", "transform", "classifier_a", "classifier_b")
@@ -109,10 +109,11 @@ class TrainConfig:
     def __post_init__(self):
         self.variant = Variant(self.variant)
         for name in ("epochs", "batch_size", "k", "eval_every", "feature_dim"):
-            if int(getattr(self, name)) < 1:
-                raise ContractError(f"{name} must be a positive integer")
-        if int(self.seed) < 0:
-            raise ContractError("seed must be nonnegative")
+            checked_int(name, getattr(self, name), 1)
+        for name in ("g_hidden", "head_hidden"):
+            for width in getattr(self, name):
+                checked_int(f"each of {name}", width, 1)
+        checked_int("seed", self.seed, 0)
         if not 0.0 < self.mcd_warmup < 1.0:
             raise ContractError("mcd_warmup must lie in (0, 1)")
 

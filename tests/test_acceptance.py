@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 import dualda.autodiff as ad
+from dualda.autodiff import cross_entropy
 from dualda.cli import parse_config, run_experiment
 from dualda.data import (domain_shift, gen_two_moons, load_idx,
                          write_idx_images, write_idx_labels)
 from dualda.errors import ConsistencyError, FormatError
-from dualda.losses import (cross_entropy, discrepancy, dual_loss, module_loss)
+from dualda.losses import discrepancy, dual_loss, module_loss
 from dualda.model import DualModel, Variant, predict, variant_plan
 from dualda.nn import BoundComponents, build_component_set
 from dualda.optim import SGD, Schedule, lambda_at, lr_at

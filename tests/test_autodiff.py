@@ -142,6 +142,19 @@ def test_grad_reverse_rejects_negative_lambda():
     tape, x = leaf([1.0])
     with pytest.raises(ContractError):
         ad.grad_reverse(x, -0.1)
+    tape, x = leaf(np.ones((4, 2)))
+    with pytest.raises(ContractError, match="lambda must be >= 0"):
+        ad.grad_reverse(x, [0.5, -0.1])
+
+
+@pytest.mark.parametrize("lam", [0.5, [0.5, None], [0.5, 0.25]])
+def test_grad_reverse_checks_each_lambda_once(monkeypatch, lam):
+    calls = []
+    monkeypatch.setattr(ad, "_checked_lambda",
+                        lambda v, _f=ad._checked_lambda: calls.append(v) or _f(v))
+    tape, x = leaf(np.ones((4, 2)))
+    ad.grad_reverse(x, lam)
+    assert calls == (lam if isinstance(lam, list) else [lam])
 
 
 def test_an_empty_batch_is_a_domain_error_naming_the_loss():

@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dualda
 import dualda.autodiff as ad
-from dualda.errors import ContractError, DimensionError
-from dualda.losses import cross_entropy, discrepancy, dual_loss, module_loss
+from dualda.autodiff import cross_entropy
+from dualda.errors import ContractError, DimensionError, DomainError
+from dualda.losses import (classifier_only_loss, discrepancy, dual_loss,
+                           module_loss)
 from dualda.model import DualModel
 from dualda.nn import BoundComponents, build_component_set
 
@@ -48,6 +51,19 @@ def test_cross_entropy_label_out_of_range():
         ce_value([[0.0, 0.0]], [2])
 
 
+def test_the_package_exports_the_cross_entropy_record():
+    assert dualda.cross_entropy is ad.cross_entropy
+
+
+@pytest.mark.parametrize("labels", [[1.7, 0.2], [True, False], [1.0, 0.0]])
+def test_cross_entropy_refuses_labels_that_are_not_integers(labels):
+    """Fractional labels are not truncated, nor bools and whole floats
+    taken for class indices."""
+    with pytest.raises(ContractError,
+                       match="cross_entropy: indices must be integers"):
+        dualda.cross_entropy(ad.Tape().leaf(np.zeros((2, 2))), labels)
+
+
 def test_cross_entropy_nonnegative():
     rng = np.random.default_rng(1)
     for _ in range(100):
@@ -69,7 +85,7 @@ def test_discrepancy_disjoint_one_hots_is_max():
 
 
 def test_discrepancy_shape_mismatch():
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match="mean_abs_diff: shapes"):
         dis_value(np.ones((2, 3)) / 3, np.ones((2, 2)) / 2)
 
 
@@ -201,7 +217,7 @@ def test_classifier_terms_equal_across_module_losses():
 
 def test_module_loss_empty_batch_rejected():
     comps = build_component_set(2, 4, 2, seed=0)
-    with pytest.raises(ContractError):
+    with pytest.raises(DomainError):
         module_total(comps, np.empty((0, 2)), np.empty(0, dtype=int),
                      np.ones((1, 2)), 0.5)
 
@@ -274,5 +290,51 @@ def test_dual_loss_feature_term_sign_flips_with_reversal():
 def test_dual_loss_empty_batch_rejected():
     c1 = build_component_set(2, 4, 2, seed=0)
     c2 = build_component_set(2, 4, 2, seed=1)
-    with pytest.raises(ContractError):
+    with pytest.raises(DomainError):
         dual_total(c1, c2, np.empty((0, 2)), np.ones((2, 2)), 0.5)
+
+
+# --- the records refuse what the loss layer passes on ----------------------------
+
+
+def _loss_of(entry, xs, xt):
+    """entry on the transform outputs of xs and xt, on a fresh tape: the two
+    modules' for dual_loss, the invariant module's for the others
+    (dual_loss_one: dual_loss on the invariant module's alone)."""
+    tape = ad.Tape()
+    model = DualModel.build(2, 4, 2, seed=0)
+    b = BoundComponents(tape, *(model.modules() if entry == "dual_loss"
+                                else model.modules(("invariant",))))
+    t_s, t_t = b.features(tape.leaf(xs)), b.features(tape.leaf(xt))
+    ys = np.array([0, 1, 1][:len(xs)])
+    if entry == "module_loss":
+        return module_loss(b, t_s, ys, t_t, 0.5)
+    if entry == "classifier_only_loss":
+        return classifier_only_loss(b, t_s, ys)
+    return dual_loss(b, t_s, t_t, 0.5)
+
+
+EMPTY, ROWS = np.empty((0, 2)), np.ones((3, 2))
+EMPTY_BATCH = "cross_entropy: the batch is empty"
+EMPTY_OPERANDS = "mean_abs_diff: the operands are empty"
+
+
+@pytest.mark.parametrize("call,error,match", [
+    (lambda: cross_entropy(ad.Tape().leaf(np.zeros(3)), [0, 1, 1]),
+     DimensionError, "cross_entropy: expected a 2-D tensor"),
+    (lambda: cross_entropy(ad.Tape().leaf(np.zeros((3, 2))), [0, 1]),
+     DimensionError, "cross_entropy: index vector"),
+    (lambda: cross_entropy(ad.Tape().leaf(np.zeros((3, 2))), [[0, 1, 1]]),
+     DimensionError, "cross_entropy: index vector"),
+    (lambda: _loss_of("module_loss", ROWS, EMPTY), DomainError, EMPTY_BATCH),
+    (lambda: _loss_of("classifier_only_loss", EMPTY, ROWS), DomainError,
+     EMPTY_BATCH),
+    (lambda: _loss_of("dual_loss", ROWS, EMPTY), DomainError, EMPTY_OPERANDS),
+    (lambda: _loss_of("dual_loss_one", ROWS, ROWS), DimensionError,
+     "mean_abs_diff: one operand must hold 2 slices"),
+], ids=["1-D logits", "short labels", "2-D labels", "module_loss, empty target",
+        "classifier_only_loss, empty source", "dual_loss, empty target",
+        "dual_loss, one module"])
+def test_the_records_refuse_what_the_loss_layer_passes_on(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -176,6 +176,26 @@ def test_non_square_transform_rejected():
         )
 
 
+@pytest.mark.parametrize("dims", [
+    (0, 4, 2), (2, 0, 2), (2, 4, 0)])
+def test_build_component_set_refuses_a_zero_width(dims):
+    with pytest.raises(ContractError, match="layer_dims .* must be an "
+                                            "integer >= 1, got 0"):
+        build_component_set(*dims, seed=0)
+
+
+@pytest.mark.parametrize("width", [2.5, 2.0, True, "3"])
+def test_network_spec_refuses_a_width_that_is_not_an_integer(width):
+    with pytest.raises(ContractError, match="NetworkSpec: each of layer_dims"):
+        NetworkSpec([2, width, 3])
+
+
+def test_network_spec_takes_numpy_integer_widths_as_ints():
+    spec = NetworkSpec([np.int64(2), np.int32(5), np.uint8(3)])
+    assert spec.layer_dims == [2, 5, 3]
+    assert all(type(d) is int for d in spec.layer_dims)
+
+
 def test_transform_preserves_shape():
     comps = build_component_set(3, 8, 2, seed=1)
     feats = np.random.default_rng(0).uniform(-1, 1, (5, 8))

@@ -16,7 +16,7 @@ import dualda.autodiff as ad
 import dualda.trainer as trainer
 from dualda.data import domain_shift, gen_two_moons
 from dualda.errors import ContractError, DimensionError
-from dualda.losses import cross_entropy
+from dualda.autodiff import cross_entropy
 from dualda.model import DualModel, Variant
 from dualda.optim import SGD, Schedule
 from dualda.trainer import TrainConfig, compute_metrics, train
@@ -573,15 +573,31 @@ def test_a_changed_batch_shape_captures_again():
 
 
 def test_a_rerun_refuses_a_step_input_the_capture_did_not_read():
-    """int32 labels are copied to int64 on the way in, so the tape never
-    ties them; a rerun would train on stale labels and refuses instead."""
+    """A declared step input that no record reads is never tied; a rerun
+    would ignore it, and refuses instead."""
     xs, ys, _, _ = _batch(1)
-    ys32 = ys.astype(np.int32)
-    tape = ad.Tape(xs, ys32)
+    unread = np.zeros(3)
+    tape = ad.Tape(xs, ys, unread)
     logits = ad.matmul(tape.leaf(xs), tape.param(np.ones((2, 2))))
-    cross_entropy(logits, ys32)
+    cross_entropy(logits, ys)
     with pytest.raises(ContractError, match="not read at capture"):
-        tape.rerun(xs, ys32)
+        tape.rerun(xs, ys, unread)
+
+
+def test_int32_labels_declared_as_a_step_input_are_tied_and_refilled():
+    """int32 labels reach the record uncopied, so a rerun on new int32
+    labels refills them and gives the bytes of a fresh capture on them."""
+    w, orphan = np.random.default_rng(3).standard_normal((2, 2)), np.ones((3, 2))
+    (x1, y1, _, _), (x2, y2, _, _) = _batch(1), _batch(2)
+    y1, y2 = y1.astype(np.int32), y2.astype(np.int32)
+    tape, loss, wt, _ = _dense_ce_tape(x1, y1, w, orphan)
+    assert tape.records[-1].args[0] is y1
+    on_first = _sweep(tape, [(loss, [((), w, wt)])])
+    tape.rerun(x2, y2)
+    fresh, loss2, wt2, _ = _dense_ce_tape(x2, y2, w, orphan)
+    replayed = _sweep(tape, [(loss, [((), w, wt)])])
+    assert replayed == _sweep(fresh, [(loss2, [((), w, wt2)])])
+    assert replayed != on_first
 
 
 def test_int64_labels_reach_the_tape_uncopied():

@@ -397,6 +397,24 @@ def test_train_contract_errors(tmp_path):
         train(cfg, source, target)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("epochs", 1.5), ("batch_size", 1.5), ("k", 1.5), ("seed", 1.5),
+    ("feature_dim", 2.5), ("g_hidden", (6.7,)), ("head_hidden", (4, 2.0)),
+    ("epochs", True), ("eval_every", "3"), ("epochs", 0), ("seed", -1),
+    ("g_hidden", (0,))])
+def test_train_config_refuses_a_size_that_is_not_an_integer(field, value):
+    """A fractional size is not truncated, nor a bool or a string taken for
+    a number; the error names the field."""
+    with pytest.raises(ContractError, match=rf"\b{field} must be an integer"):
+        small_config(Variant.OURS_2M, **{field: value})
+
+
+def test_train_config_accepts_numpy_integers():
+    cfg = small_config(Variant.OURS_2M, epochs=np.int64(2), k=np.int32(3),
+                       seed=np.uint8(7), g_hidden=(np.int64(5),))
+    assert (cfg.epochs, cfg.k, cfg.seed, cfg.g_hidden) == (2, 3, 7, (5,))
+
+
 def test_train_rejects_an_unlabeled_target_before_the_first_update():
     source, target = small_data()
     target.labels = None
