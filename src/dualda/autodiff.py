@@ -50,7 +50,7 @@ arguments; per value its shape and dtype; and, for a forward, per refill
 its store, slot and input and which refills share one check. A tape
 whose key equals an earlier tape's runs that tape's forward and sweeps,
 found by one lookup, which name no tape and hold no user text; a forward
-comes with the keys of its consts (``("weight", i)``, ``("args", j)``, a
+comes with the keys of its consts (``("weight", i, d)``, ``("args", j)``, a
 check), which each tape resolves against itself, so every tape keeps its
 own parameter views.
 
@@ -85,14 +85,20 @@ terms and grad_reverse; the seven other kinds stay only for the tests,
 gradcheck's reduction to a scalar (mean and select_columns) and the
 benchmark's tracer, which binds them by name.
 
-Stacked slices. Structurally identical networks run as one graph: matmul
-takes M weight slices ``[M, out, in]`` (biases ``[M, out]``), and a
-tensor's rows then hold M slices of equal size, slice m at rows
-``[m*B:(m+1)*B]`` (``Tensor.slices``). A dense record applies slice m of
-its weights to slice m of its input rows, or to all of them when the input
-has one slice (a batch every network reads). Row-wise ops keep the slices;
-the loss terms return one value per slice, ``mean_abs_diff`` can instead
-compare the two slices of one tensor, and ``grad_reverse`` can weight each
+Stacked slices. Structurally identical networks run as one graph, and so
+do equal batches of D domains: matmul takes M weight slices ``[M, out,
+in]`` (biases ``[M, out]``), and a tensor's rows then hold M x D slices of
+B rows each, module-major, slice k = m*D + d (module m on domain d) at
+rows ``[k*B:(k+1)*B]`` (``Tensor.slices``). A dense record applies weight
+slice m to module m's slices of its input rows, or to every domain batch
+it reads: one batch as one input, or the D batches of D domains as D
+inputs of the record, which copies none of them. Each (module, domain)
+slice still makes its own product, one GEMM of B rows, as a record per
+domain would; one product over the joined rows of two domains would change
+the bits. The weight and bias gradients add the D domains' terms in domain
+order. Row-wise ops keep the slices; the loss terms return one value per
+slice, ``mean_abs_diff`` can instead compare the two modules' slices of
+each domain and add the D values, and ``grad_reverse`` can weight each
 slice's gradient on its own. ``backward`` accepts such a per-slice loss
 and seeds every slice with 1. Every stacked record runs the numpy calls of
 its slices at once, and each slice's values, forward and backward, are
@@ -313,28 +319,50 @@ def _mT(a: np.ndarray) -> np.ndarray:
 def _row_operand(x: np.ndarray, w: np.ndarray, slices: int) -> np.ndarray:
     """x as the left product operand: x itself against one weight slice, or
     against M slices when x has one row slice (a batch every slice reads);
-    else x's M row slices, [M, rows, in]."""
+    else x's M row slices, [M, rows, in], or its M x D row slices (see
+    matmul), [M, D, rows, in]."""
     if w.ndim == 2 or slices == 1:
         return x
-    return x.reshape(w.shape[0], -1, x.shape[1])
+    m = w.shape[0]
+    if slices == m:
+        return x.reshape(m, -1, x.shape[1])
+    return x.reshape(m, slices // m, -1, x.shape[1])
 
 
-def _bias_operand(bias: np.ndarray) -> np.ndarray:
+def _weight_operand(w: np.ndarray, domains: int) -> np.ndarray:
+    """w.T as the right product operand; a [M, out, in] w of M slices as
+    [M, in, out], or as a [M, 1, in, out] view against M x D row slices,
+    so that one product runs per (module, domain)."""
+    wt = _mT(w)
+    return wt if domains == 1 else wt[:, None]
+
+
+def _bias_operand(bias: np.ndarray, domains: int) -> np.ndarray:
     """bias as the term added to the product: a [M, width] bias of M
-    slices as a [M, 1, width] view, a [width] bias as it is."""
-    return bias[:, None] if bias.ndim == 2 else bias
+    slices as a [M, 1, width] view, or [M, 1, 1, width] against M x D row
+    slices; a [width] bias as it is."""
+    if bias.ndim == 1:
+        return bias
+    return bias[:, None] if domains == 1 else bias[:, None, None]
+
+
+def _domains(w: np.ndarray, slices: int) -> int:
+    """D of an input of `slices` row slices against weight w: M x D slices
+    of a stacked w, else 1."""
+    return 1 if w.ndim == 2 else max(1, slices // w.shape[0])
 
 
 def dense(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray] = None,
           relu: bool = False, slices: int = 1) -> np.ndarray:
     """One dense layer in numpy: x @ w.T, plus bias, then relu when set. A
     3-D w stacks M layers (bias [M, width]) by the slice rules of matmul: x
-    holds `slices` row slices, 1 or M, and the output holds M."""
-    out = _row_operand(x, w, slices) @ _mT(w)
+    holds `slices` row slices, 1 or M x D, and the output holds M x D."""
+    domains = _domains(w, slices)
+    out = _row_operand(x, w, slices) @ _weight_operand(w, domains)
     if bias is not None:
-        out += _bias_operand(bias)
-    if out.ndim == 3:
-        out = out.reshape(-1, out.shape[2])
+        out += _bias_operand(bias, domains)
+    if out.ndim > 2:
+        out = out.reshape(-1, out.shape[-1])
     return relu_values(out, out) if relu else out
 
 
@@ -385,14 +413,20 @@ def _same_tape(*tensors: Tensor) -> Tape:
 
 
 def matmul(a: Tensor, w: Tensor, bias: Optional[Tensor] = None,
-           relu: bool = False) -> Tensor:
+           relu: bool = False, rest: Sequence[Tensor] = ()) -> Tensor:
     """The dense product a @ w.T of a 2-D a and a weight w [width, in]; a
     bias added to every row and a relu after it run in the same record (a
     dense layer). A 3-D w stacks M weight slices (a bias is then [M,
-    width]): slice m multiplies slice m of a's rows, or all of a when a has
-    one slice, and the product has M slices. A backward sweep makes no
-    product for an operand that is not live."""
-    inputs = [a, w] if bias is None else [a, w, bias]
+    width]) and the product holds M x D slices, module-major: a holds M x
+    D slices, and slice m*D + d multiplies weight slice m; or a holds one
+    slice, which every weight slice reads (D = 1). rest holds the batches
+    of D - 1 further domains, each of a's shape and one slice like a: the
+    D batches are then read by every weight slice, product slice m*D + d
+    from batch d. Every (module, domain) slice makes its own product, as
+    one record per domain would, in one batched call. A backward sweep
+    makes no product for an operand that is not live."""
+    parts = [a, *rest]
+    inputs = parts + ([w] if bias is None else [w, bias])
     tape = _same_tape(*inputs)
     x, w = a.data, w.data
     if x.ndim != 2 or w.ndim not in (2, 3):
@@ -406,83 +440,149 @@ def matmul(a: Tensor, w: Tensor, bias: Optional[Tensor] = None,
             f"matmul: inner dimensions differ for shapes {list(x.shape)} and "
             f"{list(w.shape)}")
     a_slices = a.slices
-    if a_slices not in (1, m):
+    if rest:
+        if w.ndim == 2 or any(t.slices != 1 or t.shape != x.shape
+                              for t in parts):
+            raise DimensionError(
+                f"matmul: {len(parts)} domain batches need stacked weights "
+                f"and one shape of one slice, got "
+                f"{[list(t.shape) for t in parts]} against {list(w.shape)}")
+    elif a_slices != 1 and (w.ndim == 2 or a_slices % m):
         raise DimensionError(
             f"matmul: {a_slices} row slices do not fit {m} weight slices")
     if bias is not None and bias.shape != w.shape[:-2] + (width,):
         raise DimensionError(
             f"matmul: bias {list(bias.shape)} does not fit the product "
             f"{[x.shape[0], width]} of {m} slice(s)")
-    return tape._emit("matmul", inputs, slices=m, static=(a_slices, relu))
+    domains = len(parts) if rest else _domains(w, a_slices)
+    return tape._emit("matmul", inputs, slices=m * domains,
+                      static=(a_slices, relu, len(parts)))
 
 
 # Each op kind's two code generators, forward and backward, sit beside its
 # recording function; "generated code" below says what they take and return.
 
-def _matmul_operands(rec: _Record, ins, values):
-    """The names of the product operands xs and ws (see _row_operand; ws
-    untransposed), whether ws is 2-D, and m and the width of the record's
-    product."""
-    a_slices = rec.static[0]
-    x, w = (values[i] for i in rec.input_ids[:2])
+def _matmul_layout(rec: _Record, values) -> Tuple[int, int, int, int, bool]:
+    """The record's weight slices m (1 for a 2-D weight), domains d, input
+    batches (d, or 1 for one input) and product width, and whether its
+    left operand is a view of its input, which the forward saves for the
+    backward (r<j>_0)."""
+    a_slices, _, parts = rec.static
+    w = values[rec.input_ids[parts]]
     m = 1 if w.ndim == 2 else w.shape[0]
-    width = w.shape[-2]
-    if w.ndim == 2:
-        return ins[0], ins[1], True, m, width
-    xs = ins[0] if a_slices == 1 else f"{ins[0]}.reshape({m}, -1, {x.shape[1]})"
-    return xs, ins[1], False, m, width
-
-
-def _mT_code(a: str, two_d: bool) -> str:
-    return f"{a}.T" if two_d else f"{a}.swapaxes(1, 2)"
+    d = parts if parts > 1 else _domains(w, a_slices)
+    return m, d, parts, w.shape[-2], w.ndim == 3 and parts == 1 < a_slices
 
 
 def _matmul_forward_code(rec, j, ins, out, values, const, fixed):
     """dense(): its relu runs in place on the record's own product, after
     saving the mask (the subgradient at 0 is 0 by convention); the operand
     view of a fixed weight or bias is a const, made once per tape by the
-    functions dense() calls (_const)."""
-    xs, ws, ws_2d, _, width = _matmul_operands(rec, ins, values)
-    ws = (const(("weight", rec.input_ids[1])) if fixed[1]
-          else _mT_code(ws, ws_2d))
-    lines = [f"{out} = {xs} @ {ws}"]
-    if len(ins) == 3:
-        bias = (const(("bias", rec.input_ids[2])) if fixed[2]
-                else ins[2] if ws_2d else f"{ins[2]}[:, None]")
+    functions dense() calls (_const). D domain batches each make their
+    product into their domain's slices of one output."""
+    relu = rec.static[1]
+    m, d, parts, width, viewed = _matmul_layout(rec, values)
+    w_id = rec.input_ids[parts]
+    two_d = values[w_id].ndim == 2
+    w_domains = d if parts == 1 else 1  # D batches read the 3-D view
+    if fixed[parts]:
+        wt = const(("weight", w_id, w_domains))
+    else:
+        wt = (f"{ins[parts]}.T" if two_d else f"{ins[parts]}.swapaxes(1, 2)"
+              + ("[:, None]" if w_domains > 1 else ""))
+    saved = 0
+    if parts > 1:
+        rows = values[rec.input_ids[0]].shape[0]
+        lines = [f"{out} = np.empty({(m, d, rows, width)})"] + [
+            f"np.matmul({x}, {wt}, out={out}[:, {k}])"
+            for k, x in enumerate(ins[:parts])]
+    elif viewed:
+        inner = values[rec.input_ids[0]].shape[1]
+        shape = (m, -1, inner) if d == 1 else (m, d, -1, inner)
+        lines = [f"r{j}_0 = {ins[0]}.reshape{shape}", f"{out} = r{j}_0 @ {wt}"]
+        saved = 1
+    else:
+        lines = [f"{out} = {ins[0]} @ {wt}"]
+    if len(ins) == parts + 2:
+        b_id = rec.input_ids[parts + 1]
+        if fixed[parts + 1]:
+            bias = const(("bias", b_id, d))
+        else:
+            bias = ins[parts + 1] + ("" if two_d else "[:, None]" if d == 1
+                                     else "[:, None, None]")
         lines.append(f"{out} += {bias}")
-    if not ws_2d:
+    if not two_d:
         lines.append(f"{out} = {out}.reshape(-1, {width})")
-    if not rec.static[1]:
-        return lines, 0
-    return lines + [f"r{j}_0 = {out} > 0",
-                    f"np.maximum({out}, 0.0, out={out})"], 1
+    if not relu:
+        return lines, saved
+    return lines + [f"r{j}_{saved} = {out} > 0",
+                    f"np.maximum({out}, 0.0, out={out})"], saved + 1
+
+
+def _sum_code(terms: Sequence[str]) -> str:
+    """The code that sums terms left to right, one np.add per term after
+    the first: each takes out=."""
+    code = terms[0]
+    for term in terms[1:]:
+        code = f"np.add({code}, {term})"
+    return code
 
 
 def _matmul_backward_code(rec, j, ins, out, g, live, values):
     """The gradient of each live input: the product of an operand that is
-    not live is not made."""
-    a_slices, relu = rec.static
-    xs, ws, ws_2d, m, width = _matmul_operands(rec, ins, values)
-    x = values[rec.input_ids[0]]
+    not live is not made. The weight and bias gradients of D domains sum
+    the per-domain terms in domain order."""
+    a_slices, relu, _ = rec.static
+    m, d, parts, width, viewed = _matmul_layout(rec, values)
+    w = ins[parts]
+    two_d = values[rec.input_ids[parts]].ndim == 2
     lines, grads = [], [None] * len(ins)
     if relu:
-        lines.append(f"t{j}_g = {g} * r{j}_0")
+        lines.append(f"t{j}_g = {g} * r{j}_{int(viewed)}")
         g = f"t{j}_g"
     gs = g
-    if not ws_2d:
+    if not two_d:
         gs = f"t{j}_s"
-        lines.append(f"{gs} = {g}.reshape({m}, -1, {width})")
-    if live[0]:
-        if ws_2d:
-            grads[0] = (f"np.matmul({gs}, {ws})", True)
-        elif a_slices == m:
-            grads[0] = (f"({gs} @ {ws}).reshape({x.shape})", False)
-        else:  # a shared input collects every slice's gradient
-            grads[0] = (f"np.add.reduce({gs} @ {ws}, 0)", True)
-    if live[1]:
-        grads[1] = (f"np.matmul({_mT_code(gs, ws_2d)}, {xs})", True)
-    if len(ins) == 3 and live[2]:
-        grads[2] = (f"np.add.reduce({gs}, -2)", True)
+        shape = (m, -1, width) if d == 1 else (m, d, -1, width)
+        lines.append(f"{gs} = {g}.reshape{shape}")
+    x = f"r{j}_0" if viewed else ins[0]
+    if two_d:
+        if live[0]:
+            grads[0] = (f"np.matmul({gs}, {w})", True)
+        if live[1]:
+            grads[1] = (f"np.matmul({gs}.T, {x})", True)
+    elif parts > 1:  # each batch collects every module's gradient
+        for k in range(parts):
+            if live[k]:
+                grads[k] = (f"np.add.reduce({gs}[:, {k}] @ {w}, 0)", True)
+        if live[parts]:
+            grads[parts] = (_sum_code([
+                f"np.matmul({gs}[:, {k}].swapaxes(1, 2), {ins[k]})"
+                for k in range(parts)]), True)
+    elif d > 1:
+        if live[0]:
+            grads[0] = (f"({gs} @ {w}[:, None]).reshape("
+                        f"{values[rec.input_ids[0]].shape})", False)
+        if live[1]:
+            lines.append(f"t{j}_w = np.matmul({gs}.swapaxes(2, 3), {x})")
+            grads[1] = (_sum_code([f"t{j}_w[:, {k}]" for k in range(d)]),
+                        True)
+    else:
+        if live[0]:
+            if a_slices == m:
+                grads[0] = (f"({gs} @ {w}).reshape("
+                            f"{values[rec.input_ids[0]].shape})", False)
+            else:  # a shared input collects every slice's gradient
+                grads[0] = (f"np.add.reduce({gs} @ {w}, 0)", True)
+        if live[1]:
+            grads[1] = (f"np.matmul({gs}.swapaxes(1, 2), {x})", True)
+    if len(ins) == parts + 2 and live[parts + 1]:
+        if d == 1:
+            grads[parts + 1] = (f"np.add.reduce({gs}, -2)", True)
+        else:
+            lines.append(f"t{j}_b = np.add.reduce({gs}, -2)")
+            grads[parts + 1] = (_sum_code([f"t{j}_b[:, {k}]"
+                                           for k in range(d)]), True)
     return lines, grads
 
 
@@ -727,17 +827,19 @@ def _cross_entropy_backward_code(rec, j, ins, out, g, live, values):
 def mean_abs_diff(a: Tensor, b: Optional[Tensor] = None) -> Tensor:
     """sum|a - b| / size of each row slice, one value per slice: the numpy
     calls of sub, abs, sum and scalar_mul, forward and backward, in one
-    record. Without b, a holds two slices and the one value compares them
-    (slice 0 in the place of a, slice 1 in that of b)."""
+    record. Without b, a holds the slices of two modules, D per module (see
+    matmul), and the one value compares them: per domain d, slice d in the
+    place of a and slice D + d in that of b, the D values summed in domain
+    order, as add would sum them."""
     pair = b is None
     if pair:
-        if a.slices != 2:
+        if a.slices % 2:
             raise DimensionError(
-                f"mean_abs_diff: one operand must hold 2 slices, got "
-                f"{a.slices}")
-        tape, inputs, m = a.tape, [a], 1
+                f"mean_abs_diff: one operand must hold 2 slices, or 2 per "
+                f"domain, got {a.slices}")
+        tape, inputs, n = a.tape, [a], a.slices // 2
     else:
-        tape, inputs, m = _same_tape(a, b), [a, b], a.slices
+        tape, inputs, n = _same_tape(a, b), [a, b], a.slices
         if a.shape != b.shape or a.slices != b.slices:
             raise DimensionError(
                 f"mean_abs_diff: shapes {list(a.shape)} and {list(b.shape)} "
@@ -745,28 +847,34 @@ def mean_abs_diff(a: Tensor, b: Optional[Tensor] = None) -> Tensor:
     if a.size == 0:
         raise DomainError(f"mean_abs_diff: the operands are empty (shape "
                           f"{list(a.shape)})")
-    return tape._emit("mean_abs_diff", inputs, static=(pair, m))
+    return tape._emit("mean_abs_diff", inputs, static=(pair, n))
 
 
 def _mean_abs_diff_forward_code(rec, j, ins, out, values, const, fixed):
     """mean_abs_diff_values, saving the sign of the difference (sign(0) ==
-    0: the abs subgradient at 0 is 0)."""
-    pair, m = rec.static
+    0: the abs subgradient at 0 is 0); a pair of D domains then sums its D
+    values."""
+    pair, n = rec.static
     if pair:
         half = values[rec.input_ids[0]].shape[0] // 2
         ins = [f"{ins[0]}[:{half}]", f"{ins[0]}[{half}:]"]
-    return [f"{out}, t{j}_d = mean_abs_diff_values({ins[0]}, {ins[1]}, {m})",
-            f"r{j}_0 = np.sign(t{j}_d)"], 1
+    lines = [f"{out}, t{j}_d = mean_abs_diff_values({ins[0]}, {ins[1]}, {n})",
+             f"r{j}_0 = np.sign(t{j}_d)"]
+    if pair and n > 1:
+        lines.append(f"{out} = " + " + ".join(f"{out}[{k}:{k + 1}]"
+                                               for k in range(n)))
+    return lines, 1
 
 
 def _mean_abs_diff_backward_code(rec, j, ins, out, g, live, values):
-    pair, m = rec.static
+    pair, n = rec.static
     x = values[rec.input_ids[0]]
     shape = (x.shape[0] // 2,) + x.shape[1:] if pair else x.shape
-    c = 1.0 / (math.prod(shape) // m)
+    c = 1.0 / (math.prod(shape) // n)
     t = f"t{j}_d"
-    lines = [f"{t} = (({c!r} * {g})[:, None] * r{j}_0.reshape({m}, -1))"
-             f".reshape({shape})"]
+    # a pair's one gradient value is every domain's
+    lines = [f"{t} = (({c!r} * {g})[:, None] * r{j}_0.reshape("
+             f"{1 if pair else n}, -1)).reshape({shape})"]
     if pair:
         return lines, [(f"np.concatenate(({t}, -{t}))", False)]
     return lines, [(t, False), (f"-{t}", False)]
@@ -873,16 +981,16 @@ def backward(tape: Tape, loss: Tensor, wrt: Sequence[Tensor],
 # the `saved` arrays its forward keeps for the backward) and t<j>_*
 # (temporaries). const(key) names a per-tape object by what it is, which
 # _const resolves on each tape: ("args", j) record j's argument list,
-# ("weight", i) or ("bias", i) the product operand or bias view of value i,
-# ("check", r) the check of refill r. fixed flags the inputs that no record
-# outputs and no rerun refills (parameters, untied leaves): their arrays
-# stay for the tape's life. Each grad is None (not live) or (expression,
-# whether it is a call that takes out=). The generators read of a tape
-# only what its structure key holds, and the source names no tape and
-# holds no user text, so one function serves every tape of that structure
-# in the process: _FORWARDS keeps each forward with its const keys, which
-# a tape resolves against itself, and _SWEEPS each sweep, which reads no
-# const.
+# ("weight", i, d) or ("bias", i, d) the product operand or bias view of
+# value i against d domains, ("check", r) the check of refill r. fixed
+# flags the inputs that no record outputs and no rerun refills
+# (parameters, untied leaves): their arrays stay for the tape's life. Each
+# grad is None (not live) or (expression, whether it is a call that takes
+# out=). The generators read of a tape only what its structure key holds,
+# and the source names no tape and holds no user text, so one function
+# serves every tape of that structure in the process: _FORWARDS keeps each
+# forward with its const keys, which a tape resolves against itself, and
+# _SWEEPS each sweep, which reads no const.
 
 _CODE_GENERATORS = {
     "matmul": (_matmul_forward_code, _matmul_backward_code),
@@ -971,13 +1079,13 @@ def _const_table() -> Tuple[Callable, list]:
 
 def _const(tape: Tape, key: tuple):
     """The object of tape that a const key names (see const above)."""
-    what, i = key
+    what, i, *domains = key
     if what == "args":
         return tape.records[i].args
     if what == "check":
         return tape._refills[i][2]
-    value = tape.values[i]
-    return _mT(value) if what == "weight" else _bias_operand(value)
+    operand = _weight_operand if what == "weight" else _bias_operand
+    return operand(tape.values[i], *domains)
 
 
 def _run_record(rec: _Record, values: List[np.ndarray]) -> tuple:

@@ -14,7 +14,8 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConsistencyError, ContractError, FormatError
+from .errors import (ConsistencyError, ContractError, FormatError,
+                     checked_int)
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -236,8 +237,7 @@ def batches(ds_s: DomainDataset, ds_t: DomainDataset, batch_size: int,
     Each domain is shuffled by its own epoch_seed-derived permutation; the
     stream truncates to the shorter domain and drops partial batches.
     """
-    if batch_size < 1:
-        raise ContractError(f"batch_size must be >= 1, got {batch_size}")
+    batch_size = checked_int("batch_size", batch_size, 1)
     if batch_size > min(ds_s.n, ds_t.n):
         raise ContractError(
             f"batch_size {batch_size} exceeds the smaller domain "

@@ -1,8 +1,11 @@
-"""Error types shared across the library.
+"""Error types shared across the library, and its one check of integer
+sizes and seeds.
 
 All inherit from ValueError so callers that don't care about the
 distinction can catch one base class.
 """
+
+import numpy as np
 
 
 class ContractError(ValueError):
@@ -27,3 +30,11 @@ class ConsistencyError(ValueError):
 
 class ConfigError(ValueError):
     """An experiment config file is invalid."""
+
+
+def checked_int(name: str, value, least: int) -> int:
+    """value as an int; refuses a non-integer (bools too) or one below least."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < least):
+        raise ContractError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)

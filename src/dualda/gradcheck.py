@@ -191,8 +191,7 @@ def _loss_parts(kind: str, model: DualModel, xs, ys, xt, lam):
     tape = ad.Tape()
     if kind == "dual":
         b = BoundComponents(tape, *model.modules())
-        parts = dual_loss(b, b.features(tape.leaf(xs)),
-                          b.features(tape.leaf(xt)), lam)
+        parts = dual_loss(b, b.features(tape.leaf(xs), tape.leaf(xt)), lam)
         return tape, b, [parts.feature_dis, parts.prediction_dis], \
             lambda comp: [-lam, 1.0], \
             [parts.reversed_feature_dis + parts.prediction_dis]
@@ -265,11 +264,18 @@ def _near_relu_kink(tape: ad.Tape, margin: float = 5e-4) -> bool:
     """True when the pre-activation of any dense-layer relu on the tape sits
     too close to 0 for FD; the tape holds exactly the relus on the loss's
     forward path. ad.dense without its relu makes each record's
-    pre-activation, with the same bits, from the record's inputs."""
-    return any(np.abs(ad.dense(*(tape.values[i] for i in rec.input_ids),
-                               slices=rec.static[0])).min() < margin
-               for rec in tape.records
-               if rec.kind == "matmul" and rec.static[1])
+    pre-activation, with the same bits, from the record's inputs: from
+    each of its domain batches in turn when it reads several."""
+    values = tape.values
+    for rec in tape.records:
+        if rec.kind != "matmul" or not rec.static[1]:
+            continue
+        slices, _, parts = rec.static
+        params = [values[i] for i in rec.input_ids[parts:]]
+        if any(np.abs(ad.dense(values[x], *params, slices=slices)).min()
+               < margin for x in rec.input_ids[:parts]):
+            return True
+    return False
 
 
 OP_CASES = ("matmul_t", "matmul_bias", "matmul_relu", "matmul_stacked",

@@ -1,9 +1,10 @@
 """Scalar training objectives.
 
 Every loss scores transform-layer outputs: the caller runs each module's
-extractor and transform layer once per domain (``BoundComponents.features``)
-and hands the results to whichever losses read them, so one forward pass
-serves every term on a tape. The losses compose fused tape records, and
+extractor and transform layer once per domain, or once for both domains as
+one graph (``BoundComponents.features``), and hands the results to
+whichever losses read them, so one forward pass serves every term on a
+tape. The losses compose fused tape records, and
 each record checks its own operands (batch, shapes, labels, lambdas).
 
 The discrepancy between two probability rows p, q is mean_k |p_k - q_k|;
@@ -17,7 +18,7 @@ prediction discrepancy (minimized).
 
 A binding of a stacked set runs its modules as one graph: the per-module
 losses then hold one value per module, and the cross-module loss reads the
-two modules' slices of one binding.
+two modules' slices of one binding, on both domains at once.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from .nn import BoundComponents
 
 def discrepancy(p1: ad.Tensor, p2: ad.Tensor | None = None) -> ad.Tensor:
     """Mean absolute difference between two batches of probability rows, one
-    value per module; without p2, between the two modules' rows of p1."""
+    value per module; without p2, between the two modules' rows of p1, per
+    domain and summed over the domains (see autodiff.mean_abs_diff)."""
     if p1.data.ndim != 2:
         raise DimensionError(
             f"discrepancy: expected 2-D probability rows, got {list(p1.shape)}")
@@ -99,23 +101,20 @@ class DualLossParts:
     reversed_feature_dis: ad.Tensor  # grad_reverse(feature_dis, lam)
 
 
-def dual_loss(binding: BoundComponents, t_s: ad.Tensor, t_t: ad.Tensor,
+def dual_loss(binding: BoundComponents, t: ad.Tensor,
               lam: float) -> DualLossParts:
     """grad_reverse(feature discrepancy, lam) and prediction discrepancy.
 
-    binding holds both modules, and t_s/t_t are their stacked transform
-    outputs on the source and target batches. The feature discrepancy is
-    the extractors'/transforms' objective (they climb it through the
-    reversal); the prediction discrepancy is the primary classifiers'
-    objective (they descend it). The exposed term nodes let the caller
-    backpropagate each term to its own player.
+    binding holds both modules, and t is their stacked transform output on
+    the source and target batches as one graph (BoundComponents.features
+    on both). Each term compares the two modules per domain and sums the
+    domains. The feature discrepancy is the extractors'/transforms'
+    objective (they climb it through the reversal); the prediction
+    discrepancy is the primary classifiers' objective (they descend it).
+    The exposed term nodes let the caller backpropagate each term to its
+    own player.
     """
-    feature_dis = (discrepancy(ad.softmax(t_s)) +
-                   discrepancy(ad.softmax(t_t)))
-
-    c_s = ad.softmax(binding.classifier_a.forward(t_s))
-    c_t = ad.softmax(binding.classifier_a.forward(t_t))
-    prediction_dis = discrepancy(c_s) + discrepancy(c_t)
-
+    feature_dis = discrepancy(ad.softmax(t))
+    prediction_dis = discrepancy(ad.softmax(binding.classifier_a.forward(t)))
     return DualLossParts(feature_dis, prediction_dis,
                          ad.grad_reverse(feature_dis, lam))

@@ -28,14 +28,7 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ContractError, DimensionError, FormatError
-
-def checked_int(name: str, value, least: int) -> int:
-    """value as an int; refuses a non-integer (bools too) or one below least."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < least):
-        raise ContractError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
+from .errors import ContractError, DimensionError, FormatError, checked_int
 
 
 @dataclass
@@ -140,11 +133,14 @@ class BoundStack:
         self.weights = [tape.param(l.weight) for l in stack.layers]
         self.biases = [tape.param(l.bias) for l in stack.layers]
 
-    def forward(self, x: ad.Tensor) -> ad.Tensor:
+    def forward(self, x: ad.Tensor, *rest: ad.Tensor) -> ad.Tensor:
+        """The stack on x; rest: the batches of further domains, which the
+        first layer reads with x (see autodiff.matmul)."""
         h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = ad.matmul(h, w, bias=b, relu=i < last)
+            h = ad.matmul(h, w, bias=b, relu=i < last, rest=rest)
+            rest = ()
         return h
 
     def named_pairs(self) -> Iterator[Tuple[str, np.ndarray, ad.Tensor]]:
@@ -263,8 +259,9 @@ def build_component_set(input_dim: int, feature_dim: int, num_classes: int,
 class BoundComponents:
     """All five components of one ComponentSet bound to a single tape. A
     stacked set binds its M modules as one graph, the rows of module m
-    at [m*B:(m+1)*B] of every activation; prefix then gives each module's
-    name prefix, in slice order."""
+    at [m*B:(m+1)*B] of every activation (of D domains: [m*D*B:(m+1)*D*B],
+    domain by domain); prefix then gives each module's name prefix, in
+    slice order."""
 
     def __init__(self, tape: ad.Tape, comps: ComponentSet,
                  prefix: str | Sequence[str] = ""):
@@ -272,10 +269,13 @@ class BoundComponents:
         for key in COMPONENT_KEYS:
             setattr(self, key, BoundStack(tape, getattr(comps, key)))
 
-    def features(self, x: ad.Tensor) -> ad.Tensor:
+    def features(self, x: ad.Tensor, *rest: ad.Tensor) -> ad.Tensor:
         """The transform layer's output: what every head and loss reads. A
-        one-slice x (a data batch) feeds every module."""
-        return self.transform.forward(self.extractor.forward(x))
+        one-slice x (a data batch) feeds every module. With rest, x and
+        rest are the batches of D domains, all of one shape, and the
+        modules run them as one graph: module m's rows on domain d are
+        slice m*D + d of the output."""
+        return self.transform.forward(self.extractor.forward(x, *rest))
 
     def named_pairs(self, components=COMPONENT_KEYS):
         """(full name of each slice, param array, leaf tensor) for the

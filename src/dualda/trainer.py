@@ -26,11 +26,13 @@ Every SGD update of every step runs through ``_update``: one tape, one
 pruned backward per (loss, parameters) term, one optimizer step. Each
 step binds every module it trains on one tape as one stacked graph
 (``DualModel.modules``), so two modules cost one tape, one backward and
-one SGD step per update; an update still counts once per module. In step
-1 each module keeps the lr of its own progress, sampled as if the modules
-ran one after the other. ``train`` runs one loop over each phase's step
-invocations; that loop samples the schedules, reports progress and labels
-a failing step.
+one SGD step per update; an update still counts once per module. Step 3
+also runs the source and target batches as slices of that graph, one
+record per layer for both domains (``BoundComponents.features`` on both).
+In step 1 each module keeps the lr of its own progress, sampled as if the
+modules ran one after the other. ``train`` runs one loop over each phase's
+step invocations; that loop samples the schedules, reports progress and
+labels a failing step.
 
 ``train`` calls ``step1_mcd``, ``step2_modules`` and ``step3_dual`` by
 their module globals. Each call site (step 1's phases A, B and C, step
@@ -67,11 +69,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import DomainDataset, batches, derived_seed, num_batch_pairs
-from .errors import ContractError
+from .errors import ContractError, checked_int
 from .losses import (classifier_discrepancy, classifier_only_loss, dual_loss,
                      module_loss)
 from .model import DualModel, Variant, variant_plan
-from .nn import COMPONENT_KEYS, BoundComponents, ComponentSet, checked_int
+from .nn import COMPONENT_KEYS, BoundComponents, ComponentSet
 from .optim import SGD, Schedule, lambda_at, lr_at
 
 _PATH_COMPONENTS = ("extractor", "transform", "classifier_a", "classifier_b")
@@ -216,8 +218,7 @@ def _capture_dual(tape: ad.Tape, model: DualModel, xs, xt,
                   lam) -> List[Term]:
     """The cross-module loss, each player on its own term."""
     b = BoundComponents(tape, *model.modules())
-    parts = dual_loss(b, b.features(tape.leaf(xs)),
-                      b.features(tape.leaf(xt)), lam)
+    parts = dual_loss(b, b.features(tape.leaf(xs), tape.leaf(xt)), lam)
     return [(parts.reversed_feature_dis,
              list(b.named_pairs(("extractor", "transform")))),
             (parts.prediction_dis, list(b.named_pairs(("classifier_a",))))]
@@ -230,8 +231,7 @@ def step1_mcd(comps: ComponentSet, prefix, batch_s, labels_s, batch_t,
     returns each module's classifier-pair discrepancy on the target batch,
     read before the first phase-C update. programs holds the tapes of
     train()'s earlier batches."""
-    if k < 1:
-        raise ContractError(f"k must be >= 1, got {k}")
+    k = checked_int("k", k, 1)
     context = (comps, prefix)
     # (A) both classifiers fit source; whole path updates
     _update(sgd, lr, _program(programs, "step 1 A", sgd, _capture_source,

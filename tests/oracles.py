@@ -2,11 +2,12 @@
 
 Most of these deliberately avoid the library's autodiff path: losses are
 recomputed with explicit numpy loops, gradients with central finite
-differences on forward values only. Three keep a design the library
+differences on forward values only. Four keep a design the library
 replaced, as the reference for its replacement: the tape-built evaluation
-(``compute_metrics_on_tape``), the array-by-array optimizer (``ArraySGD``)
-and the per-record backward formulas that the generated sweeps replaced
-(``reference_backward``). ``trained_components`` states which components
+(``compute_metrics_on_tape``), the array-by-array optimizer (``ArraySGD``),
+the per-record backward formulas that the generated sweeps replaced
+(``reference_backward``) and step 3's graph of one domain at a time
+(``step3_per_domain``). ``trained_components`` states which components
 each training plan updates, the reference for the component groups that
 the trainer's call sites train.
 """
@@ -15,7 +16,8 @@ import numpy as np
 
 from dualda import autodiff as ad
 from dualda.errors import ContractError
-from dualda.losses import classifier_discrepancy, dual_loss, module_loss
+from dualda.losses import (DualLossParts, classifier_discrepancy, discrepancy,
+                           module_loss)
 from dualda.nn import COMPONENT_KEYS, BoundComponents
 from dualda.trainer import MetricsRecord
 
@@ -143,6 +145,36 @@ def dual_loss_composition(comps1, comps2, xs, xt):
     return feature_dis, prediction_dis
 
 
+def dual_loss_per_domain(binding, t_s, t_t, lam):
+    """dual_loss as the graph it replaced, which runs each domain on its
+    own: the softmax, discrepancy and classifier_a records once per domain
+    (t_s and t_t: the stacked transform outputs of both modules on one
+    domain each), and an add per term that sums the two domains."""
+    feature_dis = ad.add(discrepancy(ad.softmax(t_s)),
+                         discrepancy(ad.softmax(t_t)))
+    prediction_dis = ad.add(
+        discrepancy(ad.softmax(binding.classifier_a.forward(t_s))),
+        discrepancy(ad.softmax(binding.classifier_a.forward(t_t))))
+    return DualLossParts(feature_dis, prediction_dis,
+                         ad.grad_reverse(feature_dis, lam))
+
+
+def step3_per_domain(model, xs, xt, lam):
+    """Step 3 on the per-domain graph (dual_loss_per_domain): per term, in
+    the trainer's order, its loss value and the gradients of the
+    parameters it trains, swept by reference_backward. The reference for
+    the bytes of step 3's two-domain graph."""
+    tape = ad.Tape()
+    b = BoundComponents(tape, *model.modules())
+    parts = dual_loss_per_domain(b, b.features(tape.leaf(xs)),
+                                 b.features(tape.leaf(xt)), lam)
+    return [(loss.data, reference_backward(
+                tape, loss, [t for *_, t in b.named_pairs(components)]))
+            for loss, components in (
+                (parts.reversed_feature_dis, ("extractor", "transform")),
+                (parts.prediction_dis, ("classifier_a",)))]
+
+
 def trained_components(plan):
     """The exact set of '<module>.<component>' keys that a TrainingPlan may
     update, stated from the paper's steps: the reference for the component
@@ -185,14 +217,14 @@ def sgd_two_step_unrolled(param, grad1, grad2, lr, momentum):
 
 def compute_metrics_on_tape(model, source, target, epoch):
     """compute_metrics as one full-dataset tape of both modules through
-    module_loss, dual_loss and classifier_discrepancy, every value read
-    off the tape."""
+    module_loss, dual_loss_per_domain (the domains may differ in size) and
+    classifier_discrepancy, every value read off the tape."""
     tape = ad.Tape()
     b = BoundComponents(tape, *model.modules())
     t_s = b.features(tape.leaf(source.features))
     t_t = b.features(tape.leaf(target.features))
     parts = module_loss(b, t_s, source.labels, t_t, None)
-    dual = dual_loss(b, t_s, t_t, 0.0)
+    dual = dual_loss_per_domain(b, t_s, t_t, 0.0)
     mcd_dis = classifier_discrepancy(b, t_t)
 
     def accuracy(t, labels):
@@ -252,28 +284,33 @@ def _mT(a):
 
 
 def _matmul_grads(rec, ins, out, g, live):
-    a_slices, relu = rec.static
-    x, w = ins[:2]
+    a_slices, relu, parts = rec.static
+    xs, w = ins[:parts], ins[parts]
     if relu:
         g = g * (out > 0)
-    m = 1 if w.ndim == 2 else w.shape[0]
-    width = w.shape[-2]
-    xs, ws = x, w
-    if m == 1 and w.ndim == 3:
-        ws = w[0]
-    elif m > 1 and a_slices == m:
-        xs = x.reshape(m, -1, x.shape[1])
-    gs = g if m == 1 else g.reshape(m, -1, width)
-    gx = gw = gb = None
-    if live[0]:
-        gx = gs @ ws
-        if m > 1:
-            gx = gx.reshape(x.shape) if a_slices == m else np.add.reduce(gx, 0)
-    if live[1]:
-        gw = (_mT(gs) @ xs).reshape(w.shape)
-    if len(ins) == 3 and live[2]:
-        gb = np.add.reduce(gs, -2).reshape(ins[2].shape)
-    return gx, gw, gb
+    if w.ndim == 2:
+        return g @ w, g.T @ xs[0], np.add.reduce(g, -2)
+    m, width = w.shape[:2]
+    d = parts if parts > 1 else max(1, a_slices // m)
+    gs = g.reshape(m, d, -1, width)
+    x = xs[0] if parts > 1 or a_slices == 1 else \
+        xs[0].reshape(m, d, -1, xs[0].shape[1])
+    gx, gw, gb = [], 0.0, 0.0
+    # one (module, domain) slice at a time, the domains summed in order
+    for k in range(d):
+        g_k = gs[:, k]
+        x_k = xs[k] if parts > 1 else x if a_slices == 1 else x[:, k]
+        gx.append(g_k @ w)
+        gw = _mT(g_k) @ x_k if k == 0 else gw + _mT(g_k) @ x_k
+        b_k = np.add.reduce(g_k, -2)
+        gb = b_k if k == 0 else gb + b_k
+    if parts > 1:
+        gx = [np.add.reduce(g_x, 0) for g_x in gx]
+    elif a_slices == 1 and m > 1:  # a shared input collects every slice's
+        gx = [np.add.reduce(gx[0], 0)]
+    else:
+        gx = [np.stack(gx, 1).reshape(xs[0].shape)]
+    return (*gx, gw, gb)
 
 
 def _cross_entropy_grads(rec, ins, out, g, live):
@@ -287,12 +324,14 @@ def _cross_entropy_grads(rec, ins, out, g, live):
 
 
 def _mean_abs_diff_grads(rec, ins, out, g, live):
-    pair, m = rec.static
+    pair, n = rec.static
     x, y = (ins[0][:len(ins[0]) // 2], ins[0][len(ins[0]) // 2:]) if pair \
         else ins
     sign = np.sign(x - y)
-    c = 1.0 / (sign.size // m)
-    g_d = ((c * g)[:, None] * sign.reshape(m, -1)).reshape(sign.shape)
+    c = 1.0 / (sign.size // n)
+    # a pair's one gradient value is every domain's
+    g_d = ((c * g)[:, None] * sign.reshape(1 if pair else n, -1)).reshape(
+        sign.shape)
     return (np.concatenate((g_d, -g_d)),) if pair else (g_d, -g_d)
 
 

@@ -80,6 +80,19 @@ def _op_cases():
         "select_columns": lambda rng, m, k, n: (
             [rng.uniform(-2, 2, (m, n))],
             lambda t: ad.select_columns(t[0], np.arange(m) % n)),
+        # two stacked layers on two domain batches: the first reads the
+        # batches, the second its product's 2 x 2 (module, domain) slices
+        "matmul_domains": lambda rng, m, k, n: (
+            [rng.uniform(-2, 2, (m, k)), rng.uniform(-2, 2, (m, k)),
+             rng.uniform(-2, 2, (2, n, k)), rng.uniform(-2, 2, (2, n)),
+             rng.uniform(-2, 2, (2, n, n))],
+            lambda t: ad.matmul(ad.matmul(t[0], t[2], t[3], rest=[t[1]]),
+                                t[4])),
+        # the pair of two modules on each of two domains, summed
+        "mean_abs_diff_domains": lambda rng, m, k, n: (
+            [rng.uniform(-2, 2, (m, k)), rng.uniform(-2, 2, (m, k)),
+             rng.uniform(-2, 2, (2, n, k))],
+            lambda t: ad.mean_abs_diff(ad.matmul(t[0], t[2], rest=[t[1]]))),
     }
 
 
@@ -167,8 +180,7 @@ def _loss_graphs(kind, model, xs, ys, xt, lam):
     if kind == "dual":
         # both modules on one tape, each parameter one [2, ...] leaf
         b = BoundComponents(tape, *model.modules())
-        parts = dual_loss(b, b.features(tape.leaf(xs)),
-                          b.features(tape.leaf(xt)), lam)
+        parts = dual_loss(b, b.features(tape.leaf(xs), tape.leaf(xt)), lam)
         weights = lambda comp: [-lam, 1.0]
         return tape, [(b, weights)], \
             [parts.feature_dis, parts.prediction_dis], \

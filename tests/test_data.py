@@ -344,6 +344,25 @@ def test_batches_rejects_oversized_batch():
         list(batches(source, target, 500, epoch_seed=0))
 
 
+@pytest.mark.parametrize("size", [True, 7.5, 0])
+def test_batches_refuses_a_batch_size_that_is_no_integer_from_1(size):
+    """A bool would yield one-row batches and a float die in numpy: both,
+    like 0, are a ContractError that names the field."""
+    source, target = _pair()
+    with pytest.raises(ContractError, match="batch_size must be an integer"):
+        next(batches(source, target, size, epoch_seed=0))
+
+
+def test_batches_takes_a_numpy_integer_batch_size():
+    source, target = _pair()
+    want = list(batches(source, target, 4, epoch_seed=2))
+    got = list(batches(source, target, np.int64(4), epoch_seed=2))
+    assert len(got) == len(want)
+    assert all(a.tobytes() == b.tobytes()
+               for pair_a, pair_b in zip(got, want)
+               for a, b in zip(pair_a, pair_b))
+
+
 def test_dataset_checksum_sensitivity():
     source, target = _pair()
     assert dataset_checksum(source) != dataset_checksum(target)

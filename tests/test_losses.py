@@ -132,8 +132,7 @@ def dual_total(c1, c2, xs, xt, lam):
     """dual_loss's two terms, summed, on a fresh tape."""
     tape = ad.Tape()
     b = BoundComponents(tape, *DualModel(c1, c2).modules())
-    parts = dual_loss(b, b.features(tape.leaf(xs)), b.features(tape.leaf(xt)),
-                      lam)
+    parts = dual_loss(b, b.features(tape.leaf(xs), tape.leaf(xt)), lam)
     return parts.reversed_feature_dis + parts.prediction_dis
 
 
@@ -232,8 +231,7 @@ def test_dual_loss_zero_for_identical_modules():
     xs, _, xt = _batch(rng)
     tape = ad.Tape()
     b = BoundComponents(tape, *DualModel(c1, c2).modules())
-    parts = dual_loss(b, b.features(tape.leaf(xs)), b.features(tape.leaf(xt)),
-                      0.5)
+    parts = dual_loss(b, b.features(tape.leaf(xs), tape.leaf(xt)), 0.5)
     total = parts.reversed_feature_dis + parts.prediction_dis
     assert float(total.data[0]) == 0.0
     pairs = list(b.named_pairs())
@@ -288,9 +286,14 @@ def test_dual_loss_feature_term_sign_flips_with_reversal():
 
 
 def test_dual_loss_empty_batch_rejected():
+    """Both domains run as one graph, so their batches share one shape: two
+    empty batches are a DomainError, batches of two shapes a
+    DimensionError."""
     c1 = build_component_set(2, 4, 2, seed=0)
     c2 = build_component_set(2, 4, 2, seed=1)
     with pytest.raises(DomainError):
+        dual_total(c1, c2, np.empty((0, 2)), np.empty((0, 2)), 0.5)
+    with pytest.raises(DimensionError, match="2 domain batches"):
         dual_total(c1, c2, np.empty((0, 2)), np.ones((2, 2)), 0.5)
 
 
@@ -299,19 +302,23 @@ def test_dual_loss_empty_batch_rejected():
 
 def _loss_of(entry, xs, xt):
     """entry on the transform outputs of xs and xt, on a fresh tape: the two
-    modules' for dual_loss, the invariant module's for the others
-    (dual_loss_one: dual_loss on the invariant module's alone)."""
+    modules' on both batches as one graph for dual_loss, the invariant
+    module's for the others (dual_loss_one: dual_loss on the invariant
+    module's output on xs alone)."""
     tape = ad.Tape()
     model = DualModel.build(2, 4, 2, seed=0)
     b = BoundComponents(tape, *(model.modules() if entry == "dual_loss"
                                 else model.modules(("invariant",))))
-    t_s, t_t = b.features(tape.leaf(xs)), b.features(tape.leaf(xt))
+    if entry == "dual_loss":
+        return dual_loss(b, b.features(tape.leaf(xs), tape.leaf(xt)), 0.5)
+    t_s = b.features(tape.leaf(xs))
+    if entry == "dual_loss_one":
+        return dual_loss(b, t_s, 0.5)
+    t_t = b.features(tape.leaf(xt))
     ys = np.array([0, 1, 1][:len(xs)])
     if entry == "module_loss":
         return module_loss(b, t_s, ys, t_t, 0.5)
-    if entry == "classifier_only_loss":
-        return classifier_only_loss(b, t_s, ys)
-    return dual_loss(b, t_s, t_t, 0.5)
+    return classifier_only_loss(b, t_s, ys)
 
 
 EMPTY, ROWS = np.empty((0, 2)), np.ones((3, 2))
@@ -329,12 +336,15 @@ EMPTY_OPERANDS = "mean_abs_diff: the operands are empty"
     (lambda: _loss_of("module_loss", ROWS, EMPTY), DomainError, EMPTY_BATCH),
     (lambda: _loss_of("classifier_only_loss", EMPTY, ROWS), DomainError,
      EMPTY_BATCH),
-    (lambda: _loss_of("dual_loss", ROWS, EMPTY), DomainError, EMPTY_OPERANDS),
+    # both domains run as one graph: batches of two shapes are refused
+    (lambda: _loss_of("dual_loss", ROWS, EMPTY), DimensionError,
+     "matmul: 2 domain batches need stacked weights and one shape"),
+    (lambda: _loss_of("dual_loss", EMPTY, EMPTY), DomainError, EMPTY_OPERANDS),
     (lambda: _loss_of("dual_loss_one", ROWS, ROWS), DimensionError,
      "mean_abs_diff: one operand must hold 2 slices"),
 ], ids=["1-D logits", "short labels", "2-D labels", "module_loss, empty target",
         "classifier_only_loss, empty source", "dual_loss, empty target",
-        "dual_loss, one module"])
+        "dual_loss, empty batches", "dual_loss, one module"])
 def test_the_records_refuse_what_the_loss_layer_passes_on(call, error, match):
     with pytest.raises(error, match=match):
         call()

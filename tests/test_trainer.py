@@ -92,8 +92,21 @@ def test_step1_rejects_bad_k():
     source, target = small_data()
     xs, ys = batch_from(source)
     xt, _ = batch_from(target)
-    with pytest.raises(ContractError):
-        run_step1(comps, xs, ys, xt, k=0, lr=0.01)
+    for k in (0, True, 7.5):
+        with pytest.raises(ContractError, match="k must be an integer >= 1"):
+            run_step1(comps, xs, ys, xt, k=k, lr=0.01)
+
+
+def test_step1_takes_a_numpy_integer_k():
+    source, target = small_data()
+    xs, ys = batch_from(source)
+    xt, _ = batch_from(target)
+    runs = []
+    for k in (4, np.int64(4)):
+        comps = build_component_set(2, 6, 2, seed=1)
+        runs.append((run_step1(comps, xs, ys, xt, k=k, lr=0.01),
+                     [a.tobytes() for _, a in comps.named_arrays()]))
+    assert runs[0] == runs[1]
 
 
 def test_step1_untouched_discriminator():
