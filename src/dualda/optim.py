@@ -3,27 +3,22 @@
 lr follows eta0 / (1 + alpha*p)^beta and the adversarial weight follows
 2 / (1 + exp(-gamma*p)) - 1, with p the training progress in [0, 1].
 
-``SGD`` steps parameters through the flat buffer they are views of (one
-``DualModel.buffer`` holds both modules): one velocity element and one
-gradient element per parameter element, and an update is a few numpy calls
-per contiguous range of the buffer (one range per module for every update
-that training makes). A backward writes each gradient straight into its
-parameter's view of the gradient store (``SGD.grad_view``); any other
-gradient is copied there.
+``SGD`` steps one flat buffer (``DualModel.buffer`` holds both modules).
+A backward writes each gradient into its parameter's view of the
+optimizer's gradient store (``SGD.grad_view``), and each call site builds
+its one block at capture (``SGD.block``): the range of the buffer that its
+update trains, one row per module. A step is a few numpy calls per block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import ContractError
-
-# a parameter's name, or the name of each slice of a stacked parameter
-NameKey = Union[str, Tuple[str, ...]]
 
 
 @dataclass(frozen=True)
@@ -71,173 +66,97 @@ def lambda_at(s: Schedule, p: float) -> float:
 
 
 class SGD:
-    """Momentum SGD that steps every parameter through the buffer it lies in.
+    """Momentum SGD on one flat float64 buffer.
 
-    A parameter is a float64 array: a view into a flat store (the array
-    that owns its data, such as ``DualModel.buffer``), or a plain array,
-    which is its own buffer. It is named by one str, or by a tuple with one
-    name per slice of a stacked [M, ...] array; lr is one float, or one per
-    slice. The optimizer keeps a velocity store and a gradient store laid
-    out like each buffer, so a velocity belongs to the elements it moves,
-    whatever their name. A step takes each gradient in the gradient store:
-    as it is when it is the parameter's own view of the store
-    (``grad_view``), else copied there. Then it decays the velocity of each
-    contiguous range of the buffer that its parameters cover, adds the
-    range's gradients and moves the range at its slice's lr: a few numpy
-    calls per range, with the per-element arithmetic of updating array by
-    array, so the same bits.
-    Each update checks that its parameters stayed finite, so training that
-    diverges stops at the first update that produced NaN or Inf (forward
-    passes bind parameters without checking them), naming the slice.
+    A parameter is a view of the buffer, named by a tuple with one name per
+    module: a module's own array, or a stacked [M, ...] array with one
+    slice per module; lr is one float, or one per module. The optimizer
+    keeps a velocity store and a gradient store of the buffer's size, so a
+    velocity belongs to the elements it moves, whatever their name. A step
+    decays each block's velocity, adds its gradients and moves it at its
+    rows' lr: the per-element arithmetic of updating array by array, so
+    the same bits. Each block checks that its parameters stayed finite, so
+    training that diverges stops at the first update that produced NaN or
+    Inf (forward passes bind parameters without checking them), naming the
+    slice.
     """
 
-    def __init__(self, momentum: float = 0.9):
+    def __init__(self, buffer: np.ndarray, momentum: float):
         if not 0 <= momentum < 1:
             raise ContractError(f"momentum must lie in [0, 1), got {momentum}")
-        self.momentum = momentum
-        # id(buffer) -> (buffer, its flat view, flat velocity, flat gradient
-        # store, its address)
-        self._buffers: Dict[int, tuple] = {}
-        # id(param) -> (param, buffer entry, gradient view, span per slice);
-        # the entry keeps param alive, so its id names it for good
-        self._places: Dict[int, tuple] = {}
-        # param ids -> [(velocity, gradients, parameters, lr index)] per
-        # block of the buffer that a step with these parameters moves
-        self._blocks_of: Dict[tuple, list] = {}
-        # id(items tuple) -> its layout (see _layout)
-        self._layouts: Dict[int, tuple] = {}
+        self.buffer, self.momentum = buffer, momentum
+        self._velocity, self._grads = np.zeros_like(buffer), np.zeros_like(buffer)
 
-    def _place(self, param: np.ndarray, name: NameKey) -> tuple:
-        """Where param lies in its buffer: the buffer's entry, the view of
-        the gradient store at param's place, and the [start, stop) element
-        span of each of its slices."""
-        place = self._places.get(id(param))
-        if place is not None:
-            return place
-        names = (name,) if isinstance(name, str) else name
-        buffer = param if param.base is None else param.base
-        stacked = len(names) > 1
-        if not (isinstance(buffer, np.ndarray) and param.dtype == np.float64
-                and buffer.dtype == np.float64 and buffer.flags.c_contiguous
-                and (param[0] if stacked else param).flags.c_contiguous):
-            raise ContractError(f"sgd: parameter {names[0]} is not a "
-                                f"contiguous range of a float64 array")
-        entry = self._buffers.get(id(buffer))
-        if entry is None:
-            flat = buffer.reshape(-1)
-            entry = self._buffers[id(buffer)] = (
-                buffer, flat, np.zeros_like(flat), np.zeros_like(flat),
-                buffer.__array_interface__["data"][0])
-        start = (param.__array_interface__["data"][0] - entry[4]) // 8
-        size, step = ((param[0].size, param.strides[0] // 8) if stacked
-                      else (param.size, 0))
-        spans = [(start + m * step, start + m * step + size)
-                 for m in range(len(names))]
-        grad = np.ndarray(param.shape, np.float64, entry[3], start * 8,
-                          param.strides)
-        place = self._places[id(param)] = (param, entry, grad, spans)
-        return place
+    def _offset(self, names: Tuple[str, ...], param: np.ndarray) -> int:
+        """The buffer index of param's first element."""
+        if param.base is not self.buffer or param.dtype != np.float64:
+            raise ContractError(f"sgd: parameter {names[0]} is not a view of "
+                                f"the optimizer's buffer")
+        return (param.__array_interface__["data"][0]
+                - self.buffer.__array_interface__["data"][0]) // 8
 
-    def grad_view(self, name: NameKey, param: np.ndarray) -> np.ndarray:
+    def grad_view(self, names: Tuple[str, ...], param: np.ndarray
+                  ) -> np.ndarray:
         """The gradient store's view at param's place: a gradient written
-        there is stepped without a copy."""
-        return self._place(param, name)[2]
+        there is what a step applies."""
+        return np.ndarray(param.shape, np.float64, self._grads,
+                          8 * self._offset(names, param), param.strides)
 
-    @staticmethod
-    def _blocks(places: Sequence[tuple]) -> list:
-        """The spans of the places' slices, joined into maximal contiguous
-        runs of one slice index (the slice's lr) per buffer. A buffer's runs
-        of one length at an even spacing (the slices of stacked modules)
-        form one [runs, length] block, any other run a block of its own;
-        each block as views of the velocity, gradient and parameter stores,
-        with the index of its rows' lr."""
-        groups: Dict[int, tuple] = {}
-        for _, entry, _, spans in places:
-            for k, (start, stop) in enumerate(spans):
-                groups.setdefault(id(entry[0]), (entry, []))[1].append(
-                    (start, stop, k))
-        blocks = []
-        for (_, flat, velocity, grads, _), spans in groups.values():
-            spans.sort()
-            runs = [list(spans[0])]
-            for start, stop, k in spans[1:]:
-                if start < runs[-1][1]:
-                    raise ContractError("sgd: one step names a parameter twice")
-                if start > runs[-1][1] or k != runs[-1][2]:
-                    runs.append([start, stop, k])
-                runs[-1][1] = stop
-            lengths = {stop - start for start, stop, _ in runs}
-            spacings = {b[0] - a[0] for a, b in zip(runs, runs[1:])}
-            if len(runs) > 1 and len(lengths) == 1 and len(spacings) == 1:
-                specs = [(runs[0][0], (len(runs), lengths.pop()),
-                          (8 * spacings.pop(), 8),
-                          np.array([[k] for *_, k in runs]))]
-            else:
-                specs = [(start, (stop - start,), (8,), k)
-                         for start, stop, k in runs]
-            blocks += [(*(np.ndarray(shape, np.float64, store, 8 * start,
-                                     strides)
-                          for store in (velocity, grads, flat)), rows)
-                       for start, shape, strides, rows in specs]
-        return blocks
-
-    def _layout(self, named) -> tuple:
-        """(named, its (name, place) items, the blocks they cover), each
-        gradient taken into the store: as it is when it is its parameter's
-        own view (grad_view), else copied there. A tuple of items whose
-        every gradient is such a view is remembered, so that a step given
-        it again (a call site's items, as the trainer keeps them) reads
-        this layout and does not go through the items; the tuple cannot
-        change, and the memo keeps it alive, so its id names it."""
-        places, items, key, copied = self._places, [], [], False
-        for name, param, grad in named:
-            if grad is None:
+    def block(self, named: Sequence[Tuple[Tuple[str, ...], np.ndarray]]
+              ) -> tuple:
+        """The block that a step trains for these (slice names, parameter)
+        items: the [modules, length] views of the velocity, gradient and
+        parameter stores, one row per module, and the items, kept for the
+        divergence message. Each item has one slice per module, all at one
+        spacing, and each module's slices must cover one gap-free range of
+        the buffer, each element once."""
+        named = tuple(named)
+        rows, spans = len(named[0][0]), []
+        for names, param in named:
+            part = param[0] if rows > 1 else param
+            if len(names) != rows or rows > 1 and len(param) != rows \
+                    or not part.flags.c_contiguous:
+                raise ContractError(f"sgd: parameter {names[0]} is not one "
+                                    f"contiguous slice per module, of {rows}")
+            spans.append((self._offset(names, param), part.size,
+                          param.strides[0] // 8 if rows > 1 else 0, names))
+        start = stop = min(spans)[0]
+        spacing = spans[0][2]
+        for offset, size, step, names in sorted(spans):
+            if offset != stop or step != spacing:
                 raise ContractError(
-                    f"sgd: missing gradient for "
-                    f"{name if isinstance(name, str) else ', '.join(name)}")
-            place = places.get(id(param)) or self._place(param, name)
-            if grad is not place[2]:
-                np.copyto(place[2], grad)
-                copied = True
-            items.append((name, place))
-            key.append(id(param))
-        key = tuple(key)
-        blocks = self._blocks_of.get(key)
-        if blocks is None:
-            blocks = self._blocks_of[key] = self._blocks(
-                [place for _, place in items])
-        layout = (named, items, blocks)
-        if isinstance(named, tuple) and not copied:
-            self._layouts[id(named)] = layout
-        return layout
+                    f"sgd: parameter {names[0]} does not continue its step's "
+                    f"range: a step trains one gap-free range per module, "
+                    f"each element once")
+            stop += size
+        if rows > 1 and spacing < stop - start:
+            raise ContractError("sgd: a step's module ranges overlap")
+        return (*(np.ndarray((rows, stop - start), np.float64, store,
+                             8 * start, (8 * spacing, 8))
+                  for store in (self._velocity, self._grads, self.buffer)),
+                named)
 
-    def step(self, named: Iterable[Tuple[NameKey, np.ndarray,
-                                         Optional[np.ndarray]]],
+    def step(self, blocks: Iterable[tuple],
              lr: Union[float, Sequence[float]]) -> None:
-        rates = None if np.isscalar(lr) else np.asarray(lr, dtype=np.float64)
-        if rates is not None and rates.ndim == 0:  # one lr, as an array
-            lr, rates = float(rates), None
-        layout = self._layouts.get(id(named))
-        if layout is None or layout[0] is not named:
-            layout = self._layout(named)
-        _, items, blocks = layout
-        momentum = self.momentum
-        for velocity, grads, params, rows in blocks:
-            velocity *= momentum
+        """One update of each block from the gradients in the store."""
+        rates = np.asarray(lr, dtype=np.float64)
+        for velocity, grads, params, items in blocks:
+            if rates.ndim and rates.shape != (len(params),):
+                raise ContractError(f"sgd: {rates.size} lr values for a step "
+                                    f"of {len(params)} modules")
+            velocity *= self.momentum
             velocity += grads
-            params -= (lr if rates is None else rates[rows]) * velocity
-        if not all(np.isfinite(params).all() for _, _, params, _ in blocks):
-            self._diverged(items, lr, rates)
+            params -= (rates[:, None] if rates.ndim else rates) * velocity
+            if not np.isfinite(params).all():
+                self._diverged(items, rates)
 
     @staticmethod
-    def _diverged(items, lr, rates) -> None:
+    def _diverged(items, rates: np.ndarray) -> None:
         """Name the first slice, in step order, that is no longer finite."""
-        for name, (param, *_) in items:
-            names = (name,) if isinstance(name, str) else name
+        for names, param in items:
             for m, part in enumerate(param if len(names) > 1 else (param,)):
                 if not np.isfinite(part).all():
+                    rate = rates[m] if rates.ndim else rates
                     raise ContractError(
                         f"sgd: parameter {names[m]} is no longer finite after "
-                        f"an update with lr "
-                        f"{lr if rates is None else rates[m]:g}; training "
-                        f"diverged")
+                        f"an update with lr {rate:g}; training diverged")

@@ -40,16 +40,16 @@ their module globals. Each call site (step 1's phases A, B and C, step
 on the first batch of a ``train`` call, as a ``Program`` (``_program``):
 per loss the sweep of its backward (the loss, the leaf tensors it trains
 and the views of the optimizer's gradient store at their parameters,
-``SGD.grad_view``), and the (slice names, parameter array, gradient view)
-items of the SGD step. Every later update of that site re-runs the tape
-on its batch (``ad.Tape.rerun_if_fits``, one shape check) as generated
-straight-line code that makes the numpy calls of a fresh tape, so the
-same bits; a batch of another shape is captured again. A tape lets go
-of its capture batch at its first rerun, and ``train`` drops each
-phase's programs when the phase ends. Each backward writes its gradients
-into those views (``ad.backward(..., into=...)``), and the optimizer
-steps the model's one flat parameter buffer from them (``optim.SGD``):
-an update costs a few numpy calls per module.
+``SGD.grad_view``), and the site's one SGD block, the range of the flat
+buffer that its update trains (``SGD.block``). Every later update of
+that site re-runs the tape on its batch (``ad.Tape.rerun_if_fits``, one
+shape check) as generated straight-line code that makes the numpy calls
+of a fresh tape, so the same bits; a batch of another shape is captured
+again. A tape lets go of its capture batch at its first rerun, and
+``train`` drops each phase's programs when the phase ends. Each backward
+writes its gradients into those views (``ad.backward(..., into=...)``),
+and the optimizer steps the block from them (``optim.SGD``): an update
+costs a few numpy calls for all its modules.
 
 ``compute_metrics`` builds no tape: per domain it runs one stacked forward
 of both modules over the full dataset on the numpy functions that the
@@ -85,12 +85,12 @@ Term = Tuple[ad.Tensor, List[Tuple[Tuple[str, ...], np.ndarray, ad.Tensor]]]
 
 class Program(NamedTuple):
     """A call site's tape and its update: per term the (loss, leaf tensors,
-    gradient-store views) of its backward, and the (slice names, parameter
-    array, gradient-store view) items of its SGD step."""
+    gradient-store views) of its backward, and the one block
+    (``SGD.block``) that its SGD step trains."""
 
     tape: ad.Tape
     sweeps: List[Tuple[ad.Tensor, List[ad.Tensor], List[np.ndarray]]]
-    named: Tuple[Tuple[Tuple[str, ...], np.ndarray, np.ndarray], ...]
+    blocks: Tuple[tuple]
 
 
 @dataclass
@@ -147,7 +147,7 @@ def _update(sgd: SGD, lr, program: Program) -> None:
     and one optimizer step applies every term's gradients."""
     for loss, wrt, into in program.sweeps:
         ad.backward(program.tape, loss, wrt, into=into)
-    sgd.step(program.named, lr)
+    sgd.step(program.blocks, lr)
 
 
 def _program(programs: Dict[str, Program], site: str, sgd: SGD, capture,
@@ -156,20 +156,20 @@ def _program(programs: Dict[str, Program], site: str, sgd: SGD, capture,
     tape it captured on an earlier batch, re-run, when the inputs have that
     batch's shapes; else a new tape on which capture(tape, *context,
     *inputs) records the site's graph and returns its terms, whose sweeps
-    and SGD items (on the views of sgd's gradient store that the terms'
-    parameters take) are kept for the next batch. programs belongs to one
-    model and one train() call."""
+    (into the views of sgd's gradient store at the terms' parameters) and
+    SGD block are kept for the next batch. programs belongs to one model
+    and one train() call."""
     program = programs.get(site)
     if program is not None and program.tape.rerun_if_fits(*inputs):
         return program
     tape = ad.Tape(*inputs)
     terms = capture(tape, *context, *inputs)
-    sweeps, named = [], []
-    for loss, pairs in terms:
-        into = [sgd.grad_view(names, arr) for names, arr, _ in pairs]
-        sweeps.append((loss, [t for _, _, t in pairs], into))
-        named += [(names, arr, g) for (names, arr, _), g in zip(pairs, into)]
-    program = programs[site] = Program(tape, sweeps, tuple(named))
+    sweeps = [(loss, [t for _, _, t in pairs],
+               [sgd.grad_view(names, arr) for names, arr, _ in pairs])
+              for loss, pairs in terms]
+    block = sgd.block((names, arr) for _, pairs in terms
+                      for names, arr, _ in pairs)
+    program = programs[site] = Program(tape, sweeps, (block,))
     return program
 
 
@@ -397,9 +397,9 @@ def train(config: TrainConfig, source: DomainDataset, target: DomainDataset,
     # one velocity store per training step: the steps optimize different
     # (partly opposing) objectives, and letting one step coast on another's
     # momentum destabilizes the adversarial games
-    step1_sgd = SGD(config.schedule.momentum)
-    step2_sgd = SGD(config.schedule.momentum)
-    step3_sgd = SGD(config.schedule.momentum)
+    step1_sgd = SGD(model.buffer, config.schedule.momentum)
+    step2_sgd = SGD(model.buffer, config.schedule.momentum)
+    step3_sgd = SGD(model.buffer, config.schedule.momentum)
 
     n_pairs = num_batch_pairs(source, target, config.batch_size)
     # each call site's tape, captured on the first batch and re-run on the

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; the whole suite is budgeted to finish in well under ten minutes.
 """
 
+import copy
 import struct
 import time
 
@@ -426,8 +427,11 @@ def test_criterion_mcd_descent():
         source = gen_two_moons(64, 0.1, ss(0))
         target = domain_shift(gen_two_moons(64, 0.1, ss(1)), 30.0)
         xt = target.features[:16]
+        # a DualModel copies comps' values into its buffer unchanged
+        buffer = DualModel(comps, copy.deepcopy(comps)).buffer
         before = step1_mcd(comps, "", source.features[:16],
-                           source.labels[:16], xt, 4, 0.01, SGD(0.0), {})[0]
+                           source.labels[:16], xt, 4, 0.01, SGD(buffer, 0.0),
+                           {})[0]
         wins += pair_discrepancy(comps, xt) <= before
     assert wins >= 90
     ok(f"MCD phase C did not increase classifier discrepancy in {wins}/100 "

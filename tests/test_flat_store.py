@@ -1,6 +1,7 @@
 """A DualModel keeps every parameter in one flat buffer, and SGD steps
-each contiguous range of it at once. The steps must give the bytes of the
-array-by-array optimizer they replaced (oracles.ArraySGD)."""
+the range that an update trains as one block, one row per module. The
+steps must give the bytes of the array-by-array optimizer they replaced
+(oracles.ArraySGD)."""
 
 import numpy as np
 import pytest
@@ -71,17 +72,28 @@ def test_load_state_writes_through_the_views():
         assert stacked[name][0].tobytes() == arr.tobytes()
 
 
-def _items(model, modules, components, grads):
-    """(names, array, grad) for the components of the modules: the stacked
+def _named(model, modules, components):
+    """(slice names, array) for the components of the modules: the stacked
     arrays for both modules, a module's own arrays for one."""
     comps, prefixes = model.modules(modules)
-    out = []
-    for key in components:
-        for name, arr in comps.components()[key].named_arrays():
-            names = tuple(f"{p}{key}.{name}" for p in prefixes)
-            out.append((names if len(names) > 1 else names[0], arr,
-                        grads[names]))
-    return out
+    return [(tuple(f"{p}{key}.{name}" for p in prefixes), arr)
+            for key in components
+            for name, arr in comps.components()[key].named_arrays()]
+
+
+def _items(model, modules, components, grads):
+    """(slice names, array, grad) for the components of the modules."""
+    return [(names, arr, grads[names])
+            for names, arr in _named(model, modules, components)]
+
+
+def _step(sgd, items, lr):
+    """The items' gradients written into sgd's gradient store, then one
+    step of their block, passed as an iterator as the benchmark's tracer
+    passes it."""
+    for names, arr, grad in items:
+        np.copyto(sgd.grad_view(names, arr), grad)
+    sgd.step(iter([sgd.block((names, arr) for names, arr, _ in items)]), lr)
 
 
 def _grads(model, rng):
@@ -123,10 +135,10 @@ SCHEDULES = {
 def test_flat_steps_equal_array_by_array_steps_bytewise(schedule):
     rng = np.random.default_rng(11)
     flat_model, ref_model = _model(), _model()
-    flat, ref = SGD(0.9), ArraySGD(0.9)
+    flat, ref = SGD(flat_model.buffer, 0.9), ArraySGD(0.9)
     for modules, components, lr in SCHEDULES[schedule] * 2:
         grads = _grads(flat_model, rng)
-        flat.step(iter(_items(flat_model, modules, components, grads)), lr)
+        _step(flat, _items(flat_model, modules, components, grads), lr)
         ref.step(_items(ref_model, modules, components, grads), lr)
         assert flat_model.buffer.tobytes() == ref_model.buffer.tobytes()
     assert flat_model.buffer.tobytes() != _model().buffer.tobytes()
@@ -135,31 +147,52 @@ def test_flat_steps_equal_array_by_array_steps_bytewise(schedule):
 @pytest.mark.parametrize("lr", [[1.0, 1e308], 1e308])
 def test_a_divergence_names_the_slice_and_lr_of_the_reference(lr):
     messages = []
-    for model, sgd in ((_model(), SGD(0.0)), (_model(), ArraySGD(0.0))):
+    for model in (_model(), _model()):
         grads = _grads(model, np.random.default_rng(0))
         key = ("invariant.transform.0.weight", "discriminative.transform.0.weight")
         grads[key][1, 2, 3] = -1e308
         if np.isscalar(lr):
             grads[key][0, 0, 0] = 1e300
+        items = _items(model, MODULES, PATH, grads)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ContractError) as info:
-            sgd.step(_items(model, MODULES, PATH, grads), lr)
+            if messages:  # the reference, on the second model
+                ArraySGD(0.0).step(items, lr)
+            else:
+                _step(SGD(model.buffer, 0.0), items, lr)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert "is no longer finite after an update with lr 1e+308" in messages[0]
 
 
+def test_a_parameter_of_another_array_is_refused():
+    """Its gradient view and its block alike, naming it."""
+    sgd = SGD(_model().buffer, 0.9)
+    names, arr = _named(_model(), MODULES, ("transform",))[0]
+    message = r"parameter invariant\.transform\.0\.weight is not a view of " \
+              r"the optimizer's buffer"
+    with pytest.raises(ContractError, match=message):
+        sgd.grad_view(names, arr)
+    with pytest.raises(ContractError, match=message):
+        sgd.block([(names, arr)])
+
+
+def test_a_group_with_a_gap_is_refused():
+    """The extractor and classifier_a without the transform between them
+    are two ranges per module."""
+    model = _model()
+    with pytest.raises(ContractError, match=r"parameter invariant\."
+                       r"classifier_a\.0\.weight does not continue"):
+        SGD(model.buffer, 0.9).block(
+            _named(model, MODULES, ("extractor", "classifier_a")))
+
+
 def test_a_parameter_named_twice_in_one_step_is_refused():
     model = _model()
-    grads = _grads(model, np.random.default_rng(0))
-    items = _items(model, ("invariant",), ("transform",), grads)
-    with pytest.raises(ContractError, match="names a parameter twice"):
-        SGD(0.9).step(items + items, 0.1)
-
-
-def test_a_parameter_outside_a_contiguous_float64_array_is_refused():
-    with pytest.raises(ContractError, match="p is not a contiguous range"):
-        SGD(0.9).step([("p", np.ones((4, 4))[:, 1], np.ones(4))], 0.1)
+    named = _named(model, ("invariant",), ("transform",))
+    with pytest.raises(ContractError, match=r"parameter invariant\."
+                       r"transform\.0\.\w+ does not continue"):
+        SGD(model.buffer, 0.9).block(named + named)
 
 
 def test_the_stacked_set_runs_both_modules_as_their_own_sets_bytewise():

@@ -277,7 +277,7 @@ def test_a_model_built_from_two_sets_trains_them_in_place():
     model = DualModel(c1, c2)
     rng = np.random.default_rng(5)
     step3_dual(model, rng.uniform(-2, 2, (16, 2)), rng.uniform(-2, 2, (16, 2)),
-               lam=0.5, lr=0.1, sgd=SGD(0.0), programs={})
+               lam=0.5, lr=0.1, sgd=SGD(model.buffer, 0.0), programs={})
     params = model.named_parameters()
     for name, arr in c1.named_arrays():
         assert arr is params[f"invariant.{name}"]

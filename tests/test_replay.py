@@ -76,9 +76,10 @@ def _capture(site, model, batch):
 
 def _terms(program):
     """A program's terms, (loss, [(slice names, parameter array, leaf
-    tensor)]), from its sweeps and SGD items."""
-    named = iter(program.named)
-    return [(loss, [(names, arr, t) for t, (names, arr, _) in zip(wrt, named)])
+    tensor)]), from its sweeps and the items of its SGD block."""
+    (*_, named), = program.blocks
+    named = iter(named)
+    return [(loss, [(names, arr, t) for t, (names, arr) in zip(wrt, named)])
             for loss, wrt, _ in program.sweeps]
 
 
@@ -123,6 +124,12 @@ def test_every_record_of_a_call_site_feeds_a_record_or_a_loss(site):
             if rec.output_id not in read] == []
 
 
+def _is_store_view(grad, sgd, names, arr):
+    """grad is the view of sgd's gradient store at arr's place."""
+    return (grad.__array_interface__ ==
+            sgd.grad_view(names, arr).__array_interface__)
+
+
 def _store_grads(tape, terms, sgd):
     """Every term's gradients, written by backward into sgd's gradient-store
     views of the parameters, as bytes. backward returns into itself, and
@@ -135,7 +142,7 @@ def _store_grads(tape, terms, sgd):
             view.fill(np.nan)
         grads = ad.backward(tape, loss, [t for _, _, t in pairs], into=into)
         assert grads is into
-        assert all(g is sgd.grad_view(names, arr)
+        assert all(_is_store_view(g, sgd, names, arr)
                    for (names, arr, _), g in zip(pairs, grads))
         out.append([(names, g.tobytes())
                     for (names, _, _), g in zip(pairs, into)])
@@ -147,7 +154,8 @@ def test_backward_into_the_gradient_store_equals_a_fresh_tape_bytewise(site):
     """The generated sweep writes the gradients into the store in place, on
     the captured tape and after a rerun alike, with the bytes of the
     per-record formulas on a fresh tape."""
-    model, sgd = _model(), SGD(0.9)
+    model = _model()
+    sgd = SGD(model.buffer, 0.9)
     tape, terms = _capture(site, model, _batch(1))
     n_records = len(tape.records)
     for seed in (1, 2):
@@ -162,7 +170,8 @@ def test_the_first_update_of_a_call_site_writes_the_store_in_place():
     """The update on the batch a site captures on runs its sweeps into the
     gradient-store views of its terms, which then hold the per-record
     formulas' gradients on a fresh tape."""
-    model, sgd = _model(), SGD(0.9)
+    model = _model()
+    sgd = SGD(model.buffer, 0.9)
     for site in ("phase B, two modules", "step 2, two modules", "step 3"):
         capture, context, reads = SITES[site]
         program = trainer._program({}, site, sgd, capture, context(model),
@@ -172,11 +181,35 @@ def test_the_first_update_of_a_call_site_writes_the_store_in_place():
         assert program.tape._forward is None  # captured, never re-run
         terms = _terms(program)
         for (_, _, into), (_, pairs) in zip(program.sweeps, terms):
-            assert all(g is sgd.grad_view(names, arr)
+            assert all(_is_store_view(g, sgd, names, arr)
                        for (names, arr, _), g in zip(pairs, into))
         assert [[(names, sgd.grad_view(names, arr).tobytes())
                  for names, arr, _ in pairs] for _, pairs in terms] \
             == fresh[len(program.tape.records):]
+
+
+@pytest.mark.parametrize("site", SITES)
+def test_a_call_site_steps_one_block_of_its_modules_and_parameters(site):
+    """The block has one row per module that the site trains, each row the
+    module's slices of the trained parameters, end to end, in the buffer."""
+    capture, context, reads = SITES[site]
+    model = _model()
+    program = trainer._program({}, site, SGD(model.buffer, 0.9), capture,
+                               context(model), _inputs(_batch(1), reads))
+    (velocity, grads, params, items), = program.blocks
+    pairs = [(names, arr) for _, term in _capture(site, model, _batch(1))[1]
+             for names, arr, _ in term]
+    rows = 1 if "one module" in site or "ce_only" in site else 2
+    assert {len(names) for names, _ in pairs} == {rows}
+    assert velocity.shape == grads.shape == params.shape == (
+        rows, sum(arr.size for _, arr in pairs) // rows)
+    assert params.base is model.buffer
+    assert [names for names, _ in items] == [names for names, _ in pairs]
+    model.buffer[...] = np.arange(model.buffer.size)  # each element its index
+    for m in range(rows):
+        covered = np.concatenate([(arr[m] if rows > 1 else arr).ravel()
+                                  for _, arr in pairs])
+        assert np.array_equal(np.sort(covered), params[m])
 
 
 # the updates that training makes at these sites, with their lr
@@ -194,7 +227,7 @@ def test_updates_from_the_gradient_store_equal_array_sgd_bytewise(site):
     capture, context, reads = SITES[site]
     lr = STORE_SITES[site]
     model, ref = _model(), _model()
-    sgd, array_sgd = SGD(0.9), ArraySGD(0.9)
+    sgd, array_sgd = SGD(model.buffer, 0.9), ArraySGD(0.9)
     programs = {}
     for seed in (1, 2, 3):
         inputs = _inputs(_batch(seed), reads)
@@ -214,17 +247,20 @@ def test_updates_from_the_gradient_store_equal_array_sgd_bytewise(site):
 
 def test_a_divergence_from_the_gradient_store_names_the_slice():
     messages = []
-    for sgd in (SGD(0.0), ArraySGD(0.0)):
+    for reference in (False, True):
         model = _model()
         comps, prefixes = model.modules()
         names = tuple(f"{p}transform.0.weight" for p in prefixes)
         param = comps.transform.layers[0].weight
-        grad = (sgd.grad_view(names, param) if isinstance(sgd, SGD)
-                else np.zeros_like(param))
-        grad[...] = 0.0
+        sgd = ArraySGD(0.0) if reference else SGD(model.buffer, 0.0)
+        grad = np.zeros_like(param) if reference else sgd.grad_view(names,
+                                                                    param)
         grad[1, 2, 3] = -1e308
         with np.errstate(over="ignore"), pytest.raises(ContractError) as info:
-            sgd.step([(names, param, grad)], [1.0, 10.0])
+            if reference:
+                sgd.step([(names, param, grad)], [1.0, 10.0])
+            else:
+                sgd.step([sgd.block([(names, param)])], [1.0, 10.0])
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert messages[0].startswith(
@@ -350,7 +386,8 @@ def test_a_captured_site_sees_every_in_place_parameter_update(change):
     a fresh tape at the new parameters byte for byte."""
     site = "step 2, two modules"
     capture, context, reads = SITES[site]
-    model, sgd, programs = _model(), SGD(0.9), {}
+    model, programs = _model(), {}
+    sgd = SGD(model.buffer, 0.9)
     for seed in (1, 2):  # capture, then rerun: the views are made
         program = trainer._program(programs, site, sgd, capture,
                                    context(model), _inputs(_batch(seed), reads))
@@ -483,7 +520,7 @@ def test_step1_mcd_reruns_phase_c_k_times_like_fresh_tapes(modules):
     for programs in ({}, _Fresh()):
         model = _model()
         comps, prefixes = model.modules(modules)
-        sgd = SGD(0.9)
+        sgd = SGD(model.buffer, 0.9)
         lr = [0.05, 0.04][:len(prefixes)]
         befores = [trainer.step1_mcd(
             comps, prefixes, *_batch(seed)[:3], 4, lr, sgd, programs).tobytes()
@@ -497,7 +534,7 @@ def test_steps_2_and_3_rerun_like_fresh_tapes(variant):
     results = []
     for programs in ({}, _Fresh()):
         model = _model()
-        sgd2, sgd3 = SGD(0.9), SGD(0.9)
+        sgd2, sgd3 = SGD(model.buffer, 0.9), SGD(model.buffer, 0.9)
         for seed in (1, 2, 3):
             xs, ys, xt, lam = _batch(seed)
             trainer.step2_modules(model, xs, ys, xt, lam, 0.05,
@@ -559,7 +596,7 @@ def test_a_changed_batch_shape_captures_again():
     model = _model()
     programs = {}
     context = (model.invariant, "invariant.")
-    sgd = SGD(0.9)
+    sgd = SGD(model.buffer, 0.9)
     first = trainer._program(programs, "A", sgd, trainer._capture_source,
                              context, _batch(1)[:2])
     short = _batch(2, n=B - 6)[:2]

@@ -1,3 +1,4 @@
+import copy
 import re
 
 import numpy as np
@@ -54,10 +55,18 @@ def batch_from(ds, n=16):
 
 # --- step 1 -------------------------------------------------------------------
 
+def in_buffer(comps):
+    """The buffer of a DualModel that takes comps in, with a copy of comps
+    as its other module: comps' arrays become views of it, values
+    unchanged."""
+    return DualModel(comps, copy.deepcopy(comps)).buffer
+
+
 def run_step1(comps, xs, ys, xt, k, lr):
     """step1_mcd on one module, momentum 0, fresh tapes: the pair's
     discrepancy read before phase C, and the oracle's after it."""
-    before = step1_mcd(comps, "", xs, ys, xt, k, lr, SGD(0.0), {})
+    before = step1_mcd(comps, "", xs, ys, xt, k, lr, SGD(in_buffer(comps), 0.0),
+                       {})
     return float(before[0]), float(pair_discrepancy(comps, xt))
 
 
@@ -167,6 +176,27 @@ def test_step1_phase_c_descends_discrepancy_statistically():
     assert wins >= 90, f"phase C reduced discrepancy in only {wins}/100 trials"
 
 
+@pytest.mark.parametrize("modules,lr", [
+    (("invariant", "discriminative"), [0.1]),
+    (("invariant", "discriminative"), [0.1, 0.2, 0.3]),
+    (("invariant",), [0.1, 5.0])],
+    ids=["one lr, two modules", "three lrs, two modules", "two lrs, one module"])
+def test_step1_refuses_an_lr_count_unlike_its_module_count(modules, lr):
+    """Before any parameter moves: no module steps at another's lr, and no
+    lr goes unused."""
+    model = DualModel.build(2, 6, 2, seed=1)
+    before = model.buffer.copy()
+    source, target = small_data()
+    xs, ys = batch_from(source)
+    xt, _ = batch_from(target)
+    with pytest.raises(ContractError, match=rf"sgd: {len(lr)} lr values for "
+                                            rf"a step of {len(modules)} "
+                                            rf"modules"):
+        step1_mcd(*model.modules(modules), xs, ys, xt, 2, lr,
+                  SGD(model.buffer, 0.0), {})
+    assert model.buffer.tobytes() == before.tobytes()
+
+
 # --- step 2 -------------------------------------------------------------------
 
 def test_step2_dann_leaves_m2_untouched():
@@ -176,7 +206,7 @@ def test_step2_dann_leaves_m2_untouched():
     xs, ys = batch_from(source)
     xt, _ = batch_from(target)
     step2_modules(model, xs, ys, xt, lam=0.4, lr=0.05, variant=Variant.DANN,
-                  sgd=SGD(0.0), programs={})
+                  sgd=SGD(model.buffer, 0.0), programs={})
     changed = changed_components(before, model)
     assert changed == {f"invariant.{c}" for c in
                        ("extractor", "transform", "discriminator",
@@ -194,9 +224,10 @@ def test_step2_lambda_zero_extractor_update_is_source_only():
     m_cls = DualModel.build(2, 6, 2, seed=4)
 
     step2_modules(m_full, xs, ys, xt, lam=0.0, lr=0.05, variant=Variant.DANN,
-                  sgd=SGD(0.0), programs={})
+                  sgd=SGD(m_full.buffer, 0.0), programs={})
     step2_modules(m_cls, xs, ys, xt, lam=0.0, lr=0.05,
-                  variant=Variant.SOURCE_ONLY, sgd=SGD(0.0), programs={})
+                  variant=Variant.SOURCE_ONLY, sgd=SGD(m_cls.buffer, 0.0),
+                  programs={})
 
     for stack in ("extractor", "transform"):
         got = getattr(m_full.invariant, stack).layers
@@ -228,7 +259,7 @@ def test_step3_identical_modules_no_change():
     before = snapshot(model)
     source, target = small_data()
     step3_dual(model, source.features[:16], target.features[:16],
-               lam=0.5, lr=0.1, sgd=SGD(0.0), programs={})
+               lam=0.5, lr=0.1, sgd=SGD(model.buffer, 0.0), programs={})
     assert changed_components(before, model) == set()
 
 
@@ -237,7 +268,7 @@ def test_step3_gating_of_untouched_components():
     before = snapshot(model)
     source, target = small_data()
     step3_dual(model, source.features[:16], target.features[:16],
-               lam=0.5, lr=0.1, sgd=SGD(0.0), programs={})
+               lam=0.5, lr=0.1, sgd=SGD(model.buffer, 0.0), programs={})
     changed = changed_components(before, model)
     assert changed == {"invariant.extractor", "invariant.transform",
                        "invariant.classifier_a", "discriminative.extractor",
@@ -259,8 +290,8 @@ def test_step3_descends_prediction_discrepancy_statistically():
         xs = source.features[:16]
         xt = target.features[:16]
         before = prediction_dis(model, xs, xt)
-        step3_dual(model, xs, xt, lam=0.0, lr=1e-3, sgd=SGD(0.0),
-                   programs={})
+        step3_dual(model, xs, xt, lam=0.0, lr=1e-3,
+                   sgd=SGD(model.buffer, 0.0), programs={})
         wins += prediction_dis(model, xs, xt) <= before
     assert wins >= 90, f"step 3 reduced dis(c) in only {wins}/100 trials"
 
@@ -470,7 +501,7 @@ def test_train_warmup_matches_repeated_step1_mcd_calls():
     ref = DualModel.build(source.input_dim, cfg.feature_dim,
                           source.num_classes, cfg.seed,
                           g_hidden=cfg.g_hidden, head_hidden=cfg.head_hidden)
-    sgd = SGD(cfg.schedule.momentum)
+    sgd = SGD(ref.buffer, cfg.schedule.momentum)
     per_call = 2 + cfg.k
     total = cfg.epochs * num_batch_pairs(source, target, cfg.batch_size) * per_call
     done = 0
