@@ -80,10 +80,9 @@ sum and scale) as one record each, and the gradient-reversal pseudo-op
 the upstream gradient by -lambda. A dense record with a relu saves only
 its mask and runs the relu in place on its own product, so no
 pre-activation is kept (``dense`` without the relu makes it again, same
-bits). Training records only matmul, add, sub, softmax, the two loss
-terms and grad_reverse; the seven other kinds stay only for the tests,
-gradcheck's reduction to a scalar (mean and select_columns) and the
-benchmark's tracer, which binds them by name.
+bits). Training and check-grad record only matmul, add, sub, softmax,
+the two loss terms and grad_reverse; the seven other kinds stay only for
+the tests and the benchmark's tracer, which binds them by name.
 
 Stacked slices. Structurally identical networks run as one graph, and so
 do equal batches of D domains: matmul takes M weight slices ``[M, out,

@@ -402,8 +402,7 @@ def _cmd_check_grad(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     from . import gradcheck  # only this subcommand reads it
-    ok = gradcheck.run_suite(trials_ops=args.trials, trials_losses=args.trials,
-                             seed=args.seed)
+    ok = gradcheck.run_suite(args.trials, args.seed)
     print("gradient suite:", "PASS" if ok else "FAIL")
     return 0 if ok else 2
 

@@ -1,31 +1,42 @@
-"""Randomized finite-difference verification of every backward rule on
-the generated code that every training batch runs: the analytic gradients
-come from the generated sweep, and each finite-difference evaluation
-reruns the case's one tape through its generated forward.
+"""Randomized finite-difference verification of the generated code that
+training runs: the analytic gradients come from its sweeps, and each
+finite difference reruns the case's one tape through its forward.
 
-The op cases cover every op that training records: the dense product
-(with a bias, a relu and stacked slices), add, sub, softmax, the two loss
-terms and a per-slice reversal. The rules of the standalone ops that
-training never records (scalar_mul, relu, abs, log_softmax, mean, sum,
-select_columns) are checked by the tests: the gradient suite of
-tests/test_acceptance.py and the op cases of tests/test_autodiff.py.
+The sites (``SITES``) are the graphs that ``train`` captures, each recorded
+by the trainer's own capture function on a tiny ``DualModel``. The op cases
+check each op that training records, plain and behind a reversal
+(``grl+``): the dense product (with a bias, a relu and stacked slices),
+add, sub, softmax, the two loss terms and a per-slice reversal. The rules
+of the ops that training never records (scalar_mul, relu, abs,
+log_softmax, mean, sum, select_columns) are checked by the tests: the
+gradient suite of tests/test_acceptance.py and tests/test_autodiff.py.
+
+One rule covers every reversal. Each path of a checked graph crosses at
+most one ``grad_reverse``, which scales its upstream gradient by -lambda,
+so a sweep's gradient is affine in lambda, G(lambda) = A - lambda B, while
+the finite difference of the forward (the reversal's is the identity)
+sees A + B. lambda is a step input of every graph that reverses, so each
+check sweeps at lambda = 0 and 1 and compares 2 G(0) - G(1) (G itself
+where nothing reverses) with the central difference of the loss's summed
+values. No training graph puts two reversals on one path, and the rule
+does not cover that, so reverse_slices has no grl+ case.
 
 Backs the `check-grad` CLI subcommand. Central differences with h=1e-5;
-relative error is |analytic - numeric| / max(1, |analytic|, |numeric|).
-Cases whose random draw lands within 1e-3 of a relu/abs kink are redrawn,
-since the true derivative is discontinuous there.
+relative error is |analytic - numeric| / max(1, |analytic|, |numeric|). A
+draw whose tape holds a relu pre-activation or a ``mean_abs_diff``
+difference within 5e-4 of 0, where the derivative jumps, is redrawn.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
-from .losses import classifier_discrepancy, dual_loss, module_loss
 from .model import DualModel
-from .nn import COMPONENT_KEYS, BoundComponents, build_component_set
+from .trainer import (_capture_boundary, _capture_discrepancy, _capture_dual,
+                      _capture_modules, _capture_source)
 
 H = 1e-5
 TOL = 1e-4
@@ -37,272 +48,217 @@ def rel_err(analytic: float, numeric: float) -> float:
 
 def central_diff(value_fn: Callable[[], float], arr: np.ndarray, i: int,
                  h: float = H) -> float:
-    flat = arr.reshape(-1)
-    keep = flat[i]
-    flat[i] = keep + h
+    """Central difference of value_fn in arr's entry i (C order), set in
+    place: arr may be a strided view, such as a stacked parameter, whose
+    reshape would be a copy."""
+    at = np.unravel_index(i, arr.shape)
+    keep = arr[at]
+    arr[at] = keep + h
     up = value_fn()
-    flat[i] = keep - h
+    arr[at] = keep - h
     down = value_fn()
-    flat[i] = keep
+    arr[at] = keep
     return (up - down) / (2.0 * h)
 
 
 def _op_case(kind: str, rng: np.random.Generator):
-    """Random input arrays, a loss builder for one primitive op, and the
-    factor of each input entry between its analytic and numeric gradient
-    (None: 1), which a per-slice reversal sets."""
-    m, k, n = rng.integers(2, 5, size=3)
-    weights = None
+    """Random input arrays and a loss builder build(tensors, lam) for one
+    primitive op."""
+    m, k, n = (int(v) for v in rng.integers(2, 5, size=3))
     if kind == "matmul_t":  # the dense product x @ w.T
-        arrs = [rng.uniform(-2, 2, (m, k)), rng.uniform(-2, 2, (n, k))]
-        build = lambda t: ad.matmul(t[0], t[1])
-    elif kind == "matmul_bias":
-        arrs = [rng.uniform(-2, 2, (m, k)), rng.uniform(-2, 2, (n, k)),
-                rng.uniform(-2, 2, (n,))]
-        build = lambda t: ad.matmul(t[0], t[1], bias=t[2])
-    elif kind == "matmul_relu":
-        arrs = _dense_away_from_kink(rng, m, k, n)
-        build = lambda t: ad.matmul(t[0], t[1], bias=t[2], relu=True)
+        shapes, build = [(m, k), (n, k)], lambda t, lam: ad.matmul(t[0], t[1])
+    elif kind in ("matmul_bias", "matmul_relu"):
+        shapes = [(m, k), (n, k), (n,)]
+        build = lambda t, lam: ad.matmul(t[0], t[1], bias=t[2],
+                                         relu=kind == "matmul_relu")
     elif kind == "matmul_stacked":
         # two stacked dense layers (M = 2): the first reads one shared batch
         # with both weight slices, the second each slice's rows with its own
-        arrs = _stacked_dense_away_from_kink(rng, m, k, n)
-        build = lambda t: ad.matmul(
+        shapes = [(m, k), (2, n, k), (2, n), (2, k, n), (2, k)]
+        build = lambda t, lam: ad.matmul(
             ad.matmul(t[0], t[1], bias=t[2], relu=True), t[3], bias=t[4])
     elif kind == "reverse_slices":
         # slice 0 reversed by lambda, slice 1 passed on with weight +1.0
-        lam = float(rng.uniform(0.1, 1.5))
-        arrs = [rng.uniform(-2, 2, (2 * m, n))]
-        weights = [np.repeat([-lam, 1.0], m * n).reshape(2 * m, n)]
-        build = lambda t: ad.softmax(ad.grad_reverse(t[0], [lam, None]))
-    elif kind == "add":
-        arrs = [rng.uniform(-2, 2, (m, n)), rng.uniform(-2, 2, (m, n))]
-        build = lambda t: ad.add(t[0], t[1])
-    elif kind == "sub":
-        arrs = [rng.uniform(-2, 2, (m, n)), rng.uniform(-2, 2, (m, n))]
-        build = lambda t: ad.sub(t[0], t[1])
+        shapes = [(2 * m, n)]
+        build = lambda t, lam: ad.softmax(ad.grad_reverse(t[0], [lam, None]))
+    elif kind in ("add", "sub", "mean_abs_diff"):
+        op = {"add": ad.add, "sub": ad.sub, "mean_abs_diff": ad.mean_abs_diff}
+        shapes, build = [(m, n), (m, n)], lambda t, lam: op[kind](t[0], t[1])
     elif kind == "softmax":
-        arrs = [rng.uniform(-2, 2, (m, n))]
-        build = lambda t: ad.softmax(t[0])
+        shapes, build = [(m, n)], lambda t, lam: ad.softmax(t[0])
     elif kind == "cross_entropy":
-        arrs = [rng.uniform(-2, 2, (m, n))]
         idx = rng.integers(0, n, size=m)
-        build = lambda t: ad.cross_entropy(t[0], idx)
-    elif kind == "mean_abs_diff":
-        a = rng.uniform(-2, 2, (m, n))
-        arrs = [a, a + _away_from_zero(rng, (m, n))]
-        build = lambda t: ad.mean_abs_diff(t[0], t[1])
+        shapes, build = [(m, n)], lambda t, lam: ad.cross_entropy(t[0], idx)
     else:
         raise ValueError(kind)
-    return arrs, build, weights
-
-
-def _away_from_zero(rng, shape, margin=1e-3):
-    arr = rng.uniform(-2, 2, shape)
-    while np.any(np.abs(arr) < margin):
-        arr = rng.uniform(-2, 2, shape)
-    return arr
-
-
-def _dense_away_from_kink(rng, m, k, n, margin=1e-3):
-    """x [m, k], w [n, k], b [n] whose pre-activation x @ w.T + b keeps
-    clear of the relu kink."""
-    while True:
-        x, w, b = (rng.uniform(-2, 2, s) for s in ((m, k), (n, k), (n,)))
-        if np.abs(x @ w.T + b).min() >= margin:
-            return [x, w, b]
-
-
-def _stacked_dense_away_from_kink(rng, m, k, n, margin=1e-3):
-    """x [m, k], w [2, n, k], b [2, n] whose pre-activations keep clear of
-    the relu kink, plus a second stacked layer w2 [2, k, n], b2 [2, k]."""
-    while True:
-        x, w, b = (rng.uniform(-2, 2, s) for s in ((m, k), (2, n, k), (2, n)))
-        if np.abs(np.matmul(x, w.transpose(0, 2, 1)) + b[:, None]).min() >= margin:
-            return [x, w, b, rng.uniform(-2, 2, (2, k, n)),
-                    rng.uniform(-2, 2, (2, k))]
+    return [rng.uniform(-2, 2, s) for s in shapes], build
 
 
 def _scalarize(t: ad.Tensor) -> ad.Tensor:
-    """Reduce to a scalar with column-asymmetric weights (a plain mean would
-    give softmax rows a constant sum and a vacuous zero gradient)."""
+    """One value per slice with column-asymmetric weights: the
+    cross-entropy against labels that cycle through the columns (a plain
+    mean would give softmax rows a constant sum and a vacuous zero
+    gradient)."""
     if t.size == 1:
         return t
-    idx = np.arange(t.shape[0]) % t.shape[1]
-    return ad.add(ad.mean(t), ad.mean(ad.select_columns(t, idx)))
+    rows = t.shape[0] // t.slices
+    return ad.cross_entropy(t, np.arange(rows) % t.shape[1])
 
 
 def check_op(kind: str, trials: int, seed: int = 0,
-             reverse_lambda: float | None = None) -> float:
-    """Max relative FD error over `trials` random cases of one op.
-
-    With reverse_lambda set, the op is composed with grad_reverse and the
-    analytic gradient is compared against -lambda times the numeric
-    gradient of the unwrapped function (grad_reverse is identity forward).
-    """
+             reverse: bool = False) -> float:
+    """Max relative FD error over `trials` random cases of one op, each
+    input entry probed; with reverse, every input passes through
+    grad_reverse first. lambda is a step input of a case that reverses."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        arrs, build, weights = _op_case(kind, rng)
-        tape = ad.Tape(*arrs)
+    worst, done = 0.0, 0
+    while done < trials:
+        arrs, build = _op_case(kind, rng)
+        lam = 1.0  # one object: the tape ties a step input by identity
+        reverses = reverse or kind == "reverse_slices"
+        inputs = (*arrs, lam) if reverses else tuple(arrs)
+        tape = ad.Tape(*inputs)
         tensors = [tape.leaf(a) for a in arrs]
-        wrapped = tensors if reverse_lambda is None else [
-            ad.grad_reverse(t, reverse_lambda) for t in tensors]
-        loss = _scalarize(build(wrapped))
-        grads = [g.reshape(-1) for g in ad.backward(tape, loss, tensors)]
-
-        scale = 1.0 if reverse_lambda is None else -reverse_lambda
-        for j, (arr, flat_grad) in enumerate(zip(arrs, grads)):
-            factor = np.ones(arr.size) if weights is None else weights[j].reshape(-1)
-            for i in range(arr.size):
-                numeric = scale * factor[i] * central_diff(
-                    lambda: _rerun_value(tape, loss, *arrs), arr, i)
-                worst = max(worst, rel_err(flat_grad[i], numeric))
-    return worst
-
-
-def _rerun_value(tape: ad.Tape, t: ad.Tensor, *inputs) -> float:
-    """t's first value after tape reruns on inputs."""
-    tape.rerun(*inputs)
-    return float(t.data[0])
-
-
-def _tiny_setup(rng: np.random.Generator):
-    seed_a, seed_b = rng.integers(0, 2**31, size=2)
-    comps1 = build_component_set(2, 3, 2, int(seed_a), g_hidden=(4,), head_hidden=())
-    comps2 = build_component_set(2, 3, 2, int(seed_b), g_hidden=(4,), head_hidden=())
-    xs = rng.uniform(-2, 2, (3, 2))
-    xt = rng.uniform(-2, 2, (3, 2))
-    ys = rng.integers(0, 2, size=3)
-    return DualModel(comps1, comps2), xs, ys, xt
-
-
-def _loss_parts(kind: str, model: DualModel, xs, ys, xt, lam):
-    """Forward values of the loss's additive parts, on a new tape with no
-    step inputs: a rerun reads the parameters in place.
-
-    Returns (tape, binding, parts, weight_fn, total) where
-    weight_fn(component_key) gives the per-part combination weights for
-    parameters of that component: the gradient-reversal layer flips the
-    domain/feature part's sign only for parameters upstream of it, so the
-    discriminator (downstream) keeps weight +1. The dual loss binds both
-    modules as one stacked graph; the others bind the invariant module.
-    """
-    tape = ad.Tape()
-    if kind == "dual":
-        b = BoundComponents(tape, *model.modules())
-        parts = dual_loss(b, b.features(tape.leaf(xs), tape.leaf(xt)), lam)
-        return tape, b, [parts.feature_dis, parts.prediction_dis], \
-            lambda comp: [-lam, 1.0], \
-            [parts.reversed_feature_dis + parts.prediction_dis]
-    b = BoundComponents(tape, model.invariant, prefix="invariant.")
-    x_s, x_t = tape.leaf(xs), tape.leaf(xt)
-    if kind == "cross_entropy":
-        ce = ad.cross_entropy(b.classifier_a.forward(b.features(x_s)), ys)
-        return tape, b, [ce], lambda comp: [1.0], [ce]
-    if kind == "discrepancy":
-        dis = classifier_discrepancy(b, b.features(x_t))
-        return tape, b, [dis], lambda comp: [1.0], [dis]
-    if kind == "invariant_module":
-        parts = module_loss(b, b.features(x_s), ys, b.features(x_t), lam)
-        return tape, b, [parts.classifier_ce, parts.domain_ce], \
-            lambda comp: [1.0, 1.0 if comp == "discriminator" else -lam], \
-            [parts.total]
-    if kind == "discriminative_module":
-        parts = module_loss(b, b.features(x_s), ys, b.features(x_t), None)
-        return tape, b, [parts.classifier_ce, parts.domain_ce], \
-            lambda comp: [1.0, 1.0], [parts.total]
-    raise ValueError(kind)
-
-
-def check_loss(kind: str, trials: int, seed: int = 0) -> float:
-    """Max relative FD error of one loss's gradient over random tiny models.
-
-    Gradient-reversal layers make the analytic gradient of a parameter
-    equal sum_j w_j * d(part_j)/d(theta) with w_j = -lambda on reversed
-    paths, so each additive part is finite-differenced separately and the
-    weighted sum is compared per coordinate. Parameters downstream of the
-    reversal (the discriminator) see w=+1 on the domain part; that case is
-    covered by the plain "discriminative_module" composition.
-    """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    trial = 0
-    while trial < trials:
-        model, xs, ys, xt = _tiny_setup(rng)
-        lam = float(rng.uniform(0.1, 1.5))
-        tape, binding, parts, weight_fn, total = _loss_parts(
-            kind, model, xs, ys, xt, lam)
-        if _near_relu_kink(tape):
+        wrapped = [ad.grad_reverse(t, lam) for t in tensors] \
+            if reverse else tensors
+        loss = _scalarize(build(wrapped, lam))
+        if _near_kink(tape):
             continue
-        trial += 1
-        params = [(comp, arr, tensor) for comp in COMPONENT_KEYS
-                  for _, arr, tensor in binding.named_pairs((comp,))]
-        grads = ad.backward(tape, total[0], [t for _, _, t in params])
-
-        # module by module: each slice of a stacked parameter on its own
-        pairs = []
-        slices = len(binding.prefixes)
-        for m in range(slices):
-            for (comp, arr, _), grad in zip(params, grads):
-                if slices > 1:
-                    arr, grad = arr[m], grad[m]
-                pairs.append((comp, arr, grad))
-        for comp, arr, grad in pairs:
-            flat_grad = grad.reshape(-1)
-            picks = rng.choice(arr.size, size=min(3, arr.size), replace=False)
-            for i in picks:
-                numeric = 0.0
-                for part, w in zip(parts, weight_fn(comp)):
-                    numeric += w * central_diff(
-                        lambda: _rerun_value(tape, part), arr, i)
-                worst = max(worst, rel_err(flat_grad[i], numeric))
+        done += 1
+        params = [((), a, t) for a, t in zip(arrs, tensors)]
+        worst = max(worst, _max_err(tape, inputs, reverses, [(loss, params)]))
     return worst
 
 
-def _near_relu_kink(tape: ad.Tape, margin: float = 5e-4) -> bool:
-    """True when the pre-activation of any dense-layer relu on the tape sits
-    too close to 0 for FD; the tape holds exactly the relus on the loss's
-    forward path. ad.dense without its relu makes each record's
-    pre-activation, with the same bits, from the record's inputs: from
-    each of its domain batches in turn when it reads several."""
+class Site(NamedTuple):
+    """A graph that ``train`` captures: the trainer's capture function, the
+    context that train passes it, built from the model, and the names of
+    its step inputs in order (``lam``, lambda, is last where it is one)."""
+
+    capture: Callable
+    context: Callable[[DualModel], tuple]
+    inputs: str
+
+
+# every distinct graph that train captures, by the variants that run it:
+# step 1 on both modules (ours_2m) and on the invariant one alone (mcd,
+# mcd_dann, ours_1m; its phase A is the graph of step 2 source, which
+# source_only runs); step 2 on the invariant module alone (dann, mcd_dann)
+# and on both, the discriminative one not reversed (ours*); step 3 (ours*)
+_INVARIANT = ("invariant",)
+SITES = {
+    "step 1 A": Site(_capture_source, DualModel.modules, "xs ys"),
+    "step 1 B": Site(_capture_boundary, DualModel.modules, "xs ys xt"),
+    "step 1 C": Site(_capture_discrepancy, DualModel.modules, "xt"),
+    "step 1 B invariant": Site(_capture_boundary,
+                               lambda m: m.modules(_INVARIANT), "xs ys xt"),
+    "step 1 C invariant": Site(_capture_discrepancy,
+                               lambda m: m.modules(_INVARIANT), "xt"),
+    "step 2 source": Site(_capture_source,
+                          lambda m: (m.invariant, "invariant."), "xs ys"),
+    "step 2 invariant": Site(_capture_modules, lambda m: (
+        *m.modules(_INVARIANT), (True,)), "xs ys xt lam"),
+    "step 2 both": Site(_capture_modules, lambda m: (
+        *m.modules(), (True, False)), "xs ys xt lam"),
+    "step 3": Site(_capture_dual, lambda m: (m,), "xs xt lam"),
+}
+
+
+def check_site(site: str, trials: int, seed: int = 0) -> float:
+    """Max relative FD error of one site's gradients over `trials` random
+    tiny models and batches, 3 random entries probed per parameter
+    array."""
+    capture, context, names = SITES[site]
+    rng = np.random.default_rng(seed)
+    worst, done = 0.0, 0
+    while done < trials:
+        model = DualModel.build(2, 3, 2, int(rng.integers(2**31)),
+                                g_hidden=(4,), head_hidden=())
+        draw = {"xs": rng.uniform(-2, 2, (3, 2)),
+                "ys": rng.integers(0, 2, size=3),
+                "xt": rng.uniform(-2, 2, (3, 2)), "lam": 1.0}
+        inputs = tuple(draw[name] for name in names.split())
+        tape = ad.Tape(*inputs)
+        terms = capture(tape, *context(model), *inputs)
+        if _near_kink(tape):
+            continue
+        done += 1
+        worst = max(worst, _max_err(tape, inputs, names.endswith("lam"),
+                                    terms, rng))
+    return worst
+
+
+def _max_err(tape: ad.Tape, inputs: tuple, reverses: bool, terms,
+             rng: np.random.Generator | None = None) -> float:
+    """Max relative error of each term (loss, [(names, array, tensor)]):
+    2 G(0) - G(1), G(lam) its sweep after the tape reruns on inputs with
+    lam for lambda (their last, when reverses), against the central
+    difference of the loss's summed values in each array's entries: 3
+    random ones drawn from rng, or all of them without rng."""
+    def rerun(lam: float) -> None:
+        tape.rerun(*(inputs[:-1] + (lam,) if reverses else inputs))
+
+    worst = 0.0
+    for loss, params in terms:
+        def value() -> float:
+            rerun(1.0)
+            return float(loss.data.sum())
+
+        wrt = [t for _, _, t in params]
+        swept = []
+        for lam in (0.0, 1.0):
+            rerun(lam)
+            swept.append(ad.backward(tape, loss, wrt))
+        for (_, arr, _), g0, g1 in zip(params, *swept):
+            analytic = (2.0 * g0 - g1).reshape(-1)
+            picks = range(arr.size) if rng is None else rng.choice(
+                arr.size, size=min(3, arr.size), replace=False)
+            for i in picks:
+                worst = max(worst, rel_err(analytic[i],
+                                           central_diff(value, arr, i)))
+    return worst
+
+
+def _near_kink(tape: ad.Tape, margin: float = 5e-4) -> bool:
+    """True when a dense-layer relu's pre-activation or a mean_abs_diff's
+    difference on the tape sits within margin of 0, where the derivative
+    jumps. ad.dense without its relu makes each record's pre-activation,
+    with the same bits, from each of its domain batches in turn; a pair
+    mean_abs_diff compares the two halves of its operand's rows."""
     values = tape.values
     for rec in tape.records:
-        if rec.kind != "matmul" or not rec.static[1]:
-            continue
-        slices, _, parts = rec.static
-        params = [values[i] for i in rec.input_ids[parts:]]
-        if any(np.abs(ad.dense(values[x], *params, slices=slices)).min()
-               < margin for x in rec.input_ids[:parts]):
-            return True
+        ins = [values[i] for i in rec.input_ids]
+        if rec.kind == "mean_abs_diff":
+            if rec.static[0]:
+                ins = np.split(ins[0], 2)
+            if np.abs(ins[0] - ins[1]).min() < margin:
+                return True
+        elif rec.kind == "matmul" and rec.static[1]:
+            slices, _, parts = rec.static
+            if any(np.abs(ad.dense(x, *ins[parts:], slices=slices)).min()
+                   < margin for x in ins[:parts]):
+                return True
     return False
 
 
 OP_CASES = ("matmul_t", "matmul_bias", "matmul_relu", "matmul_stacked",
             "add", "sub", "softmax", "cross_entropy", "mean_abs_diff",
             "reverse_slices")
-LOSS_KINDS = ("cross_entropy", "discrepancy", "invariant_module",
-              "discriminative_module", "dual")
 
 
-def run_suite(trials_ops: int = 100, trials_losses: int = 100,
-              seed: int = 0, report=print) -> bool:
-    """Full randomized gradient suite; returns True when everything passes."""
+def run_suite(trials: int = 100, seed: int = 0, report=print) -> bool:
+    """Full randomized gradient suite, one line per check: each op case,
+    each but reverse_slices behind a reversal, each site. Returns True when
+    everything passes."""
+    checks = [(f"op {k}", check_op, (k, trials, seed)) for k in OP_CASES]
+    checks += [(f"grl+{k}", check_op, (k, max(trials // 4, 10), seed + 1,
+                                       True))
+               for k in OP_CASES if k != "reverse_slices"]
+    checks += [(f"site {s}", check_site, (s, trials, seed + 2)) for s in SITES]
     ok = True
-    for kind in OP_CASES:
-        err = check_op(kind, trials_ops, seed=seed)
+    for name, check, args in checks:
+        err = check(*args)
         ok &= err < TOL
-        report(f"op {kind:<16} max rel err {err:.3e}  "
-               f"{'ok' if err < TOL else 'FAIL'}")
-    for kind in OP_CASES:
-        err = check_op(kind, max(trials_ops // 4, 10), seed=seed + 1,
-                       reverse_lambda=0.7)
-        ok &= err < TOL
-        report(f"grl+{kind:<14} max rel err {err:.3e}  "
-               f"{'ok' if err < TOL else 'FAIL'}")
-    for kind in LOSS_KINDS:
-        err = check_loss(kind, trials_losses, seed=seed + 2)
-        ok &= err < TOL
-        report(f"loss {kind:<20} max rel err {err:.3e}  "
+        report(f"{name:<23} max rel err {err:.3e}  "
                f"{'ok' if err < TOL else 'FAIL'}")
     return ok

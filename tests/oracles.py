@@ -26,14 +26,16 @@ FD_TOL = 1e-4
 
 
 def fd_gradient(value_fn, arr, i, h=FD_H):
-    """Central finite difference of value_fn w.r.t. arr.flat[i]."""
-    flat = arr.reshape(-1)
-    keep = flat[i]
-    flat[i] = keep + h
+    """Central finite difference of value_fn w.r.t. arr.flat[i], set in
+    place: arr may be a strided view (a stacked parameter), whose reshape
+    would be a copy."""
+    at = np.unravel_index(i, arr.shape)
+    keep = arr[at]
+    arr[at] = keep + h
     up = value_fn()
-    flat[i] = keep - h
+    arr[at] = keep - h
     down = value_fn()
-    flat[i] = keep
+    arr[at] = keep
     return (up - down) / (2.0 * h)
 
 

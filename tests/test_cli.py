@@ -511,20 +511,21 @@ def test_cli_check_grad_fast():
 CHECK_GRAD_OPS = ("matmul_t", "matmul_bias", "matmul_relu", "matmul_stacked",
                   "add", "sub", "softmax", "cross_entropy", "mean_abs_diff",
                   "reverse_slices")
-CHECK_GRAD_LOSSES = ("cross_entropy", "discrepancy", "invariant_module",
-                     "discriminative_module", "dual")
+CHECK_GRAD_SITES = ("step 1 A", "step 1 B", "step 1 C", "step 1 B invariant",
+                    "step 1 C invariant", "step 2 source", "step 2 invariant",
+                    "step 2 both", "step 3")
 
 
 def test_cli_check_grad_prints_every_case_once_in_order(capsys):
-    """Each op case plain, then each behind the reversal, then each loss,
-    one ok line each, then the PASS line."""
+    """Each op case plain, then each but reverse_slices behind the
+    reversal, then each site, one ok line each, then the PASS line."""
     assert main(["check-grad", "--trials", "1"]) == 0
     *cases, last = capsys.readouterr().out.splitlines()
     assert [" ".join(line.split(" max rel err ")[0].split())
             for line in cases] == (
         [f"op {k}" for k in CHECK_GRAD_OPS] +
-        [f"grl+{k}" for k in CHECK_GRAD_OPS] +
-        [f"loss {k}" for k in CHECK_GRAD_LOSSES])
+        [f"grl+{k}" for k in CHECK_GRAD_OPS[:-1]] +
+        [f"site {k}" for k in CHECK_GRAD_SITES])
     assert all(line.endswith("  ok") for line in cases)
     assert last == "gradient suite: PASS"
 

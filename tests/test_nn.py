@@ -14,7 +14,7 @@ from dualda.nn import (BoundStack, ComponentSet, LinearLayer, NetworkSpec,
                        Stack, build_component_set, init_stack, load_params,
                        save_params)
 
-from dualda.gradcheck import _near_relu_kink
+from dualda.gradcheck import _near_kink
 
 from oracles import FD_TOL, fd_gradient, fd_rel_err, stack_forward_numpy
 
@@ -127,7 +127,26 @@ def test_near_relu_kink_sees_the_relu_of_a_dense_layer(hidden_bias, near):
     tape = ad.Tape()
     BoundStack(tape, stack).forward(tape.leaf([[0.0]]))
     assert [r.kind for r in tape.records] == ["matmul", "matmul"]
-    assert _near_relu_kink(tape) is near
+    assert _near_kink(tape) is near
+
+
+@pytest.mark.parametrize("gap,near", [(2e-4, True), (-4e-4, True),
+                                      (1e-3, False)])
+@pytest.mark.parametrize("pair", [False, True], ids=["two_operands", "pair"])
+def test_near_kink_sees_the_difference_of_a_mean_abs_diff(pair, gap, near):
+    # entry 0 of the difference sits gap from the kink of abs, entry 1 far
+    # from it; a pair compares the rows of two stacked slices, here the
+    # biases of a zero-weight stacked layer on a zero input
+    a, b = np.array([0.0, 0.0]), np.array([gap, 0.5])
+    tape = ad.Tape()
+    if pair:
+        rows = ad.matmul(tape.leaf([[0.0]]), tape.param(np.zeros((2, 2, 1))),
+                         bias=tape.param(np.stack([a, b])))
+        ad.mean_abs_diff(rows)
+    else:
+        ad.mean_abs_diff(tape.leaf([a]), tape.leaf([b]))
+    assert tape.records[-1].static[0] is pair
+    assert _near_kink(tape) is near
 
 
 def test_stack_apply_equals_the_bound_forward_bytewise():
